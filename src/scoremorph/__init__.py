@@ -10,10 +10,11 @@ coverage guarantee intact.
 __version__ = "0.1.0"
 
 from .conformal import (CalibrationRecord, EvalReport, PredictionInterval,
-                        base_score, calibrate, calibration_records, evaluate,
-                        interval, quantile_index)
+                        base_score, base_scores, calibrate,
+                        calibration_records, evaluate, interval,
+                        quantile_index)
 from .data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
-                   NormalizationStats, Sample, SplitSpec, apply_normalization,
+                   NormalizationStats, SplitSpec, apply_normalization,
                    compute_stats, denormalize, load_csv, normalize, split,
                    split_indices)
 from .knn import DEFAULT_K_GRID, KnnModel
@@ -25,12 +26,12 @@ from .serialize import ModelBundle, load_model, save_model
 from .synthetic import SynthData, SynthSpec, amplitude, generate
 from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
                        ProtocolRow, TrainConfig, TrainTrace, TrainingDiverged,
-                       run_protocol, train, train_erc_error_fit)
+                       aggregate, run_protocol, train, train_erc_error_fit)
 from .transforms import (TRAINABLE_KINDS, AdditiveFixture,
                          AdditiveLogRepairFixture, CodomainError, ErcTransform,
                          ExpTransform, FixedTransform, LinearTransform,
-                         LogShiftTransform, NoRootError, SigmaTransform,
-                         SqrtShiftFixture, TransformFamily, make_family,
-                         numeric_inverse)
+                         LogShiftCore, LogShiftTransform, NoRootError,
+                         SigmaTransform, SqrtShiftFixture, TransformFamily,
+                         make_family, numeric_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

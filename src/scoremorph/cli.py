@@ -20,11 +20,11 @@ from .data import (DEFAULT_FRACTIONS, SplitSpec, apply_normalization,
                    load_csv, normalize, split)
 from .figures import band_csv, compute_band, render_svg
 from .ioutil import sha256_file, write_text_atomic
-from .knn import DEFAULT_K_GRID, KnnModel, fit as knn_fit
+from .knn import KnnModel, fit as knn_fit, grid_for
 from .serialize import ModelBundle, load_model, save_model
 from .synthetic import KINDS, SynthSpec, generate
-from .training import (CLI_FAMILIES, TrainConfig, TrainTrace, run_protocol,
-                       train, train_erc_error_fit)
+from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, TrainTrace,
+                       aggregate, run_protocol, train, train_erc_error_fit)
 from .transforms import FixedTransform
 
 MANIFEST_FORMAT_VERSION = 1
@@ -91,16 +91,11 @@ def cmd_synth(args) -> int:
 
 # ---- train ----
 
-def _fit_point_model(proper, seed):
-    grid = [k for k in DEFAULT_K_GRID if k <= proper.n]
-    return knn_fit(proper, grid, folds=5, seed=seed)
-
-
 def cmd_train(args) -> int:
     ds = normalize(load_csv(args.data, args.has_header))
     spec = SplitSpec(args.seed, DEFAULT_FRACTIONS)
     proper, cp_train, validation, _ = split(ds, spec)
-    model = _fit_point_model(proper, args.seed)
+    model = knn_fit(proper, grid_for(proper.n), folds=5, seed=args.seed)
     if args.family == "fixed":
         fam, trace = FixedTransform(), TrainTrace()
     else:
@@ -132,37 +127,16 @@ def cmd_train(args) -> int:
 
 # ---- eval ----
 
-def _format_row(r) -> str:
-    return (f"{r['dataset']},{r['family']},{r['alpha']!r},{r['run_seed']},"
-            f"{'' if r['mean_size'] is None else repr(r['mean_size'])},"
-            f"{'' if r['validity'] is None else repr(r['validity'])},"
-            f"{r['error']}")
-
-
-def _aggregate(rows, families, alphas):
-    out = []
-    for fam in families:
-        for alpha in alphas:
-            cell = [r for r in rows if r["family"] == fam
-                    and r["alpha"] == alpha and r["error"] == ""]
-            if not cell:
-                continue
-            sizes = np.asarray([r["mean_size"] for r in cell])
-            vals = np.asarray([r["validity"] for r in cell])
-            out.append({"family": fam, "alpha": alpha,
-                        "size_mean": float(sizes.mean()),
-                        "size_sd": float(sizes.std()),
-                        "validity_mean": float(vals.mean()),
-                        "validity_sd": float(vals.std())})
-    return out
+def _format_row(r: ProtocolRow) -> str:
+    return (f"{r.dataset},{r.family},{r.alpha!r},{r.run_seed},"
+            f"{'' if r.mean_size is None else repr(r.mean_size)},"
+            f"{'' if r.validity is None else repr(r.validity)},"
+            f"{r.error}")
 
 
 def _print_table(aggregates, alphas, dataset_name):
-    cells = {(a["family"], a["alpha"]): a for a in aggregates}
-    families = []
-    for a in aggregates:
-        if a["family"] not in families:
-            families.append(a["family"])
+    cells = {(a.family, a.alpha): a for a in aggregates}
+    families = list(dict.fromkeys(a.family for a in aggregates))
     header = f"{dataset_name:12s}"
     for alpha in alphas:
         header += f" | alpha={alpha:<5g} size         val         "
@@ -174,8 +148,8 @@ def _print_table(aggregates, alphas, dataset_name):
             if c is None:
                 line += " | " + " " * 37
             else:
-                line += (f" | {c['size_mean']:.3f}+-{c['size_sd']:.3f} "
-                         f"{c['validity_mean']:.3f}+-{c['validity_sd']:.3f}")
+                line += (f" | {c.size_mean:.3f}+-{c.size_sd:.3f} "
+                         f"{c.validity_mean:.3f}+-{c.validity_sd:.3f}")
         print(line)
 
 
@@ -196,16 +170,14 @@ def _eval_frozen(args, ds_name, alphas):
                 ds, SplitSpec(run_seed, b.split.fractions))
             model = KnnModel(proper.x.copy(), proper.y.copy(), b.knn_k)
             for alpha in alphas:
-                row = {"dataset": ds_name, "family": b.label, "alpha": alpha,
-                       "run_seed": run_seed, "mean_size": None,
-                       "validity": None, "error": ""}
                 try:
                     rep = evaluate(b.family, model.predict_batch, cp_train,
                                    test, [alpha])[0]
-                    row["mean_size"] = rep.mean_size
-                    row["validity"] = rep.empirical_validity
+                    row = ProtocolRow(ds_name, b.label, alpha, run_seed,
+                                      rep.mean_size, rep.empirical_validity)
                 except ValueError as exc:
-                    row["error"] = str(exc).replace(",", ";")
+                    row = ProtocolRow(ds_name, b.label, alpha, run_seed, None,
+                                      None, str(exc).replace(",", ";"))
                 rows.append(row)
     return rows, [b.label for b in bundles], {b.label: b.knn_k for b in bundles}
 
@@ -222,18 +194,14 @@ def _eval_protocol(args, ds_name, alphas):
                           batch_size=args.batch, learning_rate=args.lr,
                           patience=args.patience, gamma=args.gamma,
                           dataset_name=ds_name)
-    rows = [{"dataset": r.dataset, "family": r.family, "alpha": r.alpha,
-             "run_seed": r.run_seed, "mean_size": r.mean_size,
-             "validity": r.validity, "error": ""} for r in result.rows]
+    rows = list(result.rows)
     knn_ks = {str(seed): k for seed, k in result.knn_ks.items()}
     for alpha in invalid:
         for fam in families:
             for r in range(args.runs):
-                rows.append({"dataset": ds_name, "family": fam, "alpha": alpha,
-                             "run_seed": base_seed + r, "mean_size": None,
-                             "validity": None,
-                             "error": f"alpha={alpha} outside "
-                                      f"[1/(N+1); 1] for N={n_cal}"})
+                rows.append(ProtocolRow(
+                    ds_name, fam, alpha, base_seed + r, None, None,
+                    f"alpha={alpha} outside [1/(N+1); 1] for N={n_cal}"))
     return rows, families, knn_ks
 
 
@@ -252,14 +220,14 @@ def cmd_eval(args) -> int:
     lines += [_format_row(r) for r in rows]
     write_text_atomic(args.report, "\n".join(lines) + "\n")
 
-    aggregates = _aggregate(rows, families, alphas)
+    aggregates = aggregate(rows, families, alphas)
     agg_path = os.path.splitext(os.fspath(args.report))[0] + ".aggregate.csv"
     agg_lines = ["# scoremorph eval-aggregate format_version=1",
                  "family,alpha,size_mean,size_sd,validity_mean,validity_sd"]
     for a in aggregates:
-        agg_lines.append(f"{a['family']},{a['alpha']!r},{a['size_mean']!r},"
-                         f"{a['size_sd']!r},{a['validity_mean']!r},"
-                         f"{a['validity_sd']!r}")
+        agg_lines.append(f"{a.family},{a.alpha!r},{a.size_mean!r},"
+                         f"{a.size_sd!r},{a.validity_mean!r},"
+                         f"{a.validity_sd!r}")
     write_text_atomic(agg_path, "\n".join(agg_lines) + "\n")
     _print_table(aggregates, alphas, ds_name)
 
@@ -286,15 +254,15 @@ def cmd_plot(args) -> int:
     ds = apply_normalization(ds_raw, bundle.stats)
     proper, cp_train, _, _ = split(ds, bundle.split)
     model = KnnModel(proper.x.copy(), proper.y.copy(), bundle.knn_k)
-    records = calibration_records(bundle.family, model.predict_batch, cp_train)
-    q_hat = calibrate(records, args.alpha)
+    fam = bundle.family.calibration_family()
+    q_hat = calibrate(calibration_records(fam, model.predict_batch, cp_train),
+                      args.alpha)
     axis = read_raw_axis(args.data)
     if axis is None:
         axis = ds.x[:, 0]
     elif axis.shape[0] != ds.n:
         raise ValueError("raw_x comment length mismatches the data rows")
-    band = compute_band(bundle.family, model.predict_batch, ds.x, axis, ds.y,
-                        q_hat)
+    band = compute_band(fam, model.predict_batch, ds.x, axis, ds.y, q_hat)
     svg = render_svg(band, title=f"{bundle.label} alpha={args.alpha:g}")
     write_text_atomic(args.out, svg)
     csv_path = os.fspath(args.out) + ".band.csv"

@@ -2,7 +2,9 @@
 
 The empirical quantile of the transformed calibration scores is an actual
 order statistic (never interpolated); the label-space interval at a test
-attribute is recovered through the family inverse.
+attribute is recovered through the family inverse. ``evaluate`` calibrates
+on ``fam.calibration_family()``, for the log-shift core its pre-image
+z = log A + s(x), so a saturating outer map cannot lose the quantile.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def base_score(f_x: float, y: float) -> float:
     return (f_x - y) ** 2
 
 
+def base_scores(predict, ds: Dataset) -> np.ndarray:
+    """Squared residuals (f(x_n) - y_n)^2 over a dataset."""
+    preds = np.asarray(predict(ds.x), dtype=float)
+    return (preds - ds.y) ** 2
+
+
 def quantile_index(n: int, alpha: float) -> int:
     """1-based order-statistic index m* = ceil((N+1)(1-alpha)).
 
@@ -95,8 +103,7 @@ def calibrate(records, alpha: float) -> float:
 
 def calibration_records(fam: TransformFamily, predict, ds: Dataset):
     """Score a calibration set: A_n = (f(x_n) - y_n)^2, B_n = phi_{x_n}(A_n)."""
-    preds = np.asarray(predict(ds.x), dtype=float)
-    a = (preds - ds.y) ** 2
+    a = base_scores(predict, ds)
     b = fam.forward_batch(ds.x, a)
     return [CalibrationRecord(ds.x[i], float(a[i]), float(b[i]))
             for i in range(ds.n)]
@@ -116,10 +123,9 @@ def evaluate(fam: TransformFamily, predict, calibration: Dataset,
 
     ``predict`` maps an (n, d) attribute matrix to point predictions.
     """
-    records = calibration_records(fam, predict, calibration)
-    b_cal = np.asarray([r.b for r in records], dtype=float)
-    test_pred = np.asarray(predict(test.x), dtype=float)
-    a_test = (test_pred - test.y) ** 2
+    fam = fam.calibration_family()
+    b_cal = fam.forward_batch(calibration.x, base_scores(predict, calibration))
+    a_test = base_scores(predict, test)
     reports = []
     for alpha in alphas:
         q_hat = _quantile_of_scores(b_cal, alpha)

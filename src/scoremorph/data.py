@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 # proper-train / cp-train / validation / test
@@ -16,11 +14,6 @@ _ZERO_VAR_TOL = 1e-15
 
 class IngestionError(ValueError):
     """A CSV file could not be parsed into a numeric dataset."""
-
-
-class Sample(NamedTuple):
-    x: np.ndarray
-    y: float
 
 
 @dataclass(frozen=True)
@@ -98,9 +91,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.x[i], float(self.y[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)

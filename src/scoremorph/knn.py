@@ -15,6 +15,11 @@ from .data import Dataset
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
 
 
+def grid_for(n: int, k_grid=DEFAULT_K_GRID) -> list:
+    """The candidate k values that do not exceed n training rows."""
+    return [k for k in k_grid if k <= n]
+
+
 @dataclass(frozen=True)
 class KnnModel:
     x: np.ndarray

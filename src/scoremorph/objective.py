@@ -2,9 +2,16 @@
 
 Within a batch every element plays the test role against the others as
 calibration, so the loss is the mean over ordered pairs (i, n), i != n, of
-sqrt(phi_{x_i}^{-1}(phi_{x_n}(A_n))). Because the inverse depends on the
-parameters both directly and through its argument, the gradient combines
-the implicit-inverse term with the chain through the forward map.
+sqrt(phi_{x_i}^{-1}(phi_{x_n}(A_n))).
+
+For the log-shift core phi = h(log A + s(x)) the outer map h cancels: the
+pair term is exp((z_n - s_i) / 2) with z = log A + s, so the loss is
+sum_n e^{z_n/2} W_n / (m(m-1)) and its derivative in s_k is
+(e^{z_k/2} W_k - e^{-s_k/2} R_k) / (2m(m-1)), with the leave-one-out sums
+W_k = sum_{i != k} e^{-s_i/2} and R_k = sum_{n != k} e^{z_n/2}: O(m). Other
+families, and the core with ``inverse_mode='implicit'``, invert all m^2
+pairs (closed form or bisection) and take both partials from the implicit
+relations d phi^{-1}/d loc = -phi_loc / phi_A, d phi^{-1}/dB = 1 / phi_A.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import LocalizerNet
-from .transforms import TransformFamily
+from .transforms import LogShiftCore, TransformFamily, numeric_inverse
 
 
 @dataclass(frozen=True)
@@ -54,46 +61,81 @@ def loss_pair_term(fam: TransformFamily, x_test, x_n, a_n: float) -> float:
     if fam.has_analytic_inverse:
         inv = fam.inverse(x_test, b)
     else:
-        from .transforms import numeric_inverse
         inv = numeric_inverse(fam, x_test, b)
     return float(np.sqrt(inv))
 
 
-def _pair_matrices(fam, g, a_eff, inverse_mode):
-    """U[i, n] = phi^{-1}(g_i, B_n) plus its two partials, as (m, m) arrays."""
+def _non_finite(bad_pairs) -> ValueError:
+    bad = np.argwhere(bad_pairs & ~np.eye(bad_pairs.shape[0], dtype=bool))
+    return ValueError(f"non-finite loss at pair indices {bad[:5].tolist()}")
+
+
+def _leave_one_out(v):
+    """out[k] = sum of v over j != k, from prefix and suffix sums."""
+    out = np.zeros_like(v)
+    out[1:] = np.cumsum(v[:-1])
+    out[:-1] += np.cumsum(v[:0:-1])[::-1]
+    return out
+
+
+def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
+    """Closed-form loss value and d value / d g of the log-shift core, O(m)."""
     m = g.shape[0]
-    b = fam.phi(g, a_eff)
+    s = fam.shift(g)
+    z = fam.preimage(g, a_eff)
+    # centre the exponents so neither factor overflows before the product
+    c = 0.5 * (z.max() + s.min())
+    r = np.exp(0.5 * (z - c))
+    w = np.exp(-0.5 * (s - c))
+    w_loo = _leave_one_out(w)
+    norm = 1.0 / (m * (m - 1))
+    value = float((r * w_loo).sum() * norm)
+    b_finite = np.isfinite(fam.outer.h(z))
+    if not (np.isfinite(value) and b_finite.all()):
+        with np.errstate(over="ignore"):
+            terms = np.exp(0.5 * (z[None, :] - s[:, None]))
+        raise _non_finite(~b_finite[None, :] | ~np.isfinite(terms))
+    if not grad:
+        return value, None
+    d_s = 0.5 * norm * (r * w_loo - w * _leave_one_out(r))
+    return value, d_s * fam.dshift(g)
+
+
+def _pairwise_loss(fam: TransformFamily, g, a_eff, inverse_mode: str,
+                   grad: bool):
+    """Loss value and d value / d g from the (m, m) matrix of pair inverses."""
+    m = g.shape[0]
+    b = np.broadcast_to(fam.phi(g, a_eff), (m, m))
     g_test = g[:, None]
-    b_cal = np.broadcast_to(b[None, :], (m, m))
-    if inverse_mode == "analytic":
-        u = np.broadcast_to(fam.phi_inv(g_test, b_cal), (m, m))
-        du_dloc = np.broadcast_to(fam.dphi_inv_dloc(g_test, b_cal), (m, m))
-        du_db = np.broadcast_to(fam.dphi_inv_db(g_test, b_cal), (m, m))
-    elif inverse_mode == "implicit":
-        u = np.empty((m, m))
-        du_dloc = np.empty((m, m))
-        du_db = np.empty((m, m))
-        for i in range(m):
-            for n in range(m):
-                a_star = fam.phi_inv_numeric(g[i], b[n])
-                phi_p = fam.dphi_da(g[i], a_star)
-                u[i, n] = a_star
-                du_dloc[i, n] = -fam.dphi_dloc(g[i], a_star) / phi_p
-                du_db[i, n] = 1.0 / phi_p
+    if inverse_mode == "implicit":
+        u = fam.phi_inv_numeric(g_test, b, tol=0.0)  # to float resolution
     else:
-        raise ValueError(f"unknown inverse mode '{inverse_mode}'")
-    return b, u, du_dloc, du_db
+        u = fam.phi_inv(g_test, b)
+    t = np.sqrt(u)
+    off_diag = ~np.eye(m, dtype=bool)
+    norm = 1.0 / (m * (m - 1))
+    value = float(t[off_diag].sum() * norm)
+    if not np.isfinite(value):
+        raise _non_finite(~np.isfinite(t))
+    if not grad:
+        return value, None
+    phi_p = fam.dphi_da(g_test, u)
+    weight = np.where(off_diag, norm * 0.5 / t, 0.0) / phi_p
+    d_g = (weight.sum(axis=0) * fam.dphi_dloc(g, a_eff)
+           - (weight * fam.dphi_dloc(g_test, u)).sum(axis=1))
+    return value, d_g
 
 
 def loss_batch(fam: TransformFamily, batch: LossBatch,
                inverse_mode: str = "analytic") -> LossValue:
     """Pairwise mean interval-size loss with parameter gradients.
 
-    ``inverse_mode='implicit'`` replaces the closed-form inverse by
-    bisection plus the implicit-function gradient relations; the two modes
-    agree for families with analytic inverses.
+    The log-shift core uses its O(m) closed form. ``inverse_mode='implicit'``
+    instead inverts every pair by bisection and differentiates through the
+    implicit relations; both agree to rounding.
     """
-    m = batch.m
+    if inverse_mode not in ("analytic", "implicit"):
+        raise ValueError(f"unknown inverse mode '{inverse_mode}'")
     a_eff = np.maximum(batch.a, fam.epsilon_floor)
     if fam.trainable:
         g, tape = fam.localizer.forward_batch(batch.x)
@@ -101,36 +143,22 @@ def loss_batch(fam: TransformFamily, batch: LossBatch,
         g, tape = fam.loc_batch(batch.x), None
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite localization value in batch")
-
-    _, u, du_dloc, du_db = _pair_matrices(fam, g, a_eff, inverse_mode)
-    t = np.sqrt(u)
-    off_diag = ~np.eye(m, dtype=bool)
-    norm = 1.0 / (m * (m - 1))
-    value = float(t[off_diag].sum() * norm)
-    if not np.isfinite(value):
-        bad = np.argwhere(~np.isfinite(t) & off_diag)
-        raise ValueError(f"non-finite loss at pair indices {bad[:5].tolist()}")
-
+    if isinstance(fam, LogShiftCore) and inverse_mode == "analytic":
+        value, d_g = _core_loss(fam, g, a_eff, fam.trainable)
+    else:
+        value, d_g = _pairwise_loss(fam, g, a_eff, inverse_mode, fam.trainable)
     if not fam.trainable:
         return LossValue(value, [])
-
-    weight = np.where(off_diag, norm * 0.5 / t, 0.0)
-    db_dloc = fam.dphi_dloc(g, a_eff)
-    dg = (weight * du_dloc).sum(axis=1) + (weight * du_db).sum(axis=0) * db_dloc
-    grads = fam.localizer.backward_batch(tape, dg)
-    return LossValue(value, grads)
+    return LossValue(value, fam.localizer.backward_batch(tape, d_g))
 
 
 def pairwise_size_loss(fam: TransformFamily, xs, a) -> float:
     """Loss value only, over all ordered pairs of the given set."""
-    m = np.asarray(xs).shape[0]
     a_eff = np.maximum(np.asarray(a, dtype=float), fam.epsilon_floor)
-    g = fam.loc_batch(xs)
-    _, u, _, _ = _pair_matrices(fam, np.asarray(g, dtype=float), a_eff,
-                                "analytic")
-    t = np.sqrt(u)
-    off_diag = ~np.eye(m, dtype=bool)
-    return float(t[off_diag].sum() / (m * (m - 1)))
+    g = np.asarray(fam.loc_batch(xs), dtype=float)
+    if isinstance(fam, LogShiftCore):
+        return _core_loss(fam, g, a_eff, grad=False)[0]
+    return _pairwise_loss(fam, g, a_eff, "analytic", grad=False)[0]
 
 
 def erc_error_fit_loss(net: LocalizerNet, batch: LossBatch) -> LossValue:

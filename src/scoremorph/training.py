@@ -7,13 +7,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knn
-from .conformal import evaluate
+from .conformal import base_scores, evaluate
 from .data import DEFAULT_FRACTIONS, Dataset, SplitSpec, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
 from .transforms import TRAINABLE_KINDS, FixedTransform, make_family
 
 CLI_FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
+
+# log-shift presets with s = g: one size loss, so one trained localizer
+SHARED_LOCALIZER_KINDS = ("linear", "exp", "sigma")
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,6 @@ class TrainingDiverged(RuntimeError):
         self.trace = trace
 
 
-def _scores(predict, ds: Dataset) -> np.ndarray:
-    preds = np.asarray(predict(ds.x), dtype=float)
-    return (preds - ds.y) ** 2
-
-
 def _batches(n, batch_size, rng):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -81,21 +79,19 @@ def _loop(fam, step_fn, config, cp_x, cp_a, val_x, val_a):
 
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
-        for idx in _batches(cp_x.shape[0], config.batch_size, rng):
-            batch = LossBatch(cp_x[idx], cp_a[idx])
-            try:
-                loss = step_fn(batch)
+        try:
+            for idx in _batches(cp_x.shape[0], config.batch_size, rng):
+                loss = step_fn(LossBatch(cp_x[idx], cp_a[idx]))
                 if not np.isfinite(loss.value):
                     raise ValueError("loss is not finite")
                 adam_step(net, loss.grads, state)
-            except ValueError as exc:
-                # blown-up parameters surface as NaN losses, NaN gradients,
-                # or degenerate (underflowed) transformed scores
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}: {exc}",
-                    trace) from exc
-            epoch_losses.append(loss.value)
-        val_loss = pairwise_size_loss(fam, val_x, val_a)
+                epoch_losses.append(loss.value)
+            val_loss = pairwise_size_loss(fam, val_x, val_a)
+        except ValueError as exc:
+            # blown-up parameters surface as NaN losses, NaN gradients,
+            # or degenerate (overflowed) transformed scores
+            raise TrainingDiverged(
+                f"training diverged at epoch {epoch}: {exc}", trace) from exc
         trace.epochs.append((epoch, float(np.mean(epoch_losses)), val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -120,8 +116,8 @@ def train(config: TrainConfig, cp_train: Dataset, validation: Dataset,
         raise ValueError("training set smaller than one batch")
     net = LocalizerNet.init(cp_train.d, config.seed)
     fam = make_family(config.family, localizer=net, gamma=config.gamma)
-    cp_a = _scores(predict, cp_train)
-    val_a = _scores(predict, validation)
+    cp_a = base_scores(predict, cp_train)
+    val_a = base_scores(predict, validation)
     return _loop(fam, lambda b: loss_batch(fam, b), config,
                  cp_train.x, cp_a, validation.x, val_a)
 
@@ -135,8 +131,8 @@ def train_erc_error_fit(config: TrainConfig, cp_train: Dataset,
         raise ValueError("training set smaller than one batch")
     net = LocalizerNet.init(cp_train.d, config.seed)
     fam = make_family("erc", localizer=net, gamma=config.gamma)
-    cp_a = _scores(predict, cp_train)
-    val_a = _scores(predict, validation)
+    cp_a = base_scores(predict, cp_train)
+    val_a = base_scores(predict, validation)
     return _loop(fam, lambda b: erc_error_fit_loss(net, b), config,
                  cp_train.x, cp_a, validation.x, val_a)
 
@@ -147,8 +143,9 @@ class ProtocolRow:
     family: str
     alpha: float
     run_seed: int
-    mean_size: float
-    validity: float
+    mean_size: float | None
+    validity: float | None
+    error: str = ""  # non-empty when the cell could not be evaluated
 
 
 @dataclass(frozen=True)
@@ -168,16 +165,41 @@ class ProtocolResult:
     knn_ks: dict  # run_seed -> selected k
 
 
-def _fit_family(name, config_base, proper_model, cp_train, validation):
-    predict = proper_model.predict_batch
+def aggregate(rows, families, alphas) -> list:
+    """Mean and population sd over runs for every (family, alpha) cell.
+
+    Error rows are skipped; a cell with no other row is left out.
+    """
+    out = []
+    for name in families:
+        for alpha in alphas:
+            cell = [row for row in rows if row.family == name
+                    and row.alpha == float(alpha) and not row.error]
+            if not cell:
+                continue
+            sizes = np.asarray([c.mean_size for c in cell])
+            vals = np.asarray([c.validity for c in cell])
+            out.append(ProtocolAggregate(
+                name, float(alpha), float(sizes.mean()), float(sizes.std()),
+                float(vals.mean()), float(vals.std())))
+    return out
+
+
+def _fit_family(name, config_base, predict, cp_train, validation, shared):
+    """Fit one protocol family; ``shared`` caches the s = g localizer."""
     if name == "fixed":
         return FixedTransform()
     if name == "erc-fit":
         fam, _ = train_erc_error_fit(config_base("erc"), cp_train, validation,
                                      predict)
         return fam
-    fam, _ = train(config_base(name), cp_train, validation, predict)
-    return fam
+    if name not in SHARED_LOCALIZER_KINDS:
+        fam, _ = train(config_base(name), cp_train, validation, predict)
+        return fam
+    if "net" not in shared:
+        fam, _ = train(config_base("linear"), cp_train, validation, predict)
+        shared["net"] = fam.localizer
+    return make_family(name, localizer=shared["net"])
 
 
 def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
@@ -189,8 +211,10 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     """Repeat split / point-model fit / family training / evaluation.
 
     Run r uses seed0 + r for the split, the point model's cross-validation,
-    and the family training. Aggregates report mean and population sd over
-    runs for every (family, alpha) cell.
+    and the family training. linear, exp and sigma minimise the same size
+    loss, so each run trains their localizer once and builds all three on
+    it. Aggregates report mean and population sd over runs for every
+    (family, alpha) cell.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -203,8 +227,8 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
         run_seed = seed0 + r
         proper, cp_train, validation, test = split(
             dataset, SplitSpec(run_seed, fractions))
-        grid = [k for k in k_grid if k <= proper.n]
-        model = knn.fit(proper, grid, folds=folds, seed=run_seed)
+        model = knn.fit(proper, knn.grid_for(proper.n, k_grid), folds=folds,
+                        seed=run_seed)
         knn_ks[run_seed] = model.k
 
         def config_base(kind, _seed=run_seed):
@@ -213,21 +237,13 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
                                learning_rate=learning_rate,
                                patience=patience, gamma=gamma)
 
+        shared = {}
         for name in families:
-            fam = _fit_family(name, config_base, model, cp_train, validation)
+            fam = _fit_family(name, config_base, model.predict_batch,
+                              cp_train, validation, shared)
             for report in evaluate(fam, model.predict_batch, cp_train, test,
                                    alphas):
                 rows.append(ProtocolRow(dataset_name, name, report.alpha,
                                         run_seed, report.mean_size,
                                         report.empirical_validity))
-    aggregates = []
-    for name in families:
-        for alpha in alphas:
-            cell = [row for row in rows
-                    if row.family == name and row.alpha == float(alpha)]
-            sizes = np.asarray([c.mean_size for c in cell])
-            vals = np.asarray([c.validity for c in cell])
-            aggregates.append(ProtocolAggregate(
-                name, float(alpha), float(sizes.mean()), float(sizes.std()),
-                float(vals.mean()), float(vals.std())))
-    return ProtocolResult(rows, aggregates, knn_ks)
+    return ProtocolResult(rows, aggregate(rows, families, alphas), knn_ks)

@@ -2,14 +2,22 @@
 
 Each family maps a base score A = (f(x) - y)^2 to B = phi_x(A) where the
 attribute dependence enters through a scalar localization value (usually
-the output of a trainable network). Every trainable family is strictly
-increasing in A with an x-independent codomain, so the transformed scores
-can be calibrated and mapped back to label-space intervals at any test
-attribute. Fixture families that break the shared-codomain requirement are
-provided for negative testing and are excluded from the trainable set.
+the output of a trainable network). The four trainable families are one
+log-shift core, phi = h(log max(A, eps) + s(g(x))): an outer map h (identity
+for linear, exp for exp and erc, sigmoid for sigma) around a shift s (s = g,
+or s = -log(g^2 + gamma) for erc). The core is strictly increasing in A with
+the x-independent codomain h(R), so the transformed scores can be calibrated
+and mapped back to label-space intervals at any test attribute. Because h is
+monotone, calibration can equally run on the pre-image z = log max(A, eps) + s,
+where no score saturates. Fixture families that break the shared-codomain
+requirement are provided for negative testing and are excluded from the
+trainable set.
 """
 
 from __future__ import annotations
+
+import copy
+from collections import namedtuple
 
 import numpy as np
 
@@ -19,6 +27,10 @@ TRAINABLE_KINDS = ("erc", "linear", "exp", "sigma")
 
 DEFAULT_GAMMA = 1e-2
 DEFAULT_EPSILON_FLOOR = 1e-12
+
+# bracket doublings (or halvings) that reach either end of the float64 range
+# from the default bisection bracket
+_MAX_DOUBLINGS = 1100
 
 
 class CodomainError(ValueError):
@@ -39,6 +51,10 @@ def _sigmoid(z):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _logit(b):
+    return np.log(b) - np.log1p(-b)
 
 
 def _maybe_float(value):
@@ -88,12 +104,6 @@ class TransformFamily:
         raise NotImplementedError
 
     def dphi_dloc(self, loc, a):
-        raise NotImplementedError
-
-    def dphi_inv_dloc(self, loc, b):
-        raise NotImplementedError
-
-    def dphi_inv_db(self, loc, b):
         raise NotImplementedError
 
     # ---- public API ----
@@ -150,31 +160,40 @@ class TransformFamily:
         return self._loc_grad(x, dinv_dloc), dinv_db
 
     def phi_inv_numeric(self, loc, b, bracket=(1e-12, 1.0), tol=1e-12):
-        """Invert phi(loc, .) = b by bisection with geometric bracket growth."""
+        """Invert phi(loc, .) = b by bisection with geometric bracket growth,
+        elementwise over broadcast ``loc`` and ``b``."""
         lo, hi = float(bracket[0]), float(bracket[1])
         if not 0 < lo < hi:
             raise ValueError(f"invalid bracket {bracket}")
-        b = float(b)
-        doublings = 0
-        while self.phi(loc, hi) < b:
-            lo, hi = hi, hi * 2.0
-            doublings += 1
-            if doublings > 200:
-                raise NoRootError(f"no root above the bracket for B={b}")
-        while self.phi(loc, lo) > b:
-            lo, hi = lo * 0.5, lo
-            doublings += 1
-            if doublings > 200:
-                raise NoRootError(f"no root below the bracket for B={b}")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:  # float resolution reached
+        loc, b = np.broadcast_arrays(np.asarray(loc, dtype=float),
+                                     np.asarray(b, dtype=float))
+        lo, hi = np.full(b.shape, lo), np.full(b.shape, hi)
+        for _ in range(_MAX_DOUBLINGS):
+            grow = self.phi(loc, hi) < b
+            shrink = ~grow & (self.phi(loc, lo) > b)
+            if not (grow.any() or shrink.any()):
                 break
-            if self.phi(loc, mid) <= b:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            lo, hi = (np.where(grow, hi, np.where(shrink, 0.5 * lo, lo)),
+                      np.where(grow, 2.0 * hi, np.where(shrink, lo, hi)))
+        else:
+            side = "above" if grow.any() else "below"
+            raise NoRootError(f"no root {side} the bracket for "
+                              f"B={b[grow | shrink].flat[0]}")
+        active = np.ones(b.shape, dtype=bool)
+        while True:
+            mid = 0.5 * (lo + hi)
+            # stop at the tolerance or where float resolution is reached
+            active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
+            if not np.any(active):
+                return _maybe_float(0.5 * (lo + hi))
+            below = self.phi(loc, mid) <= b
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+
+    def calibration_family(self) -> "TransformFamily":
+        """The family whose scores calibration ranks and inverts; any
+        strictly increasing map of phi gives the same intervals."""
+        return self
 
     # ---- helpers ----
 
@@ -204,27 +223,6 @@ class TransformFamily:
         return {"kind": self.kind, "epsilon_floor": self.epsilon_floor}
 
 
-class _LocalizedFamily(TransformFamily):
-    """Family whose localization value is a trainable network output."""
-
-    trainable = True
-
-    def __init__(self, localizer: LocalizerNet,
-                 epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
-        super().__init__(epsilon_floor)
-        self.localizer = localizer
-
-    def loc(self, x) -> float:
-        return self.localizer.value(np.asarray(x, dtype=float))
-
-    def loc_batch(self, xs) -> np.ndarray:
-        return self.localizer.values(np.asarray(xs, dtype=float))
-
-    def _loc_grad(self, x, upstream: float):
-        _, tape = self.localizer.forward(np.asarray(x, dtype=float))
-        return self.localizer.backward(tape, upstream)
-
-
 class FixedTransform(TransformFamily):
     """Identity map: the non-adaptive baseline."""
 
@@ -244,17 +242,83 @@ class FixedTransform(TransformFamily):
     def dphi_dloc(self, loc, a):
         return _expand(0.0, loc, a)
 
-    def dphi_inv_dloc(self, loc, b):
-        return _expand(0.0, loc, b)
 
-    def dphi_inv_db(self, loc, b):
-        return _expand(1.0, loc, b)
+# strictly increasing outer map h of the log-shift core, onto the open
+# interval codomain = (lo, hi)
+_Outer = namedtuple("_Outer", "h h_inv dh codomain")
+_IDENTITY = _Outer(lambda z: z, lambda b: b, np.ones_like, (-np.inf, np.inf))
+_EXP = _Outer(np.exp, np.log, np.exp, (0.0, np.inf))
+_SIGMOID = _Outer(_sigmoid, _logit, lambda z: _sigmoid(z) * _sigmoid(-z),
+                  (0.0, 1.0))
 
 
-class ErcTransform(_LocalizedFamily):
-    """Residual re-weighting: B = A / (g(x)^2 + gamma)."""
+class LogShiftCore(TransformFamily):
+    """phi(g, A) = h(z), z = log max(A, eps) + s(g), with g a trainable network.
+
+    Presets pick the outer map ``outer`` and may override the shift s
+    (default s = g); the inverse exp(h^{-1}(B) - s(g)), the codomain check
+    and the derivatives are written once here.
+    """
+
+    trainable = True
+    outer = _IDENTITY
+
+    def __init__(self, localizer: LocalizerNet,
+                 epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
+        super().__init__(epsilon_floor)
+        self.localizer = localizer
+
+    def loc(self, x) -> float:
+        return self.localizer.value(np.asarray(x, dtype=float))
+
+    def loc_batch(self, xs) -> np.ndarray:
+        return self.localizer.values(np.asarray(xs, dtype=float))
+
+    def _loc_grad(self, x, upstream: float):
+        _, tape = self.localizer.forward(np.asarray(x, dtype=float))
+        return self.localizer.backward(tape, upstream)
+
+    def shift(self, loc):
+        return loc
+
+    def dshift(self, loc):
+        return np.ones_like(loc)
+
+    def preimage(self, loc, a):
+        """z = log max(A, eps) + s(g), the argument of the outer map."""
+        return np.log(self._clamped(a)) + self.shift(loc)
+
+    def phi(self, loc, a):
+        return _maybe_float(self.outer.h(self.preimage(loc, a)))
+
+    def phi_inv(self, loc, b):
+        b = np.asarray(b, dtype=float)
+        lo, hi = self.outer.codomain
+        if np.any(b <= lo) or np.any(b >= hi):
+            raise CodomainError(
+                f"{self.kind} family: B must lie in ({lo:g}, {hi:g})")
+        return _maybe_float(np.exp(self.outer.h_inv(b) - self.shift(loc)))
+
+    def dphi_da(self, loc, a):
+        return _maybe_float(self.outer.dh(self.preimage(loc, a))
+                            / self._clamped(a))
+
+    def dphi_dloc(self, loc, a):
+        return _maybe_float(self.outer.dh(self.preimage(loc, a))
+                            * self.dshift(loc))
+
+    def calibration_family(self) -> "LogShiftCore":
+        """This family without its outer map: scores are the pre-image z."""
+        view = copy.copy(self)
+        view.outer = _IDENTITY
+        return view
+
+
+class ErcTransform(LogShiftCore):
+    """Residual re-weighting: B = A / (g(x)^2 + gamma), s = -log(g^2 + gamma)."""
 
     kind = "erc"
+    outer = _EXP
 
     def __init__(self, localizer, gamma: float = DEFAULT_GAMMA,
                  epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -263,117 +327,35 @@ class ErcTransform(_LocalizedFamily):
             raise ValueError(f"gamma must be positive, got {gamma}")
         self.gamma = float(gamma)
 
-    def phi(self, loc, a):
-        return _maybe_float(a / (loc * loc + self.gamma))
+    def shift(self, loc):
+        return -np.log(loc * loc + self.gamma)
 
-    def phi_inv(self, loc, b):
-        if np.any(np.asarray(b) < 0):
-            raise CodomainError("erc family: B must be >= 0")
-        return _maybe_float(b * (loc * loc + self.gamma))
-
-    def dphi_da(self, loc, a):
-        return _expand(1.0 / (loc * loc + self.gamma), loc, a)
-
-    def dphi_dloc(self, loc, a):
-        w = loc * loc + self.gamma
-        return _maybe_float(-2.0 * loc * a / (w * w))
-
-    def dphi_inv_dloc(self, loc, b):
-        return _maybe_float(2.0 * loc * b)
-
-    def dphi_inv_db(self, loc, b):
-        return _expand(loc * loc + self.gamma, loc, b)
+    def dshift(self, loc):
+        return -2.0 * loc / (loc * loc + self.gamma)
 
     def config_dict(self):
         return {"kind": self.kind, "gamma": self.gamma,
                 "epsilon_floor": self.epsilon_floor}
 
 
-class LinearTransform(_LocalizedFamily):
+class LinearTransform(LogShiftCore):
     """Shifted log score: B = log A + g(x), codomain all of R."""
 
     kind = "linear"
 
-    def phi(self, loc, a):
-        return _maybe_float(np.log(self._clamped(a)) + loc)
 
-    def phi_inv(self, loc, b):
-        return _maybe_float(np.exp(np.asarray(b, dtype=float) - loc))
-
-    def dphi_da(self, loc, a):
-        return _expand(1.0 / self._clamped(a), loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _expand(1.0, loc, a)
-
-    def dphi_inv_dloc(self, loc, b):
-        return _maybe_float(-np.asarray(self.phi_inv(loc, b)))
-
-    def dphi_inv_db(self, loc, b):
-        return self.phi_inv(loc, b)
-
-
-class ExpTransform(_LocalizedFamily):
-    """Exponentially re-scaled score: B = A * exp(g(x))."""
+class ExpTransform(LogShiftCore):
+    """Exponentially re-scaled score: B = A * exp(g(x)), codomain (0, inf)."""
 
     kind = "exp"
-
-    def phi(self, loc, a):
-        return _maybe_float(a * np.exp(loc))
-
-    def phi_inv(self, loc, b):
-        if np.any(np.asarray(b) <= 0):
-            raise CodomainError("exp family: B must be > 0")
-        return _maybe_float(b * np.exp(-loc))
-
-    def dphi_da(self, loc, a):
-        return _expand(np.exp(loc), loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _maybe_float(a * np.exp(loc))
-
-    def dphi_inv_dloc(self, loc, b):
-        return _maybe_float(-b * np.exp(-loc))
-
-    def dphi_inv_db(self, loc, b):
-        return _expand(np.exp(-loc), loc, b)
+    outer = _EXP
 
 
-class SigmaTransform(_LocalizedFamily):
+class SigmaTransform(LogShiftCore):
     """Logistic-squashed log score: B = sigma(log A + g(x)), codomain (0, 1)."""
 
     kind = "sigma"
-
-    _B_CLIP = 1e-15
-
-    def phi(self, loc, a):
-        return _maybe_float(_sigmoid(np.log(self._clamped(a)) + loc))
-
-    def _logit(self, b):
-        bc = np.clip(np.asarray(b, dtype=float), self._B_CLIP, 1.0 - self._B_CLIP)
-        return np.log(bc) - np.log1p(-bc), bc
-
-    def phi_inv(self, loc, b):
-        barr = np.asarray(b, dtype=float)
-        if np.any(barr <= 0) or np.any(barr >= 1):
-            raise CodomainError("sigma family: B must lie in (0, 1)")
-        z, _ = self._logit(b)
-        return _maybe_float(np.exp(z - loc))
-
-    def dphi_da(self, loc, a):
-        s = np.asarray(self.phi(loc, a))
-        return _maybe_float(s * (1.0 - s) / self._clamped(a))
-
-    def dphi_dloc(self, loc, a):
-        s = np.asarray(self.phi(loc, a))
-        return _maybe_float(s * (1.0 - s))
-
-    def dphi_inv_dloc(self, loc, b):
-        return _maybe_float(-np.asarray(self.phi_inv(loc, b)))
-
-    def dphi_inv_db(self, loc, b):
-        _, bc = self._logit(b)
-        return _maybe_float(self.phi_inv(loc, b) / (bc * (1.0 - bc)))
+    outer = _SIGMOID
 
 
 class LogShiftTransform(TransformFamily):
@@ -397,12 +379,6 @@ class LogShiftTransform(TransformFamily):
 
     def dphi_dloc(self, loc, a):
         return _expand(0.0, loc, a)
-
-    def dphi_inv_dloc(self, loc, b):
-        return _expand(0.0, loc, b)
-
-    def dphi_inv_db(self, loc, b):
-        return self.phi_inv(loc, b)
 
     def config_dict(self):
         return {"kind": self.kind, "offset": self.offset,

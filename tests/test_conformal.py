@@ -225,3 +225,26 @@ def test_marginal_coverage_localized_family():
         alpha, reps=400, seed=6)
     bound = 3 * np.sqrt(p * (1 - p) / 400)
     assert abs(cov - p) <= bound
+
+
+def test_sigma_saturation_calibrates_like_linear():
+    # a tenth of the labels scaled by 1e9 puts log A + g past 36.7, where
+    # sigmoid rounds to exactly 1; calibrating on the pre-image log A + g
+    # keeps sigma on the linear intervals instead of a CodomainError
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(400, 2))
+    y = rng.normal(size=400)
+    y[rng.choice(400, size=40, replace=False)] *= 1e9
+    ds = Dataset(x, y)
+    cal, test = ds.subset(np.arange(200)), ds.subset(np.arange(200, 400))
+    net = LocalizerNet.init(2, seed=1)
+
+    def zero(xs):
+        return np.zeros(len(xs))
+
+    alphas = [0.05, 0.1, 0.32]
+    linear = evaluate(LinearTransform(net), zero, cal, test, alphas)
+    sigma = evaluate(SigmaTransform(net), zero, cal, test, alphas)
+    assert [r.mean_size for r in sigma] == [r.mean_size for r in linear]
+    assert [r.empirical_validity for r in sigma] == [
+        r.empirical_validity for r in linear]

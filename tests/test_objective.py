@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from scoremorph.network import LocalizerNet
-from scoremorph.objective import (LossBatch, erc_error_fit_loss, loss_batch,
+from scoremorph.objective import (LossBatch, _leave_one_out,
+                                  erc_error_fit_loss, loss_batch,
                                   loss_pair_term, pairwise_size_loss)
 from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
-                                   LinearTransform, SigmaTransform)
+                                   LinearTransform, SigmaTransform,
+                                   make_family)
 
 FAMILY_BUILDERS = {
     "erc": lambda net: ErcTransform(net, gamma=1e-2),
@@ -236,3 +238,40 @@ def test_loss_overflow_aborts_with_indices():
     with np.errstate(all="ignore"), pytest.raises(ValueError,
                                                   match="pair indices"):
         loss_batch(fam, batch)
+
+
+# ---- closed form of the log-shift core against the O(m^2) oracle ----
+
+def core_case(kind, m, spread, seed):
+    """(family, batch) with shifts s over [-spread, spread] where the kind
+    allows it; g(e_k) = g[k] exactly, so parameter gradients are dL/dg."""
+    rng = np.random.default_rng(seed)
+    top = {"erc": 4.0, "sigma": 20.0}.get(kind, spread)
+    s = rng.uniform(-spread, min(spread, top), size=m)
+    if kind == "sigma":  # keep sigmoid(z) resolvable so bisection is exact
+        log_a = rng.uniform(-5.0, 2.0, size=m) - s
+    else:
+        log_a = rng.uniform(np.log(1e-10), np.log(1e12), size=m)
+    g = np.sqrt(np.exp(-s) - 1e-2) if kind == "erc" else s
+    net = LocalizerNet([g[None, :]], [np.zeros(1)])
+    # a floor below every pair inverse, so bisection always has a root
+    fam = make_family(kind, localizer=net, gamma=1e-2, epsilon_floor=1e-300)
+    return fam, LossBatch(np.eye(m), np.exp(log_a))
+
+
+@pytest.mark.parametrize("m,spread", [(2, 3.0), (16, 30.0), (200, 300.0)])
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_closed_form_matches_implicit_oracle(kind, m, spread):
+    fam, batch = core_case(kind, m, spread, seed=m)
+    closed = loss_batch(fam, batch)
+    oracle = loss_batch(fam, batch, inverse_mode="implicit")
+    assert abs(closed.value - oracle.value) <= 1e-12 * abs(oracle.value)
+    fc, fo = flatten(closed.grads), flatten(oracle.grads)
+    assert np.abs(fc - fo).max() <= 1e-10 * np.abs(fo).max()
+    assert pairwise_size_loss(fam, batch.x, batch.a) == closed.value
+
+
+def test_leave_one_out_sums_have_no_cancellation():
+    # total minus self would return 0.0 for the first entry
+    v = np.array([1e300, 1.0, 2.0, 1e-300])
+    assert _leave_one_out(v).tolist() == [3.0, 1e300, 1e300, 1e300]

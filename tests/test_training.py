@@ -6,8 +6,8 @@ from scoremorph.conformal import evaluate
 from scoremorph.data import Dataset, SplitSpec, split
 from scoremorph.objective import pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
-from scoremorph.training import (TrainConfig, run_protocol, train,
-                                 train_erc_error_fit)
+from scoremorph.training import (ProtocolRow, TrainConfig, aggregate,
+                                 run_protocol, train, train_erc_error_fit)
 from scoremorph.transforms import FixedTransform
 
 A_GRID = np.logspace(-6, 3, 25)
@@ -197,3 +197,27 @@ def test_divergence_aborts_with_trace():
             train(TrainConfig("exp", seed=0, epochs=50, learning_rate=1e9),
                   cp, val, lambda xs: np.asarray(xs)[:, 0])
     assert exc.value.trace.epochs  # the trace rides along for diagnosis
+
+
+def test_run_protocol_shares_one_localizer_across_log_families():
+    ds = generate(SynthSpec("cos", n=300, seed=5)).dataset
+    result = run_protocol(ds, ["linear", "exp", "sigma"], [0.1, 0.32],
+                          runs=2, seed0=1, epochs=3, patience=3)
+    cells = {}
+    for row in result.rows:
+        cells.setdefault((row.alpha, row.run_seed), set()).add(
+            (row.mean_size, row.validity))
+    assert len(cells) == 2 * 2
+    assert all(len(c) == 1 for c in cells.values())
+
+
+def test_aggregate_skips_error_rows_and_empty_cells():
+    rows = [ProtocolRow("d", "fixed", 0.1, 0, 2.0, 0.9),
+            ProtocolRow("d", "fixed", 0.1, 1, 4.0, 0.8),
+            ProtocolRow("d", "fixed", 0.1, 2, None, None, "boom"),
+            ProtocolRow("d", "linear", 0.1, 0, None, None, "boom")]
+    (agg,) = aggregate(rows, ["fixed", "linear"], [0.1])
+    assert (agg.family, agg.alpha) == ("fixed", 0.1)
+    assert (agg.size_mean, agg.size_sd) == (3.0, 1.0)
+    assert agg.validity_mean == pytest.approx(0.85)
+    assert agg.validity_sd == pytest.approx(0.05)
