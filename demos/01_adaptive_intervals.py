@@ -10,7 +10,7 @@ quiet; the trained transformation shrinks it there.
 import numpy as np
 
 from scoremorph import knn
-from scoremorph.conformal import calibrate, calibration_records, evaluate
+from scoremorph.conformal import calibrate, calibration_scores, evaluate
 from scoremorph.data import SplitSpec, normalize, split
 from scoremorph.figures import band_csv, compute_band, render_svg
 from scoremorph.synthetic import SynthSpec, generate
@@ -38,8 +38,7 @@ for name, family in (("fixed", FixedTransform()), ("linear", fam)):
           f"empirical validity {rep.empirical_validity:.3f}")
 
 # draw the band over the raw X axis
-records = calibration_records(fam, model.predict_batch, cp_train)
-q_hat = calibrate(records, ALPHA)
+q_hat = calibrate(calibration_scores(fam, model.predict_batch, cp_train), ALPHA)
 band = compute_band(fam, model.predict_batch, ds.x, synth.x_raw, ds.y, q_hat)
 with open("adaptive_band.svg", "w") as fh:
     fh.write(render_svg(band, title=f"trained linear family, alpha={ALPHA}"))

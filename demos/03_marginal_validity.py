@@ -8,7 +8,7 @@ frozen random localizer reshapes the scores and coverage stays on target.
 
 import numpy as np
 
-from scoremorph.conformal import (calibrate, calibration_records, interval,
+from scoremorph.conformal import (calibrate, calibration_scores, interval,
                                   quantile_index)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
@@ -42,8 +42,7 @@ for name, fam in families.items():
         for _ in range(REPS):
             ds = draw(N_CAL + 1)
             cal = ds.subset(np.arange(N_CAL))
-            records = calibration_records(fam, predict, cal)
-            q = calibrate(records, alpha)
+            q = calibrate(calibration_scores(fam, predict, cal), alpha)
             c = interval(fam, ds.x[N_CAL], float(predict(ds.x[N_CAL:])[0]), q)
             hits += c.contains(float(ds.y[N_CAL]))
         target = quantile_index(N_CAL, alpha) / (N_CAL + 1)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .conformal import calibrate, calibration_records, evaluate
+from .conformal import calibrate, calibration_scores, evaluate
 from .data import (DEFAULT_FRACTIONS, SplitSpec, apply_normalization,
                    load_csv, normalize, split)
 from .figures import band_csv, compute_band, render_svg
@@ -131,7 +131,7 @@ def _format_row(r: ProtocolRow) -> str:
     return (f"{r.dataset},{r.family},{r.alpha!r},{r.run_seed},"
             f"{'' if r.mean_size is None else repr(r.mean_size)},"
             f"{'' if r.validity is None else repr(r.validity)},"
-            f"{r.error}")
+            f"{r.error.replace(',', ';')}")
 
 
 def _print_table(aggregates, alphas, dataset_name):
@@ -168,7 +168,7 @@ def _eval_frozen(args, ds_name, alphas):
             ds = apply_normalization(ds_raw, b.stats)
             proper, cp_train, _, test = split(
                 ds, SplitSpec(run_seed, b.split.fractions))
-            model = KnnModel(proper.x.copy(), proper.y.copy(), b.knn_k)
+            model = KnnModel(proper.x, proper.y, b.knn_k)
             for alpha in alphas:
                 try:
                     rep = evaluate(b.family, model.predict_batch, cp_train,
@@ -177,7 +177,7 @@ def _eval_frozen(args, ds_name, alphas):
                                       rep.mean_size, rep.empirical_validity)
                 except ValueError as exc:
                     row = ProtocolRow(ds_name, b.label, alpha, run_seed, None,
-                                      None, str(exc).replace(",", ";"))
+                                      None, str(exc))
                 rows.append(row)
     return rows, [b.label for b in bundles], {b.label: b.knn_k for b in bundles}
 
@@ -253,16 +253,16 @@ def cmd_plot(args) -> int:
     ds_raw = load_csv(args.data, args.has_header)
     ds = apply_normalization(ds_raw, bundle.stats)
     proper, cp_train, _, _ = split(ds, bundle.split)
-    model = KnnModel(proper.x.copy(), proper.y.copy(), bundle.knn_k)
-    fam = bundle.family.calibration_family()
-    q_hat = calibrate(calibration_records(fam, model.predict_batch, cp_train),
-                      args.alpha)
+    model = KnnModel(proper.x, proper.y, bundle.knn_k)
+    q_hat = calibrate(calibration_scores(bundle.family, model.predict_batch,
+                                         cp_train), args.alpha)
     axis = read_raw_axis(args.data)
     if axis is None:
         axis = ds.x[:, 0]
     elif axis.shape[0] != ds.n:
         raise ValueError("raw_x comment length mismatches the data rows")
-    band = compute_band(fam, model.predict_batch, ds.x, axis, ds.y, q_hat)
+    band = compute_band(bundle.family, model.predict_batch, ds.x, axis, ds.y,
+                        q_hat)
     svg = render_svg(band, title=f"{bundle.label} alpha={args.alpha:g}")
     write_text_atomic(args.out, svg)
     csv_path = os.fspath(args.out) + ".band.csv"

@@ -1,10 +1,10 @@
 """Split conformal calibration and interval construction on transformed scores.
 
-The empirical quantile of the transformed calibration scores is an actual
-order statistic (never interpolated); the label-space interval at a test
-attribute is recovered through the family inverse. ``evaluate`` calibrates
-on ``fam.calibration_family()``, for the log-shift core its pre-image
-z = log A + s(x), so a saturating outer map cannot lose the quantile.
+One array path: ``calibration_scores`` scores on ``fam.calibration_family()``
+(for the log-shift core its pre-image z = log A + s(x), so a saturating outer
+map cannot lose the quantile), ``calibrate`` takes an actual order statistic
+of them (never interpolated), and ``half_widths`` inverts it through the same
+family at any test attribute.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ import numpy as np
 
 from .data import Dataset
 from .transforms import TransformFamily
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """One calibration sample: attribute vector, base score, transformed score."""
-
-    x: np.ndarray
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -76,45 +67,50 @@ def quantile_index(n: int, alpha: float) -> int:
         raise ValueError("need at least one calibration score")
     if alpha > 1.0:
         raise ValueError(f"alpha={alpha} above 1")
-    if alpha < 1.0 / (n + 1):
+    v = (n + 1) * (1.0 - alpha)
+    # v within rounding of an integer is that integer: alpha = 1 - N/(N+1)
+    # may land one ulp below 1/(N+1) and still asks for the N-th statistic
+    if not v < n + 1e-9:
         raise ValueError(
             f"alpha={alpha} below 1/(N+1)={1.0 / (n + 1):.6g}: interval would "
             "require the (N+1)-th order statistic")
-    v = (n + 1) * (1.0 - alpha)
     vr = round(v)
     m = int(vr) if abs(v - vr) < 1e-9 else int(math.ceil(v))
-    return max(1, min(m, n))
+    return max(1, m)
 
 
-def _quantile_of_scores(b: np.ndarray, alpha: float) -> float:
+def calibration_scores(fam: TransformFamily, predict, ds: Dataset) -> np.ndarray:
+    """Scores phi_{x_n}(A_n) of a calibration set on its calibration family."""
+    return fam.calibration_family().forward_batch(ds.x, base_scores(predict, ds))
+
+
+def calibrate(scores, alpha: float) -> float:
+    """Empirical quantile q: the m*-th smallest calibration score."""
+    b = np.asarray(scores, dtype=float)
+    if b.size == 0:
+        raise ValueError("empty calibration scores")
     m = quantile_index(b.shape[0], alpha)
     # stable sort: ties resolved by original index, deterministic
     order = np.argsort(b, kind="stable")
     return float(b[order[m - 1]])
 
 
-def calibrate(records, alpha: float) -> float:
-    """Empirical quantile q of the transformed calibration scores."""
-    if not records:
-        raise ValueError("empty calibration records")
-    b = np.asarray([r.b for r in records], dtype=float)
-    return _quantile_of_scores(b, alpha)
+def _inverse(fam: TransformFamily, xs, q_hat: float) -> np.ndarray:
+    return np.asarray(fam.calibration_family().inverse_batch(xs, q_hat),
+                      dtype=float)
 
 
-def calibration_records(fam: TransformFamily, predict, ds: Dataset):
-    """Score a calibration set: A_n = (f(x_n) - y_n)^2, B_n = phi_{x_n}(A_n)."""
-    a = base_scores(predict, ds)
-    b = fam.forward_batch(ds.x, a)
-    return [CalibrationRecord(ds.x[i], float(a[i]), float(b[i]))
-            for i in range(ds.n)]
+def half_widths(fam: TransformFamily, xs, q_hat: float) -> np.ndarray:
+    """Half widths sqrt(phi_x^{-1}(q)) at the rows of xs, for q from
+    ``calibrate(calibration_scores(fam, ...))``."""
+    return np.sqrt(_inverse(fam, xs, q_hat))
 
 
 def interval(fam: TransformFamily, x_test, f_x_test: float,
              q_hat: float) -> PredictionInterval:
     """Symmetric interval around f(x_test) with half width sqrt(phi^{-1}(q))."""
-    inv = fam.inverse(x_test, q_hat)
-    return PredictionInterval(center=float(f_x_test),
-                              half_width=float(np.sqrt(inv)))
+    half = half_widths(fam, np.reshape(x_test, (1, -1)), q_hat)[0]
+    return PredictionInterval(center=float(f_x_test), half_width=float(half))
 
 
 def evaluate(fam: TransformFamily, predict, calibration: Dataset,
@@ -123,13 +119,11 @@ def evaluate(fam: TransformFamily, predict, calibration: Dataset,
 
     ``predict`` maps an (n, d) attribute matrix to point predictions.
     """
-    fam = fam.calibration_family()
-    b_cal = fam.forward_batch(calibration.x, base_scores(predict, calibration))
+    b_cal = calibration_scores(fam, predict, calibration)
     a_test = base_scores(predict, test)
     reports = []
     for alpha in alphas:
-        q_hat = _quantile_of_scores(b_cal, alpha)
-        inv = np.asarray(fam.inverse_batch(test.x, q_hat), dtype=float)
+        inv = _inverse(fam, test.x, calibrate(b_cal, alpha))
         half = np.sqrt(inv)
         covered = a_test <= inv
         reports.append(EvalReport(

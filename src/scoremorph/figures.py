@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import half_widths
 from .transforms import TransformFamily
 
 
@@ -30,7 +31,7 @@ def compute_band(fam: TransformFamily, predict, xs, axis_values, y,
     xs = np.asarray(xs, dtype=float)
     axis_values = np.asarray(axis_values, dtype=float)
     center = np.asarray(predict(xs), dtype=float)
-    half = np.sqrt(np.asarray(fam.inverse_batch(xs, q_hat), dtype=float))
+    half = half_widths(fam, xs, q_hat)
     order = np.argsort(axis_values, kind="stable")
     return Band(axis_values[order], center[order], (center - half)[order],
                 (center + half)[order], np.asarray(y, dtype=float)[order])

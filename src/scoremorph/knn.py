@@ -1,7 +1,7 @@
 """K-nearest-neighbor regression with cross-validated K.
 
-Exhaustive Euclidean scan; distance ties broken toward the lower stored
-index so predictions are reproducible.
+Exhaustive Euclidean scan in query chunks of bounded size; distance ties
+broken toward the lower stored index so predictions are reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ import numpy as np
 from .data import Dataset
 
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
+
+# (query, stored row, dimension) difference cells one scan chunk may hold
+_CHUNK_CELLS = 1 << 21
 
 
 def grid_for(n: int, k_grid=DEFAULT_K_GRID) -> list:
@@ -42,17 +45,19 @@ class KnnModel:
         if xs.ndim != 2 or xs.shape[1] != self.x.shape[1]:
             raise ValueError(
                 f"queries have shape {xs.shape}, stored dimension is {self.x.shape[1]}")
-        return _knn_mean(self.x, self.y, xs, self.k)
+        return self.y[_nearest(self.x, xs, self.k)].mean(axis=1)
 
 
-def _knn_mean(train_x, train_y, queries, k, chunk=1024):
-    out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], chunk):
-        q = queries[start:start + chunk]
+def _nearest(train_x, queries, k):
+    """Indices of the k nearest stored rows per query, nearest first."""
+    n, d = train_x.shape
+    rows = max(1, _CHUNK_CELLS // (n * d))
+    out = np.empty((queries.shape[0], k), dtype=np.intp)
+    for start in range(0, queries.shape[0], rows):
+        q = queries[start:start + rows]
         d2 = ((q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
         # stable sort = ties resolved toward the lower stored index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start:start + chunk] = train_y[order].mean(axis=1)
+        out[start:start + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -77,20 +82,18 @@ def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = 5,
             f"grid k={grid[-1]} exceeds the smallest CV training part ({min_train})")
 
     if len(grid) == 1:
-        return KnnModel(proper_train.x.copy(), proper_train.y.copy(), grid[0])
+        return KnnModel(proper_train.x, proper_train.y, grid[0])
 
     sq_errors = {k: [] for k in grid}
     for f in range(folds):
         val_idx = perm[fold_ids == f]
         tr_idx = perm[fold_ids != f]
-        tx, ty = proper_train.x[tr_idx], proper_train.y[tr_idx]
-        d2 = ((proper_train.x[val_idx][:, None, :] - tx[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")
-        neigh_y = ty[order]
-        cum = np.cumsum(neigh_y, axis=1)
+        near = _nearest(proper_train.x[tr_idx], proper_train.x[val_idx],
+                        grid[-1])
+        cum = np.cumsum(proper_train.y[tr_idx][near], axis=1)
         for k in grid:
             pred = cum[:, k - 1] / k
             sq_errors[k].append((pred - proper_train.y[val_idx]) ** 2)
     mse = {k: float(np.concatenate(sq_errors[k]).mean()) for k in grid}
     best_k = min(grid, key=lambda k: (mse[k], k))
-    return KnnModel(proper_train.x.copy(), proper_train.y.copy(), best_k)
+    return KnnModel(proper_train.x, proper_train.y, best_k)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import LocalizerNet
-from .transforms import LogShiftCore, TransformFamily, numeric_inverse
+from .transforms import LogShiftCore, TransformFamily
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,7 @@ class LossValue:
 def loss_pair_term(fam: TransformFamily, x_test, x_n, a_n: float) -> float:
     """sqrt(phi_{x_test}^{-1}(phi_{x_n}(A_n))): one ordered-pair size term."""
     a_eff = max(float(a_n), fam.epsilon_floor)
-    b = fam.forward(x_n, a_eff)
-    if fam.has_analytic_inverse:
-        inv = fam.inverse(x_test, b)
-    else:
-        inv = numeric_inverse(fam, x_test, b)
-    return float(np.sqrt(inv))
+    return float(np.sqrt(fam.inverse(x_test, fam.forward(x_n, a_eff))))
 
 
 def _non_finite(bad_pairs) -> ValueError:
@@ -85,16 +80,16 @@ def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
     z = fam.preimage(g, a_eff)
     # centre the exponents so neither factor overflows before the product
     c = 0.5 * (z.max() + s.min())
-    r = np.exp(0.5 * (z - c))
-    w = np.exp(-0.5 * (s - c))
-    w_loo = _leave_one_out(w)
     norm = 1.0 / (m * (m - 1))
-    value = float((r * w_loo).sum() * norm)
-    b_finite = np.isfinite(fam.outer.h(z))
-    if not (np.isfinite(value) and b_finite.all()):
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.exp(0.5 * (z - c))
+        w = np.exp(-0.5 * (s - c))
+        w_loo = _leave_one_out(w)
+        value = float((r * w_loo).sum() * norm)
+        b_finite = np.isfinite(fam.outer.h(z))
+        if not (np.isfinite(value) and b_finite.all()):
             terms = np.exp(0.5 * (z[None, :] - s[:, None]))
-        raise _non_finite(~b_finite[None, :] | ~np.isfinite(terms))
+            raise _non_finite(~b_finite[None, :] | ~np.isfinite(terms))
     if not grad:
         return value, None
     d_s = 0.5 * norm * (r * w_loo - w * _leave_one_out(r))

@@ -213,8 +213,8 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     Run r uses seed0 + r for the split, the point model's cross-validation,
     and the family training. linear, exp and sigma minimise the same size
     loss, so each run trains their localizer once and builds all three on
-    it. Aggregates report mean and population sd over runs for every
-    (family, alpha) cell.
+    it. A diverged training gives one error row per alpha. Aggregates report
+    mean and population sd over runs for every (family, alpha) cell.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -239,8 +239,14 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
 
         shared = {}
         for name in families:
-            fam = _fit_family(name, config_base, model.predict_batch,
-                              cp_train, validation, shared)
+            try:
+                fam = _fit_family(name, config_base, model.predict_batch,
+                                  cp_train, validation, shared)
+            except TrainingDiverged as exc:
+                rows += [ProtocolRow(dataset_name, name, float(alpha),
+                                     run_seed, None, None, str(exc))
+                         for alpha in alphas]
+                continue
             for report in evaluate(fam, model.predict_batch, cp_train, test,
                                    alphas):
                 rows.append(ProtocolRow(dataset_name, name, report.alpha,

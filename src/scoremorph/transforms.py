@@ -79,7 +79,6 @@ class TransformFamily:
 
     kind = "base"
     trainable = False
-    has_analytic_inverse = True
 
     def __init__(self, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
         self.epsilon_floor = float(epsilon_floor)
@@ -148,7 +147,7 @@ class TransformFamily:
         closed-form inverse. Families without parameters return ([], .).
         """
         loc = self._checked_loc(x)
-        if numeric or not self.has_analytic_inverse:
+        if numeric:
             a_star = self.phi_inv_numeric(loc, b, bracket=bracket, tol=tol)
         else:
             a_star = self.phi_inv(loc, b)

@@ -10,9 +10,8 @@ import time
 import numpy as np
 
 from scoremorph import knn
-from scoremorph.conformal import (CalibrationRecord, calibrate,
-                                  calibration_records, evaluate, interval,
-                                  quantile_index)
+from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
+                                  interval, quantile_index)
 from scoremorph.data import Dataset, SplitSpec, normalize, split
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
@@ -45,14 +44,11 @@ def heteroskedastic(rng, n):
 # ---------------------------------------------------------------- criterion 1
 
 def test_criterion_1_worked_example_exactness():
-    pairs = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+    pairs = np.array([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
     sizes = {}
     for theta in (1.0, -1.0):
         fam = SqrtShiftFixture(theta)
-        recs = [CalibrationRecord(np.array([x]), a,
-                                  fam.forward(np.array([x]), a))
-                for a, x in pairs]
-        q = calibrate(recs, 0.5)
+        q = calibrate(fam.forward_batch(pairs[:, 1:], pairs[:, 0]), 0.5)
         sizes[theta] = interval(fam, np.array([0.0]), 0.0, q).size
     err_plus = abs(sizes[1.0] - 2 * (2 + np.sqrt(2)))
     err_minus = abs(sizes[-1.0] - 2 * (2 - np.sqrt(2)))
@@ -81,10 +77,10 @@ def test_criterion_2_marginal_validity_monte_carlo():
         for _ in range(reps):
             ds = heteroskedastic(rng, n_cal + 1)
             cal, test = ds.subset(np.arange(n_cal)), ds.subset([n_cal])
-            records = calibration_records(fam, predict_plane, cal)
+            scores = calibration_scores(fam, predict_plane, cal)
             f_t = float(predict_plane(test.x)[0])
             for a in alphas:
-                q = calibrate(records, a)
+                q = calibrate(scores, a)
                 c = interval(fam, test.x[0], f_t, q)
                 hits[a] += c.contains(float(test.y[0]))
         for a in alphas:

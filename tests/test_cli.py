@@ -184,6 +184,26 @@ def test_eval_protocol_mode_shape(tmp_path):
     assert {r["family"] for r in rows} == {"fixed", "erc-fit"}
 
 
+def test_eval_protocol_divergence_becomes_error_rows(tmp_path):
+    # lr = 1 overflows the linear localizer in the first epoch of every run
+    data = synth(tmp_path, n=300, seed=1)
+    report = tmp_path / "div.csv"
+    assert run("eval", "--data", data, "--families", "fixed,erc,linear",
+               "--runs", 2, "--epochs", 20, "--patience", 20, "--lr", 1,
+               "--report", report) == 0
+    rows = read_rows(report)
+    assert len(rows) == 3 * 3 * 2
+    fixed = [r for r in rows if r["family"] == "fixed"]
+    assert all(r["error"] == "" and np.isfinite(float(r["mean_size"]))
+               for r in fixed)
+    linear = [r for r in rows if r["family"] == "linear"]
+    assert len(linear) == 3 * 2
+    assert all(r["error"].startswith("training diverged")
+               and r["mean_size"] == "" for r in linear)
+    agg = read_rows(tmp_path / "div.aggregate.csv")
+    assert {a["family"] for a in agg} <= {"fixed", "erc"}
+
+
 def test_eval_requires_exactly_one_mode(tmp_path):
     data = synth(tmp_path, n=300)
     assert run("eval", "--data", data, "--report", tmp_path / "x.csv") == 1

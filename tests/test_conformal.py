@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scoremorph.conformal import (CalibrationRecord, PredictionInterval,
-                                  base_score, calibrate, calibration_records,
-                                  evaluate, interval, quantile_index)
+from scoremorph.conformal import (PredictionInterval, base_score, calibrate,
+                                  calibration_scores, evaluate, half_widths,
+                                  interval, quantile_index)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
@@ -12,8 +12,8 @@ from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
                                    TransformFamily)
 
 
-def records_from_scores(scores):
-    return [CalibrationRecord(np.zeros(1), float(b), float(b)) for b in scores]
+def zero_predictor(xs):
+    return np.zeros(len(xs))
 
 
 def test_base_score_examples():
@@ -29,6 +29,9 @@ def test_quantile_index_examples():
     assert quantile_index(99, 0.05) == 95
     with pytest.raises(ValueError, match="order statistic"):
         quantile_index(10, 0.01)
+    for alpha in (-np.inf, np.nan):
+        with pytest.raises(ValueError, match="order statistic"):
+            quantile_index(10, alpha)
     with pytest.raises(ValueError):
         quantile_index(10, 1.5)
 
@@ -45,14 +48,14 @@ def test_quantile_index_bounds():
 def test_calibrate_worked_example_scores():
     plus = [2.0, np.sqrt(2) + 2.0, np.sqrt(3) + 3.0]
     minus = [0.0, np.sqrt(2) - 2.0, np.sqrt(3) - 3.0]
-    assert calibrate(records_from_scores(plus), 0.5) == pytest.approx(
+    assert calibrate(plus, 0.5) == pytest.approx(
         np.sqrt(2) + 2.0, abs=1e-15)
-    assert calibrate(records_from_scores(minus), 0.5) == pytest.approx(
+    assert calibrate(minus, 0.5) == pytest.approx(
         np.sqrt(2) - 2.0, abs=1e-15)
 
 
 def test_calibrate_single_record():
-    assert calibrate(records_from_scores([3.3]), 0.5) == 3.3
+    assert calibrate(np.array([3.3]), 0.5) == 3.3
 
 
 def test_calibrate_empty_errors():
@@ -65,25 +68,23 @@ def test_calibrate_exactly_mstar_below():
     for _ in range(20):
         b = rng.normal(size=25)
         alpha = float(rng.uniform(1.0 / 26.0, 1.0))
-        q = calibrate(records_from_scores(b), alpha)
+        q = calibrate(b, alpha)
         assert (b <= q).sum() == quantile_index(25, alpha)
 
 
 def test_calibrate_ties_deterministic():
     b = [1.0, 1.0, 1.0, 2.0]
-    assert calibrate(records_from_scores(b), 0.5) == 1.0
+    assert calibrate(b, 0.5) == 1.0
 
 
 def test_interval_worked_example_sizes():
     # calibration (a, x) = {(1,1),(2,2),(3,3)}, x_test = 0, alpha = 1/2
-    pairs = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+    # zero predictor with labels sqrt(a) gives the base scores a
+    cal = Dataset(np.array([[1.0], [2.0], [3.0]]), np.sqrt([1.0, 2.0, 3.0]))
     sizes = {}
     for theta in (1.0, -1.0):
         fam = SqrtShiftFixture(theta)
-        recs = [CalibrationRecord(np.array([x]), a,
-                                  fam.forward(np.array([x]), a))
-                for a, x in pairs]
-        q = calibrate(recs, 0.5)
+        q = calibrate(calibration_scores(fam, zero_predictor, cal), 0.5)
         c = interval(fam, np.array([0.0]), 0.0, q)
         sizes[theta] = c.size
     assert sizes[1.0] == pytest.approx(2 * (2 + np.sqrt(2)), abs=1e-12)
@@ -200,8 +201,7 @@ def mc_coverage(fam_builder, alpha, n_cal=99, reps=400, seed=0):
     hits = 0
     for _ in range(reps):
         cal, test = make_random_split(rng, n_cal=n_cal, n_test=1)
-        records = calibration_records(fam, predict_mean, cal)
-        q = calibrate(records, alpha)
+        q = calibrate(calibration_scores(fam, predict_mean, cal), alpha)
         c = interval(fam, test.x[0], predict_mean(test.x)[0], q)
         hits += c.contains(float(test.y[0]))
     return hits / reps
@@ -227,24 +227,52 @@ def test_marginal_coverage_localized_family():
     assert abs(cov - p) <= bound
 
 
-def test_sigma_saturation_calibrates_like_linear():
-    # a tenth of the labels scaled by 1e9 puts log A + g past 36.7, where
-    # sigmoid rounds to exactly 1; calibrating on the pre-image log A + g
-    # keeps sigma on the linear intervals instead of a CodomainError
+def saturating_split():
+    """A tenth of the labels scaled by 1e9 puts log A + g past 36.7, where
+    sigmoid rounds to exactly 1."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(400, 2))
     y = rng.normal(size=400)
     y[rng.choice(400, size=40, replace=False)] *= 1e9
     ds = Dataset(x, y)
-    cal, test = ds.subset(np.arange(200)), ds.subset(np.arange(200, 400))
+    return ds.subset(np.arange(200)), ds.subset(np.arange(200, 400))
+
+
+def test_sigma_saturation_calibrates_like_linear():
+    # calibrating on the pre-image log A + g keeps sigma on the linear
+    # intervals instead of a CodomainError
+    cal, test = saturating_split()
     net = LocalizerNet.init(2, seed=1)
-
-    def zero(xs):
-        return np.zeros(len(xs))
-
     alphas = [0.05, 0.1, 0.32]
-    linear = evaluate(LinearTransform(net), zero, cal, test, alphas)
-    sigma = evaluate(SigmaTransform(net), zero, cal, test, alphas)
+    linear = evaluate(LinearTransform(net), zero_predictor, cal, test, alphas)
+    sigma = evaluate(SigmaTransform(net), zero_predictor, cal, test, alphas)
     assert [r.mean_size for r in sigma] == [r.mean_size for r in linear]
     assert [r.empirical_validity for r in sigma] == [
         r.empirical_validity for r in linear]
+
+
+def test_sigma_saturation_single_interval_like_linear():
+    # the public scores/quantile/interval path calibrates on the same
+    # pre-image as evaluate, so sigma gives linear's interval, not a
+    # CodomainError from B-space scores rounded to 1
+    cal, test = saturating_split()
+    net = LocalizerNet.init(2, seed=1)
+    assert (SigmaTransform(net).forward_batch(cal.x, cal.y ** 2) == 1.0).any()
+    for alpha in (0.05, 0.1, 0.32):
+        got = {}
+        for fam in (LinearTransform(net), SigmaTransform(net)):
+            q = calibrate(calibration_scores(fam, zero_predictor, cal), alpha)
+            got[fam.kind] = interval(fam, test.x[0], 0.0, q)
+        assert got["sigma"] == got["linear"]
+
+
+def test_half_widths_match_single_intervals():
+    rng = np.random.default_rng(12)
+    cal, test = make_random_split(rng)
+    fam = ErcTransform(LocalizerNet.init(3, seed=4, hidden=(10, 8)))
+    q = calibrate(calibration_scores(fam, predict_mean, cal), 0.1)
+    half = half_widths(fam, test.x, q)
+    assert half.shape == (test.n,)
+    # one row or many through the localizer: equal up to BLAS rounding
+    single = [interval(fam, x, 0.0, q).half_width for x in test.x]
+    assert single == pytest.approx(half, rel=1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,30 @@ def test_predict_permutation_invariant():
     b = knn.KnnModel(tx[perm], ty[perm], 4)
     for q in rng.normal(size=(10, 2)):
         assert a.predict(q) == pytest.approx(b.predict(q), abs=1e-12)
+
+
+def test_chunked_scan_matches_one_chunk(monkeypatch):
+    rng = np.random.default_rng(11)
+    ds = make_ds(rng.normal(size=(300, 3)), rng.normal(size=300))
+    queries = rng.normal(size=(97, 3))
+    whole = knn.fit(ds, folds=5, seed=0)
+    whole_pred = whole.predict_batch(queries)
+    # two validation rows per fit chunk, one query per predict chunk
+    monkeypatch.setattr(knn, "_CHUNK_CELLS", 2 * 240 * 3 + 1)
+    chunked = knn.fit(ds, folds=5, seed=0)
+    assert chunked.k == whole.k
+    assert np.array_equal(chunked.predict_batch(queries), whole_pred)
+
+
+def test_fit_memory_below_one_full_distance_tensor():
+    # a single scan per fold would hold an (800, 3200, 3) float64
+    # difference tensor, 61 MB, for 4000 rows in 5 folds
+    rng = np.random.default_rng(12)
+    ds = make_ds(rng.normal(size=(4000, 3)), rng.normal(size=4000))
+    tracemalloc.start()
+    try:
+        knn.fit(ds, folds=5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 3200 * 3 * 8

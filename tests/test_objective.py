@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,9 +237,10 @@ def test_loss_overflow_aborts_with_indices():
     fam = ExpTransform(net)
     batch = LossBatch(np.array([[1.0], [2.0], [3.0]]),
                       np.array([1.0, 2.0, 3.0]))
-    with np.errstate(all="ignore"), pytest.raises(ValueError,
-                                                  match="pair indices"):
-        loss_batch(fam, batch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may leak first
+        with pytest.raises(ValueError, match="pair indices"):
+            loss_batch(fam, batch)
 
 
 # ---- closed form of the log-shift core against the O(m^2) oracle ----

@@ -1,10 +1,14 @@
-"""Property tests of the log-shift core over wide score and shift ranges."""
+"""Property tests of the log-shift core over wide score and shift ranges,
+and of the order-statistic calibration."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoremorph.conformal import calibrate, quantile_index
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import TRAINABLE_KINDS, make_family
 
@@ -61,3 +65,82 @@ def test_core_shared_codomain(kind, loc1, loc2, log10_a):
         assert fam.inverse(x[1], b) > 0
     cal = fam.calibration_family()
     assert cal.inverse(x[1], cal.forward(x[0], a)) > 0
+
+
+# ---- calibration: quantile index and the empirical quantile ----
+
+SIZES = st.integers(1, 5000)
+
+
+@SETTINGS
+@given(n=SIZES)
+def test_quantile_index_at_smallest_alpha(n):
+    assert quantile_index(n, 1.0 / (n + 1)) == n
+    assert quantile_index(n, 1.0 - n / (n + 1)) == n  # may be 1/(N+1) - ulp
+
+
+@SETTINGS
+@given(n=SIZES, data=st.data())
+def test_quantile_index_on_and_next_to_integer_boundaries(n, data):
+    # alpha = 1 - k/(N+1) puts (N+1)(1 - alpha) on the integer k up to
+    # rounding; the neighbouring floats must not step to k + 1 either
+    k = data.draw(st.integers(0, n))
+    alpha = 1.0 - k / (n + 1)
+    for a in (np.nextafter(alpha, 0.0), alpha, np.nextafter(alpha, 2.0)):
+        if a <= 1.0:
+            assert quantile_index(n, float(a)) == max(1, k)
+
+
+@SETTINGS
+@given(n=SIZES, alpha=st.floats(0.0, 1.0))
+def test_quantile_index_is_smallest_covering_index(n, alpha):
+    # exact v = (N+1)(1 - alpha); m* = ceil(v), up to the integer snap
+    v = (n + 1) * (1 - Fraction(alpha))
+    if v > n + Fraction(1, 10**9):
+        with pytest.raises(ValueError, match="order statistic"):
+            quantile_index(n, alpha)
+        return
+    m = quantile_index(n, alpha)
+    assert 1 <= m <= n
+    assert m >= v - Fraction(1, 10**6)
+    assert m == 1 or m - 1 < v
+
+
+SCORES = st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60)
+
+
+def alpha_for(n, frac):
+    """An alpha in [1/(N+1), 1]."""
+    return min(1.0, 1.0 / (n + 1) + frac * (1.0 - 1.0 / (n + 1)))
+
+
+@SETTINGS
+@given(b=SCORES, frac=st.floats(0.0, 1.0))
+def test_calibrate_is_an_order_statistic(b, frac):
+    b = np.asarray(b)
+    alpha = alpha_for(b.size, frac)
+    q = calibrate(b, alpha)
+    assert q in b
+    m = quantile_index(b.size, alpha)
+    assert (b <= q).sum() >= m
+    assert (b < q).sum() < m
+
+
+# correctly rounded or piecewise constant, so non-decreasing in float64 too
+MONOTONE_MAPS = {
+    "floor": np.floor,
+    "clip": lambda b: np.clip(b, -1.0, 1.0),
+    "half": lambda b: 0.5 * b,
+    "sqrt": lambda b: np.sqrt(np.maximum(b, 0.0)),
+    "step": lambda b: (b > 0).astype(float),
+}
+
+
+@SETTINGS
+@given(b=SCORES, frac=st.floats(0.0, 1.0),
+       name=st.sampled_from(sorted(MONOTONE_MAPS)))
+def test_calibrate_commutes_with_monotone_maps(b, frac, name):
+    h = MONOTONE_MAPS[name]
+    b = np.asarray(b)
+    alpha = alpha_for(b.size, frac)
+    assert calibrate(h(b), alpha) == h(np.array([calibrate(b, alpha)]))[0]

@@ -171,7 +171,6 @@ def test_deriv_A_strictly_positive():
 
 class CubeFixture(TransformFamily):
     kind = "cube-fixture"
-    has_analytic_inverse = False
 
     def phi(self, loc, a):
         return np.asarray(a, dtype=float) ** 3 if np.ndim(a) else float(a) ** 3
