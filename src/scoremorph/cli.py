@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
 writes a manifest next to its primary output recording the resolved
 configuration and input digests.
+
+Both ``eval`` modes need ``--runs`` >= 1 and build rows with
+``protocol_rows``, so an evaluation ``ValueError`` (an alpha outside
+[1/(N+1), 1] included) gives the same per-alpha error rows in both.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .ioutil import sha256_file, write_text_atomic
 from .knn import KnnModel, fit as knn_fit, grid_for
 from .serialize import ModelBundle, load_model, save_model
 from .synthetic import KINDS, SynthSpec, generate
-from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, TrainTrace,
-                       aggregate, run_protocol, train, train_erc_error_fit)
+from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, aggregate,
+                       protocol_rows, run_protocol, train_family)
 from .transforms import FixedTransform
 
 MANIFEST_FORMAT_VERSION = 1
@@ -96,15 +100,12 @@ def cmd_train(args) -> int:
     spec = SplitSpec(args.seed, DEFAULT_FRACTIONS)
     proper, cp_train, validation, _ = split(ds, spec)
     model = knn_fit(proper, grid_for(proper.n), folds=5, seed=args.seed)
-    if args.family == "fixed":
-        fam, trace = FixedTransform(), TrainTrace()
-    else:
-        config = TrainConfig(
-            family="erc" if args.family == "erc-fit" else args.family,
-            seed=args.seed, epochs=args.epochs, batch_size=args.batch,
-            learning_rate=args.lr, patience=args.patience, gamma=args.gamma)
-        trainer = train_erc_error_fit if args.family == "erc-fit" else train
-        fam, trace = trainer(config, cp_train, validation, model.predict_batch)
+    config = TrainConfig(family=args.family, seed=args.seed,
+                         epochs=args.epochs, batch_size=args.batch,
+                         learning_rate=args.lr, patience=args.patience,
+                         gamma=args.gamma)
+    fam, trace = train_family(config, cp_train, validation,
+                              model.predict_batch)
 
     save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
     trace_path = os.path.splitext(os.fspath(args.model_out))[0] + ".trace.csv"
@@ -153,6 +154,15 @@ def _print_table(aggregates, alphas, dataset_name):
         print(line)
 
 
+def _rebuild(bundle: ModelBundle, ds_raw, seed: int):
+    """Point model, normalized data, calibration and test splits of a
+    model file on its data, split with ``seed``."""
+    ds = apply_normalization(ds_raw, bundle.stats)
+    proper, cp_train, _, test = split(
+        ds, SplitSpec(seed, bundle.split.fractions))
+    return KnnModel(proper.x, proper.y, bundle.knn_k), ds, cp_train, test
+
+
 def _eval_frozen(args, ds_name, alphas):
     rows = []
     bundles = [load_model(p) for p in args.model.split(",")]
@@ -165,49 +175,32 @@ def _eval_frozen(args, ds_name, alphas):
     for r in range(args.runs):
         run_seed = base_seed + r
         for b in bundles:
-            ds = apply_normalization(ds_raw, b.stats)
-            proper, cp_train, _, test = split(
-                ds, SplitSpec(run_seed, b.split.fractions))
-            model = KnnModel(proper.x, proper.y, b.knn_k)
-            for alpha in alphas:
-                try:
-                    rep = evaluate(b.family, model.predict_batch, cp_train,
-                                   test, [alpha])[0]
-                    row = ProtocolRow(ds_name, b.label, alpha, run_seed,
-                                      rep.mean_size, rep.empirical_validity)
-                except ValueError as exc:
-                    row = ProtocolRow(ds_name, b.label, alpha, run_seed, None,
-                                      None, str(exc))
-                rows.append(row)
+            model, _, cp_train, test = _rebuild(b, ds_raw, run_seed)
+            rows += protocol_rows(
+                ds_name, b.label, run_seed, alphas,
+                lambda: evaluate(b.family, model.predict_batch, cp_train,
+                                 test, alphas))
     return rows, [b.label for b in bundles], {b.label: b.knn_k for b in bundles}
 
 
 def _eval_protocol(args, ds_name, alphas):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     ds = normalize(load_csv(args.data, args.has_header))
-    n_cal = len(split(ds, SplitSpec(0, DEFAULT_FRACTIONS))[1])
-    valid = [a for a in alphas if 1.0 / (n_cal + 1) <= a <= 1.0]
-    invalid = [a for a in alphas if a not in valid]
     base_seed = args.seed if args.seed is not None else 0
-    result = run_protocol(ds, families, valid, runs=args.runs,
+    result = run_protocol(ds, families, alphas, runs=args.runs,
                           seed0=base_seed, epochs=args.epochs,
                           batch_size=args.batch, learning_rate=args.lr,
                           patience=args.patience, gamma=args.gamma,
                           dataset_name=ds_name)
-    rows = list(result.rows)
     knn_ks = {str(seed): k for seed, k in result.knn_ks.items()}
-    for alpha in invalid:
-        for fam in families:
-            for r in range(args.runs):
-                rows.append(ProtocolRow(
-                    ds_name, fam, alpha, base_seed + r, None, None,
-                    f"alpha={alpha} outside [1/(N+1); 1] for N={n_cal}"))
-    return rows, families, knn_ks
+    return result.rows, families, knn_ks
 
 
 def cmd_eval(args) -> int:
     if (args.model is None) == (args.families is None):
         raise ValueError("pass exactly one of --model or --families")
+    if args.runs < 1:
+        raise ValueError("runs must be >= 1")
     alphas = _parse_alphas(args.alphas)
     ds_name = os.path.splitext(os.path.basename(os.fspath(args.data)))[0]
     if args.model is not None:
@@ -250,10 +243,8 @@ def cmd_eval(args) -> int:
 
 def cmd_plot(args) -> int:
     bundle = load_model(args.model)
-    ds_raw = load_csv(args.data, args.has_header)
-    ds = apply_normalization(ds_raw, bundle.stats)
-    proper, cp_train, _, _ = split(ds, bundle.split)
-    model = KnnModel(proper.x, proper.y, bundle.knn_k)
+    model, ds, cp_train, _ = _rebuild(
+        bundle, load_csv(args.data, args.has_header), bundle.split.seed)
     q_hat = calibrate(calibration_scores(bundle.family, model.predict_batch,
                                          cp_train), args.alpha)
     axis = read_raw_axis(args.data)

@@ -38,10 +38,11 @@ class PredictionInterval:
 @dataclass(frozen=True)
 class EvalReport:
     alpha: float
-    mean_size: float
-    empirical_validity: float
+    mean_size: float | None
+    empirical_validity: float | None
     n_calibration: int
     n_test: int
+    error: str = ""  # non-empty when this alpha could not be evaluated
 
 
 def base_score(f_x: float, y: float) -> float:
@@ -117,20 +118,21 @@ def evaluate(fam: TransformFamily, predict, calibration: Dataset,
              test: Dataset, alphas) -> list[EvalReport]:
     """Mean interval size and empirical coverage on a test set, per alpha.
 
-    ``predict`` maps an (n, d) attribute matrix to point predictions.
+    ``predict`` maps an (n, d) attribute matrix to point predictions; both
+    sets are scored once. A ``ValueError`` of one alpha's quantile or
+    inverse becomes that alpha's ``error``, with no size or validity.
     """
     b_cal = calibration_scores(fam, predict, calibration)
     a_test = base_scores(predict, test)
     reports = []
     for alpha in alphas:
-        inv = _inverse(fam, test.x, calibrate(b_cal, alpha))
-        half = np.sqrt(inv)
-        covered = a_test <= inv
+        try:
+            inv = _inverse(fam, test.x, calibrate(b_cal, alpha))
+        except ValueError as exc:
+            reports.append(EvalReport(float(alpha), None, None, calibration.n,
+                                      test.n, str(exc)))
+            continue
         reports.append(EvalReport(
-            alpha=float(alpha),
-            mean_size=float((2.0 * half).mean()),
-            empirical_validity=float(covered.mean()),
-            n_calibration=calibration.n,
-            n_test=test.n,
-        ))
+            float(alpha), float((2.0 * np.sqrt(inv)).mean()),
+            float((a_test <= inv).mean()), calibration.n, test.n))
     return reports

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from .data import NormalizationStats, SplitSpec
 from .ioutil import write_text_atomic
 from .network import LocalizerNet
+from .training import family_kind
 from .transforms import TransformFamily, make_family
 
 MODEL_FORMAT_VERSION = 1
-
-# CLI label -> transform kind ("erc-fit" is a training mode of erc)
-_LABEL_TO_KIND = {"fixed": "fixed", "erc": "erc", "erc-fit": "erc",
-                  "linear": "linear", "exp": "exp", "sigma": "sigma"}
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,7 @@ class ModelBundle:
 def model_to_dict(label: str, family: TransformFamily,
                   stats: NormalizationStats, knn_k: int,
                   split: SplitSpec) -> dict:
-    if label not in _LABEL_TO_KIND:
-        raise ValueError(f"unknown family label '{label}'")
+    family_kind(label)  # rejects unknown labels
     cfg = family.config_dict()
     localizer = getattr(family, "localizer", None)
     return {
@@ -55,9 +51,7 @@ def model_from_dict(doc: dict) -> ModelBundle:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version}")
     label = doc["family"]
-    kind = _LABEL_TO_KIND.get(label)
-    if kind is None:
-        raise ValueError(f"unknown family label '{label}'")
+    kind = family_kind(label)
     localizer = None
     if doc.get("localizer") is not None:
         localizer = LocalizerNet.from_json_dict(doc["localizer"])

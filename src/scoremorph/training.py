@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,6 +103,31 @@ def _loop(fam, step_fn, config, cp_x, cp_a, val_x, val_a):
     return fam, trace
 
 
+def family_kind(label: str) -> str:
+    """Transform kind of a CLI label ("erc-fit" is a training mode of erc)."""
+    if label not in CLI_FAMILIES:
+        raise ValueError(f"unknown family label '{label}'")
+    return "erc" if label == "erc-fit" else label
+
+
+def train_family(config: TrainConfig, cp_train: Dataset, validation: Dataset,
+                 predict):
+    """(family, trace) for the CLI label ``config.family``: "fixed" needs no
+    training, "erc-fit" trains erc on the error-fit loss, every other label
+    trains on the size loss."""
+    kind = family_kind(config.family)
+    if kind == "fixed":
+        return FixedTransform(), TrainTrace()
+    if cp_train.n < config.batch_size:
+        raise ValueError("training set smaller than one batch")
+    net = LocalizerNet.init(cp_train.d, config.seed)
+    fam = make_family(kind, localizer=net, gamma=config.gamma)
+    step = ((lambda b: erc_error_fit_loss(net, b))
+            if config.family == "erc-fit" else (lambda b: loss_batch(fam, b)))
+    return _loop(fam, step, config, cp_train.x, base_scores(predict, cp_train),
+                 validation.x, base_scores(predict, validation))
+
+
 def train(config: TrainConfig, cp_train: Dataset, validation: Dataset,
           predict):
     """Train a transform family by minimizing the pairwise size loss.
@@ -112,14 +137,7 @@ def train(config: TrainConfig, cp_train: Dataset, validation: Dataset,
     """
     if config.family not in TRAINABLE_KINDS:
         raise ValueError(f"family '{config.family}' is not trainable")
-    if cp_train.n < config.batch_size:
-        raise ValueError("training set smaller than one batch")
-    net = LocalizerNet.init(cp_train.d, config.seed)
-    fam = make_family(config.family, localizer=net, gamma=config.gamma)
-    cp_a = base_scores(predict, cp_train)
-    val_a = base_scores(predict, validation)
-    return _loop(fam, lambda b: loss_batch(fam, b), config,
-                 cp_train.x, cp_a, validation.x, val_a)
+    return train_family(config, cp_train, validation, predict)
 
 
 def train_erc_error_fit(config: TrainConfig, cp_train: Dataset,
@@ -127,14 +145,8 @@ def train_erc_error_fit(config: TrainConfig, cp_train: Dataset,
     """Train the residual-reweighting family by fitting g to the squared
     residuals instead of minimizing interval size; early stopping still
     selects the epoch with the best validation size loss."""
-    if cp_train.n < config.batch_size:
-        raise ValueError("training set smaller than one batch")
-    net = LocalizerNet.init(cp_train.d, config.seed)
-    fam = make_family("erc", localizer=net, gamma=config.gamma)
-    cp_a = base_scores(predict, cp_train)
-    val_a = base_scores(predict, validation)
-    return _loop(fam, lambda b: erc_error_fit_loss(net, b), config,
-                 cp_train.x, cp_a, validation.x, val_a)
+    return train_family(replace(config, family="erc-fit"), cp_train,
+                        validation, predict)
 
 
 @dataclass(frozen=True)
@@ -185,21 +197,18 @@ def aggregate(rows, families, alphas) -> list:
     return out
 
 
-def _fit_family(name, config_base, predict, cp_train, validation, shared):
-    """Fit one protocol family; ``shared`` caches the s = g localizer."""
-    if name == "fixed":
-        return FixedTransform()
-    if name == "erc-fit":
-        fam, _ = train_erc_error_fit(config_base("erc"), cp_train, validation,
-                                     predict)
-        return fam
-    if name not in SHARED_LOCALIZER_KINDS:
-        fam, _ = train(config_base(name), cp_train, validation, predict)
-        return fam
-    if "net" not in shared:
-        fam, _ = train(config_base("linear"), cp_train, validation, predict)
-        shared["net"] = fam.localizer
-    return make_family(name, localizer=shared["net"])
+def protocol_rows(dataset_name: str, label: str, run_seed: int, alphas,
+                  evaluate_all) -> list:
+    """Report rows of one (family, run) from ``evaluate_all()``'s reports;
+    a ``ValueError`` or ``TrainingDiverged`` it raises gives one error row
+    per alpha."""
+    try:
+        reports = evaluate_all()
+    except (ValueError, TrainingDiverged) as exc:
+        return [ProtocolRow(dataset_name, label, float(alpha), run_seed, None,
+                            None, str(exc)) for alpha in alphas]
+    return [ProtocolRow(dataset_name, label, r.alpha, run_seed, r.mean_size,
+                        r.empirical_validity, r.error) for r in reports]
 
 
 def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
@@ -213,14 +222,15 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     Run r uses seed0 + r for the split, the point model's cross-validation,
     and the family training. linear, exp and sigma minimise the same size
     loss, so each run trains their localizer once and builds all three on
-    it. A diverged training gives one error row per alpha. Aggregates report
-    mean and population sd over runs for every (family, alpha) cell.
+    it, or gives all three its divergence. Aggregates report mean and
+    population sd over runs for every (family, alpha) cell.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
     unknown = [f for f in families if f not in CLI_FAMILIES]
     if unknown:
         raise ValueError(f"unknown families {unknown}; choose from {CLI_FAMILIES}")
+    config = TrainConfig(family="fixed", epochs=epochs, batch_size=batch_size,
+                         learning_rate=learning_rate, patience=patience,
+                         gamma=gamma)
     rows = []
     knn_ks = {}
     for r in range(runs):
@@ -230,26 +240,26 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
         model = knn.fit(proper, knn.grid_for(proper.n, k_grid), folds=folds,
                         seed=run_seed)
         knn_ks[run_seed] = model.k
-
-        def config_base(kind, _seed=run_seed):
-            return TrainConfig(family=kind, seed=_seed, epochs=epochs,
-                               batch_size=batch_size,
-                               learning_rate=learning_rate,
-                               patience=patience, gamma=gamma)
-
-        shared = {}
+        fitted = {}  # trained label -> family, or the TrainingDiverged
         for name in families:
-            try:
-                fam = _fit_family(name, config_base, model.predict_batch,
-                                  cp_train, validation, shared)
-            except TrainingDiverged as exc:
-                rows += [ProtocolRow(dataset_name, name, float(alpha),
-                                     run_seed, None, None, str(exc))
-                         for alpha in alphas]
-                continue
-            for report in evaluate(fam, model.predict_batch, cp_train, test,
-                                   alphas):
-                rows.append(ProtocolRow(dataset_name, name, report.alpha,
-                                        run_seed, report.mean_size,
-                                        report.empirical_validity))
+            trained = "linear" if name in SHARED_LOCALIZER_KINDS else name
+            if trained not in fitted:
+                try:
+                    fitted[trained], _ = train_family(
+                        replace(config, family=trained, seed=run_seed),
+                        cp_train, validation, model.predict_batch)
+                except TrainingDiverged as exc:
+                    fitted[trained] = exc
+
+            def evaluate_all():
+                fam = fitted[trained]
+                if isinstance(fam, TrainingDiverged):
+                    raise fam
+                if name != trained:
+                    fam = make_family(name, localizer=fam.localizer)
+                return evaluate(fam, model.predict_batch, cp_train, test,
+                                alphas)
+
+            rows += protocol_rows(dataset_name, name, run_seed, alphas,
+                                  evaluate_all)
     return ProtocolResult(rows, aggregate(rows, families, alphas), knn_ks)

@@ -6,8 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from scoremorph import cli, training
 from scoremorph.cli import main, read_raw_axis
 from scoremorph.data import load_csv
+from scoremorph.knn import KnnModel
 from scoremorph.serialize import load_model, save_model
 from scoremorph.transforms import FixedTransform
 
@@ -25,6 +27,14 @@ def digest(path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def counting(calls, key, fn):
+    """fn, adding one to calls[key] per call."""
+    def wrapper(*args, **kwargs):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def synth(tmp_path, name="d.csv", kind="cos", n=400, seed=42):
@@ -173,6 +183,57 @@ def test_eval_out_of_range_alpha_error_row(tmp_path):
     assert good and all(r["error"] == "" for r in good)
 
 
+def test_eval_frozen_scores_once_per_run_and_bundle(tmp_path, monkeypatch):
+    data, model = train_model(tmp_path)
+    calls = {}
+    monkeypatch.setattr(KnnModel, "predict_batch",
+                        counting(calls, "predict", KnnModel.predict_batch))
+    monkeypatch.setattr(cli, "evaluate",
+                        counting(calls, "evaluate", cli.evaluate))
+    assert run("eval", "--data", data, "--model", model, "--alphas",
+               "0.05,0.1,0.32", "--runs", 3, "--report",
+               tmp_path / "r.csv") == 0
+    # 3 runs x 2 bundles (linear + auto fixed): one evaluate each, which
+    # predicts the calibration and the test split once
+    assert calls == {"predict": 2 * 3 * 2, "evaluate": 3 * 2}
+
+
+def test_eval_runs_zero_fails_in_both_modes(tmp_path, capsys):
+    data, model = train_model(tmp_path, family="fixed")
+    for mode in (["--model", model], ["--families", "fixed"]):
+        report = tmp_path / "r0.csv"
+        assert run("eval", "--data", data, *mode, "--runs", 0,
+                   "--report", report) == 1
+        assert "runs must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
+
+
+def test_eval_invalid_alphas_same_error_rows_in_both_modes(tmp_path):
+    data, model = train_model(tmp_path, family="fixed")
+    modes = {"frozen": ["--model", model],
+             "protocol": ["--families", "fixed", "--epochs", 2]}
+    errors = {}
+    for name, mode in modes.items():
+        rows = {}
+        for alphas in ("0.1,0.0001,1.5", "0.1"):
+            report = tmp_path / f"{name}_{len(alphas)}.csv"
+            assert run("eval", "--data", data, *mode, "--alphas", alphas,
+                       "--runs", 2, "--seed", 1, "--report", report) == 0
+            rows[alphas] = read_rows(report)
+        mixed = rows["0.1,0.0001,1.5"]
+        # rows come in (run, family, alpha) order in both modes
+        assert [r["alpha"] for r in mixed] == ["0.1", "0.0001", "1.5"] * 2
+        assert [r for r in mixed if r["alpha"] == "0.1"] == rows["0.1"]
+        for alpha, text in (("0.0001", "order statistic"),
+                            ("1.5", "alpha=1.5 above 1")):
+            bad = [r for r in mixed if r["alpha"] == alpha]
+            assert len(bad) == 2
+            assert all(text in r["error"] and r["mean_size"] == ""
+                       for r in bad)
+        errors[name] = [r["error"] for r in mixed if r["error"]]
+    assert errors["protocol"] == errors["frozen"]
+
+
 def test_eval_protocol_mode_shape(tmp_path):
     data = synth(tmp_path, n=300)
     report = tmp_path / "p.csv"
@@ -202,6 +263,25 @@ def test_eval_protocol_divergence_becomes_error_rows(tmp_path):
                and r["mean_size"] == "" for r in linear)
     agg = read_rows(tmp_path / "div.aggregate.csv")
     assert {a["family"] for a in agg} <= {"fixed", "erc"}
+
+
+def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
+    # linear, exp and sigma share one trained localizer: its divergence is
+    # trained once per run and gives all three the same error rows
+    calls = {}
+    monkeypatch.setattr(training, "_loop",
+                        counting(calls, "loop", training._loop))
+    data = synth(tmp_path, n=300, seed=1)
+    report = tmp_path / "div3.csv"
+    assert run("eval", "--data", data, "--families", "linear,exp,sigma",
+               "--runs", 2, "--lr", 1, "--report", report) == 0
+    assert calls == {"loop": 2}
+    rows = read_rows(report)
+    assert len(rows) == 3 * 3 * 2
+    for seed in ("0", "1"):
+        errors = {r["error"] for r in rows if r["run_seed"] == seed}
+        assert len(errors) == 1
+        assert errors.pop().startswith("training diverged")
 
 
 def test_eval_requires_exactly_one_mode(tmp_path):

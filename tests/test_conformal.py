@@ -183,6 +183,26 @@ def test_evaluate_fixed_vs_zero_localizer_linear():
         assert a.empirical_validity == b.empirical_validity
 
 
+def test_evaluate_invalid_alpha_is_an_error_report_for_that_alpha_only():
+    # one scoring for all alphas: an alpha outside [1/(N+1), 1] gives an
+    # error report and leaves the other alphas as single-alpha calls
+    rng = np.random.default_rng(13)
+    cal, test = make_random_split(rng)
+    net = LocalizerNet.init(3, seed=2, hidden=(6, 5))
+    alphas = [0.1, 1e-6, 0.32, 1.5]
+    for fam in (FixedTransform(), LinearTransform(net)):
+        reports = evaluate(fam, predict_mean, cal, test, alphas)
+        singles = [evaluate(fam, predict_mean, cal, test, [a])[0]
+                   for a in alphas]
+        assert reports == singles
+        assert [r.alpha for r in reports] == alphas
+        for r, text in ((reports[1], "order statistic"),
+                        (reports[3], "above 1")):
+            assert text in r.error
+            assert r.mean_size is None and r.empirical_validity is None
+        assert reports[0].error == reports[2].error == ""
+
+
 def test_ranking_equivalent_families_identical_intervals():
     net = LocalizerNet.init(3, seed=3, hidden=(10, 8))
     rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 """Property tests of the log-shift core over wide score and shift ranges,
-and of the order-statistic calibration."""
+of the order-statistic calibration, and of interval invariance under
+global monotone maps."""
 
 from fractions import Fraction
 
@@ -8,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoremorph.conformal import calibrate, quantile_index
+from hypothesis.extra import numpy as hnp
+
+from scoremorph.conformal import (calibrate, calibration_scores, half_widths,
+                                  quantile_index)
+from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import TRAINABLE_KINDS, make_family
+from scoremorph.transforms import (TRAINABLE_KINDS, FixedTransform,
+                                   LogShiftTransform, make_family)
 
 KINDS = st.sampled_from(TRAINABLE_KINDS)
 LOCS = st.floats(-30.0, 30.0)
@@ -144,3 +150,52 @@ def test_calibrate_commutes_with_monotone_maps(b, frac, name):
     b = np.asarray(b)
     alpha = alpha_for(b.size, frac)
     assert calibrate(h(b), alpha) == h(np.array([calibrate(b, alpha)]))[0]
+
+
+# ---- intervals under global monotone maps ----
+
+ATTR = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def calibration_problems(draw):
+    """Calibration attributes and base scores A in [1e-10, 1e12], test
+    attributes, and an alpha in [1/(N+1), 1]."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    cal_x = draw(hnp.arrays(float, (n, d), elements=ATTR))
+    a = 10.0 ** draw(hnp.arrays(float, n, elements=LOG10_A))
+    test_x = draw(hnp.arrays(float, (draw(st.integers(1, 30)), d),
+                             elements=ATTR))
+    return cal_x, a, test_x, alpha_for(n, draw(st.floats(0.0, 1.0)))
+
+
+def half_widths_at(fam, problem):
+    """Full path on labels sqrt(A) under a zero predictor: scores, quantile,
+    half widths at the test attributes."""
+    cal_x, a, test_x, alpha = problem
+    scores = calibration_scores(fam, lambda x: np.zeros(len(x)),
+                                Dataset(cal_x, np.sqrt(a)))
+    return half_widths(fam, test_x, calibrate(scores, alpha))
+
+
+@SETTINGS
+@given(problem=calibration_problems(), offset=st.floats(-30.0, 30.0))
+def test_log_shift_intervals_match_fixed(problem, offset):
+    # log A + offset is a global monotone map of A: same order statistic,
+    # same x-independent half width
+    fixed = half_widths_at(FixedTransform(), problem)
+    logged = half_widths_at(LogShiftTransform(offset), problem)
+    assert np.all(fixed == fixed[0])
+    assert logged == pytest.approx(fixed, rel=1e-12, abs=0.0)
+
+
+@SETTINGS
+@given(problem=calibration_problems(), seed=st.integers(0, 2**31 - 1))
+def test_outer_maps_of_one_localizer_give_identical_intervals(problem, seed):
+    # linear, exp and sigma are id, exp and sigmoid of one pre-image z
+    net = LocalizerNet.init(problem[0].shape[1], seed=seed, hidden=(6, 5))
+    linear, exp_, sigma = (
+        half_widths_at(make_family(kind, localizer=net), problem)
+        for kind in ("linear", "exp", "sigma"))
+    assert np.array_equal(exp_, linear)
+    assert np.array_equal(sigma, linear)
