@@ -78,13 +78,12 @@ def cmd_synth(args) -> int:
     lines = [
         f"# scoremorph synth format_version=1 kind={spec.kind} n={spec.n} "
         f"rho={spec.rho!r} seed={spec.seed}",
-        "# raw_x: " + " ".join(repr(float(v)) for v in sd.x_raw),
-        "# weights: " + " ".join(repr(float(v)) for v in sd.weights),
+        "# raw_x: " + " ".join(map(repr, sd.x_raw.tolist())),
+        "# weights: " + " ".join(map(repr, sd.weights.tolist())),
     ]
     ds = sd.dataset
-    for i in range(ds.n):
-        cells = [repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))]
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(repr, row))
+                 for row in np.column_stack([ds.x, ds.y]).tolist())
     write_text_atomic(args.out, "\n".join(lines) + "\n")
     write_manifest(args.out, "synth",
                    {"kind": spec.kind, "n": spec.n, "rho": spec.rho,

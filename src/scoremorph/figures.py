@@ -39,9 +39,8 @@ def compute_band(fam: TransformFamily, predict, xs, axis_values, y,
 
 def band_csv(band: Band) -> str:
     lines = ["# scoremorph band format_version=1", "axis,center,lower,upper"]
-    for i in range(band.axis.shape[0]):
-        cells = (band.axis[i], band.center[i], band.lower[i], band.upper[i])
-        lines.append(",".join(repr(float(c)) for c in cells))
+    cells = np.column_stack([band.axis, band.center, band.lower, band.upper])
+    lines.extend(",".join(map(repr, row)) for row in cells.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
 """K-nearest-neighbor regression with cross-validated K.
 
 Exhaustive Euclidean scan in query chunks of bounded size; distance ties
-broken toward the lower stored index so predictions are reproducible.
+broken toward the lower stored index so predictions are reproducible. Each
+chunk selects its k nearest rows from a small candidate set (every row at or
+below the k-th distance) instead of sorting all stored rows.
 """
 
 from __future__ import annotations
@@ -54,11 +56,56 @@ def _nearest(train_x, queries, k):
     rows = max(1, _CHUNK_CELLS // (n * d))
     out = np.empty((queries.shape[0], k), dtype=np.intp)
     for start in range(0, queries.shape[0], rows):
-        q = queries[start:start + rows]
-        d2 = ((q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-        # stable sort = ties resolved toward the lower stored index
-        out[start:start + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        d2 = _sq_distances(queries[start:start + rows], train_x)
+        out[start:start + rows] = _k_smallest(d2, k)
     return out
+
+
+def _sq_distances(q, train_x):
+    """(queries, stored rows) squared Euclidean distances.
+
+    Below 8 dimensions numpy sums a row's squared differences one after the
+    other, so accumulating them one dimension at a time gives the same bits
+    without the (queries, rows, d) difference tensor. From 8 on its pairwise
+    summation reorders the adds, so the tensor path stays there.
+    """
+    if train_x.shape[1] >= 8:
+        return ((q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.subtract.outer(q[:, 0], train_x[:, 0])
+    d2 *= d2
+    for j in range(1, train_x.shape[1]):
+        diff = np.subtract.outer(q[:, j], train_x[:, j])
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _k_smallest(d2, k):
+    """Per row, the columns of the k smallest entries, ties to the lower column.
+
+    This is ``np.argsort(d2, kind="stable")[:, :k]`` without the full sort.
+    One ``argpartition`` gives each row's k-th smallest distance; ``c`` is
+    the largest count of entries at or below it over the rows. The ``c``
+    smallest entries of a row then hold every entry at or below its k-th
+    distance, ties included, so a stable sort of those candidates, taken in
+    ascending column order, ranks them as the full stable sort would. The
+    order past an ``argpartition``'s split point is unspecified, so when
+    some row ties at its k-th distance (``c > k``) a second partition at
+    ``c`` collects the candidates.
+    """
+    n = d2.shape[1]
+    if k < n:
+        part = np.argpartition(d2, k - 1, axis=1)
+        kth = np.take_along_axis(d2, part[:, k - 1:k], axis=1)
+        c = int(np.count_nonzero(d2 <= kth, axis=1).max())
+        if c < n:
+            if c > k:
+                part = np.argpartition(d2, c - 1, axis=1)
+            cand = np.sort(part[:, :c], axis=1)
+            order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1,
+                               kind="stable")[:, :k]
+            return np.take_along_axis(cand, order, axis=1)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = 5,

@@ -3,7 +3,9 @@
 The network maps an attribute vector to a scalar. Forward passes record a
 tape of activations; backward replays it in reverse. The tape is tied to a
 parameter version counter so gradients cannot be computed against a net
-that has since been updated.
+that has since been updated. Adam keeps its moments in flat vectors and
+updates every parameter in one pass; weights and biases stay per-layer
+arrays.
 """
 
 from __future__ import annotations
@@ -149,49 +151,117 @@ def zero_grads_like(net: LocalizerNet):
             for w, b in zip(net.weights, net.biases)]
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter.
 
-    m: list
-    v: list
-    step: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    The moments of every parameter live in one float64 vector each,
+    ``m_flat`` and ``v_flat``, in (w0, b0, w1, b1, ...) order; ``m`` and
+    ``v`` are lists of per-layer ``(w, b)`` views into them. The state also
+    owns the scratch vectors ``adam_step`` writes through, so a step
+    allocates no array the size of the parameters.
+    """
+
+    def __init__(self, shapes, learning_rate: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.shapes = [tuple(s) for s in shapes]
+        self.step = 0
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        size = sum(int(np.prod(s)) for s in self.shapes)
+        self.m_flat = np.zeros(size)
+        self.v_flat = np.zeros(size)
+        self._grad = np.empty(size)
+        self._upd = np.empty(size)
+        self._tmp = np.empty(size)
+        self._mask = np.empty(size, dtype=bool)
+        self.m = _layer_views(self.m_flat, self.shapes)
+        self.v = _layer_views(self.v_flat, self.shapes)
+        self._upd_views = [a for pair in _layer_views(self._upd, self.shapes)
+                           for a in pair]
 
     @classmethod
     def init(cls, net: LocalizerNet, learning_rate: float = 1e-3,
              beta1: float = 0.9, beta2: float = 0.999,
              eps: float = 1e-8) -> "AdamState":
-        zeros = zero_grads_like(net)
-        return cls(m=[(w.copy(), b.copy()) for w, b in zeros],
-                   v=[(w.copy(), b.copy()) for w, b in zeros],
-                   learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                   eps=eps)
+        shapes = [p.shape for pair in zip(net.weights, net.biases)
+                  for p in pair]
+        return cls(shapes, learning_rate=learning_rate, beta1=beta1,
+                   beta2=beta2, eps=eps)
+
+
+def _layer_views(flat, shapes):
+    """[(w, b), ...] reshaped views of ``flat`` laid out in ``shapes`` order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return list(zip(views[0::2], views[1::2]))
+
+
+# First moments below this magnitude are flushed to zero (see adam_step).
+_M_FLUSH = 1e-300
 
 
 def adam_step(net: LocalizerNet, grads, state: AdamState):
-    """Bias-corrected Adam update, applied in place. Returns (net, state)."""
+    """Bias-corrected Adam update, applied in place. Returns (net, state).
+
+    All gradients are checked (layer count, shapes, NaN) before anything is
+    written, so a rejected call leaves the weights and the state unchanged.
+    The update then runs once over the flat moment vectors with the
+    elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
+    eps)``, so every entry is bit-identical to updating layer by layer.
+
+    After the ``m`` update, every ``|m| < 1e-300`` is set to zero. Without
+    that, a unit whose gradient stays exactly zero (a dead ReLU) decays its
+    first moment by ``b1`` each step into the subnormal range, where the
+    arithmetic is many times slower. The flushed entry's update would have
+    been below ``lr * 1e-300 / (c1 * eps)``, about 1e-295 for the default
+    rate; that is under half an ulp of any weight farther than about
+    1e-279 from zero, so subtracting it would not have changed the weight.
+    A later nonzero gradient ``g`` dominates the dropped remainder the same
+    way, so the weights stay bit-identical to the unflushed update.
+    """
     if len(grads) != len(net.weights):
         raise ValueError("gradient layer count mismatches the network")
-    for gw, gb in grads:
-        if np.isnan(gw).any() or np.isnan(gb).any():
-            raise ValueError("NaN gradient; aborting the update")
+    params = [p for pair in zip(net.weights, net.biases) for p in pair]
+    flat_grads = [g for pair in grads for g in pair]
+    if [p.shape for p in params] != state.shapes:
+        raise ValueError("Adam state shapes mismatch the network")
+    for g, p in zip(flat_grads, params):
+        if np.shape(g) != p.shape:
+            raise ValueError(
+                f"gradient shape {np.shape(g)} mismatches parameter {p.shape}")
+    g = state._grad
+    np.concatenate([np.ravel(a) for a in flat_grads], out=g)
+    if np.isnan(g, out=state._mask).any():
+        raise ValueError("NaN gradient; aborting the update")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for l, (gw, gb) in enumerate(grads):
-        for which, g in (("w", gw), ("b", gb)):
-            m = state.m[l][0 if which == "w" else 1]
-            v = state.v[l][0 if which == "w" else 1]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            target = net.weights[l] if which == "w" else net.biases[l]
-            target -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m, v, upd, tmp = state.m_flat, state.v_flat, state._upd, state._tmp
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp
+    np.less(np.abs(m, out=tmp), _M_FLUSH, out=state._mask)
+    np.copyto(m, 0.0, where=state._mask)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, c1, out=upd)
+    upd *= state.learning_rate
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    upd /= tmp
+    for target, u in zip(params, state._upd_views):
+        target -= u
     net.version += 1
     return net, state

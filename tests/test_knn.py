@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoremorph.data import Dataset
 from scoremorph import knn
@@ -169,3 +171,24 @@ def test_fit_memory_below_one_full_distance_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 800 * 3200 * 3 * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scan_matches_stable_argsort_oracle(data):
+    # coordinates on a 0.1 grid in [-1, 1], so many distances tie; n runs
+    # past 100, where numpy's plain introselect leaves the ties of the k-th
+    # distance scattered beyond the partition point
+    d = data.draw(st.sampled_from([1, 2, 3, 7, 8, 20]))
+    n = data.draw(st.integers(1, 300))
+    n_queries = data.draw(st.integers(1, 30))
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-10, 11, size=(n, d)) / 10
+    q = rng.integers(-10, 11, size=(n_queries, d)) / 10
+    rows_per_chunk = data.draw(st.integers(1, n_queries))
+    oracle = np.argsort(((q[:, None] - x[None]) ** 2).sum(2),
+                        kind="stable")[:, :k]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "_CHUNK_CELLS", rows_per_chunk * n * d)
+        assert np.array_equal(knn._nearest(x, q, k), oracle)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -252,10 +254,101 @@ def test_adam_constant_positive_gradient_decreases_parameter():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_adam_rejects_nan_gradient():
+def adam_snapshot(net, state):
+    """Copies of everything a rejected adam_step must leave unchanged."""
+    return (net.snapshot(), [a.copy() for pair in state.m for a in pair],
+            [a.copy() for pair in state.v for a in pair], state.step)
+
+
+def assert_same_snapshot(a, b):
+    (aw, ab), am, av, astep = a
+    (bw, bb), bm, bv, bstep = b
+    for x, y in zip(aw + ab + am + av, bw + bb + bm + bv):
+        assert np.array_equal(x, y)
+    assert astep == bstep
+
+
+def stepped_net_and_state():
+    """A net and Adam state after two updates, so the moments are nonzero."""
     net = LocalizerNet.init(2, seed=4)
     state = AdamState.init(net)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        adam_step(net, [(rng.normal(size=w.shape), rng.normal(size=b.shape))
+                        for w, b in zip(net.weights, net.biases)], state)
+    return net, state
+
+
+def test_adam_rejects_nan_gradient():
+    net, state = stepped_net_and_state()
+    before = adam_snapshot(net, state)
     grads = zero_grads_like(net)
     grads[0][0][0, 0] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         adam_step(net, grads, state)
+    assert_same_snapshot(adam_snapshot(net, state), before)
+
+
+def test_adam_rejects_misshaped_gradient():
+    # a transposed (2, 100) gradient for the (100, 2) first weight holds the
+    # right number of entries, so only the shape check can catch it
+    net, state = stepped_net_and_state()
+    before = adam_snapshot(net, state)
+    grads = zero_grads_like(net)
+    grads[0] = (grads[0][0].T.copy(), grads[0][1])
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(net, grads, state)
+    assert_same_snapshot(adam_snapshot(net, state), before)
+
+
+def per_layer_adam_step(net, grads, state):
+    """Reference: the layer-by-layer Adam update, with no moment flush."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for l, (gw, gb) in enumerate(grads):
+        for which, g in (("w", gw), ("b", gb)):
+            m = state.m[l][0 if which == "w" else 1]
+            v = state.v[l][0 if which == "w" else 1]
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+            target = net.weights[l] if which == "w" else net.biases[l]
+            target -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    net.version += 1
+
+
+def subnormal_count(arrays):
+    tiny = np.finfo(float).tiny
+    return sum(int(np.count_nonzero((a != 0) & (np.abs(a) < tiny)))
+               for a in arrays)
+
+
+def test_adam_moment_flush_changes_no_weight():
+    # entries whose gradient turns exactly zero after step 50 decay their
+    # first moment by 0.9 a step; by step 7050 the reference holds them as
+    # subnormals while adam_step has flushed them to zero
+    net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
+    ref = LocalizerNet(*net.snapshot())
+    state = AdamState.init(net)
+    ref_state = SimpleNamespace(
+        m=zero_grads_like(ref), v=zero_grads_like(ref), step=0,
+        learning_rate=state.learning_rate, beta1=state.beta1,
+        beta2=state.beta2, eps=state.eps)
+    rng = np.random.default_rng(6)
+    live = [(rng.random(w.shape) < 0.7, rng.random(b.shape) < 0.7)
+            for w, b in zip(net.weights, net.biases)]
+    for step in range(7050):
+        grads = [(rng.normal(size=lw.shape), rng.normal(size=lb.shape))
+                 for lw, lb in live]
+        if step >= 50:
+            grads = [(gw * lw, gb * lb) for (gw, gb), (lw, lb)
+                     in zip(grads, live)]
+        adam_step(net, grads, state)
+        per_layer_adam_step(ref, grads, ref_state)
+    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+    assert subnormal_count(a for pair in ref_state.m for a in pair) > 0
+    assert subnormal_count([state.m_flat]) == 0
