@@ -10,7 +10,8 @@ quiet; the trained transformation shrinks it there.
 import numpy as np
 
 from scoremorph import knn
-from scoremorph.conformal import calibrate, calibration_scores, evaluate
+from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
+                                  scored)
 from scoremorph.data import SplitSpec, normalize, split
 from scoremorph.figures import band_csv, compute_band, render_svg
 from scoremorph.synthetic import SynthSpec, generate
@@ -26,20 +27,23 @@ proper, cp_train, validation, test = split(ds, SplitSpec(seed=7))
 # the point predictor is fixed before any conformal machinery runs
 model = knn.fit(proper, k_grid=(1, 2, 3, 5, 8, 13, 21, 34), folds=5, seed=7)
 print(f"KNN cross-validation selected k = {model.k}")
+# it scores each split once: (x, A) with A = (f(x) - y)^2
+cal, val, te = (scored(d, model.predict_batch(d.x))
+                for d in (cp_train, validation, test))
 
-fam, trace = train(TrainConfig(family="linear", seed=7), cp_train, validation,
-                   model.predict_batch)
+fam, trace = train(TrainConfig(family="linear", seed=7), cal, val)
 print(f"trained for {len(trace.epochs) - 1} epochs, "
       f"best validation loss at epoch {trace.best_epoch}")
 
 for name, family in (("fixed", FixedTransform()), ("linear", fam)):
-    rep = evaluate(family, model.predict_batch, cp_train, test, [ALPHA])[0]
+    rep = evaluate(family, cal, te, [ALPHA])[0]
     print(f"{name:7s} alpha={ALPHA}: mean interval size {rep.mean_size:.3f}, "
           f"empirical validity {rep.empirical_validity:.3f}")
 
 # draw the band over the raw X axis
-q_hat = calibrate(calibration_scores(fam, model.predict_batch, cp_train), ALPHA)
-band = compute_band(fam, model.predict_batch, ds.x, synth.x_raw, ds.y, q_hat)
+q_hat = calibrate(calibration_scores(fam, cal), ALPHA)
+band = compute_band(fam, model.predict_batch(ds.x), ds.x, synth.x_raw, ds.y,
+                    q_hat)
 with open("adaptive_band.svg", "w") as fh:
     fh.write(render_svg(band, title=f"trained linear family, alpha={ALPHA}"))
 with open("adaptive_band.csv", "w") as fh:

@@ -9,7 +9,7 @@ frozen random localizer reshapes the scores and coverage stays on target.
 import numpy as np
 
 from scoremorph.conformal import (calibrate, calibration_scores, interval,
-                                  quantile_index)
+                                  quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import ErcTransform, FixedTransform
@@ -42,7 +42,8 @@ for name, fam in families.items():
         for _ in range(REPS):
             ds = draw(N_CAL + 1)
             cal = ds.subset(np.arange(N_CAL))
-            q = calibrate(calibration_scores(fam, predict, cal), alpha)
+            q = calibrate(calibration_scores(fam, scored(cal, predict(cal.x))),
+                          alpha)
             c = interval(fam, ds.x[N_CAL], float(predict(ds.x[N_CAL:])[0]), q)
             hits += c.contains(float(ds.y[N_CAL]))
         target = quantile_index(N_CAL, alpha) / (N_CAL + 1)

@@ -9,9 +9,9 @@ coverage guarantee intact.
 
 __version__ = "0.1.0"
 
-from .conformal import (EvalReport, PredictionInterval, base_score,
-                        base_scores, calibrate, calibration_scores, evaluate,
-                        half_widths, interval, quantile_index)
+from .conformal import (EvalReport, PredictionInterval, calibrate,
+                        calibration_scores, evaluate, half_widths, interval,
+                        quantile_index, scored)
 from .data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
                    NormalizationStats, SplitSpec, apply_normalization,
                    compute_stats, denormalize, load_csv, normalize, split,

@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .conformal import calibrate, calibration_scores, evaluate
+from .conformal import calibrate, calibration_scores, evaluate, scored
 from .data import (DEFAULT_FRACTIONS, SplitSpec, apply_normalization,
-                   load_csv, normalize, split)
+                   load_csv, normalize, split, split_indices)
 from .figures import band_csv, compute_band, render_svg
 from .ioutil import sha256_file, write_text_atomic
 from .knn import KnnModel, fit as knn_fit, grid_for
@@ -98,13 +98,14 @@ def cmd_train(args) -> int:
     ds = normalize(load_csv(args.data, args.has_header))
     spec = SplitSpec(args.seed, DEFAULT_FRACTIONS)
     proper, cp_train, validation, _ = split(ds, spec)
-    model = knn_fit(proper, grid_for(proper.n), folds=5, seed=args.seed)
+    model = knn_fit(proper, grid_for(proper.n, 5), folds=5, seed=args.seed)
     config = TrainConfig(family=args.family, seed=args.seed,
                          epochs=args.epochs, batch_size=args.batch,
                          learning_rate=args.lr, patience=args.patience,
                          gamma=args.gamma)
-    fam, trace = train_family(config, cp_train, validation,
-                              model.predict_batch)
+    cp, val = (scored(d, model.predict_batch(d.x))
+               for d in (cp_train, validation))
+    fam, trace = train_family(config, cp, val)
 
     save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
     trace_path = os.path.splitext(os.fspath(args.model_out))[0] + ".trace.csv"
@@ -165,20 +166,31 @@ def _rebuild(bundle: ModelBundle, ds_raw, seed: int):
 def _eval_frozen(args, ds_name, alphas):
     rows = []
     bundles = [load_model(p) for p in args.model.split(",")]
+    labels = [b.label for b in bundles]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"two model files have the label '{label}'")
     ds_raw = load_csv(args.data, args.has_header)
     base_seed = args.seed if args.seed is not None else bundles[0].split.seed
-    if not any(b.label == "fixed" for b in bundles):
+    if "fixed" not in labels:
         first = bundles[0]
         bundles.append(ModelBundle("fixed", FixedTransform(), first.stats,
                                    first.knn_k, first.split))
     for r in range(args.runs):
         run_seed = base_seed + r
+        splits = {}  # point-model recipe -> scored calibration and test split
         for b in bundles:
-            model, _, cp_train, test = _rebuild(b, ds_raw, run_seed)
-            rows += protocol_rows(
-                ds_name, b.label, run_seed, alphas,
-                lambda: evaluate(b.family, model.predict_batch, cp_train,
-                                 test, alphas))
+            def evaluate_all():
+                key = (json.dumps(b.stats.to_json_dict()), b.knn_k,
+                       b.split.fractions)
+                if key not in splits:
+                    model, _, cp_train, test = _rebuild(b, ds_raw, run_seed)
+                    splits[key] = [scored(d, model.predict_batch(d.x))
+                                   for d in (cp_train, test)]
+                return evaluate(b.family, *splits[key], alphas)
+
+            rows += protocol_rows(ds_name, b.label, run_seed, alphas,
+                                  evaluate_all)
     return rows, [b.label for b in bundles], {b.label: b.knn_k for b in bundles}
 
 
@@ -242,17 +254,18 @@ def cmd_eval(args) -> int:
 
 def cmd_plot(args) -> int:
     bundle = load_model(args.model)
-    model, ds, cp_train, _ = _rebuild(
+    model, ds, _, _ = _rebuild(
         bundle, load_csv(args.data, args.has_header), bundle.split.seed)
-    q_hat = calibrate(calibration_scores(bundle.family, model.predict_batch,
-                                         cp_train), args.alpha)
+    center = model.predict_batch(ds.x)
+    cal = split_indices(ds.n, bundle.split)[1]
+    q_hat = calibrate(calibration_scores(
+        bundle.family, scored(ds.subset(cal), center[cal])), args.alpha)
     axis = read_raw_axis(args.data)
     if axis is None:
         axis = ds.x[:, 0]
     elif axis.shape[0] != ds.n:
         raise ValueError("raw_x comment length mismatches the data rows")
-    band = compute_band(bundle.family, model.predict_batch, ds.x, axis, ds.y,
-                        q_hat)
+    band = compute_band(bundle.family, center, ds.x, axis, ds.y, q_hat)
     svg = render_svg(band, title=f"{bundle.label} alpha={args.alpha:g}")
     write_text_atomic(args.out, svg)
     csv_path = os.fspath(args.out) + ".band.csv"

@@ -1,9 +1,11 @@
 """Split conformal calibration and interval construction on transformed scores.
 
-One array path: ``calibration_scores`` scores on ``fam.calibration_family()``
-(for the log-shift core its pre-image z = log A + s(x), so a saturating outer
-map cannot lose the quantile), ``calibrate`` takes an actual order statistic
-of them (never interpolated), and ``half_widths`` inverts it through the same
+``scored`` pairs a split's attributes with its base scores (f(x) - y)^2,
+and everything below takes those ``(x, A)`` batches. One array path:
+``calibration_scores`` scores on ``fam.calibration_family()`` (for the
+log-shift core its pre-image z = log A + s(x), so a saturating outer map
+cannot lose the quantile), ``calibrate`` takes an actual order statistic of
+them (never interpolated), and ``half_widths`` inverts it through the same
 family at any test attribute.
 """
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .objective import LossBatch
 from .transforms import TransformFamily
 
 
@@ -45,17 +48,10 @@ class EvalReport:
     error: str = ""  # non-empty when this alpha could not be evaluated
 
 
-def base_score(f_x: float, y: float) -> float:
-    """Squared residual (f(x) - y)^2."""
-    if not (math.isfinite(f_x) and math.isfinite(y)):
-        raise ValueError("base score requires finite inputs")
-    return (f_x - y) ** 2
-
-
-def base_scores(predict, ds: Dataset) -> np.ndarray:
-    """Squared residuals (f(x_n) - y_n)^2 over a dataset."""
-    preds = np.asarray(predict(ds.x), dtype=float)
-    return (preds - ds.y) ** 2
+def scored(ds: Dataset, preds) -> LossBatch:
+    """The rows of ds with their base scores (preds_n - y_n)^2, where preds
+    are the point model's predictions at ds.x."""
+    return LossBatch(ds.x, (np.asarray(preds, dtype=float) - ds.y) ** 2)
 
 
 def quantile_index(n: int, alpha: float) -> int:
@@ -80,9 +76,9 @@ def quantile_index(n: int, alpha: float) -> int:
     return max(1, m)
 
 
-def calibration_scores(fam: TransformFamily, predict, ds: Dataset) -> np.ndarray:
+def calibration_scores(fam: TransformFamily, cal: LossBatch) -> np.ndarray:
     """Scores phi_{x_n}(A_n) of a calibration set on its calibration family."""
-    return fam.calibration_family().forward_batch(ds.x, base_scores(predict, ds))
+    return fam.calibration_family().forward_batch(cal.x, cal.a)
 
 
 def calibrate(scores, alpha: float) -> float:
@@ -114,25 +110,23 @@ def interval(fam: TransformFamily, x_test, f_x_test: float,
     return PredictionInterval(center=float(f_x_test), half_width=float(half))
 
 
-def evaluate(fam: TransformFamily, predict, calibration: Dataset,
-             test: Dataset, alphas) -> list[EvalReport]:
+def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
+             alphas) -> list[EvalReport]:
     """Mean interval size and empirical coverage on a test set, per alpha.
 
-    ``predict`` maps an (n, d) attribute matrix to point predictions; both
-    sets are scored once. A ``ValueError`` of one alpha's quantile or
-    inverse becomes that alpha's ``error``, with no size or validity.
+    A ``ValueError`` of one alpha's quantile or inverse becomes that
+    alpha's ``error``, with no size or validity.
     """
-    b_cal = calibration_scores(fam, predict, calibration)
-    a_test = base_scores(predict, test)
+    b_cal = calibration_scores(fam, calibration)
     reports = []
     for alpha in alphas:
         try:
             inv = _inverse(fam, test.x, calibrate(b_cal, alpha))
         except ValueError as exc:
-            reports.append(EvalReport(float(alpha), None, None, calibration.n,
-                                      test.n, str(exc)))
+            reports.append(EvalReport(float(alpha), None, None, calibration.m,
+                                      test.m, str(exc)))
             continue
         reports.append(EvalReport(
             float(alpha), float((2.0 * np.sqrt(inv)).mean()),
-            float((a_test <= inv).mean()), calibration.n, test.n))
+            float((test.a <= inv).mean()), calibration.m, test.m))
     return reports

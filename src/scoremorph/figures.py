@@ -25,12 +25,12 @@ class Band:
     y: np.ndarray
 
 
-def compute_band(fam: TransformFamily, predict, xs, axis_values, y,
+def compute_band(fam: TransformFamily, center, xs, axis_values, y,
                  q_hat: float) -> Band:
-    """Evaluate [f(x) - D(x), f(x) + D(x)] at every point, sorted by axis."""
-    xs = np.asarray(xs, dtype=float)
+    """Evaluate [f(x) - D(x), f(x) + D(x)] at every point, sorted by axis;
+    ``center`` holds the point predictions f(x) at the rows of xs."""
     axis_values = np.asarray(axis_values, dtype=float)
-    center = np.asarray(predict(xs), dtype=float)
+    center = np.asarray(center, dtype=float)
     half = half_widths(fam, xs, q_hat)
     order = np.argsort(axis_values, kind="stable")
     return Band(axis_values[order], center[order], (center - half)[order],

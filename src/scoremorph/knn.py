@@ -20,9 +20,10 @@ DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
 _CHUNK_CELLS = 1 << 21
 
 
-def grid_for(n: int, k_grid=DEFAULT_K_GRID) -> list:
-    """The candidate k values that do not exceed n training rows."""
-    return [k for k in k_grid if k <= n]
+def grid_for(n: int, folds: int, k_grid=DEFAULT_K_GRID) -> list:
+    """The candidate k values that ``fit`` with ``folds`` folds accepts on n
+    rows: none above the smallest CV training part, n - ceil(n / folds)."""
+    return [k for k in k_grid if k <= n - (n + folds - 1) // folds]
 
 
 @dataclass(frozen=True)

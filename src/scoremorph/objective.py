@@ -26,7 +26,7 @@ from .transforms import LogShiftCore, TransformFamily
 
 @dataclass(frozen=True)
 class LossBatch:
-    """Attribute rows with their base scores; needs m >= 2 for pair terms."""
+    """Attribute rows x with their base scores A: the (x, A) pairs."""
 
     x: np.ndarray
     a: np.ndarray
@@ -36,10 +36,8 @@ class LossBatch:
         a = np.asarray(self.a, dtype=float)
         if x.ndim != 2 or a.shape != (x.shape[0],):
             raise ValueError("batch needs (m, d) attributes and (m,) scores")
-        if x.shape[0] < 2:
-            raise ValueError("pairwise loss needs at least 2 samples")
-        if np.any(a < 0):
-            raise ValueError("base scores must be nonnegative")
+        if not np.all(np.isfinite(a) & (a >= 0)):
+            raise ValueError("base scores must be finite and nonnegative")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "a", a)
 
@@ -65,6 +63,13 @@ def _non_finite(bad_pairs) -> ValueError:
     return ValueError(f"non-finite loss at pair indices {bad[:5].tolist()}")
 
 
+def _pair_norm(m: int) -> float:
+    """1 / (m(m-1)): the weight of each ordered pair of m samples."""
+    if m < 2:
+        raise ValueError("pairwise loss needs at least 2 samples")
+    return 1.0 / (m * (m - 1))
+
+
 def _leave_one_out(v):
     """out[k] = sum of v over j != k, from prefix and suffix sums."""
     out = np.zeros_like(v)
@@ -75,12 +80,11 @@ def _leave_one_out(v):
 
 def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
     """Closed-form loss value and d value / d g of the log-shift core, O(m)."""
-    m = g.shape[0]
+    norm = _pair_norm(g.shape[0])
     s = fam.shift(g)
     z = fam.preimage(g, a_eff)
     # centre the exponents so neither factor overflows before the product
     c = 0.5 * (z.max() + s.min())
-    norm = 1.0 / (m * (m - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.exp(0.5 * (z - c))
         w = np.exp(-0.5 * (s - c))
@@ -100,6 +104,7 @@ def _pairwise_loss(fam: TransformFamily, g, a_eff, inverse_mode: str,
                    grad: bool):
     """Loss value and d value / d g from the (m, m) matrix of pair inverses."""
     m = g.shape[0]
+    norm = _pair_norm(m)
     b = np.broadcast_to(fam.phi(g, a_eff), (m, m))
     g_test = g[:, None]
     if inverse_mode == "implicit":
@@ -108,7 +113,6 @@ def _pairwise_loss(fam: TransformFamily, g, a_eff, inverse_mode: str,
         u = fam.phi_inv(g_test, b)
     t = np.sqrt(u)
     off_diag = ~np.eye(m, dtype=bool)
-    norm = 1.0 / (m * (m - 1))
     value = float(t[off_diag].sum() * norm)
     if not np.isfinite(value):
         raise _non_finite(~np.isfinite(t))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import knn
-from .conformal import base_scores, evaluate
+from .conformal import evaluate, scored
 from .data import DEFAULT_FRACTIONS, Dataset, SplitSpec, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
@@ -63,7 +63,7 @@ def _batches(n, batch_size, rng):
             yield idx
 
 
-def _loop(fam, step_fn, config, cp_x, cp_a, val_x, val_a):
+def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
     """Shared epoch loop: minibatch updates, validation, best-epoch snapshot."""
     net = fam.localizer
     trace = TrainTrace()
@@ -72,7 +72,7 @@ def _loop(fam, step_fn, config, cp_x, cp_a, val_x, val_a):
     rng = np.random.default_rng(config.seed)
     state = AdamState.init(net, learning_rate=config.learning_rate)
 
-    best_val = pairwise_size_loss(fam, val_x, val_a)
+    best_val = pairwise_size_loss(fam, val.x, val.a)
     best_snap = net.snapshot()
     trace.epochs.append((0, None, best_val))  # init: no training loss yet
     trace.best_epoch = 0
@@ -80,13 +80,13 @@ def _loop(fam, step_fn, config, cp_x, cp_a, val_x, val_a):
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
         try:
-            for idx in _batches(cp_x.shape[0], config.batch_size, rng):
-                loss = step_fn(LossBatch(cp_x[idx], cp_a[idx]))
+            for idx in _batches(cp.m, config.batch_size, rng):
+                loss = step_fn(LossBatch(cp.x[idx], cp.a[idx]))
                 if not np.isfinite(loss.value):
                     raise ValueError("loss is not finite")
                 adam_step(net, loss.grads, state)
                 epoch_losses.append(loss.value)
-            val_loss = pairwise_size_loss(fam, val_x, val_a)
+            val_loss = pairwise_size_loss(fam, val.x, val.a)
         except ValueError as exc:
             # blown-up parameters surface as NaN losses, NaN gradients,
             # or degenerate (overflowed) transformed scores
@@ -110,26 +110,24 @@ def family_kind(label: str) -> str:
     return "erc" if label == "erc-fit" else label
 
 
-def train_family(config: TrainConfig, cp_train: Dataset, validation: Dataset,
-                 predict):
+def train_family(config: TrainConfig, cp_train: LossBatch,
+                 validation: LossBatch):
     """(family, trace) for the CLI label ``config.family``: "fixed" needs no
     training, "erc-fit" trains erc on the error-fit loss, every other label
     trains on the size loss."""
     kind = family_kind(config.family)
     if kind == "fixed":
         return FixedTransform(), TrainTrace()
-    if cp_train.n < config.batch_size:
+    if cp_train.m < config.batch_size:
         raise ValueError("training set smaller than one batch")
-    net = LocalizerNet.init(cp_train.d, config.seed)
+    net = LocalizerNet.init(cp_train.x.shape[1], config.seed)
     fam = make_family(kind, localizer=net, gamma=config.gamma)
     step = ((lambda b: erc_error_fit_loss(net, b))
             if config.family == "erc-fit" else (lambda b: loss_batch(fam, b)))
-    return _loop(fam, step, config, cp_train.x, base_scores(predict, cp_train),
-                 validation.x, base_scores(predict, validation))
+    return _loop(fam, step, config, cp_train, validation)
 
 
-def train(config: TrainConfig, cp_train: Dataset, validation: Dataset,
-          predict):
+def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
     """Train a transform family by minimizing the pairwise size loss.
 
     Returns the family frozen at the epoch with the best validation loss,
@@ -137,16 +135,16 @@ def train(config: TrainConfig, cp_train: Dataset, validation: Dataset,
     """
     if config.family not in TRAINABLE_KINDS:
         raise ValueError(f"family '{config.family}' is not trainable")
-    return train_family(config, cp_train, validation, predict)
+    return train_family(config, cp_train, validation)
 
 
-def train_erc_error_fit(config: TrainConfig, cp_train: Dataset,
-                        validation: Dataset, predict):
+def train_erc_error_fit(config: TrainConfig, cp_train: LossBatch,
+                        validation: LossBatch):
     """Train the residual-reweighting family by fitting g to the squared
     residuals instead of minimizing interval size; early stopping still
     selects the epoch with the best validation size loss."""
     return train_family(replace(config, family="erc-fit"), cp_train,
-                        validation, predict)
+                        validation)
 
 
 @dataclass(frozen=True)
@@ -220,10 +218,10 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     """Repeat split / point-model fit / family training / evaluation.
 
     Run r uses seed0 + r for the split, the point model's cross-validation,
-    and the family training. linear, exp and sigma minimise the same size
-    loss, so each run trains their localizer once and builds all three on
-    it, or gives all three its divergence. Aggregates report mean and
-    population sd over runs for every (family, alpha) cell.
+    and the family training; its point model scores each split once.
+    linear, exp and sigma share one size loss, so a run trains their
+    localizer once and builds all three on it, or gives all three its
+    error. Aggregates report mean and population sd per cell.
     """
     unknown = [f for f in families if f not in CLI_FAMILIES]
     if unknown:
@@ -237,28 +235,29 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
         run_seed = seed0 + r
         proper, cp_train, validation, test = split(
             dataset, SplitSpec(run_seed, fractions))
-        model = knn.fit(proper, knn.grid_for(proper.n, k_grid), folds=folds,
-                        seed=run_seed)
+        model = knn.fit(proper, knn.grid_for(proper.n, folds, k_grid),
+                        folds=folds, seed=run_seed)
         knn_ks[run_seed] = model.k
-        fitted = {}  # trained label -> family, or the TrainingDiverged
+        cp, val, te = (scored(d, model.predict_batch(d.x))
+                       for d in (cp_train, validation, test))
+        fitted = {}  # trained label -> family, or the error training raised
         for name in families:
             trained = "linear" if name in SHARED_LOCALIZER_KINDS else name
             if trained not in fitted:
                 try:
                     fitted[trained], _ = train_family(
-                        replace(config, family=trained, seed=run_seed),
-                        cp_train, validation, model.predict_batch)
-                except TrainingDiverged as exc:
+                        replace(config, family=trained, seed=run_seed), cp,
+                        val)
+                except (ValueError, TrainingDiverged) as exc:
                     fitted[trained] = exc
 
             def evaluate_all():
                 fam = fitted[trained]
-                if isinstance(fam, TrainingDiverged):
+                if isinstance(fam, Exception):
                     raise fam
                 if name != trained:
                     fam = make_family(name, localizer=fam.localizer)
-                return evaluate(fam, model.predict_batch, cp_train, test,
-                                alphas)
+                return evaluate(fam, cp, te, alphas)
 
             rows += protocol_rows(dataset_name, name, run_seed, alphas,
                                   evaluate_all)

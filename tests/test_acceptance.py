@@ -11,7 +11,7 @@ import numpy as np
 
 from scoremorph import knn
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
-                                  interval, quantile_index)
+                                  interval, quantile_index, scored)
 from scoremorph.data import Dataset, SplitSpec, normalize, split
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
@@ -77,7 +77,8 @@ def test_criterion_2_marginal_validity_monte_carlo():
         for _ in range(reps):
             ds = heteroskedastic(rng, n_cal + 1)
             cal, test = ds.subset(np.arange(n_cal)), ds.subset([n_cal])
-            scores = calibration_scores(fam, predict_plane, cal)
+            scores = calibration_scores(fam,
+                                        scored(cal, predict_plane(cal.x)))
             f_t = float(predict_plane(test.x)[0])
             for a in alphas:
                 q = calibrate(scores, a)
@@ -119,9 +120,9 @@ def test_criterion_3_global_monotone_invariance():
     worst = 0.0
     for _ in range(50):
         ds = heteroskedastic(rng, 90)
-        cal, test = ds.subset(np.arange(60)), ds.subset(np.arange(60, 90))
-        sizes = [evaluate(f, predict_plane, cal, test, [0.1])[0].mean_size
-                 for f in fams]
+        cal, test = (scored(d, predict_plane(d.x)) for d in
+                     (ds.subset(np.arange(60)), ds.subset(np.arange(60, 90))))
+        sizes = [evaluate(f, cal, test, [0.1])[0].mean_size for f in fams]
         worst = max(worst, abs(sizes[0] - sizes[1]), abs(sizes[0] - sizes[2]))
     report(3, worst <= 1e-9,
            f"A vs sqrt(A) vs log(A) interval sizes agree; "
@@ -236,10 +237,11 @@ def test_criterion_6_ranking_equivalence():
     worst = 0.0
     for _ in range(20):
         ds = heteroskedastic(rng, 120)
-        cal, test = ds.subset(np.arange(80)), ds.subset(np.arange(80, 120))
+        cal, test = (scored(d, predict_plane(d.x)) for d in
+                     (ds.subset(np.arange(80)), ds.subset(np.arange(80, 120))))
         for alpha in (0.05, 0.1, 0.32):
-            sizes = [evaluate(f, predict_plane, cal, test,
-                              [alpha])[0].mean_size for f in fams]
+            sizes = [evaluate(f, cal, test, [alpha])[0].mean_size
+                     for f in fams]
             worst = max(worst, abs(sizes[0] - sizes[1]),
                         abs(sizes[0] - sizes[2]))
     report(6, worst <= 1e-9,
@@ -263,12 +265,12 @@ def test_criterion_7_local_adaptivity_efficiency():
             proper, cp, val, test = split(ds, SplitSpec(seed))
             grid = [k for k in knn.DEFAULT_K_GRID if k <= proper.n]
             model = knn.fit(proper, grid, folds=5, seed=seed)
-            fixed = evaluate(FixedTransform(), model.predict_batch, cp, test,
-                             [alpha])[0]
+            cp, val, test = (scored(d, model.predict_batch(d.x))
+                             for d in (cp, val, test))
+            fixed = evaluate(FixedTransform(), cp, test, [alpha])[0]
             for name in wins:
-                fam, _ = train(TrainConfig(name, seed=seed), cp, val,
-                               model.predict_batch)
-                rep = evaluate(fam, model.predict_batch, cp, test, [alpha])[0]
+                fam, _ = train(TrainConfig(name, seed=seed), cp, val)
+                rep = evaluate(fam, cp, test, [alpha])[0]
                 wins[name] += rep.mean_size < fixed.mean_size
                 min_validity = min(min_validity, rep.empirical_validity)
                 ok &= rep.empirical_validity >= threshold
@@ -291,10 +293,12 @@ def test_criterion_8_erc_fit_stability_observation():
         proper, cp, val, test = split(ds, SplitSpec(seed))
         grid = [k for k in knn.DEFAULT_K_GRID if k <= proper.n]
         model = knn.fit(proper, grid, folds=5, seed=seed)
+        cp, val, test = (scored(d, model.predict_batch(d.x))
+                         for d in (cp, val, test))
         fam, trace = train_erc_error_fit(TrainConfig("erc", seed=seed), cp,
-                                         val, model.predict_batch)
+                                         val)
         assert all(np.isfinite(v) for _, _, v in trace.epochs)
-        rep = evaluate(fam, model.predict_batch, cp, test, [alpha])[0]
+        rep = evaluate(fam, cp, test, [alpha])[0]
         sizes.append(rep.mean_size)
     sd = float(np.std(sizes))
     report(8, np.all(np.isfinite(sizes)),

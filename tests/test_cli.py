@@ -116,6 +116,13 @@ def test_train_writes_model_trace_manifest(tmp_path):
     assert (tmp_path / "m_linear.json.manifest.json").exists()
 
 
+def test_train_small_file_fits_its_knn_grid(tmp_path):
+    # 100 rows: k = 34 fits the 40-row proper split but not its smallest
+    # CV training part (32 rows), so the grid must leave it out
+    data, model = train_model(tmp_path, data=synth(tmp_path, n=100))
+    assert json.loads(model.read_text())["knn_k"] <= 32
+
+
 def test_train_fixed_family_no_localizer(tmp_path):
     _, model = train_model(tmp_path, family="fixed")
     doc = json.loads(model.read_text())
@@ -193,9 +200,56 @@ def test_eval_frozen_scores_once_per_run_and_bundle(tmp_path, monkeypatch):
     assert run("eval", "--data", data, "--model", model, "--alphas",
                "0.05,0.1,0.32", "--runs", 3, "--report",
                tmp_path / "r.csv") == 0
-    # 3 runs x 2 bundles (linear + auto fixed): one evaluate each, which
-    # predicts the calibration and the test split once
-    assert calls == {"predict": 2 * 3 * 2, "evaluate": 3 * 2}
+    # 3 runs x 2 bundles (linear + auto fixed): one evaluate each; both
+    # bundles share one point model, which scores the calibration and the
+    # test split once per run
+    assert calls == {"predict": 2 * 3, "evaluate": 3 * 2}
+
+
+def test_eval_protocol_scores_each_split_once_per_run(tmp_path, monkeypatch):
+    calls = {}
+    monkeypatch.setattr(KnnModel, "predict_batch",
+                        counting(calls, "predict", KnnModel.predict_batch))
+    data = synth(tmp_path, n=300)
+    assert run("eval", "--data", data, "--families",
+               "fixed,erc,erc-fit,linear,exp,sigma", "--runs", 2,
+               "--epochs", 2, "--report", tmp_path / "p.csv") == 0
+    # cp-train, validation and test, once per run for all six families
+    assert calls == {"predict": 3 * 2}
+
+
+def test_eval_frozen_unbuildable_point_model_gives_error_rows(tmp_path):
+    # on 60 rows the proper split has 24: k = 34 cannot be rebuilt, and
+    # that must not cost the k = 5 model its rows
+    data, model = train_model(tmp_path, data=synth(tmp_path, n=60))
+    b = load_model(model)
+    k5, k34 = tmp_path / "k5.json", tmp_path / "k34.json"
+    save_model(k5, "fixed", FixedTransform(), b.stats, 5, b.split)
+    save_model(k34, "linear", b.family, b.stats, 34, b.split)
+    rows = {}
+    for models in (f"{k5},{k34}", str(k5)):
+        report = tmp_path / f"r{len(models)}.csv"
+        assert run("eval", "--data", data, "--model", models, "--runs", 2,
+                   "--report", report) == 0
+        rows[models] = read_rows(report)
+    both = rows[f"{k5},{k34}"]
+    assert [r for r in both if r["family"] == "fixed"] == rows[str(k5)]
+    linear = [r for r in both if r["family"] == "linear"]
+    assert len(linear) == 3 * 2
+    assert all(r["error"] == "k=34 outside [1; 24]" and r["mean_size"] == ""
+               for r in linear)
+
+
+def test_eval_frozen_duplicate_labels_fail(tmp_path, capsys):
+    data, model = train_model(tmp_path)
+    b = load_model(model)
+    other = tmp_path / "other.json"
+    save_model(other, "linear", b.family, b.stats, b.knn_k, b.split)
+    report = tmp_path / "dup.csv"
+    assert run("eval", "--data", data, "--model", f"{model},{other}",
+               "--report", report) == 1
+    assert "'linear'" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_eval_runs_zero_fails_in_both_modes(tmp_path, capsys):
@@ -265,6 +319,23 @@ def test_eval_protocol_divergence_becomes_error_rows(tmp_path):
     assert {a["family"] for a in agg} <= {"fixed", "erc"}
 
 
+def test_eval_protocol_untrainable_family_gives_error_rows(tmp_path):
+    # 30 rows: the 12-row cp-train split is smaller than one batch of 16
+    data = synth(tmp_path, n=30)
+    rows = {}
+    for families in ("fixed", "fixed,linear"):
+        report = tmp_path / f"r{len(families)}.csv"
+        assert run("eval", "--data", data, "--families", families,
+                   "--runs", 2, "--report", report) == 0
+        rows[families] = read_rows(report)
+    both = rows["fixed,linear"]
+    assert [r for r in both if r["family"] == "fixed"] == rows["fixed"]
+    linear = [r for r in both if r["family"] == "linear"]
+    assert len(linear) == 3 * 2
+    assert all(r["error"] == "training set smaller than one batch"
+               and r["mean_size"] == "" for r in linear)
+
+
 def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
     # linear, exp and sigma share one trained localizer: its divergence is
     # trained once per run and gives all three the same error rows
@@ -331,6 +402,22 @@ def test_plot_trained_band_adapts_to_cos_noise(tmp_path):
     noisy = width[np.abs(axis) < 0.5].mean()
     quiet = width[(np.abs(axis) >= 0.7) & (np.abs(axis) <= 1.0)].mean()
     assert noisy > quiet
+
+
+def test_plot_predicts_the_data_file_once(tmp_path, monkeypatch):
+    data, model = train_model(tmp_path, family="fixed")
+    queries = []
+    predict = KnnModel.predict_batch
+
+    def spy(self, xs):
+        queries.append(len(xs))
+        return predict(self, xs)
+
+    monkeypatch.setattr(KnnModel, "predict_batch", spy)
+    assert run("plot", "--data", data, "--model", model,
+               "--out", tmp_path / "once.svg") == 0
+    # the calibration rows are sliced from the one prediction of the file
+    assert queries == [load_csv(data).n]
 
 
 def test_plot_dimension_mismatch_fails(tmp_path):

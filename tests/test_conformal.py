@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scoremorph.conformal import (PredictionInterval, base_score, calibrate,
+from scoremorph.conformal import (PredictionInterval, calibrate,
                                   calibration_scores, evaluate, half_widths,
-                                  interval, quantile_index)
+                                  interval, quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
@@ -16,12 +16,18 @@ def zero_predictor(xs):
     return np.zeros(len(xs))
 
 
+def score(predict, *parts):
+    """Each dataset with its base scores under predict."""
+    return [scored(ds, predict(ds.x)) for ds in parts]
+
+
 def test_base_score_examples():
-    assert base_score(2.0, 0.0) == 4.0
-    assert base_score(1.5, 1.5) == 0.0
-    assert base_score(-1.0, 1.0) == 4.0
+    # (f(x), y) = (2, 0), (1.5, 1.5), (-1, 1)
+    batch = scored(Dataset(np.zeros((3, 1)), [0.0, 1.5, 1.0]),
+                   [2.0, 1.5, -1.0])
+    assert batch.a.tolist() == [4.0, 0.0, 4.0]
     with pytest.raises(ValueError):
-        base_score(float("inf"), 0.0)
+        scored(Dataset(np.zeros((1, 1)), [0.0]), [float("inf")])
 
 
 def test_quantile_index_examples():
@@ -84,7 +90,8 @@ def test_interval_worked_example_sizes():
     sizes = {}
     for theta in (1.0, -1.0):
         fam = SqrtShiftFixture(theta)
-        q = calibrate(calibration_scores(fam, zero_predictor, cal), 0.5)
+        (batch,) = score(zero_predictor, cal)
+        q = calibrate(calibration_scores(fam, batch), 0.5)
         c = interval(fam, np.array([0.0]), 0.0, q)
         sizes[theta] = c.size
     assert sizes[1.0] == pytest.approx(2 * (2 + np.sqrt(2)), abs=1e-12)
@@ -143,10 +150,10 @@ def test_global_monotone_invariance():
     rng = np.random.default_rng(7)
     fams = [FixedTransform(), SqrtMap(), LogShiftTransform(offset=0.0)]
     for _ in range(50):
-        cal, test = make_random_split(rng)
+        cal, test = score(predict_mean, *make_random_split(rng))
         sizes = []
         for fam in fams:
-            reports = evaluate(fam, predict_mean, cal, test, [0.1])
+            reports = evaluate(fam, cal, test, [0.1])
             sizes.append(reports[0].mean_size)
         assert abs(sizes[0] - sizes[1]) <= 1e-9 * max(1.0, sizes[0])
         assert abs(sizes[0] - sizes[2]) <= 1e-9 * max(1.0, sizes[0])
@@ -154,9 +161,9 @@ def test_global_monotone_invariance():
 
 def test_log_shift_offset_cancels_in_intervals():
     rng = np.random.default_rng(8)
-    cal, test = make_random_split(rng)
-    a = evaluate(LogShiftTransform(offset=0.0), predict_mean, cal, test, [0.1])
-    b = evaluate(LogShiftTransform(offset=2.5), predict_mean, cal, test, [0.1])
+    cal, test = score(predict_mean, *make_random_split(rng))
+    a = evaluate(LogShiftTransform(offset=0.0), cal, test, [0.1])
+    b = evaluate(LogShiftTransform(offset=2.5), cal, test, [0.1])
     assert a[0].mean_size == pytest.approx(b[0].mean_size, rel=1e-9)
 
 
@@ -166,8 +173,9 @@ def test_evaluate_degenerate_exact_predictions():
     y = predict_mean(x)
     ds = Dataset(x, y + rng.normal(size=40))  # calibration has residuals
     test = Dataset(x, y)  # test labels equal predictions exactly
+    cal, test = score(predict_mean, ds, test)
     for alpha in (0.05, 0.2, 0.5):
-        rep = evaluate(FixedTransform(), predict_mean, ds, test, [alpha])[0]
+        rep = evaluate(FixedTransform(), cal, test, [alpha])[0]
         assert rep.empirical_validity == 1.0
 
 
@@ -175,9 +183,9 @@ def test_evaluate_fixed_vs_zero_localizer_linear():
     net = LocalizerNet.init(3, seed=0, hidden=(6, 5))
     net.weights = [np.zeros_like(w) for w in net.weights]
     rng = np.random.default_rng(10)
-    cal, test = make_random_split(rng)
-    fixed = evaluate(FixedTransform(), predict_mean, cal, test, [0.1, 0.32])
-    lin = evaluate(LinearTransform(net), predict_mean, cal, test, [0.1, 0.32])
+    cal, test = score(predict_mean, *make_random_split(rng))
+    fixed = evaluate(FixedTransform(), cal, test, [0.1, 0.32])
+    lin = evaluate(LinearTransform(net), cal, test, [0.1, 0.32])
     for a, b in zip(fixed, lin):
         assert a.mean_size == pytest.approx(b.mean_size, rel=1e-9)
         assert a.empirical_validity == b.empirical_validity
@@ -187,13 +195,12 @@ def test_evaluate_invalid_alpha_is_an_error_report_for_that_alpha_only():
     # one scoring for all alphas: an alpha outside [1/(N+1), 1] gives an
     # error report and leaves the other alphas as single-alpha calls
     rng = np.random.default_rng(13)
-    cal, test = make_random_split(rng)
+    cal, test = score(predict_mean, *make_random_split(rng))
     net = LocalizerNet.init(3, seed=2, hidden=(6, 5))
     alphas = [0.1, 1e-6, 0.32, 1.5]
     for fam in (FixedTransform(), LinearTransform(net)):
-        reports = evaluate(fam, predict_mean, cal, test, alphas)
-        singles = [evaluate(fam, predict_mean, cal, test, [a])[0]
-                   for a in alphas]
+        reports = evaluate(fam, cal, test, alphas)
+        singles = [evaluate(fam, cal, test, [a])[0] for a in alphas]
         assert reports == singles
         assert [r.alpha for r in reports] == alphas
         for r, text in ((reports[1], "order statistic"),
@@ -206,8 +213,8 @@ def test_evaluate_invalid_alpha_is_an_error_report_for_that_alpha_only():
 def test_ranking_equivalent_families_identical_intervals():
     net = LocalizerNet.init(3, seed=3, hidden=(10, 8))
     rng = np.random.default_rng(11)
-    cal, test = make_random_split(rng)
-    reports = [evaluate(fam, predict_mean, cal, test, [0.1])[0]
+    cal, test = score(predict_mean, *make_random_split(rng))
+    reports = [evaluate(fam, cal, test, [0.1])[0]
                for fam in (LinearTransform(net), ExpTransform(net),
                            SigmaTransform(net))]
     for rep in reports[1:]:
@@ -221,7 +228,8 @@ def mc_coverage(fam_builder, alpha, n_cal=99, reps=400, seed=0):
     hits = 0
     for _ in range(reps):
         cal, test = make_random_split(rng, n_cal=n_cal, n_test=1)
-        q = calibrate(calibration_scores(fam, predict_mean, cal), alpha)
+        (batch,) = score(predict_mean, cal)
+        q = calibrate(calibration_scores(fam, batch), alpha)
         c = interval(fam, test.x[0], predict_mean(test.x)[0], q)
         hits += c.contains(float(test.y[0]))
     return hits / reps
@@ -261,11 +269,11 @@ def saturating_split():
 def test_sigma_saturation_calibrates_like_linear():
     # calibrating on the pre-image log A + g keeps sigma on the linear
     # intervals instead of a CodomainError
-    cal, test = saturating_split()
+    cal, test = score(zero_predictor, *saturating_split())
     net = LocalizerNet.init(2, seed=1)
     alphas = [0.05, 0.1, 0.32]
-    linear = evaluate(LinearTransform(net), zero_predictor, cal, test, alphas)
-    sigma = evaluate(SigmaTransform(net), zero_predictor, cal, test, alphas)
+    linear = evaluate(LinearTransform(net), cal, test, alphas)
+    sigma = evaluate(SigmaTransform(net), cal, test, alphas)
     assert [r.mean_size for r in sigma] == [r.mean_size for r in linear]
     assert [r.empirical_validity for r in sigma] == [
         r.empirical_validity for r in linear]
@@ -278,10 +286,11 @@ def test_sigma_saturation_single_interval_like_linear():
     cal, test = saturating_split()
     net = LocalizerNet.init(2, seed=1)
     assert (SigmaTransform(net).forward_batch(cal.x, cal.y ** 2) == 1.0).any()
+    (batch,) = score(zero_predictor, cal)
     for alpha in (0.05, 0.1, 0.32):
         got = {}
         for fam in (LinearTransform(net), SigmaTransform(net)):
-            q = calibrate(calibration_scores(fam, zero_predictor, cal), alpha)
+            q = calibrate(calibration_scores(fam, batch), alpha)
             got[fam.kind] = interval(fam, test.x[0], 0.0, q)
         assert got["sigma"] == got["linear"]
 
@@ -290,7 +299,7 @@ def test_half_widths_match_single_intervals():
     rng = np.random.default_rng(12)
     cal, test = make_random_split(rng)
     fam = ErcTransform(LocalizerNet.init(3, seed=4, hidden=(10, 8)))
-    q = calibrate(calibration_scores(fam, predict_mean, cal), 0.1)
+    q = calibrate(calibration_scores(fam, *score(predict_mean, cal)), 0.1)
     half = half_widths(fam, test.x, q)
     assert half.shape == (test.n,)
     # one row or many through the localizer: equal up to BLAS rounding

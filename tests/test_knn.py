@@ -192,3 +192,14 @@ def test_scan_matches_stable_argsort_oracle(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(knn, "_CHUNK_CELLS", rows_per_chunk * n * d)
         assert np.array_equal(knn._nearest(x, q, k), oracle)
+
+
+def test_grid_for_fits_every_size():
+    # no k above the smallest CV training part, n - ceil(n / folds): before
+    # that bound, 40 or 52 proper rows kept k = 34 and fit refused it
+    rng = np.random.default_rng(0)
+    for n in range(5, 401):
+        ds = make_ds(rng.normal(size=(n, 2)), rng.normal(size=n))
+        grid = knn.grid_for(n, 5)
+        assert max(grid) <= n - int(np.ceil(n / 5))
+        assert knn.fit(ds, grid, folds=5).k in grid

@@ -135,8 +135,14 @@ def test_constant_localizer_matches_fixed_loss():
 
 
 def test_loss_batch_validation():
-    with pytest.raises(ValueError):
-        LossBatch(np.zeros((1, 2)), np.zeros(1))
+    # one row is a valid (x, A) batch, but no pair loss: the matrix path
+    # (fixed) and the closed form (erc) both refuse it
+    one = LossBatch(np.zeros((1, 2)), np.zeros(1))
+    for fam in (FixedTransform(), ErcTransform(small_net(0, d=2))):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            loss_batch(fam, one)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            pairwise_size_loss(fam, one.x, one.a)
     with pytest.raises(ValueError):
         LossBatch(np.zeros((3, 2)), np.array([1.0, -1.0, 2.0]))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scoremorph.conformal import (calibrate, calibration_scores, half_widths,
-                                  quantile_index)
+                                  quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (TRAINABLE_KINDS, FixedTransform,
@@ -173,8 +173,8 @@ def half_widths_at(fam, problem):
     """Full path on labels sqrt(A) under a zero predictor: scores, quantile,
     half widths at the test attributes."""
     cal_x, a, test_x, alpha = problem
-    scores = calibration_scores(fam, lambda x: np.zeros(len(x)),
-                                Dataset(cal_x, np.sqrt(a)))
+    scores = calibration_scores(fam, scored(Dataset(cal_x, np.sqrt(a)),
+                                            np.zeros(len(a))))
     return half_widths(fam, test_x, calibrate(scores, alpha))
 
 

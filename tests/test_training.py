@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scoremorph import knn
-from scoremorph.conformal import evaluate
+from scoremorph.conformal import evaluate, scored
 from scoremorph.data import Dataset, SplitSpec, split
 from scoremorph.objective import pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
@@ -22,6 +22,11 @@ def fitted_knn(proper, seed=0):
     return knn.fit(proper, k_grid=(3, 8, 21), folds=4, seed=seed)
 
 
+def score(predict, *parts):
+    """Each dataset with its base scores under predict."""
+    return [scored(ds, predict(ds.x)) for ds in parts]
+
+
 def quick_config(family, seed=0, epochs=25, patience=8):
     return TrainConfig(family=family, seed=seed, epochs=epochs,
                        patience=patience)
@@ -30,8 +35,8 @@ def quick_config(family, seed=0, epochs=25, patience=8):
 def test_zero_epochs_returns_init_and_empty_trace():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    fam, trace = train(quick_config("linear", epochs=0), cp, val,
-                       model.predict_batch)
+    fam, trace = train(quick_config("linear", epochs=0),
+                       *score(model.predict_batch, cp, val))
     init_like = fam.localizer
     assert trace.epochs == []
     fresh = type(init_like).init(cp.d, seed=0)
@@ -43,16 +48,14 @@ def test_train_rejects_fixed_family():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
     with pytest.raises(ValueError, match="not trainable"):
-        train(quick_config("fixed"), cp, val, model.predict_batch)
+        train(quick_config("fixed"), *score(model.predict_batch, cp, val))
 
 
 def test_train_deterministic_in_seed():
     proper, cp, val, _ = synth_splits()
-    model = fitted_knn(proper)
-    fam1, tr1 = train(quick_config("exp", seed=5, epochs=6), cp, val,
-                      model.predict_batch)
-    fam2, tr2 = train(quick_config("exp", seed=5, epochs=6), cp, val,
-                      model.predict_batch)
+    cp, val = score(fitted_knn(proper).predict_batch, cp, val)
+    fam1, tr1 = train(quick_config("exp", seed=5, epochs=6), cp, val)
+    fam2, tr2 = train(quick_config("exp", seed=5, epochs=6), cp, val)
     for w1, w2 in zip(fam1.localizer.weights, fam2.localizer.weights):
         assert np.array_equal(w1, w2)
     assert tr1.epochs == tr2.epochs
@@ -60,12 +63,10 @@ def test_train_deterministic_in_seed():
 
 def test_early_stopping_dominance_and_best_epoch():
     proper, cp, val, _ = synth_splits()
-    model = fitted_knn(proper)
-    fam, trace = train(quick_config("linear", epochs=15), cp, val,
-                       model.predict_batch)
+    cp, val = score(fitted_knn(proper).predict_batch, cp, val)
+    fam, trace = train(quick_config("linear", epochs=15), cp, val)
     val_losses = [v for _, _, v in trace.epochs]
-    returned = pairwise_size_loss(fam, val.x,
-                                  (model.predict_batch(val.x) - val.y) ** 2)
+    returned = pairwise_size_loss(fam, val.x, val.a)
     assert returned == pytest.approx(min(val_losses), rel=1e-9)
     assert returned <= val_losses[0] + 1e-12  # never worse than the init
     recorded = dict((e, v) for e, _, v in trace.epochs)
@@ -75,8 +76,8 @@ def test_early_stopping_dominance_and_best_epoch():
 def test_trained_family_keeps_monotonicity_and_roundtrip():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    fam, _ = train(quick_config("sigma", epochs=8), cp, val,
-                   model.predict_batch)
+    fam, _ = train(quick_config("sigma", epochs=8),
+                   *score(model.predict_batch, cp, val))
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=3)
@@ -91,13 +92,11 @@ def test_heteroskedastic_training_beats_fixed_majority_of_seeds():
     wins = 0
     for seed in range(5):
         proper, cp, val, _ = synth_splits("linear", n=500, seed=seed)
-        model = fitted_knn(proper, seed)
-        val_a = (model.predict_batch(val.x) - val.y) ** 2
-        fixed_loss = pairwise_size_loss(FixedTransform(), val.x, val_a)
+        cp, val = score(fitted_knn(proper, seed).predict_batch, cp, val)
+        fixed_loss = pairwise_size_loss(FixedTransform(), val.x, val.a)
         fam, _ = train(quick_config("linear", seed=seed, epochs=40,
-                                    patience=12), cp, val,
-                       model.predict_batch)
-        trained_loss = pairwise_size_loss(fam, val.x, val_a)
+                                    patience=12), cp, val)
+        trained_loss = pairwise_size_loss(fam, val.x, val.a)
         wins += trained_loss < fixed_loss
     assert wins >= 3
 
@@ -116,11 +115,10 @@ def test_homoskedastic_training_cannot_beat_fixed():
         x = rng.normal(size=(1000, 3))
         y = exact_predict(x) + 0.3 * rng.normal(size=1000)
         proper, cp, val, _ = split(Dataset(x, y), SplitSpec(seed))
-        val_a = (exact_predict(val.x) - val.y) ** 2
-        fixed_loss = pairwise_size_loss(FixedTransform(), val.x, val_a)
-        fam, _ = train(quick_config("linear", seed=seed, epochs=20), cp, val,
-                       exact_predict)
-        trained_loss = pairwise_size_loss(fam, val.x, val_a)
+        cp, val = score(exact_predict, cp, val)
+        fixed_loss = pairwise_size_loss(FixedTransform(), val.x, val.a)
+        fam, _ = train(quick_config("linear", seed=seed, epochs=20), cp, val)
+        trained_loss = pairwise_size_loss(fam, val.x, val.a)
         assert trained_loss >= fixed_loss - 2e-3, seed
         diffs.append(trained_loss - fixed_loss)
     assert np.mean(diffs) >= -1e-3
@@ -131,12 +129,11 @@ def test_erc_fit_constant_residuals_close_to_fixed():
     x = rng.normal(size=(500, 3))
     y = x[:, 0] + 0.5 * rng.normal(size=500)
     proper, cp, val, test = split(Dataset(x, y), SplitSpec(4))
-    model = fitted_knn(proper, 4)
+    cp, val, test = score(fitted_knn(proper, 4).predict_batch, cp, val, test)
     fam, trace = train_erc_error_fit(quick_config("erc", seed=4, epochs=20),
-                                     cp, val, model.predict_batch)
-    erc_rep = evaluate(fam, model.predict_batch, cp, test, [0.1])[0]
-    fix_rep = evaluate(FixedTransform(), model.predict_batch, cp, test,
-                       [0.1])[0]
+                                     cp, val)
+    erc_rep = evaluate(fam, cp, test, [0.1])[0]
+    fix_rep = evaluate(FixedTransform(), cp, test, [0.1])[0]
     assert erc_rep.mean_size == pytest.approx(fix_rep.mean_size, rel=0.05)
     # early stopping: returned validation loss is the best recorded one
     vals = [v for _, _, v in trace.epochs]
@@ -148,11 +145,11 @@ def test_erc_fit_constant_residuals_close_to_fixed():
 
 def test_erc_fit_deterministic():
     proper, cp, val, _ = synth_splits("cos", n=300, seed=7)
-    model = fitted_knn(proper, 7)
+    cp, val = score(fitted_knn(proper, 7).predict_batch, cp, val)
     fam1, _ = train_erc_error_fit(quick_config("erc", seed=7, epochs=5), cp,
-                                  val, model.predict_batch)
+                                  val)
     fam2, _ = train_erc_error_fit(quick_config("erc", seed=7, epochs=5), cp,
-                                  val, model.predict_batch)
+                                  val)
     for w1, w2 in zip(fam1.localizer.weights, fam2.localizer.weights):
         assert np.array_equal(w1, w2)
 
@@ -195,7 +192,7 @@ def test_divergence_aborts_with_trace():
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged) as exc:
             train(TrainConfig("exp", seed=0, epochs=50, learning_rate=1e9),
-                  cp, val, lambda xs: np.asarray(xs)[:, 0])
+                  *score(lambda xs: np.asarray(xs)[:, 0], cp, val))
     assert exc.value.trace.epochs  # the trace rides along for diagnosis
 
 
