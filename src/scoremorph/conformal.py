@@ -43,8 +43,6 @@ class EvalReport:
     alpha: float
     mean_size: float | None
     empirical_validity: float | None
-    n_calibration: int
-    n_test: int
     error: str = ""  # non-empty when this alpha could not be evaluated
 
 
@@ -123,10 +121,9 @@ def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
         try:
             inv = _inverse(fam, test.x, calibrate(b_cal, alpha))
         except ValueError as exc:
-            reports.append(EvalReport(float(alpha), None, None, calibration.m,
-                                      test.m, str(exc)))
+            reports.append(EvalReport(float(alpha), None, None, str(exc)))
             continue
         reports.append(EvalReport(
             float(alpha), float((2.0 * np.sqrt(inv)).mean()),
-            float((test.a <= inv).mean()), calibration.m, test.m))
+            float((test.a <= inv).mean())))
     return reports

@@ -1,15 +1,17 @@
 """Fully connected ReLU localization network with manual backprop and Adam.
 
 The network maps an attribute vector to a scalar. Forward passes record a
-tape of activations; backward replays it in reverse. The tape is tied to a
-parameter version counter so gradients cannot be computed against a net
-that has since been updated. Adam keeps its moments in flat vectors and
-updates every parameter in one pass; weights and biases stay per-layer
-arrays.
+tape of activations (``values`` records none); backward replays it in
+reverse. The tape is tied to a parameter version counter so gradients
+cannot be computed against a net that has since been updated. Adam keeps
+its moments in flat vectors and updates every parameter in one pass;
+backward can write the gradients straight into Adam's flat gradient
+vector. Weights and biases stay per-layer arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,49 +72,79 @@ class LocalizerNet:
     def d(self) -> int:
         return self.weights[0].shape[1]
 
+    @property
+    def n_params(self) -> int:
+        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+
     # ---- forward / backward ----
 
     def forward_batch(self, xs):
         """Return (g values (m,), tape)."""
+        return self._forward(xs, record=True)
+
+    def _forward(self, xs, record: bool):
+        """(g at the rows of xs, tape). Without ``record`` there is no tape
+        (None) and each hidden layer is computed in place of the last."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.d:
             raise ValueError(f"batch shape {xs.shape} mismatches d={self.d}")
         a = xs
         pre_acts, acts = [], []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w.T + b
-            a = np.maximum(z, 0.0)
-            pre_acts.append(z)
-            acts.append(a)
+            z = a @ w.T
+            z += b
+            if record:
+                a = np.maximum(z, 0.0)
+                pre_acts.append(z)
+                acts.append(a)
+            else:
+                a = np.maximum(z, 0.0, out=z)
         g = a @ self.weights[-1].T + self.biases[-1]
-        return g[:, 0], Tape(xs, pre_acts, acts, self.version)
+        tape = Tape(xs, pre_acts, acts, self.version) if record else None
+        return g[:, 0], tape
 
     def forward(self, x):
         """Return (scalar g, tape) for a single attribute vector."""
         g, tape = self.forward_batch(np.asarray(x, dtype=float)[None, :])
         return float(g[0]), tape
 
-    def backward_batch(self, tape: Tape, upstream):
-        """Gradients of sum_i upstream[i] * g(x_i) w.r.t. every parameter."""
+    def backward_batch(self, tape: Tape, upstream, out=None):
+        """Gradients of sum_i upstream[i] * g(x_i) w.r.t. every parameter.
+
+        Returns per-layer ``(dW, db)`` views of one flat float64 vector laid
+        out in (w0, b0, w1, b1, ...) order. That vector is ``out`` when given
+        (the caller owns it; its old contents are overwritten) and a fresh
+        one otherwise.
+        """
         if tape.version != self.version:
             raise StaleTapeError("tape predates the current parameters")
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (tape.x.shape[0],):
             raise ValueError("upstream must hold one value per batch row")
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = upstream[:, None]
-        a_prev = tape.acts[-1] if tape.acts else tape.x
-        grads_w[-1] = delta.T @ a_prev
-        grads_b[-1] = delta.sum(axis=0)
-        da = delta @ self.weights[-1]
-        for l in range(len(self.weights) - 2, -1, -1):
-            dz = da * (tape.pre_acts[l] > 0)  # ReLU subgradient at 0 is 0
-            a_prev = tape.acts[l - 1] if l > 0 else tape.x
-            grads_w[l] = dz.T @ a_prev
-            grads_b[l] = dz.sum(axis=0)
-            da = dz @ self.weights[l]
-        return list(zip(grads_w, grads_b))
+        n = self.n_params
+        if out is None:
+            out = np.empty(n)
+        elif (out.shape != (n,) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(
+                f"gradient buffer must be a contiguous ({n},) float64 vector")
+        weights, pre_acts, acts = self.weights, tape.pre_acts, tape.acts
+        grads = [None] * len(weights)
+        end = n  # walk the (w0, b0, w1, b1, ...) layout from its end
+        dz = upstream[:, None]
+        for l in range(len(weights) - 1, -1, -1):
+            w = weights[l]
+            if l < len(weights) - 1:
+                dz *= pre_acts[l] > 0  # ReLU subgradient at 0 is 0
+            mid = end - w.shape[0]
+            gw, gb = out[mid - w.size:mid].reshape(w.shape), out[mid:end]
+            end = mid - w.size
+            np.matmul(dz.T, acts[l - 1] if l > 0 else tape.x, out=gw)
+            np.add.reduce(dz, axis=0, out=gb)
+            if l > 0:
+                dz = dz @ w
+            grads[l] = (gw, gb)
+        return grads
 
     def backward(self, tape: Tape, upstream: float):
         return self.backward_batch(tape, np.array([upstream], dtype=float))
@@ -121,7 +153,8 @@ class LocalizerNet:
         return self.forward(x)[0]
 
     def values(self, xs) -> np.ndarray:
-        return self.forward_batch(xs)[0]
+        """g at the rows of xs, recording no tape."""
+        return self._forward(xs, record=False)[0]
 
     # ---- parameter management ----
 
@@ -156,9 +189,12 @@ class AdamState:
 
     The moments of every parameter live in one float64 vector each,
     ``m_flat`` and ``v_flat``, in (w0, b0, w1, b1, ...) order; ``m`` and
-    ``v`` are lists of per-layer ``(w, b)`` views into them. The state also
-    owns the scratch vectors ``adam_step`` writes through, so a step
-    allocates no array the size of the parameters.
+    ``v`` are lists of per-layer ``(w, b)`` views into them. ``grad`` is a
+    vector of the same layout for ``backward_batch(..., out=state.grad)``
+    to write the gradients into; ``adam_step`` overwrites it with the
+    update once it has used them. The state also owns the other scratch
+    vectors ``adam_step`` writes through, so a step allocates no array the
+    size of the parameters.
     """
 
     def __init__(self, shapes, learning_rate: float = 1e-3,
@@ -170,17 +206,17 @@ class AdamState:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        size = sum(int(np.prod(s)) for s in self.shapes)
+        self.flush_every = _flush_period(beta1, learning_rate)
+        size = sum(math.prod(s) for s in self.shapes)
         self.m_flat = np.zeros(size)
         self.v_flat = np.zeros(size)
-        self._grad = np.empty(size)
-        self._upd = np.empty(size)
+        self.grad = np.empty(size)
         self._tmp = np.empty(size)
         self._mask = np.empty(size, dtype=bool)
         self.m = _layer_views(self.m_flat, self.shapes)
         self.v = _layer_views(self.v_flat, self.shapes)
-        self._upd_views = [a for pair in _layer_views(self._upd, self.shapes)
-                           for a in pair]
+        self._grad_views = [a for pair in _layer_views(self.grad, self.shapes)
+                            for a in pair]
 
     @classmethod
     def init(cls, net: LocalizerNet, learning_rate: float = 1e-3,
@@ -196,7 +232,7 @@ def _layer_views(flat, shapes):
     """[(w, b), ...] reshaped views of ``flat`` laid out in ``shapes`` order."""
     views, start = [], 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views.append(flat[start:start + size].reshape(shape))
         start += size
     return list(zip(views[0::2], views[1::2]))
@@ -206,25 +242,44 @@ def _layer_views(flat, shapes):
 _M_FLUSH = 1e-300
 
 
+def _flush_period(beta1: float, learning_rate: float) -> int:
+    """Most steps K with lr * beta1^K * 1e-300 at or above the smallest
+    normal float, so that between two flushes neither a first moment nor
+    its scaled update ``lr * m`` turns subnormal: 101 for beta1 = 0.9 and
+    lr = 1e-3, and 1 (every step) for beta1 = 0."""
+    tiny = np.finfo(float).tiny
+    scale = _M_FLUSH * min(learning_rate, 1.0)
+    if not (0.0 < beta1 < 1.0 and scale > tiny):
+        return 1
+    return max(1, int(math.log(tiny / scale) / math.log(beta1)))
+
+
 def adam_step(net: LocalizerNet, grads, state: AdamState):
     """Bias-corrected Adam update, applied in place. Returns (net, state).
 
-    All gradients are checked (layer count, shapes, NaN) before anything is
+    Gradients that are views of ``state.grad`` must be the ones
+    ``backward_batch(..., out=state.grad)`` returns, and are used where they
+    lie; any others are copied into ``state.grad`` first. All gradients are
+    checked (layer count, shapes, NaN and infinity) before anything else is
     written, so a rejected call leaves the weights and the state unchanged.
     The update then runs once over the flat moment vectors with the
-    elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``,
-    ``v = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
-    eps)``, so every entry is bit-identical to updating layer by layer.
+    elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``, ``v
+    = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
+    eps)``, so every entry is bit-identical to updating layer by layer. Once
+    ``c1`` rounds to 1.0 (from about step 350 for the default ``b1``) the
+    division by it is skipped: ``m / 1.0 == m``.
 
-    After the ``m`` update, every ``|m| < 1e-300`` is set to zero. Without
-    that, a unit whose gradient stays exactly zero (a dead ReLU) decays its
-    first moment by ``b1`` each step into the subnormal range, where the
-    arithmetic is many times slower. The flushed entry's update would have
-    been below ``lr * 1e-300 / (c1 * eps)``, about 1e-295 for the default
-    rate; that is under half an ulp of any weight farther than about
-    1e-279 from zero, so subtracting it would not have changed the weight.
-    A later nonzero gradient ``g`` dominates the dropped remainder the same
-    way, so the weights stay bit-identical to the unflushed update.
+    Every ``state.flush_every`` steps, each ``|m| < 1e-300`` is set to zero
+    after the ``m`` update. Without that, a unit whose gradient stays
+    exactly zero (a dead ReLU) decays its first moment by ``b1`` each step
+    into the subnormal range, where the arithmetic is many times slower;
+    between two flushes an entry at 1e-300, and its ``lr * m``, cannot decay
+    below the smallest normal float. The flushed entry's update would have been below ``lr *
+    1e-300 / (c1 * eps)``, about 1e-295 for the default rate; that is under
+    half an ulp of any weight farther than about 1e-279 from zero, so
+    subtracting it would not have changed the weight. A later nonzero
+    gradient ``g`` dominates the dropped remainder the same way, so the
+    weights stay bit-identical to the unflushed update.
     """
     if len(grads) != len(net.weights):
         raise ValueError("gradient layer count mismatches the network")
@@ -236,32 +291,42 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
         if np.shape(g) != p.shape:
             raise ValueError(
                 f"gradient shape {np.shape(g)} mismatches parameter {p.shape}")
-    g = state._grad
-    np.concatenate([np.ravel(a) for a in flat_grads], out=g)
-    if np.isnan(g, out=state._mask).any():
-        raise ValueError("NaN gradient; aborting the update")
+    g = state.grad
+    # views of state.grad are what backward_batch(..., out=state.grad) wrote
+    if not all(isinstance(a, np.ndarray) and a.base is g for a in flat_grads):
+        np.concatenate([np.ravel(a) for a in flat_grads], out=g)
+    # a NaN or infinite entry makes g.g NaN or infinite; a finite g.g can
+    # still overflow, so only then is every entry checked
+    if (not np.isfinite(np.dot(g, g))
+            and not np.isfinite(g, out=state._mask).all()):
+        raise ValueError("NaN or infinite gradient; aborting the update")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    m, v, upd, tmp = state.m_flat, state.v_flat, state._upd, state._tmp
+    m, v, tmp = state.m_flat, state.v_flat, state._tmp
     m *= b1
     np.multiply(g, 1.0 - b1, out=tmp)
     m += tmp
-    np.less(np.abs(m, out=tmp), _M_FLUSH, out=state._mask)
-    np.copyto(m, 0.0, where=state._mask)
+    if t % state.flush_every == 0:
+        np.less(np.abs(m, out=tmp), _M_FLUSH, out=state._mask)
+        np.copyto(m, 0.0, where=state._mask)
     v *= b2
     np.multiply(g, 1.0 - b2, out=tmp)
     tmp *= g
     v += tmp
-    np.divide(m, c1, out=upd)
-    upd *= state.learning_rate
+    upd = g  # g is used up; the update overwrites it
+    if c1 == 1.0:
+        np.multiply(m, state.learning_rate, out=upd)
+    else:
+        np.divide(m, c1, out=upd)
+        upd *= state.learning_rate
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
     upd /= tmp
-    for target, u in zip(params, state._upd_views):
+    for target, u in zip(params, state._grad_views):
         target -= u
     net.version += 1
     return net, state

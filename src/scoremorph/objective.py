@@ -45,6 +45,13 @@ class LossBatch:
     def m(self) -> int:
         return self.x.shape[0]
 
+    def rows(self, idx) -> "LossBatch":
+        """The rows idx of this batch, which need no second check."""
+        sub = object.__new__(LossBatch)
+        object.__setattr__(sub, "x", self.x[idx])
+        object.__setattr__(sub, "a", self.a[idx])
+        return sub
+
 
 @dataclass(frozen=True)
 class LossValue:
@@ -126,12 +133,13 @@ def _pairwise_loss(fam: TransformFamily, g, a_eff, inverse_mode: str,
 
 
 def loss_batch(fam: TransformFamily, batch: LossBatch,
-               inverse_mode: str = "analytic") -> LossValue:
+               inverse_mode: str = "analytic", out=None) -> LossValue:
     """Pairwise mean interval-size loss with parameter gradients.
 
     The log-shift core uses its O(m) closed form. ``inverse_mode='implicit'``
     instead inverts every pair by bisection and differentiates through the
-    implicit relations; both agree to rounding.
+    implicit relations; both agree to rounding. ``out`` is passed on to
+    ``LocalizerNet.backward_batch`` as the flat gradient buffer.
     """
     if inverse_mode not in ("analytic", "implicit"):
         raise ValueError(f"unknown inverse mode '{inverse_mode}'")
@@ -148,7 +156,7 @@ def loss_batch(fam: TransformFamily, batch: LossBatch,
         value, d_g = _pairwise_loss(fam, g, a_eff, inverse_mode, fam.trainable)
     if not fam.trainable:
         return LossValue(value, [])
-    return LossValue(value, fam.localizer.backward_batch(tape, d_g))
+    return LossValue(value, fam.localizer.backward_batch(tape, d_g, out))
 
 
 def pairwise_size_loss(fam: TransformFamily, xs, a) -> float:
@@ -160,10 +168,12 @@ def pairwise_size_loss(fam: TransformFamily, xs, a) -> float:
     return _pairwise_loss(fam, g, a_eff, "analytic", grad=False)[0]
 
 
-def erc_error_fit_loss(net: LocalizerNet, batch: LossBatch) -> LossValue:
-    """Residual-fitting loss mean((g(x) - A)^2) with its gradient."""
+def erc_error_fit_loss(net: LocalizerNet, batch: LossBatch,
+                       out=None) -> LossValue:
+    """Residual-fitting loss mean((g(x) - A)^2) with its gradient; ``out``
+    as in ``loss_batch``."""
     g, tape = net.forward_batch(batch.x)
     resid = g - batch.a
     value = float((resid ** 2).mean())
-    grads = net.backward_batch(tape, 2.0 * resid / batch.m)
+    grads = net.backward_batch(tape, 2.0 * resid / batch.m, out)
     return LossValue(value, grads)

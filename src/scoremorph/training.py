@@ -64,7 +64,11 @@ def _batches(n, batch_size, rng):
 
 
 def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
-    """Shared epoch loop: minibatch updates, validation, best-epoch snapshot."""
+    """Shared epoch loop: minibatch updates, validation, best-epoch snapshot.
+
+    ``step_fn(batch, out)`` returns the batch's ``LossValue`` with its
+    gradients written into ``out``, the Adam state's gradient vector.
+    """
     net = fam.localizer
     trace = TrainTrace()
     if config.epochs == 0:
@@ -81,7 +85,7 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
         epoch_losses = []
         try:
             for idx in _batches(cp.m, config.batch_size, rng):
-                loss = step_fn(LossBatch(cp.x[idx], cp.a[idx]))
+                loss = step_fn(cp.rows(idx), state.grad)
                 if not np.isfinite(loss.value):
                     raise ValueError("loss is not finite")
                 adam_step(net, loss.grads, state)
@@ -122,8 +126,9 @@ def train_family(config: TrainConfig, cp_train: LossBatch,
         raise ValueError("training set smaller than one batch")
     net = LocalizerNet.init(cp_train.x.shape[1], config.seed)
     fam = make_family(kind, localizer=net, gamma=config.gamma)
-    step = ((lambda b: erc_error_fit_loss(net, b))
-            if config.family == "erc-fit" else (lambda b: loss_batch(fam, b)))
+    step = ((lambda b, out: erc_error_fit_loss(net, b, out=out))
+            if config.family == "erc-fit"
+            else (lambda b, out: loss_batch(fam, b, out=out)))
     return _loop(fam, step, config, cp_train, validation)
 
 

@@ -195,6 +195,35 @@ def test_batch_backward_matches_sum_of_singles():
         assert np.allclose(bb, ab, atol=1e-12)
 
 
+def test_backward_into_buffer_matches_fresh_arrays():
+    net = LocalizerNet.init(3, seed=9)
+    xs = np.random.default_rng(1).normal(size=(7, 3))
+    upstream = np.random.default_rng(2).normal(size=7)
+    _, tape = net.forward_batch(xs)
+    fresh = net.backward_batch(tape, upstream)
+    out = np.full(net.n_params, np.nan)
+    into = net.backward_batch(tape, upstream, out=out)
+    start = 0
+    for (fw, fb), (iw, ib) in zip(fresh, into):
+        for f, i in ((fw, iw), (fb, ib)):
+            assert np.array_equal(f, i)
+            assert np.array_equal(out[start:start + f.size], f.ravel())
+            start += f.size
+    assert start == out.size
+    # a strided vector would make the per-layer views copies, not views
+    for bad in (np.empty(net.n_params + 1), np.empty(2 * net.n_params)[::2]):
+        with pytest.raises(ValueError, match="buffer"):
+            net.backward_batch(tape, upstream, out=bad)
+
+
+def test_values_match_forward_batch():
+    net = LocalizerNet.init(3, seed=9)
+    xs = np.random.default_rng(1).normal(size=(50, 3))
+    assert np.array_equal(net.values(xs), net.forward_batch(xs)[0])
+    with pytest.raises(ValueError, match="mismatches"):
+        net.values(xs[:, :2])
+
+
 def test_output_bias_shift():
     net = LocalizerNet.init(2, seed=3)
     x = np.array([0.4, -0.2])
@@ -289,6 +318,17 @@ def test_adam_rejects_nan_gradient():
     assert_same_snapshot(adam_snapshot(net, state), before)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_adam_rejects_inf_gradient(bad):
+    net, state = stepped_net_and_state()
+    before = adam_snapshot(net, state)
+    grads = zero_grads_like(net)
+    grads[0][0][0, 0] = bad
+    with pytest.raises(ValueError, match="NaN"):
+        adam_step(net, grads, state)
+    assert_same_snapshot(adam_snapshot(net, state), before)
+
+
 def test_adam_rejects_misshaped_gradient():
     # a transposed (2, 100) gradient for the (100, 2) first weight holds the
     # right number of entries, so only the shape check can catch it
@@ -329,10 +369,12 @@ def subnormal_count(arrays):
 def test_adam_moment_flush_changes_no_weight():
     # entries whose gradient turns exactly zero after step 50 decay their
     # first moment by 0.9 a step; by step 7050 the reference holds them as
-    # subnormals while adam_step has flushed them to zero
+    # subnormals while adam_step has flushed them to zero. The run crosses
+    # many flush boundaries and the step (~350) where c1 rounds to 1.0.
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
     ref = LocalizerNet(*net.snapshot())
     state = AdamState.init(net)
+    assert state.flush_every == 101
     ref_state = SimpleNamespace(
         m=zero_grads_like(ref), v=zero_grads_like(ref), step=0,
         learning_rate=state.learning_rate, beta1=state.beta1,
@@ -340,6 +382,7 @@ def test_adam_moment_flush_changes_no_weight():
     rng = np.random.default_rng(6)
     live = [(rng.random(w.shape) < 0.7, rng.random(b.shape) < 0.7)
             for w, b in zip(net.weights, net.biases)]
+    unflushed_tiny = 0  # steps that kept some 0 < |m| < 1e-300
     for step in range(7050):
         grads = [(rng.normal(size=lw.shape), rng.normal(size=lb.shape))
                  for lw, lb in live]
@@ -348,7 +391,39 @@ def test_adam_moment_flush_changes_no_weight():
                      in zip(grads, live)]
         adam_step(net, grads, state)
         per_layer_adam_step(ref, grads, ref_state)
+        # neither m nor the lr * m the update scales it to is subnormal
+        assert subnormal_count([state.m_flat]) == 0
+        assert subnormal_count([state.m_flat * state.learning_rate]) == 0
+        m = np.abs(state.m_flat)
+        unflushed_tiny += bool(((m > 0) & (m < 1e-300)).any())
     for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
         assert np.array_equal(a, b)
     assert subnormal_count(a for pair in ref_state.m for a in pair) > 0
-    assert subnormal_count([state.m_flat]) == 0
+    assert 1.0 - state.beta1 ** state.step == 1.0
+    assert unflushed_tiny > 0  # the flush is periodic, not every step
+
+
+def test_adam_flush_period_follows_beta1():
+    # with beta1 = 0.5 a first moment halves each step, so it must be
+    # flushed every 15 steps for lr * m to stay out of the subnormal range
+    net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
+    ref = LocalizerNet(*net.snapshot())
+    state = AdamState.init(net, beta1=0.5)
+    ref_state = AdamState.init(ref, beta1=0.5)
+    assert state.flush_every == 15
+    assert AdamState.init(net, beta1=0.0).flush_every == 1
+    rng = np.random.default_rng(7)
+    ref_subnormal_steps = 0
+    for step in range(1200):
+        scale = 1.0 if step < 5 else 0.0  # every unit dies after step 5
+        grads = [(scale * rng.normal(size=w.shape),
+                  scale * rng.normal(size=b.shape))
+                 for w, b in zip(net.weights, net.biases)]
+        adam_step(net, grads, state)
+        per_layer_adam_step(ref, grads, ref_state)
+        assert subnormal_count([state.m_flat]) == 0
+        assert subnormal_count([state.m_flat * state.learning_rate]) == 0
+        ref_subnormal_steps += subnormal_count([ref_state.m_flat]) > 0
+    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+    assert ref_subnormal_steps > 0  # unflushed, the moments pass through

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scoremorph import knn
+from scoremorph import knn, objective, training
 from scoremorph.conformal import evaluate, scored
 from scoremorph.data import Dataset, SplitSpec, split
-from scoremorph.objective import pairwise_size_loss
+from scoremorph.network import LocalizerNet, adam_step
+from scoremorph.objective import LossBatch, pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
 from scoremorph.training import (ProtocolRow, TrainConfig, aggregate,
-                                 run_protocol, train, train_erc_error_fit)
+                                 run_protocol, train, train_erc_error_fit,
+                                 train_family)
 from scoremorph.transforms import FixedTransform
 
 A_GRID = np.logspace(-6, 3, 25)
@@ -218,3 +222,77 @@ def test_aggregate_skips_error_rows_and_empty_cells():
     assert (agg.size_mean, agg.size_sd) == (3.0, 1.0)
     assert agg.validity_mean == pytest.approx(0.85)
     assert agg.validity_sd == pytest.approx(0.05)
+
+
+def zero_predictor_batches(n_cp, n_val, seed):
+    """cp and validation (x, A) batches of cos data, A = y^2 (f = 0)."""
+    ds = generate(SynthSpec("cos", n=n_cp + n_val, seed=seed)).dataset
+    a = ds.y ** 2
+    return (LossBatch(ds.x[:n_cp], a[:n_cp]),
+            LossBatch(ds.x[n_cp:], a[n_cp:]))
+
+
+def record_steps(monkeypatch, on_step):
+    """Call on_step(net, state) after every Adam step of training."""
+    def step(net, grads, state):
+        adam_step(net, grads, state)
+        on_step(net, state)
+        return net, state
+    monkeypatch.setattr(training, "adam_step", step)
+
+
+@pytest.mark.parametrize("label", ["linear", "erc", "erc-fit"])
+def test_buffered_step_matches_allocating_step(monkeypatch, label):
+    # 160 rows in batches of 16 for 45 epochs: 450 steps, past four first
+    # moment flushes (every 101 steps) and the step (~350) from which Adam
+    # skips its division by c1 = 1.0
+    cp, val = zero_predictor_batches(160, 100, seed=3)
+    config = TrainConfig(label, seed=3, epochs=45, patience=45)
+    runs = []
+    for allocating in (False, True):
+        if allocating:  # backward_batch without out: fresh gradient arrays
+            monkeypatch.setattr(training, "loss_batch",
+                                lambda fam, b, out: objective.loss_batch(fam, b))
+            monkeypatch.setattr(
+                training, "erc_error_fit_loss",
+                lambda net, b, out: objective.erc_error_fit_loss(net, b))
+        last = {}
+        record_steps(monkeypatch, lambda net, state: last.update(
+            step=state.step, weights=[w.copy() for w in net.weights
+                                      + net.biases]))
+        fam, trace = train_family(config, cp, val)
+        runs.append((last, fam.localizer, trace))
+    (last_b, net_b, trace_b), (last_a, net_a, trace_a) = runs
+    assert last_b["step"] == last_a["step"] == 450
+    for b, a in zip(last_b["weights"], last_a["weights"]):
+        assert np.array_equal(b, a)
+    for b, a in zip(net_b.weights + net_b.biases, net_a.weights + net_a.biases):
+        assert np.array_equal(b, a)
+    assert trace_b.epochs == trace_a.epochs
+
+
+@pytest.mark.parametrize("label", ["linear", "erc-fit"])
+def test_training_step_allocates_no_parameter_sized_array(monkeypatch, label):
+    cp, val = zero_predictor_batches(160, 40, seed=4)
+    param_bytes = 8 * LocalizerNet.init(cp.x.shape[1], 0).n_params
+    peaks = []
+    start = {}
+    loss_fn = "erc_error_fit_loss" if label == "erc-fit" else "loss_batch"
+    loss = getattr(training, loss_fn)
+
+    def timed_loss(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start["bytes"] = tracemalloc.get_traced_memory()[0]
+        return loss(*args, **kwargs)
+    monkeypatch.setattr(training, loss_fn, timed_loss)
+    record_steps(monkeypatch, lambda net, state: peaks.append(
+        tracemalloc.get_traced_memory()[1] - start["bytes"]))
+    tracemalloc.start()
+    try:
+        train_family(TrainConfig(label, seed=4, epochs=3, patience=3), cp, val)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 30
+    # the step's own arrays (a 16-row tape, backward scratch) stay well
+    # under one copy of the parameters
+    assert max(peaks) < param_bytes
