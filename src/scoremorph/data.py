@@ -120,10 +120,12 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     """Read a numeric CSV (last column = label) into a raw Dataset.
 
     Lines starting with '#' are ignored. Raises IngestionError naming the
-    offending 1-based line on malformed input.
+    offending 1-based line on malformed input; when several lines are
+    malformed, the first one is named.
     """
-    rows = []
+    rows, linenos = [], []
     ncols = None
+    problem = None
     with open(path, "r", encoding="utf-8") as fh:
         header_pending = has_header
         for lineno, line in enumerate(fh, start=1):
@@ -137,22 +139,28 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             if ncols is None:
                 ncols = len(cells)
                 if ncols < 2:
-                    raise IngestionError(
-                        f"row {lineno}: need at least 2 columns, got {ncols}")
+                    problem = (f"row {lineno}: need at least 2 columns, "
+                               f"got {ncols}")
+                    break
             elif len(cells) != ncols:
-                raise IngestionError(
-                    f"row {lineno}: expected {ncols} columns, got {len(cells)}")
+                problem = (f"row {lineno}: expected {ncols} columns, "
+                           f"got {len(cells)}")
+                break
             try:
-                values = [float(c) for c in cells]
+                rows.append([float(c) for c in cells])
             except ValueError:
-                raise IngestionError(
-                    f"row {lineno}: non-numeric cell in {cells!r}") from None
-            if not all(np.isfinite(v) for v in values):
-                raise IngestionError(f"row {lineno}: non-finite value")
-            rows.append(values)
-    if not rows:
-        raise IngestionError("no rows")
+                problem = f"row {lineno}: non-numeric cell in {cells!r}"
+                break
+            linenos.append(lineno)
+    # one finiteness check over every row parsed, before any later problem
     arr = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(arr).all(axis=-1)
+    if bad.any():
+        problem = f"row {linenos[int(np.argmax(bad))]}: non-finite value"
+    elif problem is None and not rows:
+        problem = "no rows"
+    if problem is not None:
+        raise IngestionError(problem)
     return Dataset(arr[:, :-1], arr[:, -1])
 
 

@@ -1,9 +1,13 @@
 """K-nearest-neighbor regression with cross-validated K.
 
-Exhaustive Euclidean scan in query chunks of bounded size; distance ties
-broken toward the lower stored index so predictions are reproducible. Each
-chunk selects its k nearest rows from a small candidate set (every row at or
-below the k-th distance) instead of sorting all stored rows.
+Exact Euclidean neighbours; distance ties broken toward the lower stored
+index so predictions are reproducible. The stored rows are sorted on their
+widest-spread column (Friedman, Baskett & Shustek, "An Algorithm for
+Finding Nearest Neighbors", IEEE Trans. Computers, 1975), and each chunk of
+queries, of bounded size, computes distances only to the window of rows
+whose projection can still hold a k-th neighbour. Each chunk selects its k
+nearest rows from a small candidate set (every row at or below the k-th
+distance) instead of sorting all the rows it scanned.
 """
 
 from __future__ import annotations
@@ -52,14 +56,81 @@ class KnnModel:
 
 
 def _nearest(train_x, queries, k):
-    """Indices of the k nearest stored rows per query, nearest first."""
+    """Indices of the k nearest stored rows per query, nearest first.
+
+    The stored rows are sorted on their widest-spread column and the
+    queries are visited in that column's order, in chunks of at most
+    ``_CHUNK_CELLS`` (query, stored row, dimension) cells. Each chunk scans
+    only the contiguous window of sorted rows that ``_window`` finds, which
+    holds every row whose distance can reach some chunk query's k-th
+    distance. The window's rows are scanned in ascending stored index, and
+    each distance comes from the same per-pair arithmetic as a scan of all
+    rows, so ties still go to the lower index and the result is bit-for-bit
+    that of a stable argsort of all distances. Neither sort needs to be
+    stable: the window is a range of projected values, whatever the order
+    of equal ones, and each query's result depends only on its window.
+
+    A window that holds more than three quarters of the rows is not worth
+    its index sort and row copy (at 1e5 rows of two columns they cost about
+    a fifth of scanning the rows they hold), so the chunk scans every row
+    in place; when the projection cannot prune at all, as on columns of
+    similar spread, that is every chunk. A call whose queries all fit in
+    one chunk scans every row without sorting: at that size (a few hundred
+    stored rows) the sorts and the bound cost more than the window saves.
+    """
     n, d = train_x.shape
     rows = max(1, _CHUNK_CELLS // (n * d))
+    if 0 < queries.shape[0] <= rows:
+        return _k_smallest(_sq_distances(queries, train_x), k)
     out = np.empty((queries.shape[0], k), dtype=np.intp)
-    for start in range(0, queries.shape[0], rows):
-        d2 = _sq_distances(queries[start:start + rows], train_x)
-        out[start:start + rows] = _k_smallest(d2, k)
+    j = int(np.argmax(train_x.max(axis=0) - train_x.min(axis=0)))
+    order = np.argsort(train_x[:, j])
+    sorted_x = train_x[order]
+    visit = np.argsort(queries[:, j])
+    for start in range(0, visit.size, rows):
+        idx = visit[start:start + rows]
+        q = queries[idx]
+        left, right = _window(sorted_x, q, j, k)
+        if 4 * (right - left) > 3 * n:
+            out[idx] = _k_smallest(_sq_distances(q, train_x), k)
+        else:
+            cols = np.sort(order[left:right])
+            out[idx] = cols[_k_smallest(_sq_distances(q, train_x[cols]), k)]
     return out
+
+
+def _window(sorted_x, q, j, k):
+    """Sorted positions ``[left, right)`` of every stored row whose squared
+    distance to some query of the chunk ``q`` is at most that query's k-th
+    smallest. ``sorted_x`` holds the stored rows and ``q`` the queries, both
+    ascending in column ``j``.
+
+    Per query, the largest squared distance to the k stored rows next to it
+    in column ``j`` (its ring) bounds its k-th distance from above. A float
+    sum of non-negative terms is at least each term, so a row within that
+    bound has ``fl(q_j - x_j)^2`` within it too, and so a gap in column
+    ``j`` of at most the bound's square root, up to the roundings of the
+    subtraction, the square and the root, and of summing the squares in
+    another order than ``_sq_distances``. A relative slack of ``4(d + 2)``
+    ulps on the bound covers those, and the smallest subnormal added to it
+    covers squares that underflow, so the half-width ``w``, the root, is at
+    least the exact column-``j`` gap of every row the query can need.
+    Rounding is monotone and stored coordinates are floats, so such a row
+    also lies inside ``[q_j - w, q_j + w]`` as computed.
+    """
+    n, d = sorted_x.shape
+    proj = sorted_x[:, j]
+    ring = (np.clip(np.searchsorted(proj, q[:, j]) - k // 2, 0, n - k)[:, None]
+            + np.arange(k))
+    r = np.zeros(ring.shape)
+    for c in range(d):
+        diff = q[:, c, None] - sorted_x[ring, c]
+        diff *= diff
+        r += diff
+    slack = 1.0 + 4 * (d + 2) * np.finfo(float).eps
+    w = np.sqrt(r.max(axis=1) * slack + np.finfo(float).smallest_subnormal)
+    return (int(np.searchsorted(proj, (q[:, j] - w).min(), side="left")),
+            int(np.searchsorted(proj, (q[:, j] + w).max(), side="right")))
 
 
 def _sq_distances(q, train_x):

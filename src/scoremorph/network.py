@@ -295,9 +295,11 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
     # views of state.grad are what backward_batch(..., out=state.grad) wrote
     if not all(isinstance(a, np.ndarray) and a.base is g for a in flat_grads):
         np.concatenate([np.ravel(a) for a in flat_grads], out=g)
-    # a NaN or infinite entry makes g.g NaN or infinite; a finite g.g can
-    # still overflow, so only then is every entry checked
-    if (not np.isfinite(np.dot(g, g))
+    # a NaN or infinite entry makes the sum of g NaN or infinite; a sum of
+    # finite entries can still overflow, so only then is every entry
+    # checked. The sum is numpy's own reduction: a BLAS dot product of this
+    # length may be split across threads, and on a busy host it then stalls
+    if (not np.isfinite(np.add.reduce(g))
             and not np.isfinite(g, out=state._mask).all()):
         raise ValueError("NaN or infinite gradient; aborting the update")
     state.step += 1

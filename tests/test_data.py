@@ -52,6 +52,15 @@ def test_load_csv_rejects_nan(tmp_path):
         load_csv(write(tmp_path, "1,nan\n"))
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_load_csv_names_first_non_finite_line(tmp_path, bad):
+    # file lines count comments and the header: the first bad value sits on
+    # line 5, a second one on line 6, and a malformed line 7 comes after both
+    text = f"# comment\na,b,y\n1,2,3\n\n4,{bad},6\n{bad},1,1\n1,2\n"
+    with pytest.raises(IngestionError, match=r"^row 5: non-finite value$"):
+        load_csv(write(tmp_path, text), has_header=True)
+
+
 def test_dataset_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(2))

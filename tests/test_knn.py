@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoremorph.data import Dataset
-from scoremorph import knn
+from scoremorph import knn, synthetic
 
 
 def make_ds(x, y):
@@ -173,25 +173,93 @@ def test_fit_memory_below_one_full_distance_tensor():
     assert peak < 800 * 3200 * 3 * 8
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_scan_matches_stable_argsort_oracle(data):
     # coordinates on a 0.1 grid in [-1, 1], so many distances tie; n runs
     # past 100, where numpy's plain introselect leaves the ties of the k-th
-    # distance scattered beyond the partition point
+    # distance scattered beyond the partition point. The grid is scaled by
+    # 10^e and shifted by up to 1e8, so differences round, underflow or
+    # overflow and only the window's slack keeps tied rows in. Some columns
+    # are constant, stored rows repeat (a k-th distance of 0) and queries
+    # may reach three times past the stored range
     d = data.draw(st.sampled_from([1, 2, 3, 7, 8, 20]))
     n = data.draw(st.integers(1, 300))
     n_queries = data.draw(st.integers(1, 30))
-    k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    k = data.draw(st.one_of(st.just(n), st.integers(1, min(n, 8)),
+                            st.integers(1, n)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = rng.integers(-10, 11, size=(n, d)) / 10
-    q = rng.integers(-10, 11, size=(n_queries, d)) / 10
+    distinct = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    x = rng.integers(-10, 11, size=(distinct, d))[rng.integers(0, distinct, n)]
+    x[:, data.draw(st.lists(st.integers(0, d - 1), max_size=d))] = 3
+    reach = data.draw(st.sampled_from([10, 30]))
+    q = rng.integers(-reach, reach + 1, size=(n_queries, d))
+    scale = 10.0 ** data.draw(st.one_of(st.just(0), st.integers(-170, 160)))
+    shift = data.draw(st.one_of(st.just(0.0), st.floats(-1e8, 1e8)))
+    # a jitter of 2^-60 survives only on the grid's zeros, where it makes
+    # q - x round: the real gap then exceeds the float one
+    jitter = rng.choice([0.0, 2.0**-60, -2.0**-60], size=x.shape)
+    x = (x / 10 + jitter) * scale + shift
+    q = q / 10 * scale + shift
     rows_per_chunk = data.draw(st.integers(1, n_queries))
-    oracle = np.argsort(((q[:, None] - x[None]) ** 2).sum(2),
-                        kind="stable")[:, :k]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(knn, "_CHUNK_CELLS", rows_per_chunk * n * d)
-        assert np.array_equal(knn._nearest(x, q, k), oracle)
+    with np.errstate(over="ignore", under="ignore"):
+        oracle = np.argsort(((q[:, None] - x[None]) ** 2).sum(2),
+                            kind="stable")[:, :k]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knn, "_CHUNK_CELLS", rows_per_chunk * n * d)
+            assert np.array_equal(knn._nearest(x, q, k), oracle)
+
+
+def test_predict_empty_batch():
+    rng = np.random.default_rng(13)
+    m = knn.KnnModel(rng.normal(size=(20, 3)), rng.normal(size=20), 4)
+    assert m.predict_batch(np.empty((0, 3))).shape == (0,)
+    assert knn._nearest(m.x, np.empty((0, 3)), 4).shape == (0, 4)
+
+
+def test_scan_reads_a_window_of_stored_rows(monkeypatch):
+    # pins the sorted-projection pruning by the (query, stored row) pairs
+    # that reach the distance kernel, not by timing: a full scan compares
+    # all 4000 x 8000, the window below 10 % of them, with the same result
+    ds = synthetic.generate(synthetic.SynthSpec("cos", n=12000)).dataset
+    model = knn.KnnModel(ds.x[:8000], ds.y[:8000], 50)
+    queries = ds.x[8000:]
+    pairs = []
+    sq_distances = knn._sq_distances
+
+    def counted(q, train_x):
+        pairs.append(q.shape[0] * train_x.shape[0])
+        return sq_distances(q, train_x)
+
+    monkeypatch.setattr(knn, "_sq_distances", counted)
+    pruned = model.predict_batch(queries)
+    assert sum(pairs) < 0.1 * 4000 * 8000
+    monkeypatch.setattr(knn, "_window", lambda x, *_: (0, len(x)))
+    assert np.array_equal(model.predict_batch(queries), pruned)
+    assert sum(pairs) > 4000 * 8000
+
+
+def test_scan_without_pruning_reads_stored_rows_in_place(monkeypatch):
+    # on uniform 8-column data the ring bound from one column spans the
+    # whole range, so every chunk scans the stored array itself, with no
+    # index sort and no copy of its rows
+    rng = np.random.default_rng(14)
+    x = rng.random((3000, 8))
+    queries = rng.random((200, 8))
+    in_place = []
+    sq_distances = knn._sq_distances
+
+    def spy(q, train_x):
+        in_place.append(train_x is x)
+        return sq_distances(q, train_x)
+
+    monkeypatch.setattr(knn, "_sq_distances", spy)
+    monkeypatch.setattr(knn, "_CHUNK_CELLS", 20 * 3000 * 8)
+    got = knn._nearest(x, queries, 5)
+    assert in_place == [True] * 10
+    oracle = np.argsort(((queries[:, None] - x[None]) ** 2).sum(2),
+                        kind="stable")[:, :5]
+    assert np.array_equal(got, oracle)
 
 
 def test_grid_for_fits_every_size():

@@ -329,6 +329,24 @@ def test_adam_rejects_inf_gradient(bad):
     assert_same_snapshot(adam_snapshot(net, state), before)
 
 
+def test_adam_accepts_huge_finite_gradient():
+    # entries near 1e307 are finite, but their sum overflows to inf, so the
+    # fast finiteness check fails and the entrywise one must accept them
+    net, state = stepped_net_and_state()
+    ref_net, ref_state = stepped_net_and_state()
+    rng = np.random.default_rng(1)
+    grads = [(rng.uniform(1e307, 1.7e307, size=w.shape),
+              rng.uniform(1e307, 1.7e307, size=b.shape))
+             for w, b in zip(net.weights, net.biases)]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(
+            np.concatenate([g.ravel() for pair in grads for g in pair])))
+        adam_step(net, grads, state)
+        per_layer_adam_step(ref_net, grads, ref_state)
+    assert_same_snapshot(adam_snapshot(net, state),
+                         adam_snapshot(ref_net, ref_state))
+
+
 def test_adam_rejects_misshaped_gradient():
     # a transposed (2, 100) gradient for the (100, 2) first weight holds the
     # right number of entries, so only the shape check can catch it
