@@ -9,10 +9,10 @@ attribute; the last section shows what goes wrong without it.
 import numpy as np
 
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (AdditiveFixture, AdditiveLogRepairFixture,
-                                   CodomainError, ErcTransform, ExpTransform,
+from scoremorph.transforms import (CodomainError, ErcTransform, ExpTransform,
                                    FixedTransform, LinearTransform,
-                                   SigmaTransform, numeric_inverse)
+                                   SigmaTransform, TransformFamily,
+                                   numeric_inverse)
 
 net = LocalizerNet.init(d=2, seed=0)
 families = [
@@ -47,15 +47,38 @@ b = fam.forward(x, 5.0)
 print(f"\nbisection inverse of exp family at B={b:.4f}: "
       f"{numeric_inverse(fam, x, b):.10f} (exact 5.0)")
 
+
 # breaking the shared-codomain requirement: B = A + g(x)^2 has codomain
 # [g(x)^2, inf), so a quantile from one x may be uninvertible at another
-g_fn = lambda x: float(2.0 + x[0])
-broken = AdditiveFixture(g_fn)
-repaired = AdditiveLogRepairFixture(g_fn, eps=0.1)
+class Additive(TransformFamily):
+    def loc(self, x):
+        return 2.0 + x[0]  # g(x)
+
+    def phi(self, g, a):
+        return a + g * g
+
+    def phi_inv(self, g, b):
+        if b < g * g:
+            raise CodomainError("additive fixture: B below g(x)^2 has no "
+                                "nonnegative base score")
+        return b - g * g
+
+
+class AdditiveLogRepair(Additive):
+    """(1 + eps) log A + g(x)^2 with eps = 0.1: codomain all of R at any x."""
+
+    def phi(self, g, a):
+        return 1.1 * np.log(self._clamped(a)) + g * g
+
+    def phi_inv(self, g, b):
+        return np.exp((b - g * g) / 1.1)
+
+
+broken, repaired = Additive(), AdditiveLogRepair()
 x_cal, x_test = np.array([0.0]), np.array([3.0])
 b = broken.forward(x_cal, 1.0)
 print(f"\nadditive fixture: calibration score B = {b:.1f}, "
-      f"test codomain starts at {g_fn(x_test) ** 2:.1f}")
+      f"test codomain starts at {broken.loc(x_test) ** 2:.1f}")
 try:
     broken.inverse(x_test, b)
 except CodomainError as exc:

@@ -25,12 +25,10 @@ from .serialize import ModelBundle, load_model, save_model
 from .synthetic import SynthData, SynthSpec, amplitude, generate
 from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
                        ProtocolRow, TrainConfig, TrainTrace, TrainingDiverged,
-                       aggregate, run_protocol, train, train_erc_error_fit)
-from .transforms import (TRAINABLE_KINDS, AdditiveFixture,
-                         AdditiveLogRepairFixture, CodomainError, ErcTransform,
+                       aggregate, run_protocol, train)
+from .transforms import (TRAINABLE_KINDS, CodomainError, ErcTransform,
                          ExpTransform, FixedTransform, LinearTransform,
-                         LogShiftCore, LogShiftTransform, NoRootError,
-                         SigmaTransform, SqrtShiftFixture, TransformFamily,
-                         make_family, numeric_inverse)
+                         LogShiftCore, NoRootError, SigmaTransform,
+                         TransformFamily, make_family, numeric_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,7 @@ from .knn import KnnModel, fit as knn_fit, grid_for
 from .serialize import ModelBundle, load_model, save_model
 from .synthetic import KINDS, SynthSpec, generate
 from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, aggregate,
-                       protocol_rows, run_protocol, train_family)
+                       protocol_rows, run_protocol, train)
 from .transforms import FixedTransform
 
 MANIFEST_FORMAT_VERSION = 1
@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
                          gamma=args.gamma)
     cp, val = (scored(d, model.predict_batch(d.x))
                for d in (cp_train, validation))
-    fam, trace = train_family(config, cp, val)
+    fam, trace = train(config, cp, val)
 
     save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
     trace_path = os.path.splitext(os.fspath(args.model_out))[0] + ".trace.csv"

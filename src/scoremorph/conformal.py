@@ -60,6 +60,8 @@ def quantile_index(n: int, alpha: float) -> int:
     """
     if n < 1:
         raise ValueError("need at least one calibration score")
+    if math.isnan(alpha):
+        raise ValueError(f"alpha={alpha} is not a number")
     if alpha > 1.0:
         raise ValueError(f"alpha={alpha} above 1")
     v = (n + 1) * (1.0 - alpha)

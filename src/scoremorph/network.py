@@ -22,8 +22,7 @@ DEFAULT_HIDDEN = (100, 100, 100, 100, 100)
 @dataclass
 class Tape:
     x: np.ndarray            # (m, d) batch input
-    pre_acts: list           # per hidden layer, (m, h)
-    acts: list               # per hidden layer, (m, h) = relu(pre_acts)
+    acts: list               # per hidden layer, (m, h) ReLU outputs
     version: int
 
 
@@ -83,24 +82,22 @@ class LocalizerNet:
         return self._forward(xs, record=True)
 
     def _forward(self, xs, record: bool):
-        """(g at the rows of xs, tape). Without ``record`` there is no tape
-        (None) and each hidden layer is computed in place of the last."""
+        """(g at the rows of xs, tape). Each hidden layer's ReLU runs in
+        place of its pre-activation; without ``record`` there is no tape
+        (None)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.d:
             raise ValueError(f"batch shape {xs.shape} mismatches d={self.d}")
         a = xs
-        pre_acts, acts = [], []
+        acts = []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = a @ w.T
             z += b
+            a = np.maximum(z, 0.0, out=z)
             if record:
-                a = np.maximum(z, 0.0)
-                pre_acts.append(z)
                 acts.append(a)
-            else:
-                a = np.maximum(z, 0.0, out=z)
         g = a @ self.weights[-1].T + self.biases[-1]
-        tape = Tape(xs, pre_acts, acts, self.version) if record else None
+        tape = Tape(xs, acts, self.version) if record else None
         return g[:, 0], tape
 
     def forward(self, x):
@@ -128,14 +125,16 @@ class LocalizerNet:
               or not out.flags.c_contiguous):
             raise ValueError(
                 f"gradient buffer must be a contiguous ({n},) float64 vector")
-        weights, pre_acts, acts = self.weights, tape.pre_acts, tape.acts
+        weights, acts = self.weights, tape.acts
         grads = [None] * len(weights)
         end = n  # walk the (w0, b0, w1, b1, ...) layout from its end
         dz = upstream[:, None]
         for l in range(len(weights) - 1, -1, -1):
             w = weights[l]
             if l < len(weights) - 1:
-                dz *= pre_acts[l] > 0  # ReLU subgradient at 0 is 0
+                # relu(z) > 0 exactly where z > 0 (NaN in neither), and
+                # the ReLU subgradient at 0 is 0
+                dz *= acts[l] > 0
             mid = end - w.shape[0]
             gw, gb = out[mid - w.size:mid].reshape(w.shape), out[mid:end]
             end = mid - w.size

@@ -11,7 +11,7 @@ from .conformal import evaluate, scored
 from .data import DEFAULT_FRACTIONS, Dataset, SplitSpec, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
-from .transforms import TRAINABLE_KINDS, FixedTransform, make_family
+from .transforms import FixedTransform, make_family
 
 CLI_FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
 
@@ -44,9 +44,6 @@ class TrainTrace:
 
     epochs: list = field(default_factory=list)  # (epoch, train_loss, val_loss)
     best_epoch: int = 0
-
-    def best_val_loss(self) -> float:
-        return min(v for _, _, v in self.epochs)
 
 
 class TrainingDiverged(RuntimeError):
@@ -114,11 +111,14 @@ def family_kind(label: str) -> str:
     return "erc" if label == "erc-fit" else label
 
 
-def train_family(config: TrainConfig, cp_train: LossBatch,
-                 validation: LossBatch):
-    """(family, trace) for the CLI label ``config.family``: "fixed" needs no
-    training, "erc-fit" trains erc on the error-fit loss, every other label
-    trains on the size loss."""
+def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
+    """(family, trace) for any CLI label ``config.family``.
+
+    "fixed" needs no training and gives an empty trace. "erc-fit" trains
+    erc by fitting g to the squared residuals; every other label minimizes
+    the pairwise size loss. Early stopping returns the family frozen at the
+    epoch with the best validation size loss.
+    """
     kind = family_kind(config.family)
     if kind == "fixed":
         return FixedTransform(), TrainTrace()
@@ -130,26 +130,6 @@ def train_family(config: TrainConfig, cp_train: LossBatch,
             if config.family == "erc-fit"
             else (lambda b, out: loss_batch(fam, b, out=out)))
     return _loop(fam, step, config, cp_train, validation)
-
-
-def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
-    """Train a transform family by minimizing the pairwise size loss.
-
-    Returns the family frozen at the epoch with the best validation loss,
-    plus the training trace.
-    """
-    if config.family not in TRAINABLE_KINDS:
-        raise ValueError(f"family '{config.family}' is not trainable")
-    return train_family(config, cp_train, validation)
-
-
-def train_erc_error_fit(config: TrainConfig, cp_train: LossBatch,
-                        validation: LossBatch):
-    """Train the residual-reweighting family by fitting g to the squared
-    residuals instead of minimizing interval size; early stopping still
-    selects the epoch with the best validation size loss."""
-    return train_family(replace(config, family="erc-fit"), cp_train,
-                        validation)
 
 
 @dataclass(frozen=True)
@@ -250,7 +230,7 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
             trained = "linear" if name in SHARED_LOCALIZER_KINDS else name
             if trained not in fitted:
                 try:
-                    fitted[trained], _ = train_family(
+                    fitted[trained], _ = train(
                         replace(config, family=trained, seed=run_seed), cp,
                         val)
                 except (ValueError, TrainingDiverged) as exc:

@@ -9,9 +9,7 @@ or s = -log(g^2 + gamma) for erc). The core is strictly increasing in A with
 the x-independent codomain h(R), so the transformed scores can be calibrated
 and mapped back to label-space intervals at any test attribute. Because h is
 monotone, calibration can equally run on the pre-image z = log max(A, eps) + s,
-where no score saturates. Fixture families that break the shared-codomain
-requirement are provided for negative testing and are excluded from the
-trainable set.
+where no score saturates.
 """
 
 from __future__ import annotations
@@ -357,132 +355,6 @@ class SigmaTransform(LogShiftCore):
     outer = _SIGMOID
 
 
-class LogShiftTransform(TransformFamily):
-    """Non-adaptive log score with a constant offset; width is x-independent."""
-
-    kind = "log-shift"
-
-    def __init__(self, offset: float = 0.0,
-                 epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
-        super().__init__(epsilon_floor)
-        self.offset = float(offset)
-
-    def phi(self, loc, a):
-        return _expand(np.log(self._clamped(a)) + self.offset, loc, a)
-
-    def phi_inv(self, loc, b):
-        return _expand(np.exp(np.asarray(b, dtype=float) - self.offset), loc, b)
-
-    def dphi_da(self, loc, a):
-        return _expand(1.0 / self._clamped(a), loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _expand(0.0, loc, a)
-
-    def config_dict(self):
-        return {"kind": self.kind, "offset": self.offset,
-                "epsilon_floor": self.epsilon_floor}
-
-
-class SqrtShiftFixture(TransformFamily):
-    """Test-only family B = sqrt(A) + theta * x for scalar attributes.
-
-    The codomain depends on x, so calibrated intervals are not invariant in
-    theta; the inverse is the algebraic square, applied without a codomain
-    check to expose exactly that behaviour.
-    """
-
-    kind = "sqrt-shift-fixture"
-    trainable = False
-
-    def __init__(self, theta: float):
-        super().__init__()
-        self.theta = float(theta)
-
-    def loc(self, x) -> float:
-        return self.theta * float(np.asarray(x, dtype=float).ravel()[0])
-
-    def loc_batch(self, xs) -> np.ndarray:
-        return self.theta * np.asarray(xs, dtype=float).reshape(len(xs), -1)[:, 0]
-
-    def phi(self, loc, a):
-        return _maybe_float(np.sqrt(a) + loc)
-
-    def phi_inv(self, loc, b):
-        diff = np.asarray(b, dtype=float) - loc
-        return _maybe_float(diff * diff)
-
-    def dphi_da(self, loc, a):
-        return _expand(0.5 / np.sqrt(a), loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _expand(1.0, loc, a)
-
-
-class AdditiveFixture(TransformFamily):
-    """Test-only family B = A + g(x)^2 with per-x codomain [g(x)^2, inf).
-
-    Inversion at a test attribute can ask for a negative base score, which
-    raises CodomainError; this is the failure the shared-codomain rule of
-    the trainable families prevents.
-    """
-
-    kind = "additive-fixture"
-    trainable = False
-
-    def __init__(self, g_fn):
-        super().__init__()
-        self.g_fn = g_fn
-
-    def loc(self, x) -> float:
-        return float(self.g_fn(np.asarray(x, dtype=float)))
-
-    def loc_batch(self, xs) -> np.ndarray:
-        return np.asarray([self.loc(row) for row in np.asarray(xs, dtype=float)])
-
-    def phi(self, loc, a):
-        return _maybe_float(a + loc * loc)
-
-    def phi_inv(self, loc, b):
-        out = np.asarray(b, dtype=float) - loc * loc
-        if np.any(out < 0):
-            raise CodomainError(
-                "additive fixture: B below g(x)^2 has no nonnegative base score")
-        return _maybe_float(out)
-
-    def dphi_da(self, loc, a):
-        return _expand(1.0, loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _expand(2.0 * loc, loc, a)
-
-
-class AdditiveLogRepairFixture(AdditiveFixture):
-    """Log-composed repair of the additive fixture: (1+eps) log A + g(x)^2."""
-
-    kind = "additive-log-repair-fixture"
-
-    def __init__(self, g_fn, eps: float = 0.1):
-        super().__init__(g_fn)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = float(eps)
-
-    def phi(self, loc, a):
-        return _maybe_float((1.0 + self.eps) * np.log(self._clamped(a))
-                            + loc * loc)
-
-    def phi_inv(self, loc, b):
-        out = np.exp((np.asarray(b, dtype=float) - loc * loc) / (1.0 + self.eps))
-        return _maybe_float(out)
-
-    def dphi_da(self, loc, a):
-        return _expand((1.0 + self.eps) / self._clamped(a), loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _expand(2.0 * loc, loc, a)
-
-
 def numeric_inverse(fam: TransformFamily, x, b, bracket=(1e-12, 1.0),
                     tol: float = 1e-12) -> float:
     """Bisection inverse of fam at x: find A with phi_x(A) = b within tol."""
@@ -491,13 +363,10 @@ def numeric_inverse(fam: TransformFamily, x, b, bracket=(1e-12, 1.0),
 
 def make_family(kind: str, localizer: LocalizerNet | None = None,
                 gamma: float = DEFAULT_GAMMA,
-                epsilon_floor: float = DEFAULT_EPSILON_FLOOR,
-                offset: float = 0.0) -> TransformFamily:
+                epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> TransformFamily:
     """Construct one of the supported families by name."""
     if kind == "fixed":
         return FixedTransform(epsilon_floor)
-    if kind == "log":
-        return LogShiftTransform(offset, epsilon_floor)
     if kind in TRAINABLE_KINDS:
         if localizer is None:
             raise ValueError(f"family '{kind}' needs a localizer network")

@@ -16,13 +16,13 @@ from scoremorph.data import Dataset, SplitSpec, normalize, split
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
 from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
-from scoremorph.training import TrainConfig, train, train_erc_error_fit
-from scoremorph.transforms import (AdditiveFixture, AdditiveLogRepairFixture,
-                                   CodomainError, ErcTransform, ExpTransform,
+from scoremorph.training import TrainConfig, train
+from scoremorph.transforms import (CodomainError, ErcTransform, ExpTransform,
                                    FixedTransform, LinearTransform,
-                                   LogShiftTransform, SigmaTransform,
-                                   SqrtShiftFixture, TransformFamily,
-                                   numeric_inverse)
+                                   SigmaTransform, numeric_inverse)
+from support import (AdditiveFixture, AdditiveLogRepairFixture,
+                     LogShiftTransform, SqrtMap, SqrtShiftFixture,
+                     pre_activation_margin)
 
 
 def report(num, ok, detail):
@@ -97,23 +97,6 @@ def test_criterion_2_marginal_validity_monte_carlo():
 
 # ---------------------------------------------------------------- criterion 3
 
-class SqrtMap(TransformFamily):
-    kind = "sqrt-map"
-
-    def phi(self, loc, a):
-        return np.sqrt(a)
-
-    def phi_inv(self, loc, b):
-        out = np.asarray(b, dtype=float) ** 2
-        return out if np.ndim(b) else float(out)
-
-    def dphi_da(self, loc, a):
-        return 0.5 / np.sqrt(a)
-
-    def dphi_dloc(self, loc, a):
-        return np.zeros(np.shape(a)) if np.ndim(a) else 0.0
-
-
 def test_criterion_3_global_monotone_invariance():
     rng = np.random.default_rng(7)
     fams = [FixedTransform(), SqrtMap(), LogShiftTransform(offset=0.0)]
@@ -151,8 +134,7 @@ def _off_kink_batch(kind, rng, m=6, d=3, margin=1e-3):
                                 hidden=(12, 10))
         batch = LossBatch(rng.normal(size=(m, d)),
                           rng.chisquare(1, size=m) + 0.01)
-        _, tape = net.forward_batch(batch.x)
-        if min(np.abs(z).min() for z in tape.pre_acts) >= margin:
+        if pre_activation_margin(net, batch.x) >= margin:
             return FAMILY_BUILDERS[kind](net), batch
     raise RuntimeError("no off-kink batch found")
 
@@ -295,8 +277,7 @@ def test_criterion_8_erc_fit_stability_observation():
         model = knn.fit(proper, grid, folds=5, seed=seed)
         cp, val, test = (scored(d, model.predict_batch(d.x))
                          for d in (cp, val, test))
-        fam, trace = train_erc_error_fit(TrainConfig("erc", seed=seed), cp,
-                                         val)
+        fam, trace = train(TrainConfig("erc-fit", seed=seed), cp, val)
         assert all(np.isfinite(v) for _, _, v in trace.epochs)
         rep = evaluate(fam, cp, test, [alpha])[0]
         sizes.append(rep.mean_size)

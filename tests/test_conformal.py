@@ -7,9 +7,8 @@ from scoremorph.conformal import (PredictionInterval, calibrate,
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
-                                   LinearTransform, LogShiftTransform,
-                                   SigmaTransform, SqrtShiftFixture,
-                                   TransformFamily)
+                                   LinearTransform, SigmaTransform)
+from support import LogShiftTransform, SqrtMap, SqrtShiftFixture
 
 
 def zero_predictor(xs):
@@ -35,11 +34,21 @@ def test_quantile_index_examples():
     assert quantile_index(99, 0.05) == 95
     with pytest.raises(ValueError, match="order statistic"):
         quantile_index(10, 0.01)
-    for alpha in (-np.inf, np.nan):
-        with pytest.raises(ValueError, match="order statistic"):
-            quantile_index(10, alpha)
+    with pytest.raises(ValueError, match="order statistic"):
+        quantile_index(10, -np.inf)
+    with pytest.raises(ValueError, match=r"^alpha=nan is not a number$"):
+        quantile_index(10, np.nan)
     with pytest.raises(ValueError):
         quantile_index(10, 1.5)
+
+
+def test_evaluate_names_a_nan_alpha():
+    # NaN fails every comparison; its error row must not blame a bound
+    rng = np.random.default_rng(3)
+    cal, test = score(zero_predictor, *make_random_split(rng))
+    (rep,) = evaluate(FixedTransform(), cal, test, [float("nan")])
+    assert rep.error == "alpha=nan is not a number"
+    assert rep.mean_size is None and rep.empirical_validity is None
 
 
 def test_quantile_index_bounds():
@@ -110,27 +119,6 @@ def test_interval_fixed_family():
 def test_prediction_interval_validation():
     with pytest.raises(ValueError):
         PredictionInterval(0.0, -1.0)
-
-
-class SqrtMap(TransformFamily):
-    """X-independent sqrt of the base score (global monotone map)."""
-
-    kind = "sqrt-map"
-
-    def phi(self, loc, a):
-        return np.sqrt(a)
-
-    def phi_inv(self, loc, b):
-        if np.any(np.asarray(b) < 0):
-            raise ValueError("negative")
-        out = np.asarray(b, dtype=float) ** 2
-        return out if np.ndim(b) else float(out)
-
-    def dphi_da(self, loc, a):
-        return 0.5 / np.sqrt(a)
-
-    def dphi_dloc(self, loc, a):
-        return np.zeros_like(np.asarray(a, dtype=float)) if np.ndim(a) else 0.0
 
 
 def make_random_split(rng, n_cal=60, n_test=25):

@@ -13,6 +13,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_adaptive_intervals.py", "02_transform_families.py",
          "03_marginal_validity.py")
+# what a demo must print, so that its demonstration cannot silently go:
+# demo 02 shows the codomain failure (criterion 9) and its repair
+SHOWS = {"02_transform_families.py": ("inversion fails as expected",
+                                      "log-composed repair inverts fine")}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -24,3 +28,5 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    for text in SHOWS.get(demo, ()):
+        assert text in proc.stdout

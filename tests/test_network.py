@@ -5,6 +5,7 @@ import pytest
 
 from scoremorph.network import (AdamState, LocalizerNet, StaleTapeError,
                                 adam_step, zero_grads_like)
+from support import pre_activation_margin
 
 
 def toy_net():
@@ -86,11 +87,6 @@ def test_backward_stale_tape():
     adam_step(net, grads, state)
     with pytest.raises(StaleTapeError):
         net.backward(tape, 1.0)
-
-
-def pre_activation_margin(net, x):
-    _, tape = net.forward(np.asarray(x, dtype=float))
-    return min(np.abs(z).min() for z in tape.pre_acts)
 
 
 def sample_off_kink(seed, d=3, margin=1e-3):

@@ -10,6 +10,7 @@ from scoremorph.objective import (LossBatch, _leave_one_out,
 from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
                                    LinearTransform, SigmaTransform,
                                    make_family)
+from support import pre_activation_margin
 
 FAMILY_BUILDERS = {
     "erc": lambda net: ErcTransform(net, gamma=1e-2),
@@ -33,18 +34,13 @@ def random_batch(rng, m=6, d=3):
     return LossBatch(rng.normal(size=(m, d)), rng.chisquare(1, size=m) + 0.01)
 
 
-def batch_margin(net, xs):
-    _, tape = net.forward_batch(xs)
-    return min(np.abs(z).min() for z in tape.pre_acts)
-
-
 def off_kink_case(kind, seed, m=6, d=3, margin=1e-3):
     """(family, batch) with every hidden pre-activation off the ReLU kink."""
     rng = np.random.default_rng(seed)
     for _ in range(300):
         net = small_net(int(rng.integers(1 << 31)), d)
         batch = random_batch(rng, m, d)
-        if batch_margin(net, batch.x) >= margin:
+        if pre_activation_margin(net, batch.x) >= margin:
             return FAMILY_BUILDERS[kind](net), batch
     raise RuntimeError("no off-kink batch found")
 
@@ -222,7 +218,7 @@ def test_erc_fit_gradient_matches_fd():
     rng = np.random.default_rng(14)
     net = small_net(15)
     batch = random_batch(rng, m=6)
-    assert batch_margin(net, batch.x) > 0  # any margin works: loss is smooth
+    assert pre_activation_margin(net, batch.x) > 0  # any margin works: loss is smooth
     out = erc_error_fit_loss(net, batch)
     for _ in range(5):
         v = random_direction(net, rng)

@@ -15,8 +15,8 @@ from scoremorph.conformal import (calibrate, calibration_scores, half_widths,
                                   quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (TRAINABLE_KINDS, FixedTransform,
-                                   LogShiftTransform, make_family)
+from scoremorph.transforms import TRAINABLE_KINDS, FixedTransform, make_family
+from support import LogShiftTransform
 
 KINDS = st.sampled_from(TRAINABLE_KINDS)
 LOCS = st.floats(-30.0, 30.0)

@@ -9,9 +9,8 @@ from scoremorph.data import Dataset, SplitSpec, split
 from scoremorph.network import LocalizerNet, adam_step
 from scoremorph.objective import LossBatch, pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
-from scoremorph.training import (ProtocolRow, TrainConfig, aggregate,
-                                 run_protocol, train, train_erc_error_fit,
-                                 train_family)
+from scoremorph.training import (ProtocolRow, TrainConfig, TrainTrace,
+                                 aggregate, run_protocol, train)
 from scoremorph.transforms import FixedTransform
 
 A_GRID = np.logspace(-6, 3, 25)
@@ -48,11 +47,14 @@ def test_zero_epochs_returns_init_and_empty_trace():
         assert np.array_equal(w, w0)
 
 
-def test_train_rejects_fixed_family():
+def test_train_fixed_gives_identity_and_empty_trace():
+    # "fixed" is a CLI label like the others: no localizer, no epochs
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    with pytest.raises(ValueError, match="not trainable"):
-        train(quick_config("fixed"), *score(model.predict_batch, cp, val))
+    fam, trace = train(quick_config("fixed"),
+                       *score(model.predict_batch, cp, val))
+    assert isinstance(fam, FixedTransform)
+    assert trace == TrainTrace()
 
 
 def test_train_deterministic_in_seed():
@@ -134,8 +136,7 @@ def test_erc_fit_constant_residuals_close_to_fixed():
     y = x[:, 0] + 0.5 * rng.normal(size=500)
     proper, cp, val, test = split(Dataset(x, y), SplitSpec(4))
     cp, val, test = score(fitted_knn(proper, 4).predict_batch, cp, val, test)
-    fam, trace = train_erc_error_fit(quick_config("erc", seed=4, epochs=20),
-                                     cp, val)
+    fam, trace = train(quick_config("erc-fit", seed=4, epochs=20), cp, val)
     erc_rep = evaluate(fam, cp, test, [0.1])[0]
     fix_rep = evaluate(FixedTransform(), cp, test, [0.1])[0]
     assert erc_rep.mean_size == pytest.approx(fix_rep.mean_size, rel=0.05)
@@ -150,10 +151,8 @@ def test_erc_fit_constant_residuals_close_to_fixed():
 def test_erc_fit_deterministic():
     proper, cp, val, _ = synth_splits("cos", n=300, seed=7)
     cp, val = score(fitted_knn(proper, 7).predict_batch, cp, val)
-    fam1, _ = train_erc_error_fit(quick_config("erc", seed=7, epochs=5), cp,
-                                  val)
-    fam2, _ = train_erc_error_fit(quick_config("erc", seed=7, epochs=5), cp,
-                                  val)
+    fam1, _ = train(quick_config("erc-fit", seed=7, epochs=5), cp, val)
+    fam2, _ = train(quick_config("erc-fit", seed=7, epochs=5), cp, val)
     for w1, w2 in zip(fam1.localizer.weights, fam2.localizer.weights):
         assert np.array_equal(w1, w2)
 
@@ -260,7 +259,7 @@ def test_buffered_step_matches_allocating_step(monkeypatch, label):
         record_steps(monkeypatch, lambda net, state: last.update(
             step=state.step, weights=[w.copy() for w in net.weights
                                       + net.biases]))
-        fam, trace = train_family(config, cp, val)
+        fam, trace = train(config, cp, val)
         runs.append((last, fam.localizer, trace))
     (last_b, net_b, trace_b), (last_a, net_a, trace_a) = runs
     assert last_b["step"] == last_a["step"] == 450
@@ -289,7 +288,7 @@ def test_training_step_allocates_no_parameter_sized_array(monkeypatch, label):
         tracemalloc.get_traced_memory()[1] - start["bytes"]))
     tracemalloc.start()
     try:
-        train_family(TrainConfig(label, seed=4, epochs=3, patience=3), cp, val)
+        train(TrainConfig(label, seed=4, epochs=3, patience=3), cp, val)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 30

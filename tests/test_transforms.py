@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (TRAINABLE_KINDS, AdditiveFixture,
-                                   AdditiveLogRepairFixture, CodomainError,
+from scoremorph.transforms import (TRAINABLE_KINDS, CodomainError,
                                    ErcTransform, ExpTransform, FixedTransform,
-                                   LinearTransform, LogShiftTransform,
-                                   NoRootError, SigmaTransform,
-                                   SqrtShiftFixture, TransformFamily,
-                                   make_family, numeric_inverse)
+                                   LinearTransform, NoRootError,
+                                   SigmaTransform, make_family,
+                                   numeric_inverse)
+from support import (AdditiveFixture, AdditiveLogRepairFixture, CubeFixture,
+                     LogShiftTransform, SqrtShiftFixture)
 
 A_GRID = np.logspace(-8, 4, 40)
 
@@ -169,19 +169,6 @@ def test_deriv_A_strictly_positive():
 
 # ---- numeric inverse ----
 
-class CubeFixture(TransformFamily):
-    kind = "cube-fixture"
-
-    def phi(self, loc, a):
-        return np.asarray(a, dtype=float) ** 3 if np.ndim(a) else float(a) ** 3
-
-    def dphi_da(self, loc, a):
-        return 3.0 * np.asarray(a, dtype=float) ** 2
-
-    def dphi_dloc(self, loc, a):
-        return np.zeros_like(np.asarray(a, dtype=float)) if np.ndim(a) else 0.0
-
-
 def test_numeric_inverse_exp_against_analytic():
     net = net_for(seed=11)
     fam = ExpTransform(net)
@@ -322,7 +309,8 @@ def test_make_family_dispatch_and_errors():
     for kind in TRAINABLE_KINDS:
         assert make_family(kind, localizer=net).kind == kind
     assert make_family("fixed").kind == "fixed"
-    assert make_family("log", offset=1.0).kind == "log-shift"
+    with pytest.raises(ValueError, match="unknown family kind 'log'"):
+        make_family("log")
     with pytest.raises(ValueError):
         make_family("erc")
     with pytest.raises(ValueError):
