@@ -12,6 +12,7 @@ Both ``eval`` modes need ``--runs`` >= 1 and build rows with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .conformal import calibrate, calibration_scores, evaluate, scored
-from .data import (DEFAULT_FRACTIONS, SplitSpec, apply_normalization,
-                   load_csv, normalize, split, split_indices)
+from .data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
+                   apply_normalization, load_csv, normalize, split,
+                   split_indices)
 from .figures import band_csv, compute_band, render_svg
 from .ioutil import sha256_file, write_text_atomic
 from .knn import KnnModel, fit as knn_fit, grid_for
@@ -61,12 +63,26 @@ def _parse_alphas(text: str):
 
 
 def read_raw_axis(path):
-    """Raw X coordinates from a '# raw_x:' comment line, if present."""
+    """Raw X coordinates from a '# raw_x:' comment line, if present.
+
+    Raises IngestionError naming the 1-based line when a coordinate is not
+    a finite number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("# raw_x:"):
-                return np.asarray(
-                    [float(t) for t in line[len("# raw_x:"):].split()])
+                try:
+                    axis = np.asarray(
+                        [float(t) for t in line[len("# raw_x:"):].split()])
+                except ValueError:
+                    raise IngestionError(
+                        f"line {lineno}: non-numeric coordinate in the "
+                        "'# raw_x:' comment") from None
+                if not np.isfinite(axis).all():
+                    raise IngestionError(
+                        f"line {lineno}: non-finite coordinate in the "
+                        "'# raw_x:' comment")
+                return axis
     return None
 
 
@@ -257,15 +273,17 @@ def cmd_plot(args) -> int:
     model, ds, _, _ = _rebuild(
         bundle, load_csv(args.data, args.has_header), bundle.split.seed)
     center = model.predict_batch(ds.x)
+    locs = bundle.family.loc_batch(ds.x)
     cal = split_indices(ds.n, bundle.split)[1]
     q_hat = calibrate(calibration_scores(
-        bundle.family, scored(ds.subset(cal), center[cal])), args.alpha)
+        bundle.family, scored(ds.subset(cal), center[cal]), locs[cal]),
+        args.alpha)
     axis = read_raw_axis(args.data)
     if axis is None:
         axis = ds.x[:, 0]
     elif axis.shape[0] != ds.n:
         raise ValueError("raw_x comment length mismatches the data rows")
-    band = compute_band(bundle.family, center, ds.x, axis, ds.y, q_hat)
+    band = compute_band(bundle.family, center, ds.x, axis, ds.y, q_hat, locs)
     svg = render_svg(band, title=f"{bundle.label} alpha={args.alpha:g}")
     write_text_atomic(args.out, svg)
     csv_path = os.fspath(args.out) + ".band.csv"
@@ -280,7 +298,10 @@ def cmd_plot(args) -> int:
 
 # ---- parser ----
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no
+    state from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="scoremorph",
         description="Locally adaptive conformal prediction intervals via "

@@ -76,9 +76,11 @@ def quantile_index(n: int, alpha: float) -> int:
     return max(1, m)
 
 
-def calibration_scores(fam: TransformFamily, cal: LossBatch) -> np.ndarray:
-    """Scores phi_{x_n}(A_n) of a calibration set on its calibration family."""
-    return fam.calibration_family().forward_batch(cal.x, cal.a)
+def calibration_scores(fam: TransformFamily, cal: LossBatch,
+                       locs=None) -> np.ndarray:
+    """Scores phi_{x_n}(A_n) of a calibration set on its calibration family;
+    ``locs``, when given, holds ``fam.loc_batch(cal.x)``."""
+    return fam.calibration_family().forward_batch(cal.x, cal.a, locs)
 
 
 def calibrate(scores, alpha: float) -> float:
@@ -92,15 +94,18 @@ def calibrate(scores, alpha: float) -> float:
     return float(b[order[m - 1]])
 
 
-def _inverse(fam: TransformFamily, xs, q_hat: float) -> np.ndarray:
-    return np.asarray(fam.calibration_family().inverse_batch(xs, q_hat),
+def _inverse(fam: TransformFamily, xs, q_hat: float,
+             locs=None) -> np.ndarray:
+    return np.asarray(fam.calibration_family().inverse_batch(xs, q_hat, locs),
                       dtype=float)
 
 
-def half_widths(fam: TransformFamily, xs, q_hat: float) -> np.ndarray:
+def half_widths(fam: TransformFamily, xs, q_hat: float,
+                locs=None) -> np.ndarray:
     """Half widths sqrt(phi_x^{-1}(q)) at the rows of xs, for q from
-    ``calibrate(calibration_scores(fam, ...))``."""
-    return np.sqrt(_inverse(fam, xs, q_hat))
+    ``calibrate(calibration_scores(fam, ...))``; ``locs``, when given,
+    holds ``fam.loc_batch(xs)``."""
+    return np.sqrt(_inverse(fam, xs, q_hat, locs))
 
 
 def interval(fam: TransformFamily, x_test, f_x_test: float,
@@ -115,13 +120,15 @@ def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
     """Mean interval size and empirical coverage on a test set, per alpha.
 
     A ``ValueError`` of one alpha's quantile or inverse becomes that
-    alpha's ``error``, with no size or validity.
+    alpha's ``error``, with no size or validity. The localizer runs once
+    on each set, whatever the number of alphas.
     """
     b_cal = calibration_scores(fam, calibration)
+    locs = fam.loc_batch(test.x)
     reports = []
     for alpha in alphas:
         try:
-            inv = _inverse(fam, test.x, calibrate(b_cal, alpha))
+            inv = _inverse(fam, test.x, calibrate(b_cal, alpha), locs)
         except ValueError as exc:
             reports.append(EvalReport(float(alpha), None, None, str(exc)))
             continue

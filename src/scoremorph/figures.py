@@ -26,12 +26,13 @@ class Band:
 
 
 def compute_band(fam: TransformFamily, center, xs, axis_values, y,
-                 q_hat: float) -> Band:
+                 q_hat: float, locs=None) -> Band:
     """Evaluate [f(x) - D(x), f(x) + D(x)] at every point, sorted by axis;
-    ``center`` holds the point predictions f(x) at the rows of xs."""
+    ``center`` holds the point predictions f(x) at the rows of xs and
+    ``locs``, when given, ``fam.loc_batch(xs)``."""
     axis_values = np.asarray(axis_values, dtype=float)
     center = np.asarray(center, dtype=float)
-    half = half_widths(fam, xs, q_hat)
+    half = half_widths(fam, xs, q_hat, locs)
     order = np.argsort(axis_values, kind="stable")
     return Band(axis_values[order], center[order], (center - half)[order],
                 (center + half)[order], np.asarray(y, dtype=float)[order])
@@ -61,11 +62,14 @@ def render_svg(band: Band, title: str = "", width: int = 640,
     pad = 0.05 * max(y_hi - y_lo, 1e-12)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    # one array pass per coordinate, formatted from Python floats
     def px(v):
-        return _scale(np.asarray(v, dtype=float), x_lo, x_hi, ml, width - mr)
+        return _scale(np.asarray(v, dtype=float), x_lo, x_hi, ml,
+                      width - mr).tolist()
 
     def py(v):
-        return _scale(np.asarray(v, dtype=float), y_lo, y_hi, height - mb, mt)
+        return _scale(np.asarray(v, dtype=float), y_lo, y_hi, height - mb,
+                      mt).tolist()
 
     def pts(xv, yv):
         return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(xv), py(yv)))
@@ -83,10 +87,9 @@ def render_svg(band: Band, title: str = "", width: int = 640,
         f'<polyline points="{pts(band.axis, band.center)}" fill="none" '
         'stroke="#08519c" stroke-width="1.5"/>',
     ]
-    for i in range(band.axis.shape[0]):
-        out.append(f'<circle cx="{px(band.axis[i]):.2f}" '
-                   f'cy="{py(band.y[i]):.2f}" r="2" fill="#333333" '
-                   'fill-opacity="0.7"/>')
+    out.extend(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="#333333" '
+               'fill-opacity="0.7"/>'
+               for cx, cy in zip(px(band.axis), py(band.y)))
     # axes with min/max tick labels
     out.append(f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" '
                f'y2="{height - mb}" stroke="black"/>')

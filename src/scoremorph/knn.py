@@ -4,10 +4,14 @@ Exact Euclidean neighbours; distance ties broken toward the lower stored
 index so predictions are reproducible. The stored rows are sorted on their
 widest-spread column (Friedman, Baskett & Shustek, "An Algorithm for
 Finding Nearest Neighbors", IEEE Trans. Computers, 1975), and each chunk of
-queries, of bounded size, computes distances only to the window of rows
-whose projection can still hold a k-th neighbour. Each chunk selects its k
-nearest rows from a small candidate set (every row at or below the k-th
-distance) instead of sorting all the rows it scanned.
+at most ``_CHUNK_QUERIES`` queries computes distances only to the window of
+rows whose projection can still hold a k-th neighbour, with no more
+queries than keep (queries, window rows, dimension) within ``_CHUNK_CELLS``.
+Each chunk selects its k nearest rows from a small candidate set (every row
+at or below the k-th distance) instead of sorting all the rows it scanned,
+and is reduced at once to what its caller needs (label means for a
+prediction, their prefix means for the cross-validation), so no
+(queries, k) array outlives its chunk.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
 
 # (query, stored row, dimension) difference cells one scan chunk may hold
 _CHUNK_CELLS = 1 << 21
+# queries one windowed scan chunk may hold, and stored rows their spread
+# may span on average: a chunk costs a few dozen numpy calls whatever its
+# size, and its window widens with its queries' spread
+_CHUNK_QUERIES = 128
 
 
 def grid_for(n: int, folds: int, k_grid=DEFAULT_K_GRID) -> list:
@@ -52,51 +60,83 @@ class KnnModel:
         if xs.ndim != 2 or xs.shape[1] != self.x.shape[1]:
             raise ValueError(
                 f"queries have shape {xs.shape}, stored dimension is {self.x.shape[1]}")
-        return self.y[_nearest(self.x, xs, self.k)].mean(axis=1)
+        return _nearest(self.x, xs, self.k,
+                        lambda near: self.y[near].mean(axis=1))
 
 
-def _nearest(train_x, queries, k):
-    """Indices of the k nearest stored rows per query, nearest first.
+def _nearest(train_x, queries, k, reduce=lambda near: near):
+    """Per query, ``reduce`` of its k nearest stored rows, nearest first.
+
+    ``reduce`` maps each chunk's (queries, k) array of stored-row indices
+    to one row per query; by default the indices themselves. A reduce to
+    label means keeps no (n_query, k) array: only a chunk's is ever held.
+    """
+    out = None
+    for rows, near in _chunks(train_x, queries, k):
+        part = reduce(near)
+        if out is None:
+            out = np.empty((queries.shape[0],) + part.shape[1:], part.dtype)
+        out[rows] = part
+    return out
+
+
+def _chunks(train_x, queries, k):
+    """(query rows, their k nearest stored rows, nearest first), by chunks.
 
     The stored rows are sorted on their widest-spread column and the
-    queries are visited in that column's order, in chunks of at most
-    ``_CHUNK_CELLS`` (query, stored row, dimension) cells. Each chunk scans
-    only the contiguous window of sorted rows that ``_window`` finds, which
-    holds every row whose distance can reach some chunk query's k-th
-    distance. The window's rows are scanned in ascending stored index, and
-    each distance comes from the same per-pair arithmetic as a scan of all
-    rows, so ties still go to the lower index and the result is bit-for-bit
-    that of a stable argsort of all distances. Neither sort needs to be
-    stable: the window is a range of projected values, whatever the order
-    of equal ones, and each query's result depends only on its window.
+    queries are visited in that column's order, at most ``_CHUNK_QUERIES``
+    a chunk, and where the queries are sparser than the stored rows at
+    most as many as there are, on average, within ``_CHUNK_QUERIES`` stored
+    rows, so that a chunk's spread adds at most about that many rows to
+    its window. Each chunk scans only the contiguous window of sorted rows
+    that ``_window`` finds, which holds every row whose distance can reach
+    some chunk query's k-th distance, and takes no more queries than keep
+    (queries, window rows, dimension) within ``_CHUNK_CELLS``. The window's
+    rows are scanned in ascending stored index, and each distance comes
+    from the same per-pair arithmetic as a scan of all rows, so ties still
+    go to the lower index and the result is bit-for-bit that of a stable
+    argsort of all distances. Neither sort needs to be stable: the window
+    is a range of projected values, whatever the order of equal ones, and
+    each query's result depends only on its window.
 
     A window that holds more than three quarters of the rows is not worth
     its index sort and row copy (at 1e5 rows of two columns they cost about
     a fifth of scanning the rows they hold), so the chunk scans every row
-    in place; when the projection cannot prune at all, as on columns of
-    similar spread, that is every chunk. A call whose queries all fit in
-    one chunk scans every row without sorting: at that size (a few hundred
-    stored rows) the sorts and the bound cost more than the window saves.
+    in place, as many queries as the budget allows for all n rows; when
+    the projection cannot prune at all, as on columns of similar spread,
+    that is every chunk. A call whose queries all fit in one such full scan
+    scans every row without sorting: at that size (a few hundred stored
+    rows) the sorts and the bound cost more than the window saves.
     """
     n, d = train_x.shape
-    rows = max(1, _CHUNK_CELLS // (n * d))
-    if 0 < queries.shape[0] <= rows:
-        return _k_smallest(_sq_distances(queries, train_x), k)
-    out = np.empty((queries.shape[0], k), dtype=np.intp)
+    n_queries = queries.shape[0]
+    full = max(1, _CHUNK_CELLS // (n * d))  # queries per scan of every row
+    if n_queries <= full:
+        yield slice(None), (_k_smallest(_sq_distances(queries, train_x), k)
+                            if n_queries else np.empty((0, k), dtype=np.intp))
+        return
     j = int(np.argmax(train_x.max(axis=0) - train_x.min(axis=0)))
     order = np.argsort(train_x[:, j])
     sorted_x = train_x[order]
     visit = np.argsort(queries[:, j])
-    for start in range(0, visit.size, rows):
-        idx = visit[start:start + rows]
-        q = queries[idx]
-        left, right = _window(sorted_x, q, j, k)
+    cap = max(1, min(_CHUNK_QUERIES, _CHUNK_QUERIES * n_queries // n))
+    start, size = 0, cap
+    while start < n_queries:
+        idx = visit[start:start + size]
+        left, right = _window(sorted_x, queries[idx], j, k)
         if 4 * (right - left) > 3 * n:
-            out[idx] = _k_smallest(_sq_distances(q, train_x), k)
+            # a scan of every row needs no window: take a full chunk
+            size = full
+            idx = visit[start:start + size]
+            yield idx, _k_smallest(_sq_distances(queries[idx], train_x), k)
         else:
+            # the window of a chunk's queries holds that of any of them
+            size = min(cap, max(1, _CHUNK_CELLS // ((right - left) * d)))
+            idx = idx[:size]
             cols = np.sort(order[left:right])
-            out[idx] = cols[_k_smallest(_sq_distances(q, train_x[cols]), k)]
-    return out
+            yield idx, cols[_k_smallest(
+                _sq_distances(queries[idx], train_x[cols]), k)]
+        start += idx.size
 
 
 def _window(sorted_x, q, j, k):
@@ -203,16 +243,18 @@ def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = 5,
     if len(grid) == 1:
         return KnnModel(proper_train.x, proper_train.y, grid[0])
 
+    ks = np.array(grid)
     sq_errors = {k: [] for k in grid}
     for f in range(folds):
         val_idx = perm[fold_ids == f]
         tr_idx = perm[fold_ids != f]
-        near = _nearest(proper_train.x[tr_idx], proper_train.x[val_idx],
-                        grid[-1])
-        cum = np.cumsum(proper_train.y[tr_idx][near], axis=1)
-        for k in grid:
-            pred = cum[:, k - 1] / k
-            sq_errors[k].append((pred - proper_train.y[val_idx]) ** 2)
+        tr_y = proper_train.y[tr_idx]
+        # per validation row, the mean of its k nearest labels for each k
+        pred = _nearest(
+            proper_train.x[tr_idx], proper_train.x[val_idx], grid[-1],
+            lambda near: np.cumsum(tr_y[near], axis=1)[:, ks - 1] / ks)
+        for i, k in enumerate(grid):
+            sq_errors[k].append((pred[:, i] - proper_train.y[val_idx]) ** 2)
     mse = {k: float(np.concatenate(sq_errors[k]).mean()) for k in grid}
     best_k = min(grid, key=lambda k: (mse[k], k))
     return KnnModel(proper_train.x, proper_train.y, best_k)

@@ -111,22 +111,20 @@ class TransformFamily:
         loc = self._checked_loc(x)
         return self.phi(loc, a)
 
-    def forward_batch(self, xs, a):
+    def forward_batch(self, xs, a, locs=None):
+        """B = phi_x(A) at the rows of xs; ``locs`` may pass their
+        ``loc_batch(xs)`` when the caller already holds it."""
         a = self._check_base_score(a)
-        locs = self.loc_batch(xs)
-        if not np.all(np.isfinite(locs)):
-            raise ValueError("non-finite localization value")
-        return self.phi(locs, a)
+        return self.phi(self._checked_locs(xs, locs), a)
 
     def inverse(self, x, b):
         """Base score A = phi_x^{-1}(B); raises CodomainError outside B_x."""
         return self.phi_inv(self._checked_loc(x), b)
 
-    def inverse_batch(self, xs, b):
-        locs = self.loc_batch(xs)
-        if not np.all(np.isfinite(locs)):
-            raise ValueError("non-finite localization value")
-        return self.phi_inv(locs, b)
+    def inverse_batch(self, xs, b, locs=None):
+        """A = phi_x^{-1}(B) at the rows of xs; ``locs`` as in
+        ``forward_batch``."""
+        return self.phi_inv(self._checked_locs(xs, locs), b)
 
     def deriv_A(self, x, a):
         """d phi_x / dA, strictly positive for a > 0."""
@@ -199,6 +197,13 @@ class TransformFamily:
         if not np.isfinite(loc):
             raise ValueError(f"non-finite localization value at x={x!r}")
         return loc
+
+    def _checked_locs(self, xs, locs):
+        if locs is None:
+            locs = self.loc_batch(xs)
+        if not np.all(np.isfinite(locs)):
+            raise ValueError("non-finite localization value")
+        return locs
 
     @staticmethod
     def _check_base_score(a):

@@ -144,3 +144,9 @@ def pre_activation_margin(net, xs) -> float:
         margin = min(margin, np.abs(z).min())
         a = np.maximum(z, 0.0)
     return margin
+
+
+def zero_grads_like(net):
+    """Per-layer ``(dW, db)`` zero arrays shaped like net's parameters."""
+    return [(np.zeros_like(w), np.zeros_like(b))
+            for w, b in zip(net.weights, net.biases)]

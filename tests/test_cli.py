@@ -8,8 +8,10 @@ import pytest
 
 from scoremorph import cli, training
 from scoremorph.cli import main, read_raw_axis
-from scoremorph.data import load_csv
+from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
+                             load_csv, split_indices)
 from scoremorph.knn import KnnModel
+from scoremorph.network import LocalizerNet
 from scoremorph.serialize import load_model, save_model
 from scoremorph.transforms import FixedTransform
 
@@ -85,6 +87,21 @@ def test_missing_required_flag_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("train", "--family", "linear", "--model-out", tmp_path / "m.json")
     assert exc.value.code == 2
+
+
+def test_main_calls_parse_independently(tmp_path):
+    # main builds its parser once per process; a call's flags must not
+    # leak into the next call, whatever its subcommand
+    first = synth(tmp_path, name="first.csv", n=50, seed=7)
+    assert run("train", "--data", first, "--family", "fixed",
+               "--model-out", tmp_path / "m.json") == 0
+    assert run("synth", "--kind", "cos", "--out", tmp_path / "second.csv") == 0
+    train = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    second = json.loads(
+        (tmp_path / "second.csv.manifest.json").read_text())
+    assert train["config"]["seed"] == 0
+    assert (second["config"]["n"], second["config"]["seed"]) == (1000, 0)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_runtime_failure_exit_code(tmp_path):
@@ -418,6 +435,53 @@ def test_plot_predicts_the_data_file_once(tmp_path, monkeypatch):
                "--out", tmp_path / "once.svg") == 0
     # the calibration rows are sliced from the one prediction of the file
     assert queries == [load_csv(data).n]
+
+
+def test_eval_and_plot_run_the_localizer_once_per_split(tmp_path,
+                                                         monkeypatch):
+    # evaluate computes s(x) on the test rows once for all alphas, and plot
+    # once on the data file, taking the calibration rows from it
+    data, model = train_model(tmp_path)
+    rows = []
+    values = LocalizerNet.values
+
+    def spy(self, xs):
+        rows.append(len(xs))
+        return values(self, xs)
+
+    monkeypatch.setattr(LocalizerNet, "values", spy)
+    assert run("eval", "--data", data, "--model", model, "--alphas",
+               "0.05,0.1,0.32", "--runs", 2, "--report",
+               tmp_path / "r.csv") == 0
+    n = load_csv(data).n
+    parts = split_indices(n, SplitSpec(1, DEFAULT_FRACTIONS))
+    # the trained bundle only: the auto-added fixed one has no localizer
+    assert rows == [len(parts[1]), len(parts[3])] * 2
+    rows.clear()
+    assert run("plot", "--data", data, "--model", model,
+               "--out", tmp_path / "once.svg") == 0
+    assert rows == [n]
+
+
+@pytest.mark.parametrize("token, problem", [("nan", "non-finite"),
+                                            ("x0.5", "non-numeric")])
+def test_plot_rejects_a_bad_raw_x_comment(tmp_path, capsys, token, problem):
+    # a raw_x comment of the right length with one bad coordinate: a NaN
+    # gave exit 0 and an SVG of nan coordinates and tick labels
+    data, model = train_model(tmp_path, family="fixed")
+    lines = data.read_text().splitlines()
+    raw = [i for i, line in enumerate(lines) if line.startswith("# raw_x:")]
+    assert raw == [1]
+    coords = lines[1].split()
+    coords[5] = token
+    lines[1] = " ".join(coords)
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError, match=f"line 2: {problem}"):
+        read_raw_axis(data)
+    out = tmp_path / "bad.svg"
+    assert run("plot", "--data", data, "--model", model, "--out", out) == 1
+    assert f"line 2: {problem} coordinate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_dimension_mismatch_fails(tmp_path):

@@ -262,6 +262,57 @@ def test_scan_without_pruning_reads_stored_rows_in_place(monkeypatch):
     assert np.array_equal(got, oracle)
 
 
+def test_predict_memory_grows_by_a_few_words_per_row():
+    # predictions reduce each chunk to its label means: the (n, k) index
+    # array and its labels were 2k words per row (800 bytes at k = 50).
+    # What still grows with n is the sort order and sorted copy of the
+    # stored rows, the query visiting order and the result, 4 words per
+    # row at d = 1
+    rng = np.random.default_rng(15)
+    peaks = {}
+    for n in (10**4, 10**5):
+        model = knn.KnnModel(rng.uniform(-1, 1, (n, 1)), rng.normal(size=n),
+                             50)
+        queries = rng.uniform(-1, 1, (n, 1))
+        tracemalloc.start()
+        try:
+            model.predict_batch(queries)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[10**5] - peaks[10**4]) / (10**5 - 10**4) <= 6 * 8
+
+
+def test_scan_work_per_query_is_flat_in_n(monkeypatch):
+    # the read path on synth cos: the point model stores 40 % of the rows,
+    # and plot queries every row, eval's test split a tenth of them. A chunk
+    # holds _CHUNK_QUERIES queries, fewer where the queries are sparser
+    # than the stored rows, so the chunk count follows the queries, and the
+    # distance cells each query reaches stay the same from 1e4 to 1e5 rows
+    cells = []
+    sq_distances = knn._sq_distances
+
+    def counted(q, train_x):
+        cells.append(q.shape[0] * train_x.shape[0] * train_x.shape[1])
+        return sq_distances(q, train_x)
+
+    monkeypatch.setattr(knn, "_sq_distances", counted)
+    per_query = {}
+    for n in (10**4, 10**5):
+        ds = synthetic.generate(synthetic.SynthSpec("cos", n=n, seed=1)).dataset
+        stored = int(0.4 * n)
+        for share, cap in ((1.0, knn._CHUNK_QUERIES),
+                           (0.1, knn._CHUNK_QUERIES // 4)):
+            queries = ds.x[n - int(share * n):]
+            cells.clear()
+            knn._nearest(ds.x[:stored], queries, 50)
+            assert len(cells) == -(-len(queries) // cap)
+            per_query[n, share] = sum(cells) / len(queries)
+    for share in (1.0, 0.1):
+        assert per_query[10**5, share] <= 1.25 * per_query[10**4, share]
+        assert per_query[10**5, share] < 0.01 * int(0.4 * 10**5) * 3
+
+
 def test_grid_for_fits_every_size():
     # no k above the smallest CV training part, n - ceil(n / folds): before
     # that bound, 40 or 52 proper rows kept k = 34 and fit refused it

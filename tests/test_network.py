@@ -1,11 +1,13 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from scoremorph import network
 from scoremorph.network import (AdamState, LocalizerNet, StaleTapeError,
-                                adam_step, zero_grads_like)
-from support import pre_activation_margin
+                                adam_step)
+from support import pre_activation_margin, zero_grads_like
 
 
 def toy_net():
@@ -441,3 +443,49 @@ def test_adam_flush_period_follows_beta1():
     for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
         assert np.array_equal(a, b)
     assert ref_subnormal_steps > 0  # unflushed, the moments pass through
+
+
+def test_values_memory_is_flat_in_n():
+    # values runs its rows in blocks, so the (n, 100) hidden activations
+    # (1600 bytes per row for the default net) are never held: from 1e4 to
+    # 1e5 rows its traced peak grows by the result, one word per row
+    net = LocalizerNet.init(1, seed=0)
+    rng = np.random.default_rng(16)
+    peaks = {}
+    for n in (10**4, 10**5):
+        xs = rng.normal(size=(n, 1))
+        tracemalloc.start()
+        try:
+            net.values(xs)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**5] <= 1.5 * peaks[10**4]
+
+
+def test_values_runs_aligned_blocks(monkeypatch):
+    # blocks start at multiples of _VALUES_ROWS and the last one absorbs a
+    # remainder below half a block, so no GEMM is small or misaligned next
+    # to the one product over all rows it replaces
+    net = LocalizerNet.init(3, seed=4)
+    block = network._VALUES_ROWS
+    sizes = []
+    forward = LocalizerNet._forward
+
+    def spy(self, xs, record):
+        sizes.append(len(xs))
+        return forward(self, xs, record)
+
+    monkeypatch.setattr(LocalizerNet, "_forward", spy)
+    rng = np.random.default_rng(17)
+    for n, blocks in ((1, [1]),
+                      (block + block // 2 - 1, [block + block // 2 - 1]),
+                      (block + block // 2, [block, block // 2]),
+                      (6000, [block] * 5 + [6000 - 5 * block])):
+        xs = rng.normal(size=(n, 3))
+        sizes.clear()
+        got = net.values(xs)
+        assert sizes == blocks
+        assert np.array_equal(got, np.concatenate(
+            [forward(net, xs[s:s + b], False)[0]
+             for s, b in zip(np.cumsum([0] + blocks[:-1]), blocks)]))
