@@ -3,7 +3,8 @@
 Every family maps the squared residual A to a new score B = phi_x(A),
 strictly increasing in A with an x-independent codomain. That pair of
 properties is what keeps the calibrated quantile invertible at any test
-attribute; the last section shows what goes wrong without it.
+attribute; the last section shows what goes wrong without it. Every call
+takes a batch of attribute rows; a single point is a one-row batch.
 """
 
 import numpy as np
@@ -11,8 +12,7 @@ import numpy as np
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (CodomainError, ErcTransform, ExpTransform,
                                    FixedTransform, LinearTransform,
-                                   SigmaTransform, TransformFamily,
-                                   numeric_inverse)
+                                   SigmaTransform, TransformFamily)
 
 net = LocalizerNet.init(d=2, seed=0)
 families = [
@@ -23,13 +23,14 @@ families = [
     SigmaTransform(net),
 ]
 
-x = np.array([0.3, -1.2])
-print(f"localizer output g(x) = {net.value(x):+.4f}\n")
+x = np.array([[0.3, -1.2]])  # one attribute row
+print(f"localizer output g(x) = {net.values(x)[0]:+.4f}\n")
 print(f"{'family':8s} {'B=phi(2.0)':>12s} {'inverse(B)':>12s} {'dphi/dA':>10s}")
 for fam in families:
-    b = fam.forward(x, 2.0)
-    back = fam.inverse(x, b)
-    print(f"{fam.kind:8s} {b:12.6f} {back:12.6f} {fam.deriv_A(x, 2.0):10.6f}")
+    b = fam.forward_batch(x, [2.0])[0]
+    back = fam.inverse_batch(x, b)[0]
+    slope = fam.dphi_da(fam.loc_batch(x), [2.0])[0]
+    print(f"{fam.kind:8s} {b:12.6f} {back:12.6f} {slope:10.6f}")
 
 # the three log-based families are monotone maps of one another, so they
 # rank any score set identically
@@ -43,22 +44,22 @@ for fam in families[2:]:
 
 # inversion also works without a closed form: bisection on the monotone map
 fam = ExpTransform(net)
-b = fam.forward(x, 5.0)
+b = fam.forward_batch(x, [5.0])[0]
 print(f"\nbisection inverse of exp family at B={b:.4f}: "
-      f"{numeric_inverse(fam, x, b):.10f} (exact 5.0)")
+      f"{fam.phi_inv_numeric(fam.loc_batch(x), b)[0]:.10f} (exact 5.0)")
 
 
 # breaking the shared-codomain requirement: B = A + g(x)^2 has codomain
 # [g(x)^2, inf), so a quantile from one x may be uninvertible at another
 class Additive(TransformFamily):
-    def loc(self, x):
-        return 2.0 + x[0]  # g(x)
+    def loc_batch(self, xs):
+        return 2.0 + xs[:, 0]  # g at each row
 
     def phi(self, g, a):
         return a + g * g
 
     def phi_inv(self, g, b):
-        if b < g * g:
+        if np.any(b < g * g):
             raise CodomainError("additive fixture: B below g(x)^2 has no "
                                 "nonnegative base score")
         return b - g * g
@@ -75,13 +76,14 @@ class AdditiveLogRepair(Additive):
 
 
 broken, repaired = Additive(), AdditiveLogRepair()
-x_cal, x_test = np.array([0.0]), np.array([3.0])
-b = broken.forward(x_cal, 1.0)
+x_cal, x_test = np.array([[0.0]]), np.array([[3.0]])
+b = broken.forward_batch(x_cal, [1.0])[0]
 print(f"\nadditive fixture: calibration score B = {b:.1f}, "
-      f"test codomain starts at {broken.loc(x_test) ** 2:.1f}")
+      f"test codomain starts at {broken.loc_batch(x_test)[0] ** 2:.1f}")
 try:
-    broken.inverse(x_test, b)
+    broken.inverse_batch(x_test, b)
 except CodomainError as exc:
     print(f"  inversion fails as expected: {exc}")
-b2 = repaired.forward(x_cal, 1.0)
-print(f"  log-composed repair inverts fine: {repaired.inverse(x_test, b2):.3e}")
+b2 = repaired.forward_batch(x_cal, [1.0])[0]
+print("  log-composed repair inverts fine: "
+      f"{repaired.inverse_batch(x_test, b2)[0]:.3e}")

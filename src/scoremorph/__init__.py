@@ -14,13 +14,12 @@ from .conformal import (EvalReport, PredictionInterval, calibrate,
                         quantile_index, scored)
 from .data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
                    NormalizationStats, SplitSpec, apply_normalization,
-                   compute_stats, denormalize, load_csv, normalize, split,
-                   split_indices)
+                   compute_stats, load_csv, normalize, split, split_indices)
 from .knn import DEFAULT_K_GRID, KnnModel
 from .knn import fit as fit_knn
 from .network import AdamState, LocalizerNet, StaleTapeError, Tape, adam_step
 from .objective import (LossBatch, LossValue, erc_error_fit_loss, loss_batch,
-                        loss_pair_term, pairwise_size_loss)
+                        pairwise_size_loss)
 from .serialize import ModelBundle, load_model, save_model
 from .synthetic import SynthData, SynthSpec, amplitude, generate
 from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
@@ -29,6 +28,6 @@ from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
 from .transforms import (TRAINABLE_KINDS, CodomainError, ErcTransform,
                          ExpTransform, FixedTransform, LinearTransform,
                          LogShiftCore, NoRootError, SigmaTransform,
-                         TransformFamily, make_family, numeric_inverse)
+                         TransformFamily, make_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

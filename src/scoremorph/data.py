@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
 import numpy as np
 
 # proper-train / cp-train / validation / test
@@ -121,9 +123,11 @@ def load_csv(path, has_header: bool = False) -> Dataset:
 
     Lines starting with '#' are ignored. Raises IngestionError naming the
     offending 1-based line on malformed input; when several lines are
-    malformed, the first one is named.
+    malformed, the first one is named. The parsed values go into one flat
+    buffer, which the returned arrays share, so no Python object is kept
+    per row or per value.
     """
-    rows, linenos = [], []
+    values, linenos = array("d"), array("q")
     ncols = None
     problem = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -147,18 +151,19 @@ def load_csv(path, has_header: bool = False) -> Dataset:
                            f"got {len(cells)}")
                 break
             try:
-                rows.append([float(c) for c in cells])
+                # parsed whole first, so a bad cell appends none of its row
+                values.extend([float(c) for c in cells])
             except ValueError:
                 problem = f"row {lineno}: non-numeric cell in {cells!r}"
                 break
             linenos.append(lineno)
+    if not linenos:
+        raise IngestionError(problem or "no rows")
     # one finiteness check over every row parsed, before any later problem
-    arr = np.asarray(rows, dtype=float)
-    bad = ~np.isfinite(arr).all(axis=-1)
+    arr = np.frombuffer(values).reshape(len(linenos), ncols)
+    bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         problem = f"row {linenos[int(np.argmax(bad))]}: non-finite value"
-    elif problem is None and not rows:
-        problem = "no rows"
     if problem is not None:
         raise IngestionError(problem)
     return Dataset(arr[:, :-1], arr[:, -1])
@@ -193,14 +198,6 @@ def normalize(ds: Dataset) -> Dataset:
     if ds.n < 2:
         raise ValueError("normalization needs at least 2 samples")
     return apply_normalization(ds, compute_stats(ds))
-
-
-def denormalize(ds: Dataset) -> Dataset:
-    """Undo the normalization recorded in ds.stats."""
-    if ds.stats is None:
-        raise ValueError("dataset carries no normalization stats")
-    cols = _columns(ds) * ds.stats.effective_sd() + ds.stats.mean
-    return Dataset(cols[:, :-1], cols[:, -1], None)
 
 
 def split_indices(n: int, spec: SplitSpec):

@@ -48,13 +48,6 @@ class KnnModel:
         if not 1 <= self.k <= self.x.shape[0]:
             raise ValueError(f"k={self.k} outside [1, {self.x.shape[0]}]")
 
-    def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.x.shape[1],):
-            raise ValueError(
-                f"query has shape {x.shape}, stored dimension is {self.x.shape[1]}")
-        return float(self.predict_batch(x[None])[0])
-
     def predict_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.x.shape[1]:

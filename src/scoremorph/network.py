@@ -102,11 +102,6 @@ class LocalizerNet:
         tape = Tape(xs, acts, self.version) if record else None
         return g[:, 0], tape
 
-    def forward(self, x):
-        """Return (scalar g, tape) for a single attribute vector."""
-        g, tape = self.forward_batch(np.asarray(x, dtype=float)[None, :])
-        return float(g[0]), tape
-
     def backward_batch(self, tape: Tape, upstream, out=None):
         """Gradients of sum_i upstream[i] * g(x_i) w.r.t. every parameter.
 
@@ -146,12 +141,6 @@ class LocalizerNet:
                 dz = dz @ w
             grads[l] = (gw, gb)
         return grads
-
-    def backward(self, tape: Tape, upstream: float):
-        return self.backward_batch(tape, np.array([upstream], dtype=float))
-
-    def value(self, x) -> float:
-        return self.forward(x)[0]
 
     def values(self, xs) -> np.ndarray:
         """g at the rows of xs, recording no tape.

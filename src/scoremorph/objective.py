@@ -59,12 +59,6 @@ class LossValue:
     grads: list  # per-layer (dW, db); empty for parameter-free families
 
 
-def loss_pair_term(fam: TransformFamily, x_test, x_n, a_n: float) -> float:
-    """sqrt(phi_{x_test}^{-1}(phi_{x_n}(A_n))): one ordered-pair size term."""
-    a_eff = max(float(a_n), fam.epsilon_floor)
-    return float(np.sqrt(fam.inverse(x_test, fam.forward(x_n, a_eff))))
-
-
 def _non_finite(bad_pairs) -> ValueError:
     bad = np.argwhere(bad_pairs & ~np.eye(bad_pairs.shape[0], dtype=bool))
     return ValueError(f"non-finite loss at pair indices {bad[:5].tolist()}")

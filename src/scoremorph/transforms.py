@@ -46,8 +46,6 @@ def _sigmoid(z):
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -55,24 +53,19 @@ def _logit(b):
     return np.log(b) - np.log1p(-b)
 
 
-def _maybe_float(value):
-    """Collapse 0-d numpy results to plain floats."""
-    value = np.asarray(value)
-    return float(value) if value.ndim == 0 else value
-
-
 def _expand(value, *operands):
     """Broadcast a (possibly constant) value to the joint operand shape."""
     shape = np.broadcast_shapes(*(np.shape(o) for o in operands))
-    out = np.broadcast_to(np.asarray(value, dtype=float), shape)
-    return float(out) if out.ndim == 0 else out
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
 class TransformFamily:
     """Base class: core maps are expressed in terms of the localization value.
 
     Subclasses implement ``phi``/``phi_inv``/derivatives as numpy-vectorized
-    functions of (loc, score); the public API resolves loc from x.
+    functions of (loc, score), and ``loc_batch`` maps attribute rows to
+    their localization values. Every operation takes a batch of rows; a
+    single point is a one-row batch.
     """
 
     kind = "base"
@@ -82,9 +75,6 @@ class TransformFamily:
         self.epsilon_floor = float(epsilon_floor)
 
     # ---- localization ----
-
-    def loc(self, x) -> float:
-        return 0.0
 
     def loc_batch(self, xs) -> np.ndarray:
         return np.zeros(np.asarray(xs).shape[0])
@@ -105,54 +95,16 @@ class TransformFamily:
 
     # ---- public API ----
 
-    def forward(self, x, a):
-        """Transformed score B = phi_x(A)."""
-        a = self._check_base_score(a)
-        loc = self._checked_loc(x)
-        return self.phi(loc, a)
-
     def forward_batch(self, xs, a, locs=None):
         """B = phi_x(A) at the rows of xs; ``locs`` may pass their
         ``loc_batch(xs)`` when the caller already holds it."""
         a = self._check_base_score(a)
         return self.phi(self._checked_locs(xs, locs), a)
 
-    def inverse(self, x, b):
-        """Base score A = phi_x^{-1}(B); raises CodomainError outside B_x."""
-        return self.phi_inv(self._checked_loc(x), b)
-
     def inverse_batch(self, xs, b, locs=None):
         """A = phi_x^{-1}(B) at the rows of xs; ``locs`` as in
-        ``forward_batch``."""
+        ``forward_batch``. Raises CodomainError where B lies outside B_x."""
         return self.phi_inv(self._checked_locs(xs, locs), b)
-
-    def deriv_A(self, x, a):
-        """d phi_x / dA, strictly positive for a > 0."""
-        a = np.asarray(a, dtype=float)
-        if np.any(a <= 0):
-            raise ValueError("derivative requires A > 0")
-        return self.dphi_da(self._checked_loc(x), a)
-
-    def grad_inverse_params(self, x, b, numeric=False, bracket=(1e-12, 1.0),
-                            tol=1e-12):
-        """Gradient of phi_x^{-1}(B) w.r.t. the localizer parameters.
-
-        Uses the implicit relations: at A* = phi_x^{-1}(B),
-        grad phi^{-1} = -grad phi / phi' and d phi^{-1}/dB = 1 / phi'.
-        With ``numeric=True`` A* is obtained by bisection instead of the
-        closed-form inverse. Families without parameters return ([], .).
-        """
-        loc = self._checked_loc(x)
-        if numeric:
-            a_star = self.phi_inv_numeric(loc, b, bracket=bracket, tol=tol)
-        else:
-            a_star = self.phi_inv(loc, b)
-        phi_p = self.dphi_da(loc, a_star)
-        if phi_p <= 0:
-            raise RuntimeError("monotonicity violated: phi' <= 0")
-        dinv_db = 1.0 / phi_p
-        dinv_dloc = -self.dphi_dloc(loc, a_star) / phi_p
-        return self._loc_grad(x, dinv_dloc), dinv_db
 
     def phi_inv_numeric(self, loc, b, bracket=(1e-12, 1.0), tol=1e-12):
         """Invert phi(loc, .) = b by bisection with geometric bracket growth,
@@ -180,7 +132,7 @@ class TransformFamily:
             # stop at the tolerance or where float resolution is reached
             active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
             if not np.any(active):
-                return _maybe_float(0.5 * (lo + hi))
+                return 0.5 * (lo + hi)
             below = self.phi(loc, mid) <= b
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
@@ -191,12 +143,6 @@ class TransformFamily:
         return self
 
     # ---- helpers ----
-
-    def _checked_loc(self, x) -> float:
-        loc = self.loc(x)
-        if not np.isfinite(loc):
-            raise ValueError(f"non-finite localization value at x={x!r}")
-        return loc
 
     def _checked_locs(self, xs, locs):
         if locs is None:
@@ -210,13 +156,7 @@ class TransformFamily:
         a = np.asarray(a, dtype=float)
         if np.any(a < 0):
             raise ValueError("base scores must be nonnegative")
-        if a.ndim == 0:
-            return float(a)
         return a
-
-    def _loc_grad(self, x, upstream: float):
-        """Parameter gradients of upstream * loc(x); [] when parameter-free."""
-        return []
 
     def _clamped(self, a):
         return np.maximum(a, self.epsilon_floor)
@@ -270,15 +210,8 @@ class LogShiftCore(TransformFamily):
         super().__init__(epsilon_floor)
         self.localizer = localizer
 
-    def loc(self, x) -> float:
-        return self.localizer.value(np.asarray(x, dtype=float))
-
     def loc_batch(self, xs) -> np.ndarray:
         return self.localizer.values(np.asarray(xs, dtype=float))
-
-    def _loc_grad(self, x, upstream: float):
-        _, tape = self.localizer.forward(np.asarray(x, dtype=float))
-        return self.localizer.backward(tape, upstream)
 
     def shift(self, loc):
         return loc
@@ -291,7 +224,7 @@ class LogShiftCore(TransformFamily):
         return np.log(self._clamped(a)) + self.shift(loc)
 
     def phi(self, loc, a):
-        return _maybe_float(self.outer.h(self.preimage(loc, a)))
+        return self.outer.h(self.preimage(loc, a))
 
     def phi_inv(self, loc, b):
         b = np.asarray(b, dtype=float)
@@ -299,15 +232,13 @@ class LogShiftCore(TransformFamily):
         if np.any(b <= lo) or np.any(b >= hi):
             raise CodomainError(
                 f"{self.kind} family: B must lie in ({lo:g}, {hi:g})")
-        return _maybe_float(np.exp(self.outer.h_inv(b) - self.shift(loc)))
+        return np.exp(self.outer.h_inv(b) - self.shift(loc))
 
     def dphi_da(self, loc, a):
-        return _maybe_float(self.outer.dh(self.preimage(loc, a))
-                            / self._clamped(a))
+        return self.outer.dh(self.preimage(loc, a)) / self._clamped(a)
 
     def dphi_dloc(self, loc, a):
-        return _maybe_float(self.outer.dh(self.preimage(loc, a))
-                            * self.dshift(loc))
+        return self.outer.dh(self.preimage(loc, a)) * self.dshift(loc)
 
     def calibration_family(self) -> "LogShiftCore":
         """This family without its outer map: scores are the pre-image z."""
@@ -358,12 +289,6 @@ class SigmaTransform(LogShiftCore):
 
     kind = "sigma"
     outer = _SIGMOID
-
-
-def numeric_inverse(fam: TransformFamily, x, b, bracket=(1e-12, 1.0),
-                    tol: float = 1e-12) -> float:
-    """Bisection inverse of fam at x: find A with phi_x(A) = b within tol."""
-    return fam.phi_inv_numeric(fam._checked_loc(x), b, bracket=bracket, tol=tol)
 
 
 def make_family(kind: str, localizer: LocalizerNet | None = None,

@@ -11,7 +11,7 @@ reaches.
 import numpy as np
 
 from scoremorph.transforms import (DEFAULT_EPSILON_FLOOR, CodomainError,
-                                   TransformFamily, _expand, _maybe_float)
+                                   TransformFamily, _expand)
 
 
 class LogShiftTransform(TransformFamily):
@@ -45,8 +45,7 @@ class SqrtMap(TransformFamily):
     def phi_inv(self, loc, b):
         if np.any(np.asarray(b) < 0):
             raise ValueError("negative")
-        out = np.asarray(b, dtype=float) ** 2
-        return out if np.ndim(b) else float(out)
+        return np.asarray(b, dtype=float) ** 2
 
 
 class CubeFixture(TransformFamily):
@@ -55,7 +54,7 @@ class CubeFixture(TransformFamily):
     kind = "cube-fixture"
 
     def phi(self, loc, a):
-        return np.asarray(a, dtype=float) ** 3 if np.ndim(a) else float(a) ** 3
+        return np.asarray(a, dtype=float) ** 3
 
 
 class SqrtShiftFixture(TransformFamily):
@@ -72,18 +71,15 @@ class SqrtShiftFixture(TransformFamily):
         super().__init__()
         self.theta = float(theta)
 
-    def loc(self, x) -> float:
-        return self.theta * float(np.asarray(x, dtype=float).ravel()[0])
-
     def loc_batch(self, xs) -> np.ndarray:
         return self.theta * np.asarray(xs, dtype=float).reshape(len(xs), -1)[:, 0]
 
     def phi(self, loc, a):
-        return _maybe_float(np.sqrt(a) + loc)
+        return np.sqrt(a) + loc
 
     def phi_inv(self, loc, b):
         diff = np.asarray(b, dtype=float) - loc
-        return _maybe_float(diff * diff)
+        return diff * diff
 
 
 class AdditiveFixture(TransformFamily):
@@ -98,20 +94,20 @@ class AdditiveFixture(TransformFamily):
 
     def __init__(self, g_fn):
         super().__init__()
-        self.g_fn = g_fn
+        self.g_fn = g_fn  # g at the rows of an (m, d) array
 
-    def loc(self, x) -> float:
-        return float(self.g_fn(np.asarray(x, dtype=float)))
+    def loc_batch(self, xs) -> np.ndarray:
+        return np.asarray(self.g_fn(np.asarray(xs, dtype=float)), dtype=float)
 
     def phi(self, loc, a):
-        return _maybe_float(a + loc * loc)
+        return a + loc * loc
 
     def phi_inv(self, loc, b):
         out = np.asarray(b, dtype=float) - loc * loc
         if np.any(out < 0):
             raise CodomainError(
                 "additive fixture: B below g(x)^2 has no nonnegative base score")
-        return _maybe_float(out)
+        return out
 
 
 class AdditiveLogRepairFixture(AdditiveFixture):
@@ -124,12 +120,10 @@ class AdditiveLogRepairFixture(AdditiveFixture):
         self.eps = float(eps)
 
     def phi(self, loc, a):
-        return _maybe_float((1.0 + self.eps) * np.log(self._clamped(a))
-                            + loc * loc)
+        return (1.0 + self.eps) * np.log(self._clamped(a)) + loc * loc
 
     def phi_inv(self, loc, b):
-        out = np.exp((np.asarray(b, dtype=float) - loc * loc) / (1.0 + self.eps))
-        return _maybe_float(out)
+        return np.exp((np.asarray(b, dtype=float) - loc * loc) / (1.0 + self.eps))
 
 
 def pre_activation_margin(net, xs) -> float:

@@ -19,7 +19,7 @@ from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
 from scoremorph.training import TrainConfig, train
 from scoremorph.transforms import (CodomainError, ErcTransform, ExpTransform,
                                    FixedTransform, LinearTransform,
-                                   SigmaTransform, numeric_inverse)
+                                   SigmaTransform)
 from support import (AdditiveFixture, AdditiveLogRepairFixture,
                      LogShiftTransform, SqrtMap, SqrtShiftFixture,
                      pre_activation_margin)
@@ -188,21 +188,24 @@ def test_criterion_5_implicit_inverse_machinery():
     for _ in range(20):
         x = rng.normal(size=3)
         a_true = float(rng.uniform(0.05, 20.0))
-        g = fam.loc(x)
+        g, tape = fam.localizer.forward_batch(x[None])
         b = a_true * np.exp(g)
-        a_bis = numeric_inverse(fam, x, b, tol=1e-12)
-        worst_inv = max(worst_inv, abs(a_bis - a_true) / max(1.0, a_true))
-        implicit, dinv_db = fam.grad_inverse_params(x, b, numeric=True,
-                                                    tol=1e-12)
+        a_bis = fam.phi_inv_numeric(g, b, tol=1e-12)
+        worst_inv = max(worst_inv, abs(a_bis[0] - a_true) / max(1.0, a_true))
+        # implicit relations at the bisection root: d phi^{-1}/dB = 1 / phi_A
+        # and d phi^{-1}/d theta = -(phi_g / phi_A) dg/dtheta
+        phi_p = fam.dphi_da(g, a_bis)
+        implicit = fam.localizer.backward_batch(
+            tape, -fam.dphi_dloc(g, a_bis) / phi_p)
+        dinv_db = 1.0 / phi_p[0]
         # closed-form oracle: phi^{-1} = B e^{-g}, so the theta-gradient is
         # -B e^{-g} dg/dtheta and d phi^{-1}/dB = e^{-g}
-        _, tape = fam.localizer.forward(x)
-        oracle = fam.localizer.backward(tape, -b * np.exp(-g))
+        oracle = fam.localizer.backward_batch(tape, -b * np.exp(-g))
         fi, fo = _flatten(implicit), _flatten(oracle)
         scale = max(float(np.abs(fo).max()), 1e-12)
         worst_grad = max(worst_grad, float(np.abs(fi - fo).max()) / scale)
-        worst_db = max(worst_db,
-                       abs(dinv_db - np.exp(-g)) / abs(np.exp(-g)))
+        e_g = np.exp(-g[0])
+        worst_db = max(worst_db, abs(dinv_db - e_g) / abs(e_g))
     ok = worst_inv <= 1e-8 and worst_grad <= 1e-8 and worst_db <= 1e-8
     report(5, ok,
            f"bisection vs closed form: inverse {worst_inv:.2e}, "
@@ -291,18 +294,18 @@ def test_criterion_8_erc_fit_stability_observation():
 # ---------------------------------------------------------------- criterion 9
 
 def test_criterion_9_codomain_failure_reproduction():
-    g_fn = lambda x: float(2.0 + x[0])
+    g_fn = lambda xs: 2.0 + xs[:, 0]
     broken = AdditiveFixture(g_fn)
     repaired = AdditiveLogRepairFixture(g_fn, eps=0.1)
-    x_cal, x_test = np.array([0.0]), np.array([3.0])
-    b = broken.forward(x_cal, 1.0)  # 5, below g(x_test)^2 = 25
+    x_cal, x_test = np.array([[0.0]]), np.array([[3.0]])
+    b = broken.forward_batch(x_cal, [1.0])[0]  # 5, below g(x_test)^2 = 25
     raised = False
     try:
-        broken.inverse(x_test, b)
+        broken.inverse_batch(x_test, b)
     except CodomainError:
         raised = True
-    b2 = repaired.forward(x_cal, 1.0)
-    repaired_value = repaired.inverse(x_test, b2)
+    b2 = repaired.forward_batch(x_cal, [1.0])[0]
+    repaired_value = repaired.inverse_batch(x_test, b2)[0]
     report(9, raised and repaired_value > 0,
            f"additive fixture raised CodomainError; log-composed repair "
            f"inverted to {repaired_value:.3e} without error")

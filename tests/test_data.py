@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scoremorph.data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
-                             SplitSpec, apply_normalization, denormalize,
-                             load_csv, normalize, split, split_indices)
+                             SplitSpec, apply_normalization, load_csv,
+                             normalize, split, split_indices)
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -61,6 +63,25 @@ def test_load_csv_names_first_non_finite_line(tmp_path, bad):
         load_csv(write(tmp_path, text), has_header=True)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_load_csv_memory_per_value(tmp_path, d):
+    # the parsed values go into one flat float64 buffer, so the peak stays a
+    # small multiple of the 8 bytes a value takes: no Python float or list
+    # is kept per value or per row
+    data = np.random.default_rng(d).normal(size=(20000, d + 1))
+    path = tmp_path / "big.csv"
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.x, data[:, :-1])
+    assert np.array_equal(ds.y, data[:, -1])
+    assert peak < 32 * data.size
+
+
 def test_dataset_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(2))
@@ -102,9 +123,13 @@ def test_round_trip_denormalize():
     rng = np.random.default_rng(11)
     raw = Dataset(rng.normal(3.0, 5.0, size=(40, 3)),
                   rng.normal(-2.0, 0.5, size=40))
-    back = denormalize(normalize(raw))
-    assert np.allclose(back.x, raw.x, rtol=1e-10, atol=1e-10)
-    assert np.allclose(back.y, raw.y, rtol=1e-10, atol=1e-10)
+    norm = normalize(raw)
+    # undo the normalization with the stats it recorded
+    sd, mean = norm.stats.effective_sd(), norm.stats.mean
+    back_x = norm.x * sd[:-1] + mean[:-1]
+    back_y = norm.y * sd[-1] + mean[-1]
+    assert np.allclose(back_x, raw.x, rtol=1e-10, atol=1e-10)
+    assert np.allclose(back_y, raw.y, rtol=1e-10, atol=1e-10)
 
 
 def test_apply_normalization_reproduces_bit_exactly():

@@ -24,20 +24,20 @@ def brute_predict(train_x, train_y, q, k):
 def test_predict_exact_hit_k1():
     ds = make_ds([[0.0], [1.0], [2.0]], [5.0, 7.0, 9.0])
     m = knn.KnnModel(ds.x, ds.y, 1)
-    assert m.predict(np.array([1.0])) == 7.0
+    assert m.predict_batch(np.array([[1.0]]))[0] == 7.0
 
 
 def test_predict_full_average():
     ds = make_ds([[0.0], [1.0], [2.0]], [5.0, 7.0, 9.0])
     m = knn.KnnModel(ds.x, ds.y, 3)
-    assert m.predict(np.array([0.3])) == pytest.approx(7.0)
+    assert m.predict_batch(np.array([[0.3]]))[0] == pytest.approx(7.0)
 
 
 def test_predict_two_neighbors_worked_example():
     # neighbors of 0.9 are x=1 (d=0.1) and x=0 (d=0.9)
     ds = make_ds([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
     m = knn.KnnModel(ds.x, ds.y, 2)
-    assert m.predict(np.array([0.9])) == pytest.approx(0.5)
+    assert m.predict_batch(np.array([[0.9]]))[0] == pytest.approx(0.5)
 
 
 def test_predict_matches_brute_force():
@@ -46,22 +46,22 @@ def test_predict_matches_brute_force():
     ty = rng.normal(size=60)
     m = knn.KnnModel(tx, ty, 7)
     for q in rng.normal(size=(20, 3)):
-        assert m.predict(q) == pytest.approx(brute_predict(tx, ty, q, 7),
-                                             abs=1e-12)
+        assert m.predict_batch(q[None])[0] == pytest.approx(
+            brute_predict(tx, ty, q, 7), abs=1e-12)
 
 
 def test_predict_tie_break_lower_index():
     ds = make_ds([[1.0], [-1.0], [1.0]], [10.0, 20.0, 30.0])
     m = knn.KnnModel(ds.x, ds.y, 2)
     # x=0: all three are at distance 1; indices 0 and 1 win
-    assert m.predict(np.array([0.0])) == pytest.approx(15.0)
+    assert m.predict_batch(np.array([[0.0]]))[0] == pytest.approx(15.0)
 
 
 def test_predict_dimension_mismatch():
     ds = make_ds([[0.0, 1.0]], [1.0])
     m = knn.KnnModel(ds.x, ds.y, 1)
     with pytest.raises(ValueError):
-        m.predict(np.array([1.0]))
+        m.predict_batch(np.array([[1.0]]))
 
 
 def test_predict_within_label_range():
@@ -143,7 +143,8 @@ def test_predict_permutation_invariant():
     a = knn.KnnModel(tx, ty, 4)
     b = knn.KnnModel(tx[perm], ty[perm], 4)
     for q in rng.normal(size=(10, 2)):
-        assert a.predict(q) == pytest.approx(b.predict(q), abs=1e-12)
+        assert a.predict_batch(q[None])[0] == pytest.approx(
+            b.predict_batch(q[None])[0], abs=1e-12)
 
 
 def test_chunked_scan_matches_one_chunk(monkeypatch):

@@ -43,28 +43,28 @@ def test_forward_zero_weights_gives_zero():
     net = LocalizerNet.init(2, seed=0)
     net.weights = [np.zeros_like(w) for w in net.weights]
     net.biases = [np.zeros_like(b) for b in net.biases]
-    g, _ = net.forward(np.array([3.0, -1.0]))
-    assert g == 0.0
+    g, _ = net.forward_batch(np.array([[3.0, -1.0]]))
+    assert g[0] == 0.0
 
 
 def test_forward_toy_hand_values():
     net = toy_net()
-    g, _ = net.forward(np.array([3.0]))
-    assert g == pytest.approx(7.0)  # 2*relu(3)+1
-    g, _ = net.forward(np.array([-3.0]))
-    assert g == pytest.approx(1.0)  # 2*relu(-3)+1
+    g, _ = net.forward_batch(np.array([[3.0]]))
+    assert g[0] == pytest.approx(7.0)  # 2*relu(3)+1
+    g, _ = net.forward_batch(np.array([[-3.0]]))
+    assert g[0] == pytest.approx(1.0)  # 2*relu(-3)+1
 
 
 def test_forward_dimension_mismatch():
     net = toy_net()
     with pytest.raises(ValueError):
-        net.forward(np.array([1.0, 2.0]))
+        net.forward_batch(np.array([[1.0, 2.0]]))
 
 
 def test_backward_toy_hand_chain_rule():
     net = toy_net()
-    _, tape = net.forward(np.array([3.0]))
-    grads = net.backward(tape, 1.0)
+    _, tape = net.forward_batch(np.array([[3.0]]))
+    grads = net.backward_batch(tape, [1.0])
     (dw1, db1), (dw2, db2) = grads
     assert dw2[0, 0] == pytest.approx(3.0)  # relu(3)
     assert db2[0] == pytest.approx(1.0)
@@ -74,21 +74,21 @@ def test_backward_toy_hand_chain_rule():
 
 def test_backward_zero_upstream():
     net = LocalizerNet.init(2, seed=1)
-    _, tape = net.forward(np.array([0.5, 0.5]))
-    for dw, db in net.backward(tape, 0.0):
+    _, tape = net.forward_batch(np.array([[0.5, 0.5]]))
+    for dw, db in net.backward_batch(tape, [0.0]):
         assert not dw.any()
         assert not db.any()
 
 
 def test_backward_stale_tape():
     net = LocalizerNet.init(2, seed=1)
-    _, tape = net.forward(np.array([0.5, 0.5]))
+    _, tape = net.forward_batch(np.array([[0.5, 0.5]]))
     state = AdamState.init(net)
-    _, tape2 = net.forward(np.array([0.5, 0.5]))
-    grads = net.backward(tape2, 1.0)
+    _, tape2 = net.forward_batch(np.array([[0.5, 0.5]]))
+    grads = net.backward_batch(tape2, [1.0])
     adam_step(net, grads, state)
     with pytest.raises(StaleTapeError):
-        net.backward(tape, 1.0)
+        net.backward_batch(tape, [1.0])
 
 
 def sample_off_kink(seed, d=3, margin=1e-3):
@@ -113,9 +113,9 @@ def fd_gradient_subset(net, x, picks, step=1e-5):
         arr = net.weights[layer] if which == "w" else net.biases[layer]
         orig = arr[index]
         arr[index] = orig + step
-        up = net.value(x)
+        up = net.values(x[None])[0]
         arr[index] = orig - step
-        down = net.value(x)
+        down = net.values(x[None])[0]
         arr[index] = orig
         out.append((up - down) / (2 * step))
     return np.asarray(out)
@@ -140,8 +140,8 @@ def test_gradient_matches_finite_differences_full_architecture():
     rng = np.random.default_rng(2024)
     for trial in range(20):
         net, x = sample_off_kink(seed=trial)
-        _, tape = net.forward(x)
-        grads = net.backward(tape, 1.0)
+        _, tape = net.forward_batch(x[None])
+        grads = net.backward_batch(tape, [1.0])
         picks = random_param_picks(net, rng, 12)
         fd = fd_gradient_subset(net, x, picks)
         analytic = []
@@ -158,8 +158,8 @@ def test_gradient_matches_exhaustive_fd_small_net():
     net = LocalizerNet.init(2, seed=5, hidden=(4, 3))
     x = rng.normal(size=2)
     assert pre_activation_margin(net, x) > 1e-3
-    _, tape = net.forward(x)
-    grads = net.backward(tape, 1.0)
+    _, tape = net.forward_batch(x[None])
+    grads = net.backward_batch(tape, [1.0])
     step = 1e-5
     for layer in range(len(net.weights)):
         for which in ("w", "b"):
@@ -168,9 +168,9 @@ def test_gradient_matches_exhaustive_fd_small_net():
             for index in np.ndindex(arr.shape):
                 orig = arr[index]
                 arr[index] = orig + step
-                up = net.value(x)
+                up = net.values(x[None])[0]
                 arr[index] = orig - step
-                down = net.value(x)
+                down = net.values(x[None])[0]
                 arr[index] = orig
                 fd = (up - down) / (2 * step)
                 assert abs(fd - ga[index]) <= 1e-6 * max(1.0, abs(fd))
@@ -184,8 +184,9 @@ def test_batch_backward_matches_sum_of_singles():
     batch_grads = net.backward_batch(tape, upstream)
     acc = zero_grads_like(net)
     for i in range(5):
-        _, t = net.forward(xs[i])
-        for (aw, ab), (gw, gb) in zip(acc, net.backward(t, upstream[i])):
+        _, t = net.forward_batch(xs[i][None])
+        singles = net.backward_batch(t, [upstream[i]])
+        for (aw, ab), (gw, gb) in zip(acc, singles):
             aw += gw
             ab += gb
     for (bw, bb), (aw, ab) in zip(batch_grads, acc):
@@ -225,9 +226,9 @@ def test_values_match_forward_batch():
 def test_output_bias_shift():
     net = LocalizerNet.init(2, seed=3)
     x = np.array([0.4, -0.2])
-    before = net.value(x)
+    before = net.values(x[None])[0]
     net.biases[-1] = net.biases[-1] + 2.5
-    assert net.value(x) == pytest.approx(before + 2.5, abs=1e-12)
+    assert net.values(x[None])[0] == pytest.approx(before + 2.5, abs=1e-12)
 
 
 def scalar_adam_oracle(grad_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):

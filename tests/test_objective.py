@@ -6,7 +6,7 @@ import pytest
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import (LossBatch, _leave_one_out,
                                   erc_error_fit_loss, loss_batch,
-                                  loss_pair_term, pairwise_size_loss)
+                                  pairwise_size_loss)
 from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
                                    LinearTransform, SigmaTransform,
                                    make_family)
@@ -96,24 +96,32 @@ def test_equal_x_batch_of_two_self_cancels():
         assert out.value == pytest.approx(expected, rel=1e-9), kind
 
 
+# a batch of two rows has two ordered pairs, so its loss is the mean of
+# the two pair terms sqrt(phi_{x_test}^{-1}(phi_{x_n}(A_n)))
+
 def test_pair_term_exp_closed_form():
     fam = ExpTransform(identity_scalar_net())
-    # g(x_n) - g(x_test) = 3 - 1 = 2, A_n = 1 -> sqrt(e^2) = e
-    got = loss_pair_term(fam, np.array([1.0]), np.array([3.0]), 1.0)
-    assert got == pytest.approx(np.e, rel=1e-12)
+    # g = 1 and 3, A = 1: g(x_n) - g(x_test) = 2 gives sqrt(e^2) = e, and
+    # -2 gives 1/e, so the mean is cosh(1)
+    batch = LossBatch(np.array([[1.0], [3.0]]), np.array([1.0, 1.0]))
+    for mode in ("analytic", "implicit"):
+        got = loss_batch(fam, batch, inverse_mode=mode).value
+        assert got == pytest.approx(np.cosh(1.0), rel=1e-12), mode
 
 
 def test_pair_term_fixed():
-    assert loss_pair_term(FixedTransform(), np.zeros(2), np.ones(2), 4.0) \
-        == pytest.approx(2.0)
+    batch = LossBatch(np.stack([np.zeros(2), np.ones(2)]), np.full(2, 4.0))
+    assert loss_batch(FixedTransform(), batch).value == pytest.approx(2.0)
 
 
 def test_pair_term_self_cancellation():
     for kind in FAMILY_BUILDERS:
         fam = FAMILY_BUILDERS[kind](small_net(2))
         x = np.array([0.3, 0.1, -0.5])
-        assert loss_pair_term(fam, x, x, 2.5) == pytest.approx(
-            np.sqrt(2.5), rel=1e-9), kind
+        batch = LossBatch(np.stack([x, x]), np.array([2.5, 2.5]))
+        for mode in ("analytic", "implicit"):
+            assert loss_batch(fam, batch, inverse_mode=mode).value == \
+                pytest.approx(np.sqrt(2.5), rel=1e-9), (kind, mode)
 
 
 def test_constant_localizer_matches_fixed_loss():

@@ -5,8 +5,7 @@ from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (TRAINABLE_KINDS, CodomainError,
                                    ErcTransform, ExpTransform, FixedTransform,
                                    LinearTransform, NoRootError,
-                                   SigmaTransform, make_family,
-                                   numeric_inverse)
+                                   SigmaTransform, make_family)
 from support import (AdditiveFixture, AdditiveLogRepairFixture, CubeFixture,
                      LogShiftTransform, SqrtShiftFixture)
 
@@ -37,22 +36,23 @@ def trainable_families(seed=0, d=3):
 def test_sigma_forward_at_unit_score():
     fam = SigmaTransform(net_for())
     fam.localizer.weights = [np.zeros_like(w) for w in fam.localizer.weights]
-    x = np.zeros(3)
-    assert fam.forward(x, 1.0) == pytest.approx(0.5)
+    x = np.zeros((1, 3))
+    assert fam.forward_batch(x, [1.0])[0] == pytest.approx(0.5)
 
 
 def test_erc_identity_configuration():
     net = net_for()
     net.weights = [np.zeros_like(w) for w in net.weights]
     fam = ErcTransform(net, gamma=1.0)
-    assert fam.forward(np.zeros(3), 7.0) == pytest.approx(7.0)
-    assert fam.inverse(np.zeros(3), 5.0) == pytest.approx(5.0)
+    x = np.zeros((1, 3))
+    assert fam.forward_batch(x, [7.0])[0] == pytest.approx(7.0)
+    assert fam.inverse_batch(x, 5.0)[0] == pytest.approx(5.0)
 
 
 def test_sqrt_shift_fixture_worked_values():
     fam = SqrtShiftFixture(theta=1.0)
     pairs = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
-    got = [fam.forward(np.array([x]), a) for a, x in pairs]
+    got = [fam.forward_batch(np.array([[x]]), [a])[0] for a, x in pairs]
     expected = [2.0, np.sqrt(2) + 2.0, np.sqrt(3) + 3.0]
     assert np.allclose(got, expected, atol=1e-14)
 
@@ -60,34 +60,35 @@ def test_sqrt_shift_fixture_worked_values():
 def test_forward_rejects_negative_score():
     for fam in all_families():
         with pytest.raises(ValueError):
-            fam.forward(np.zeros(3), -1.0)
+            fam.forward_batch(np.zeros((1, 3)), [-1.0])
 
 
 # ---- inverse examples ----
 
 def test_linear_inverse_roundtrip_value():
     fam = LinearTransform(net_for())
-    x = np.array([0.1, -0.3, 0.7])
-    g = fam.loc(x)
-    assert fam.inverse(x, np.log(3.0) + g) == pytest.approx(3.0, rel=1e-12)
+    x = np.array([[0.1, -0.3, 0.7]])
+    g = fam.loc_batch(x)[0]
+    assert fam.inverse_batch(x, np.log(3.0) + g)[0] == pytest.approx(
+        3.0, rel=1e-12)
 
 
 def test_exp_inverse_codomain_error():
     fam = ExpTransform(net_for())
     with pytest.raises(CodomainError):
-        fam.inverse(np.zeros(3), -1.0)
+        fam.inverse_batch(np.zeros((1, 3)), -1.0)
 
 
 def test_sigma_inverse_codomain_error():
     fam = SigmaTransform(net_for())
     for bad in (-0.2, 0.0, 1.0, 1.5):
         with pytest.raises(CodomainError):
-            fam.inverse(np.zeros(3), bad)
+            fam.inverse_batch(np.zeros((1, 3)), bad)
 
 
 def test_fixed_inverse_negative_error():
     with pytest.raises(CodomainError):
-        FixedTransform().inverse(np.zeros(2), -0.5)
+        FixedTransform().inverse_batch(np.zeros((1, 2)), -0.5)
 
 
 # ---- monotonicity / roundtrip / shared codomain ----
@@ -97,7 +98,7 @@ def test_monotone_increasing_on_grid():
     for fam in all_families():
         for _ in range(100):
             x = rng.normal(size=3)
-            b = fam.forward(x, A_GRID)
+            b = fam.forward_batch(x[None], A_GRID)
             assert np.all(np.diff(b) > 0), fam.kind
 
 
@@ -105,9 +106,10 @@ def test_roundtrip_on_grid():
     rng = np.random.default_rng(43)
     for fam in all_families():
         for _ in range(20):
-            x = rng.normal(size=3)
-            back = np.asarray([fam.inverse(x, fam.forward(x, a))
-                               for a in A_GRID])
+            x = rng.normal(size=3)[None]
+            back = np.asarray([
+                fam.inverse_batch(x, fam.forward_batch(x, [a])[0])[0]
+                for a in A_GRID])
             assert np.all(np.abs(back - A_GRID)
                           <= 1e-10 * np.maximum(1.0, A_GRID)), fam.kind
 
@@ -116,9 +118,10 @@ def test_shared_codomain_across_attributes():
     rng = np.random.default_rng(44)
     for fam in trainable_families():
         for _ in range(50):
-            x1, x2 = rng.normal(size=(2, 3))
+            x1, x2 = rng.normal(size=(2, 1, 3))
             for a in (1e-6, 0.5, 3.0, 1e3):
-                fam.inverse(x2, fam.forward(x1, a))  # must not raise
+                # must not raise
+                fam.inverse_batch(x2, fam.forward_batch(x1, [a])[0])
 
 
 def test_ranking_identical_for_log_based_families():
@@ -140,22 +143,24 @@ def test_deriv_examples():
     net = net_for()
     net.weights = [np.zeros_like(w) for w in net.weights]
     erc = ErcTransform(net, gamma=1.0)
-    assert erc.deriv_A(np.zeros(3), 5.0) == pytest.approx(1.0)
+    x = np.zeros((1, 3))
+    assert erc.dphi_da(erc.loc_batch(x), [5.0])[0] == pytest.approx(1.0)
     lin = LinearTransform(net_for())
-    assert lin.deriv_A(np.zeros(3), 4.0) == pytest.approx(
+    assert lin.dphi_da(lin.loc_batch(x), [4.0])[0] == pytest.approx(
         0.25 * np.exp(0.0) / np.exp(0.0))
-    assert lin.deriv_A(np.zeros(3), 4.0) == pytest.approx(0.25)
+    assert lin.dphi_da(lin.loc_batch(x), [4.0])[0] == pytest.approx(0.25)
 
 
 def test_deriv_A_matches_finite_differences():
     rng = np.random.default_rng(46)
     for fam in all_families():
         for _ in range(10):
-            x = rng.normal(size=3)
+            x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.05, 5.0))
             h = 1e-6 * max(1.0, a)
-            fd = (fam.forward(x, a + h) - fam.forward(x, a - h)) / (2 * h)
-            an = fam.deriv_A(x, a)
+            fd = (fam.forward_batch(x, [a + h])[0]
+                  - fam.forward_batch(x, [a - h])[0]) / (2 * h)
+            an = fam.dphi_da(fam.loc_batch(x), [a])[0]
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)), fam.kind
 
 
@@ -163,8 +168,8 @@ def test_deriv_A_strictly_positive():
     rng = np.random.default_rng(47)
     for fam in all_families():
         for _ in range(20):
-            assert fam.deriv_A(rng.normal(size=3),
-                               float(rng.uniform(1e-6, 100.0))) > 0
+            loc = fam.loc_batch(rng.normal(size=3)[None])
+            assert fam.dphi_da(loc, [float(rng.uniform(1e-6, 100.0))])[0] > 0
 
 
 # ---- numeric inverse ----
@@ -172,38 +177,39 @@ def test_deriv_A_strictly_positive():
 def test_numeric_inverse_exp_against_analytic():
     net = net_for(seed=11)
     fam = ExpTransform(net)
-    x = np.array([0.2, 0.4, -0.1])
-    g = fam.loc(x)
+    g = fam.loc_batch(np.array([[0.2, 0.4, -0.1]]))
     b = 5.0 * np.exp(g)
-    got = numeric_inverse(fam, x, b, tol=1e-12)
+    got = fam.phi_inv_numeric(g, b, tol=1e-12)[0]
     assert abs(got - 5.0) <= 1e-10
 
 
 def test_numeric_inverse_fixed():
-    assert numeric_inverse(FixedTransform(), np.zeros(2), 9.0) == pytest.approx(
-        9.0, abs=1e-10)
+    fam = FixedTransform()
+    got = fam.phi_inv_numeric(fam.loc_batch(np.zeros((1, 2))), 9.0)[0]
+    assert got == pytest.approx(9.0, abs=1e-10)
 
 
 def test_numeric_inverse_cube_root():
-    assert numeric_inverse(CubeFixture(), np.zeros(2), 8.0) == pytest.approx(
-        2.0, abs=1e-10)
+    fam = CubeFixture()
+    got = fam.phi_inv_numeric(fam.loc_batch(np.zeros((1, 2))), 8.0)[0]
+    assert got == pytest.approx(2.0, abs=1e-10)
 
 
 def test_numeric_inverse_no_root():
     lin = LinearTransform(net_for(seed=12))
     # below the clamped floor log(1e-12)+g there is no root
     with pytest.raises(NoRootError):
-        numeric_inverse(lin, np.zeros(3), -1e6)
+        lin.phi_inv_numeric(lin.loc_batch(np.zeros((1, 3))), -1e6)
 
 
 def test_numeric_inverse_agrees_with_analytic_everywhere():
     rng = np.random.default_rng(48)
     for fam in trainable_families(seed=5):
         for _ in range(10):
-            x = rng.normal(size=3)
+            x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.01, 50.0))
-            b = fam.forward(x, a)
-            got = numeric_inverse(fam, x, b, tol=1e-12)
+            b = fam.forward_batch(x, [a])[0]
+            got = fam.phi_inv_numeric(fam.loc_batch(x), b, tol=1e-12)[0]
             assert abs(got - a) <= 1e-9 * max(1.0, a), fam.kind
 
 
@@ -216,36 +222,38 @@ def grad_list_allclose(a, b, rtol):
     return float((np.abs(flat_a - flat_b) / denom).max()) <= rtol
 
 
-def closed_form_exp_grad(fam, x, b):
-    """Oracle: d/dtheta of B*exp(-g(x)) = -B*exp(-g) * dg/dtheta."""
-    g, tape = fam.localizer.forward(x)
-    return fam.localizer.backward(tape, -b * np.exp(-g))
-
-
 def test_grad_inverse_params_exp_matches_closed_form():
+    # implicit relations at A* = phi^{-1}(B): d A*/d theta = -(phi_g / phi_A)
+    # dg/dtheta and d A*/dB = 1 / phi_A, against the closed form B e^{-g}
     rng = np.random.default_rng(49)
     fam = ExpTransform(net_for(seed=13))
     for _ in range(5):
         x = rng.normal(size=3)
         b = float(rng.uniform(0.1, 10.0))
-        implicit, dinv_db = fam.grad_inverse_params(x, b)
-        oracle = closed_form_exp_grad(fam, x, b)
+        g, tape = fam.localizer.forward_batch(x[None])
+        a_star = fam.phi_inv(g, b)
+        phi_p = fam.dphi_da(g, a_star)
+        implicit = fam.localizer.backward_batch(
+            tape, -fam.dphi_dloc(g, a_star) / phi_p)
+        oracle = fam.localizer.backward_batch(tape, -b * np.exp(-g))
         assert grad_list_allclose(implicit, oracle, 1e-10)
-        g = fam.loc(x)
-        assert dinv_db == pytest.approx(np.exp(-g), rel=1e-12)
+        assert 1.0 / phi_p[0] == pytest.approx(np.exp(-g[0]), rel=1e-12)
 
 
 def test_grad_inverse_params_fixed_is_empty():
-    grads, dinv_db = FixedTransform().grad_inverse_params(np.zeros(3), 2.0)
-    assert grads == []
-    assert dinv_db == pytest.approx(1.0)
+    # no parameters, and B does not move with the localization value
+    fam = FixedTransform()
+    loc = fam.loc_batch(np.zeros((1, 3)))
+    a_star = fam.phi_inv(loc, 2.0)
+    assert not fam.trainable
+    assert fam.dphi_dloc(loc, a_star)[0] == 0.0
+    assert 1.0 / fam.dphi_da(loc, a_star)[0] == pytest.approx(1.0)
 
 
 def test_linear_inverse_derivative_at_b_equals_g():
     fam = LinearTransform(net_for(seed=14))
-    x = np.array([0.5, -0.5, 0.2])
-    g = fam.loc(x)
-    _, dinv_db = fam.grad_inverse_params(x, g)
+    g = fam.loc_batch(np.array([[0.5, -0.5, 0.2]]))
+    dinv_db = 1.0 / fam.dphi_da(g, fam.phi_inv(g, g))[0]
     assert dinv_db == pytest.approx(1.0, rel=1e-12)
 
 
@@ -254,11 +262,16 @@ def test_implicit_vs_analytic_inverse_gradients():
     rng = np.random.default_rng(50)
     for fam in trainable_families(seed=21):
         for _ in range(5):
-            x = rng.normal(size=3)
+            x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.05, 5.0))
-            b = fam.forward(x, a)
-            analytic, db_a = fam.grad_inverse_params(x, b, numeric=False)
-            implicit, db_n = fam.grad_inverse_params(x, b, numeric=True)
+            b = fam.forward_batch(x, [a])[0]
+            g, tape = fam.localizer.forward_batch(x)
+            grads = []
+            for a_star in (fam.phi_inv(g, b), fam.phi_inv_numeric(g, b)):
+                phi_p = fam.dphi_da(g, a_star)
+                grads.append((fam.localizer.backward_batch(
+                    tape, -fam.dphi_dloc(g, a_star) / phi_p), 1.0 / phi_p[0]))
+            (analytic, db_a), (implicit, db_n) = grads
             assert grad_list_allclose(analytic, implicit, 1e-9), fam.kind
             assert abs(db_a - db_n) <= 1e-9 * max(abs(db_a), 1e-12), fam.kind
 
@@ -270,10 +283,10 @@ def test_implicit_vs_analytic_inverse_gradients():
         return -a * float(fam.dshift(g)), a * dh_inv
 
     for fam in trainable_families(seed=22):
-        x = rng.normal(size=3)
+        x = rng.normal(size=3)[None]
         a = float(rng.uniform(0.05, 5.0))
-        b = fam.forward(x, a)
-        g = fam.loc(x)
+        b = fam.forward_batch(x, [a])[0]
+        g = fam.loc_batch(x)[0]
         d_loc, d_b = core_inverse_derivatives(fam, g, b)
         a_star = fam.phi_inv(g, b)
         phi_p = fam.dphi_da(g, a_star)
@@ -285,23 +298,23 @@ def test_implicit_vs_analytic_inverse_gradients():
 # ---- codomain failure fixtures ----
 
 def test_additive_fixture_codomain_failure_and_repair():
-    g_fn = lambda x: float(2.0 + x[0])
+    g_fn = lambda xs: 2.0 + xs[:, 0]
     broken = AdditiveFixture(g_fn)
     repaired = AdditiveLogRepairFixture(g_fn, eps=0.1)
-    x_cal = np.array([0.0])  # g = 2, codomain [4, inf)
-    x_test = np.array([3.0])  # g = 5, codomain [25, inf)
-    b = broken.forward(x_cal, 1.0)  # 1 + 4 = 5 < 25
+    x_cal = np.array([[0.0]])  # g = 2, codomain [4, inf)
+    x_test = np.array([[3.0]])  # g = 5, codomain [25, inf)
+    b = broken.forward_batch(x_cal, [1.0])[0]  # 1 + 4 = 5 < 25
     with pytest.raises(CodomainError):
-        broken.inverse(x_test, b)
-    b2 = repaired.forward(x_cal, 1.0)
-    assert repaired.inverse(x_test, b2) > 0  # no error
+        broken.inverse_batch(x_test, b)
+    b2 = repaired.forward_batch(x_cal, [1.0])[0]
+    assert repaired.inverse_batch(x_test, b2)[0] > 0  # no error
 
 
 def test_epsilon_floor_keeps_log_families_total():
     for fam in (LinearTransform(net_for(seed=15)),
                 SigmaTransform(net_for(seed=16)),
                 LogShiftTransform()):
-        assert np.isfinite(fam.forward(np.zeros(3), 0.0))
+        assert np.isfinite(fam.forward_batch(np.zeros((1, 3)), [0.0])[0])
 
 
 def test_make_family_dispatch_and_errors():
@@ -319,10 +332,10 @@ def test_make_family_dispatch_and_errors():
 
 def test_non_finite_localization_rejected():
     class BadNet:
-        def value(self, x):
-            return float("nan")
+        def values(self, xs):
+            return np.full(len(xs), np.nan)
 
     fam = LinearTransform(net_for())
     fam.localizer = BadNet()
     with pytest.raises(ValueError, match="non-finite"):
-        fam.forward(np.zeros(3), 1.0)
+        fam.forward_batch(np.zeros((1, 3)), [1.0])
