@@ -15,7 +15,9 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
+from array import array
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, aggregate,
 from .transforms import FixedTransform
 
 MANIFEST_FORMAT_VERSION = 1
+
+_RAW_X = "# raw_x:"
+_TOKEN = re.compile(r"\S+")
 
 
 def write_manifest(primary_out, command: str, config: dict, inputs,
@@ -66,14 +71,16 @@ def read_raw_axis(path):
     """Raw X coordinates from a '# raw_x:' comment line, if present.
 
     Raises IngestionError naming the 1-based line when a coordinate is not
-    a finite number.
+    a finite number. Each coordinate is parsed with ``float()`` into one
+    flat buffer, so no Python object is kept per coordinate.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.startswith("# raw_x:"):
+            if line.startswith(_RAW_X):
+                tokens = _TOKEN.finditer(line, len(_RAW_X))
                 try:
-                    axis = np.asarray(
-                        [float(t) for t in line[len("# raw_x:"):].split()])
+                    axis = np.frombuffer(
+                        array("d", map(float, map(re.Match.group, tokens))))
                 except ValueError:
                     raise IngestionError(
                         f"line {lineno}: non-numeric coordinate in the "

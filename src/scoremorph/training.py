@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .data import DEFAULT_FRACTIONS, Dataset, SplitSpec, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
 from .transforms import FixedTransform, make_family
+from .workers import map_in_workers
 
 CLI_FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
 
@@ -50,6 +52,9 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
+
+    def __reduce__(self):  # pickled with its trace, as a worker returns it
+        return type(self), (*self.args, self.trace)
 
 
 def _batches(n, batch_size, rng):
@@ -194,6 +199,44 @@ def protocol_rows(dataset_name: str, label: str, run_seed: int, alphas,
                         r.empirical_validity, r.error) for r in reports]
 
 
+def protocol_run(dataset: Dataset, families, alphas, run_seed: int,
+                 config: TrainConfig, fractions=DEFAULT_FRACTIONS, k_grid=knn.DEFAULT_K_GRID,
+                 folds: int = 5, dataset_name: str = "data"):
+    """One run of ``run_protocol``: (its report rows, the point model's k).
+
+    ``run_seed`` seeds the split, the point model's cross-validation and
+    every training, which otherwise follows ``config``.
+    """
+    proper, cp_train, validation, test = split(
+        dataset, SplitSpec(run_seed, fractions))
+    model = knn.fit(proper, knn.grid_for(proper.n, folds, k_grid),
+                    folds=folds, seed=run_seed)
+    cp, val, te = (scored(d, model.predict_batch(d.x))
+                   for d in (cp_train, validation, test))
+    rows = []
+    fitted = {}  # trained label -> family, or the error training raised
+    for name in families:
+        trained = "linear" if name in SHARED_LOCALIZER_KINDS else name
+        if trained not in fitted:
+            try:
+                fitted[trained], _ = train(
+                    replace(config, family=trained, seed=run_seed), cp, val)
+            except (ValueError, TrainingDiverged) as exc:
+                fitted[trained] = exc
+
+        def evaluate_all():
+            fam = fitted[trained]
+            if isinstance(fam, Exception):
+                raise fam
+            if name != trained:
+                fam = make_family(name, localizer=fam.localizer)
+            return evaluate(fam, cp, te, alphas)
+
+        rows += protocol_rows(dataset_name, name, run_seed, alphas,
+                              evaluate_all)
+    return rows, model.k
+
+
 def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
                  seed0: int = 0, fractions=DEFAULT_FRACTIONS,
                  epochs: int = 200, batch_size: int = 16,
@@ -207,6 +250,10 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     linear, exp and sigma share one size loss, so a run trains their
     localizer once and builds all three on it, or gives all three its
     error. Aggregates report mean and population sd per cell.
+
+    The runs share no state: they run side by side in worker processes
+    (``workers.map_in_workers``), each on one BLAS thread, so a run's rows
+    depend neither on ``runs`` nor on the host's core count.
     """
     unknown = [f for f in families if f not in CLI_FAMILIES]
     if unknown:
@@ -214,36 +261,13 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     config = TrainConfig(family="fixed", epochs=epochs, batch_size=batch_size,
                          learning_rate=learning_rate, patience=patience,
                          gamma=gamma)
+    one_run = partial(protocol_run, dataset, list(families), list(alphas),
+                      config=config, fractions=fractions, k_grid=k_grid,
+                      folds=folds, dataset_name=dataset_name)
+    seeds = range(seed0, seed0 + runs)
     rows = []
     knn_ks = {}
-    for r in range(runs):
-        run_seed = seed0 + r
-        proper, cp_train, validation, test = split(
-            dataset, SplitSpec(run_seed, fractions))
-        model = knn.fit(proper, knn.grid_for(proper.n, folds, k_grid),
-                        folds=folds, seed=run_seed)
-        knn_ks[run_seed] = model.k
-        cp, val, te = (scored(d, model.predict_batch(d.x))
-                       for d in (cp_train, validation, test))
-        fitted = {}  # trained label -> family, or the error training raised
-        for name in families:
-            trained = "linear" if name in SHARED_LOCALIZER_KINDS else name
-            if trained not in fitted:
-                try:
-                    fitted[trained], _ = train(
-                        replace(config, family=trained, seed=run_seed), cp,
-                        val)
-                except (ValueError, TrainingDiverged) as exc:
-                    fitted[trained] = exc
-
-            def evaluate_all():
-                fam = fitted[trained]
-                if isinstance(fam, Exception):
-                    raise fam
-                if name != trained:
-                    fam = make_family(name, localizer=fam.localizer)
-                return evaluate(fam, cp, te, alphas)
-
-            rows += protocol_rows(dataset_name, name, run_seed, alphas,
-                                  evaluate_all)
+    for run_seed, (run_rows, k) in zip(seeds, map_in_workers(one_run, seeds)):
+        rows += run_rows
+        knn_ks[run_seed] = k
     return ProtocolResult(rows, aggregate(rows, families, alphas), knn_ks)

@@ -5,8 +5,10 @@ here exist to pin properties from outside that set: global monotone maps
 that must not change intervals, a worked example whose codomain moves
 with x, and the additive family whose inverse fails at a test attribute
 (with its log-composed repair). Each defines only the methods some test
-reaches.
+reaches. ``spy_popen`` records the worker processes a call starts.
 """
+
+import subprocess
 
 import numpy as np
 
@@ -144,3 +146,15 @@ def zero_grads_like(net):
     """Per-layer ``(dW, db)`` zero arrays shaped like net's parameters."""
     return [(np.zeros_like(w), np.zeros_like(b))
             for w, b in zip(net.weights, net.biases)]
+
+
+def spy_popen(monkeypatch):
+    """The list every subprocess.Popen started from now on is added to."""
+    procs = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    return procs

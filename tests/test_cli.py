@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from scoremorph import cli, training
 from scoremorph.cli import main, read_raw_axis
 from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
-                             load_csv, split_indices)
+                             load_csv, normalize, split_indices)
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
 from scoremorph.serialize import load_model, save_model
+from scoremorph.training import TrainConfig
 from scoremorph.transforms import FixedTransform
 
 
@@ -224,15 +226,18 @@ def test_eval_frozen_scores_once_per_run_and_bundle(tmp_path, monkeypatch):
 
 
 def test_eval_protocol_scores_each_split_once_per_run(tmp_path, monkeypatch):
+    # the runs of protocol eval train in worker processes, where no spy
+    # reaches, so each run is called here in-process
     calls = {}
     monkeypatch.setattr(KnnModel, "predict_batch",
                         counting(calls, "predict", KnnModel.predict_batch))
-    data = synth(tmp_path, n=300)
-    assert run("eval", "--data", data, "--families",
-               "fixed,erc,erc-fit,linear,exp,sigma", "--runs", 2,
-               "--epochs", 2, "--report", tmp_path / "p.csv") == 0
-    # cp-train, validation and test, once per run for all six families
-    assert calls == {"predict": 3 * 2}
+    ds = normalize(load_csv(synth(tmp_path, n=300)))
+    for seed in (0, 1):
+        calls.clear()
+        training.protocol_run(ds, list(training.CLI_FAMILIES), [0.1], seed,
+                              TrainConfig("fixed", epochs=2))
+        # cp-train, validation and test, once for all six families
+        assert calls == {"predict": 3}
 
 
 def test_eval_frozen_unbuildable_point_model_gives_error_rows(tmp_path):
@@ -355,21 +360,40 @@ def test_eval_protocol_untrainable_family_gives_error_rows(tmp_path):
 
 def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
     # linear, exp and sigma share one trained localizer: its divergence is
-    # trained once per run and gives all three the same error rows
+    # trained once per run and gives all three the same error rows; the
+    # count is taken in-process, since the CLI's runs train in workers
     calls = {}
     monkeypatch.setattr(training, "_loop",
                         counting(calls, "loop", training._loop))
     data = synth(tmp_path, n=300, seed=1)
+    ds = normalize(load_csv(data))
+    for seed in (0, 1):
+        calls.clear()
+        training.protocol_run(ds, ["linear", "exp", "sigma"],
+                              [0.05, 0.1, 0.32], seed,
+                              TrainConfig("fixed", learning_rate=1))
+        assert calls == {"loop": 1}
     report = tmp_path / "div3.csv"
     assert run("eval", "--data", data, "--families", "linear,exp,sigma",
                "--runs", 2, "--lr", 1, "--report", report) == 0
-    assert calls == {"loop": 2}
     rows = read_rows(report)
     assert len(rows) == 3 * 3 * 2
     for seed in ("0", "1"):
         errors = {r["error"] for r in rows if r["run_seed"] == seed}
         assert len(errors) == 1
         assert errors.pop().startswith("training diverged")
+
+
+def test_eval_protocol_worker_error_fails_the_command(tmp_path, capsys):
+    # on 10 rows the proper split has 4, fewer than the 5 KNN folds: the
+    # ValueError knn.fit raises in a worker reaches the CLI unchanged
+    data = synth(tmp_path, n=10)
+    report = tmp_path / "tiny.csv"
+    assert run("eval", "--data", data, "--families", "fixed", "--runs", 2,
+               "--report", report) == 1
+    assert capsys.readouterr().err == (
+        "error: need n >= folds >= 2, got n=4, folds=5\n")
+    assert not report.exists()
 
 
 def test_eval_requires_exactly_one_mode(tmp_path):
@@ -482,6 +506,24 @@ def test_plot_rejects_a_bad_raw_x_comment(tmp_path, capsys, token, problem):
     assert run("plot", "--data", data, "--model", model, "--out", out) == 1
     assert f"line 2: {problem} coordinate" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_read_raw_axis_memory_within_load_csv(tmp_path):
+    # the coordinates go into one flat buffer, as load_csv's values do: a
+    # Python float per coordinate peaked at 12.8 MB against load_csv's 4.6
+    data = synth(tmp_path, n=100_000)
+
+    def traced(read):
+        tracemalloc.start()
+        try:
+            return read(data), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    axis, axis_peak = traced(read_raw_axis)
+    _, csv_peak = traced(load_csv)
+    assert axis_peak <= csv_peak
+    comment = data.read_text().splitlines()[1]
+    assert axis.tolist() == [float(t) for t in comment.split()[2:]]
 
 
 def test_plot_dimension_mismatch_fails(tmp_path):

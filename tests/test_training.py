@@ -1,3 +1,5 @@
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,11 @@ from scoremorph.data import Dataset, SplitSpec, split
 from scoremorph.network import LocalizerNet, adam_step
 from scoremorph.objective import LossBatch, pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
-from scoremorph.training import (ProtocolRow, TrainConfig, TrainTrace,
-                                 aggregate, run_protocol, train)
+from scoremorph.training import (ProtocolRow, TrainConfig, TrainingDiverged,
+                                 TrainTrace, aggregate, run_protocol, train)
 from scoremorph.transforms import FixedTransform
+
+from support import spy_popen
 
 A_GRID = np.logspace(-6, 3, 25)
 
@@ -199,6 +203,51 @@ def test_divergence_aborts_with_trace():
             train(TrainConfig("exp", seed=0, epochs=50, learning_rate=1e9),
                   *score(lambda xs: np.asarray(xs)[:, 0], cp, val))
     assert exc.value.trace.epochs  # the trace rides along for diagnosis
+
+
+def test_training_diverged_pickles_with_its_trace():
+    # a protocol worker returns its exception pickled
+    trace = TrainTrace(epochs=[(0, None, 1.5), (1, 2.0, float("nan"))],
+                       best_epoch=0)
+    exc = pickle.loads(pickle.dumps(TrainingDiverged("diverged", trace)))
+    assert type(exc) is TrainingDiverged
+    assert str(exc) == "diverged"
+    assert exc.trace.epochs[0] == (0, None, 1.5)
+    assert np.isnan(exc.trace.epochs[1][2])
+    assert exc.trace.best_epoch == 0
+
+
+def test_run_protocol_run_rows_independent_of_runs_and_cores(monkeypatch):
+    # each run trains in a worker of its own with one BLAS thread: its rows
+    # do not depend on the other runs, nor on how many workers there are
+    ds = generate(SynthSpec("cos", n=300, seed=6)).dataset
+    args = (ds, ["fixed", "erc-fit", "linear"], [0.1, 0.32])
+    kwargs = dict(epochs=3, patience=3)
+    alone = run_protocol(*args, runs=1, seed0=5, **kwargs)
+    three = run_protocol(*args, runs=3, seed0=4, **kwargs)
+    assert [row for row in three.rows if row.run_seed == 5] == alone.rows
+    assert three.knn_ks[5] == alone.knn_ks[5]
+    assert [row.run_seed for row in three.rows] == [4] * 6 + [5] * 6 + [6] * 6
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_core = run_protocol(*args, runs=3, seed0=4, **kwargs)
+    assert one_core.rows == three.rows
+    assert one_core.knn_ks == three.knn_ks
+
+
+def test_run_protocol_leaves_no_worker_running(monkeypatch):
+    procs = spy_popen(monkeypatch)
+    ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
+    run_protocol(ds, ["fixed"], [0.1], runs=3, seed0=0)
+    assert len(procs) == min(3, len(os.sched_getaffinity(0)))
+    assert all(p.returncode == 0 for p in procs)
+    procs.clear()
+    # on 10 rows the proper split has 4, fewer than the 5 KNN folds: every
+    # worker's knn.fit raises, and the first run's error reaches the caller
+    with pytest.raises(ValueError) as exc:
+        run_protocol(ds.subset(range(10)), ["fixed"], [0.1], runs=3, seed0=0)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "need n >= folds >= 2, got n=4, folds=5"
+    assert procs and all(p.returncode is not None for p in procs)
 
 
 def test_run_protocol_shares_one_localizer_across_log_families():
