@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+import time
 from array import array
 
 import numpy as np
@@ -42,7 +43,7 @@ _TOKEN = re.compile(r"\S+")
 
 
 def write_manifest(primary_out, command: str, config: dict, inputs,
-                   outputs) -> str:
+                   outputs, timings=None) -> str:
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "tool": "scoremorph",
@@ -52,6 +53,8 @@ def write_manifest(primary_out, command: str, config: dict, inputs,
         "inputs": {os.fspath(p): sha256_file(p) for p in inputs},
         "outputs": [os.fspath(p) for p in outputs],
     }
+    if timings is not None:
+        doc["timings"] = timings
     path = os.fspath(primary_out) + ".manifest.json"
     write_text_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
@@ -221,13 +224,17 @@ def _eval_protocol(args, ds_name, alphas):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     ds = normalize(load_csv(args.data, args.has_header))
     base_seed = args.seed if args.seed is not None else 0
+    start = time.perf_counter()
     result = run_protocol(ds, families, alphas, runs=args.runs,
                           seed0=base_seed, epochs=args.epochs,
                           batch_size=args.batch, learning_rate=args.lr,
                           patience=args.patience, gamma=args.gamma,
                           dataset_name=ds_name)
+    timings = {"protocol_s": time.perf_counter() - start,
+               "jobs": [{"run_seed": seed, "trained": label, "seconds": sec}
+                        for seed, label, sec in result.job_seconds]}
     knn_ks = {str(seed): k for seed, k in result.knn_ks.items()}
-    return result.rows, families, knn_ks
+    return result.rows, families, knn_ks, timings
 
 
 def cmd_eval(args) -> int:
@@ -237,10 +244,12 @@ def cmd_eval(args) -> int:
         raise ValueError("runs must be >= 1")
     alphas = _parse_alphas(args.alphas)
     ds_name = os.path.splitext(os.path.basename(os.fspath(args.data)))[0]
+    timings = None  # the protocol's wall time and per-job seconds
     if args.model is not None:
         rows, families, knn_ks = _eval_frozen(args, ds_name, alphas)
     else:
-        rows, families, knn_ks = _eval_protocol(args, ds_name, alphas)
+        rows, families, knn_ks, timings = _eval_protocol(args, ds_name,
+                                                         alphas)
 
     lines = ["# scoremorph eval-report format_version=1",
              "dataset,family,alpha,run_seed,mean_size,validity,error"]
@@ -269,7 +278,7 @@ def cmd_eval(args) -> int:
                     "patience": args.patience, "gamma": args.gamma,
                     "has_header": args.has_header, "knn_ks": knn_ks,
                     "report": os.fspath(args.report)},
-                   inputs, [args.report, agg_path])
+                   inputs, [args.report, agg_path], timings)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -163,6 +164,7 @@ class ProtocolResult:
     rows: list
     aggregates: list
     knn_ks: dict  # run_seed -> selected k
+    job_seconds: list  # (run_seed, trained label, seconds) per job, in order
 
 
 def aggregate(rows, families, alphas) -> list:
@@ -199,42 +201,49 @@ def protocol_rows(dataset_name: str, label: str, run_seed: int, alphas,
                         r.empirical_validity, r.error) for r in reports]
 
 
-def protocol_run(dataset: Dataset, families, alphas, run_seed: int,
-                 config: TrainConfig, fractions=DEFAULT_FRACTIONS, k_grid=knn.DEFAULT_K_GRID,
+def _trained_label(name: str) -> str:
+    return "linear" if name in SHARED_LOCALIZER_KINDS else name
+
+
+def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig,
+                 fractions=DEFAULT_FRACTIONS, k_grid=knn.DEFAULT_K_GRID,
                  folds: int = 5, dataset_name: str = "data"):
-    """One run of ``run_protocol``: (its report rows, the point model's k).
+    """One job of ``run_protocol``, ``job = (run_seed, trained label)``:
+    (the report rows of the families that label trains, the point model's
+    k, the job's seconds).
 
     ``run_seed`` seeds the split, the point model's cross-validation and
-    every training, which otherwise follows ``config``.
+    the training, which otherwise follows ``config``. Every job of a run
+    redoes the run's split, KNN fit and scoring, which are deterministic.
     """
+    start = time.perf_counter()
+    run_seed, trained = job
     proper, cp_train, validation, test = split(
         dataset, SplitSpec(run_seed, fractions))
     model = knn.fit(proper, knn.grid_for(proper.n, folds, k_grid),
                     folds=folds, seed=run_seed)
     cp, val, te = (scored(d, model.predict_batch(d.x))
                    for d in (cp_train, validation, test))
+    try:
+        fitted, _ = train(replace(config, family=trained, seed=run_seed),
+                          cp, val)
+    except (ValueError, TrainingDiverged) as exc:
+        fitted = exc
     rows = []
-    fitted = {}  # trained label -> family, or the error training raised
     for name in families:
-        trained = "linear" if name in SHARED_LOCALIZER_KINDS else name
-        if trained not in fitted:
-            try:
-                fitted[trained], _ = train(
-                    replace(config, family=trained, seed=run_seed), cp, val)
-            except (ValueError, TrainingDiverged) as exc:
-                fitted[trained] = exc
+        if _trained_label(name) != trained:
+            continue
 
         def evaluate_all():
-            fam = fitted[trained]
-            if isinstance(fam, Exception):
-                raise fam
-            if name != trained:
-                fam = make_family(name, localizer=fam.localizer)
+            if isinstance(fitted, Exception):
+                raise fitted
+            fam = (fitted if name == trained
+                   else make_family(name, localizer=fitted.localizer))
             return evaluate(fam, cp, te, alphas)
 
         rows += protocol_rows(dataset_name, name, run_seed, alphas,
                               evaluate_all)
-    return rows, model.k
+    return rows, model.k, time.perf_counter() - start
 
 
 def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
@@ -246,28 +255,43 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     """Repeat split / point-model fit / family training / evaluation.
 
     Run r uses seed0 + r for the split, the point model's cross-validation,
-    and the family training; its point model scores each split once.
-    linear, exp and sigma share one size loss, so a run trains their
-    localizer once and builds all three on it, or gives all three its
-    error. Aggregates report mean and population sd per cell.
+    and the family training. linear, exp and sigma share one size loss, so
+    a run trains their localizer once and builds all three on it, or gives
+    all three its error. Aggregates report mean and population sd per cell;
+    rows come in (run, family, alpha) order.
 
-    The runs share no state: they run side by side in worker processes
-    (``workers.map_in_workers``), each on one BLAS thread, so a run's rows
-    depend neither on ``runs`` nor on the host's core count.
+    One job is one (run, trained label); the jobs share no state, and run
+    side by side in worker processes (``workers.map_in_workers``), each on
+    one BLAS thread, so a run's rows depend neither on ``runs`` nor on the
+    host's core count.
     """
+    families = list(families)
     unknown = [f for f in families if f not in CLI_FAMILIES]
     if unknown:
         raise ValueError(f"unknown families {unknown}; choose from {CLI_FAMILIES}")
+    if not families:
+        raise ValueError("no families given")
+    for name in families:
+        if families.count(name) > 1:
+            raise ValueError(f"family '{name}' given twice")
     config = TrainConfig(family="fixed", epochs=epochs, batch_size=batch_size,
                          learning_rate=learning_rate, patience=patience,
                          gamma=gamma)
-    one_run = partial(protocol_run, dataset, list(families), list(alphas),
+    one_job = partial(protocol_job, dataset, families, list(alphas),
                       config=config, fractions=fractions, k_grid=k_grid,
                       folds=folds, dataset_name=dataset_name)
-    seeds = range(seed0, seed0 + runs)
+    trained = dict.fromkeys(_trained_label(f) for f in families)
+    jobs = [(run_seed, label) for run_seed in range(seed0, seed0 + runs)
+            for label in trained]
     rows = []
     knn_ks = {}
-    for run_seed, (run_rows, k) in zip(seeds, map_in_workers(one_run, seeds)):
-        rows += run_rows
+    job_seconds = []
+    for (run_seed, label), (job_rows, k, seconds) in zip(
+            jobs, map_in_workers(one_job, jobs)):
+        rows += job_rows
         knn_ks[run_seed] = k
-    return ProtocolResult(rows, aggregate(rows, families, alphas), knn_ks)
+        job_seconds.append((run_seed, label, seconds))
+    rank = {name: i for i, name in enumerate(families)}
+    rows.sort(key=lambda row: (row.run_seed, rank[row.family]))  # stable
+    return ProtocolResult(rows, aggregate(rows, families, alphas), knn_ks,
+                          job_seconds)

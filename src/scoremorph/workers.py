@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import select
 import subprocess
 import sys
 import threading
@@ -27,53 +28,90 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _command() -> list:
+def _command(lifeline: int) -> list:
     # the worker imports this very package, whatever put it on sys.path
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return [sys.executable, "-c",
             f"import sys; sys.path.insert(0, {root!r}); "
-            "from scoremorph.workers import serve; serve()"]
+            f"from scoremorph.workers import serve; serve({lifeline})"]
+
+
+def _send(proc, obj) -> None:
+    with contextlib.suppress(BrokenPipeError):  # a dead worker is read as one
+        proc.stdin.write(pickle.dumps(obj))
+        proc.stdin.flush()
+
+
+def _receive(proc):
+    """The worker's (ok, result or exception), or (False, RuntimeError) with
+    its exit code when it ended without reporting."""
+    try:
+        return pickle.load(proc.stdout)
+    except (EOFError, pickle.UnpicklingError):
+        return False, RuntimeError(
+            f"worker process exited with code {proc.wait()}")
 
 
 def map_in_workers(fn, items) -> list:
     """``[fn(item) for item in items]``, computed in worker processes.
 
     ``fn`` and the items go to the workers pickled, so ``fn`` must be a
-    module-level function (or a ``functools.partial`` of one). Item i goes
-    to worker i mod W, W = min(len(items), usable cores), and a worker
-    stops at its first exception. The exception of the first item that
-    raised, in item order, is raised here with its type and message. Every
-    worker has exited when this returns or raises.
+    module-level function (or a ``functools.partial`` of one). W =
+    min(len(items), usable cores) workers start, and each takes the next
+    item, in item order, as soon as it has returned its last one. No item
+    goes out after one has failed; the items already out finish, and the
+    exception of the first failed item, in item order, is raised here with
+    its type and message. A worker that ends without reporting fails its
+    item with a ``RuntimeError`` naming its exit code. Every worker has
+    exited when this returns or raises.
     """
     items = list(items)
     n_workers = min(len(items), usable_cores())
     env = dict(os.environ, **_ONE_BLAS_THREAD)
-    procs = []
     outcomes = [None] * len(items)  # (ok, result or exception) per item
+    procs = []
+    busy = {}  # stdout of a worker that holds an item -> (worker, index)
+    # a worker exits when the write end closes: the caller holds it until
+    # every worker has exited, so EOF before then means the caller is gone
+    lifeline, keep_alive = os.pipe()
     try:
         for _ in range(n_workers):
-            procs.append(subprocess.Popen(_command(), stdin=subprocess.PIPE,
-                                          stdout=subprocess.PIPE, env=env))
-        for w, proc in enumerate(procs):
-            with contextlib.suppress(BrokenPipeError):  # reported below
-                proc.stdin.write(pickle.dumps((fn, items[w::n_workers])))
-                proc.stdin.flush()
-        for w, proc in enumerate(procs):
-            data = proc.stdout.read()
-            if proc.wait() != 0 or not data:
-                raise RuntimeError(
-                    f"worker process exited with code {proc.returncode}")
-            for j, outcome in enumerate(pickle.loads(data)):
-                outcomes[w + j * n_workers] = outcome
+            procs.append(subprocess.Popen(
+                _command(lifeline), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, env=env, pass_fds=(lifeline,)))
+        os.close(lifeline)
+        lifeline = None
+        pending = iter(range(len(items)))
+        for proc, i in zip(procs, pending):
+            _send(proc, fn)
+            _send(proc, items[i])
+            busy[proc.stdout] = proc, i
+        failed = False
+        while busy:
+            for out in select.select(list(busy), [], [])[0]:
+                proc, i = busy.pop(out)
+                outcomes[i] = _receive(proc)
+                failed = failed or not outcomes[i][0]
+                i = None if failed else next(pending, None)
+                if i is not None:
+                    _send(proc, items[i])
+                    busy[out] = proc, i
+    except BaseException:  # an interrupt, say: no item is worth finishing
+        for proc in procs:
+            proc.kill()
+        raise
     finally:
         for proc in procs:
-            proc.kill()  # no-op once it has exited
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()  # an idle worker exits on EOF
+        for proc in procs:
             proc.wait()
             proc.stdout.close()
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.close()
-    # a worker stops at its first exception, so an item it never ran
-    # comes after an exception raised here
+        for fd in (lifeline, keep_alive):
+            if fd is not None:
+                os.close(fd)
+    # items go out in order and none after a failure, so every item that
+    # never ran comes after the first failed one
     for ok, value in outcomes:
         if not ok:
             raise value
@@ -81,28 +119,30 @@ def map_in_workers(fn, items) -> list:
 
 
 def _exit_on_eof(fd):
-    # the caller holds stdin open until it has read the results, so EOF
-    # before then means it is gone: stop rather than compute for no one
     while os.read(fd, 4096):
         pass
     os._exit(1)
 
 
-def serve() -> None:
-    """Worker side: read (fn, items) on stdin and write the pickled list of
-    (ok, result or exception) per item on stdout. An exception that cannot
-    be pickled ends the worker with a traceback on stderr instead."""
-    out = sys.stdout.buffer
-    sys.stdout = sys.stderr  # a stray print must not corrupt the results
-    fn, items = pickle.load(sys.stdin.buffer)
-    threading.Thread(target=_exit_on_eof, args=(sys.stdin.fileno(),),
+def serve(lifeline: int) -> None:
+    """Worker side: read ``fn`` on stdin, then items one at a time until EOF,
+    writing the pickled (ok, result or exception) of each on stdout. EOF on
+    the ``lifeline`` descriptor, even in the middle of an item, ends the
+    worker with code 1. An exception that cannot be pickled ends it with a
+    traceback on stderr instead."""
+    threading.Thread(target=_exit_on_eof, args=(lifeline,),
                      daemon=True).start()
-    outcomes = []
-    for item in items:
+    inp, out = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # a stray print must not corrupt the results
+    fn = pickle.load(inp)
+    while True:
         try:
-            outcomes.append((True, fn(item)))
+            item = pickle.load(inp)
+        except EOFError:
+            return
+        try:
+            outcome = (True, fn(item))
         except Exception as exc:
-            outcomes.append((False, exc))
-            break
-    out.write(pickle.dumps(outcomes))
-    out.flush()
+            outcome = (False, exc)
+        out.write(pickle.dumps(outcome))
+        out.flush()

@@ -226,18 +226,21 @@ def test_eval_frozen_scores_once_per_run_and_bundle(tmp_path, monkeypatch):
 
 
 def test_eval_protocol_scores_each_split_once_per_run(tmp_path, monkeypatch):
-    # the runs of protocol eval train in worker processes, where no spy
-    # reaches, so each run is called here in-process
+    # the jobs of protocol eval run in worker processes, where no spy
+    # reaches, so each job is called here in-process; a job holds its
+    # run's split, and linear's job builds exp and sigma too
     calls = {}
     monkeypatch.setattr(KnnModel, "predict_batch",
                         counting(calls, "predict", KnnModel.predict_batch))
     ds = normalize(load_csv(synth(tmp_path, n=300)))
     for seed in (0, 1):
-        calls.clear()
-        training.protocol_run(ds, list(training.CLI_FAMILIES), [0.1], seed,
-                              TrainConfig("fixed", epochs=2))
-        # cp-train, validation and test, once for all six families
-        assert calls == {"predict": 3}
+        for trained in ("fixed", "erc", "erc-fit", "linear"):
+            calls.clear()
+            training.protocol_job(ds, list(training.CLI_FAMILIES), [0.1],
+                                  (seed, trained),
+                                  TrainConfig("fixed", epochs=2))
+            # cp-train, validation and test, once each
+            assert calls == {"predict": 3}
 
 
 def test_eval_frozen_unbuildable_point_model_gives_error_rows(tmp_path):
@@ -361,7 +364,8 @@ def test_eval_protocol_untrainable_family_gives_error_rows(tmp_path):
 def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
     # linear, exp and sigma share one trained localizer: its divergence is
     # trained once per run and gives all three the same error rows; the
-    # count is taken in-process, since the CLI's runs train in workers
+    # count is taken in-process, one job per run, since the CLI's jobs run
+    # in workers
     calls = {}
     monkeypatch.setattr(training, "_loop",
                         counting(calls, "loop", training._loop))
@@ -369,10 +373,12 @@ def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
     ds = normalize(load_csv(data))
     for seed in (0, 1):
         calls.clear()
-        training.protocol_run(ds, ["linear", "exp", "sigma"],
-                              [0.05, 0.1, 0.32], seed,
-                              TrainConfig("fixed", learning_rate=1))
+        rows, _, _ = training.protocol_job(
+            ds, ["linear", "exp", "sigma"], [0.05, 0.1, 0.32],
+            (seed, "linear"), TrainConfig("fixed", learning_rate=1))
         assert calls == {"loop": 1}
+        assert [r.family for r in rows] == ["linear"] * 3 + ["exp"] * 3 \
+            + ["sigma"] * 3
     report = tmp_path / "div3.csv"
     assert run("eval", "--data", data, "--families", "linear,exp,sigma",
                "--runs", 2, "--lr", 1, "--report", report) == 0
@@ -394,6 +400,34 @@ def test_eval_protocol_worker_error_fails_the_command(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: need n >= folds >= 2, got n=4, folds=5\n")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("families, message", [
+    (",", "no families given"),
+    ("linear,exp,linear", "family 'linear' given twice"),
+])
+def test_eval_protocol_refuses_empty_or_repeated_families(tmp_path, capsys,
+                                                          families, message):
+    data = synth(tmp_path, n=300)
+    report = tmp_path / "r.csv"
+    assert run("eval", "--data", data, "--families", families,
+               "--report", report) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def test_eval_protocol_manifest_times_each_job(tmp_path):
+    data = synth(tmp_path, n=300)
+    report = tmp_path / "t.csv"
+    assert run("eval", "--data", data, "--families", "fixed,exp,linear",
+               "--runs", 2, "--seed", 3, "--epochs", 2,
+               "--report", report) == 0
+    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    timings = manifest["timings"]
+    jobs = timings["jobs"]
+    assert [(j["run_seed"], j["trained"]) for j in jobs] == [
+        (3, "fixed"), (3, "linear"), (4, "fixed"), (4, "linear")]
+    assert all(0 < j["seconds"] < timings["protocol_s"] for j in jobs)
 
 
 def test_eval_requires_exactly_one_mode(tmp_path):

@@ -192,6 +192,30 @@ def test_run_protocol_rejects_unknown_family():
         run_protocol(ds, ["bogus"], [0.1], runs=1)
 
 
+def test_run_protocol_refuses_empty_or_repeated_families(monkeypatch):
+    procs = spy_popen(monkeypatch)
+    ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
+    with pytest.raises(ValueError, match="^no families given$"):
+        run_protocol(ds, [], [0.1], runs=1)
+    with pytest.raises(ValueError, match="^family 'linear' given twice$"):
+        run_protocol(ds, ["linear", "fixed", "linear"], [0.1], runs=1)
+    assert procs == []
+
+
+def test_run_protocol_rows_in_run_family_alpha_order():
+    # one job per (run, trained label): linear's job, which also builds
+    # exp, comes before fixed's, yet the rows follow the families given
+    ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
+    result = run_protocol(ds, ["exp", "fixed", "linear"], [0.32, 0.1],
+                          runs=2, seed0=7, epochs=2, patience=2)
+    assert [(r.run_seed, r.family, r.alpha) for r in result.rows] == [
+        (seed, family, alpha) for seed in (7, 8)
+        for family in ("exp", "fixed", "linear") for alpha in (0.32, 0.1)]
+    assert [(seed, label) for seed, label, _ in result.job_seconds] == [
+        (7, "linear"), (7, "fixed"), (8, "linear"), (8, "fixed")]
+    assert all(seconds > 0 for _, _, seconds in result.job_seconds)
+
+
 def test_divergence_aborts_with_trace():
     from scoremorph.training import TrainingDiverged
     rng = np.random.default_rng(1)
