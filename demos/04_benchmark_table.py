@@ -16,8 +16,7 @@ ALPHAS = (0.05, 0.1, 0.32)
 FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
 
 ds = normalize(generate(SynthSpec("linear", n=1000, seed=0)).dataset)
-result = run_protocol(ds, FAMILIES, ALPHAS, runs=5, seed0=0,
-                      dataset_name="synthetic-linear")
+result = run_protocol(ds, FAMILIES, ALPHAS, runs=5, seed0=0)
 
 print(f"selected k per run: {result.knn_ks}\n")
 header = f"{'family':9s}"

@@ -1,8 +1,8 @@
 """Command-line front end: synthesize data, train, evaluate, plot.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
-writes a manifest next to its primary output recording the resolved
-configuration and input digests.
+writes a manifest next to its primary output recording its parsed
+arguments, the values it resolved from them, and input digests.
 
 Both ``eval`` modes need ``--runs`` >= 1 and build rows with
 ``protocol_rows``, so an evaluation ``ValueError`` (an alpha outside
@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from .conformal import calibrate, calibration_scores, evaluate, scored
-from .data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
-                   apply_normalization, load_csv, normalize, split,
-                   split_indices)
+from .data import (IngestionError, SplitSpec, apply_normalization, load_csv,
+                   normalize, split, split_indices)
 from .figures import band_csv, compute_band, render_svg
 from .ioutil import sha256_file, write_text_atomic
 from .knn import KnnModel, fit as knn_fit, grid_for
@@ -42,14 +41,17 @@ _RAW_X = "# raw_x:"
 _TOKEN = re.compile(r"\S+")
 
 
-def write_manifest(primary_out, command: str, config: dict, inputs,
-                   outputs, timings=None) -> str:
+def write_manifest(primary_out, args, inputs, outputs, timings=None,
+                   **resolved) -> str:
+    """Write ``<primary_out>.manifest.json``, whose ``config`` is every
+    parsed argument but ``command`` and ``func``, plus ``resolved``."""
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "tool": "scoremorph",
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {key: value for key, value in vars(args).items()
+                   if key not in ("command", "func")} | resolved,
         "inputs": {os.fspath(p): sha256_file(p) for p in inputs},
         "outputs": [os.fspath(p) for p in outputs],
     }
@@ -111,24 +113,30 @@ def cmd_synth(args) -> int:
     lines.extend(",".join(map(repr, row))
                  for row in np.column_stack([ds.x, ds.y]).tolist())
     write_text_atomic(args.out, "\n".join(lines) + "\n")
-    write_manifest(args.out, "synth",
-                   {"kind": spec.kind, "n": spec.n, "rho": spec.rho,
-                    "seed": spec.seed, "out": os.fspath(args.out)},
-                   [], [args.out])
+    write_manifest(args.out, args, [], [args.out])
     return 0
 
 
 # ---- train ----
 
+# option of ``train`` and ``eval`` -> the TrainConfig field it sets
+_TRAIN_OPTIONS = {"epochs": "epochs", "lr": "learning_rate",
+                  "batch": "batch_size", "patience": "patience",
+                  "gamma": "gamma"}
+
+
+def _train_options(args) -> dict:
+    """The TrainConfig fields that ``args``' training options set."""
+    return {field: getattr(args, option)
+            for option, field in _TRAIN_OPTIONS.items()}
+
+
 def cmd_train(args) -> int:
     ds = normalize(load_csv(args.data, args.has_header))
-    spec = SplitSpec(args.seed, DEFAULT_FRACTIONS)
+    spec = SplitSpec(args.seed)
     proper, cp_train, validation, _ = split(ds, spec)
-    model = knn_fit(proper, grid_for(proper.n, 5), folds=5, seed=args.seed)
-    config = TrainConfig(family=args.family, seed=args.seed,
-                         epochs=args.epochs, batch_size=args.batch,
-                         learning_rate=args.lr, patience=args.patience,
-                         gamma=args.gamma)
+    model = knn_fit(proper, grid_for(proper.n), seed=args.seed)
+    config = TrainConfig(args.family, args.seed, **_train_options(args))
     cp, val = (scored(d, model.predict_batch(d.x))
                for d in (cp_train, validation))
     fam, trace = train(config, cp, val)
@@ -140,22 +148,17 @@ def cmd_train(args) -> int:
     for epoch, tr, val in trace.epochs:
         rows.append(f"{epoch},{'' if tr is None else repr(tr)},{val!r}")
     write_text_atomic(trace_path, "\n".join(rows) + "\n")
-    write_manifest(args.model_out, "train",
-                   {"data": os.fspath(args.data), "family": args.family,
-                    "seed": args.seed, "epochs": args.epochs, "lr": args.lr,
-                    "batch": args.batch, "patience": args.patience,
-                    "gamma": args.gamma, "has_header": args.has_header,
-                    "fractions": list(DEFAULT_FRACTIONS),
-                    "model_out": os.fspath(args.model_out),
-                    "knn_k": model.k, "best_epoch": trace.best_epoch},
-                   [args.data], [args.model_out, trace_path])
+    write_manifest(args.model_out, args, [args.data],
+                   [args.model_out, trace_path],
+                   fractions=list(spec.fractions), knn_k=model.k,
+                   best_epoch=trace.best_epoch)
     return 0
 
 
 # ---- eval ----
 
-def _format_row(r: ProtocolRow) -> str:
-    return (f"{r.dataset},{r.family},{r.alpha!r},{r.run_seed},"
+def _format_row(dataset_name: str, r: ProtocolRow) -> str:
+    return (f"{dataset_name},{r.family},{r.alpha!r},{r.run_seed},"
             f"{'' if r.mean_size is None else repr(r.mean_size)},"
             f"{'' if r.validity is None else repr(r.validity)},"
             f"{r.error.replace(',', ';')}")
@@ -189,7 +192,7 @@ def _rebuild(bundle: ModelBundle, ds_raw, seed: int):
     return KnnModel(proper.x, proper.y, bundle.knn_k), ds, cp_train, test
 
 
-def _eval_frozen(args, ds_name, alphas):
+def _eval_frozen(args, alphas):
     rows = []
     bundles = [load_model(p) for p in args.model.split(",")]
     labels = [b.label for b in bundles]
@@ -215,21 +218,17 @@ def _eval_frozen(args, ds_name, alphas):
                                    for d in (cp_train, test)]
                 return evaluate(b.family, *splits[key], alphas)
 
-            rows += protocol_rows(ds_name, b.label, run_seed, alphas,
-                                  evaluate_all)
+            rows += protocol_rows(b.label, run_seed, alphas, evaluate_all)
     return rows, [b.label for b in bundles], {b.label: b.knn_k for b in bundles}
 
 
-def _eval_protocol(args, ds_name, alphas):
+def _eval_protocol(args, alphas):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     ds = normalize(load_csv(args.data, args.has_header))
     base_seed = args.seed if args.seed is not None else 0
     start = time.perf_counter()
-    result = run_protocol(ds, families, alphas, runs=args.runs,
-                          seed0=base_seed, epochs=args.epochs,
-                          batch_size=args.batch, learning_rate=args.lr,
-                          patience=args.patience, gamma=args.gamma,
-                          dataset_name=ds_name)
+    result = run_protocol(ds, families, alphas, args.runs, base_seed,
+                          **_train_options(args))
     timings = {"protocol_s": time.perf_counter() - start,
                "jobs": [{"run_seed": seed, "trained": label, "seconds": sec}
                         for seed, label, sec in result.job_seconds]}
@@ -246,14 +245,13 @@ def cmd_eval(args) -> int:
     ds_name = os.path.splitext(os.path.basename(os.fspath(args.data)))[0]
     timings = None  # the protocol's wall time and per-job seconds
     if args.model is not None:
-        rows, families, knn_ks = _eval_frozen(args, ds_name, alphas)
+        rows, families, knn_ks = _eval_frozen(args, alphas)
     else:
-        rows, families, knn_ks, timings = _eval_protocol(args, ds_name,
-                                                         alphas)
+        rows, families, knn_ks, timings = _eval_protocol(args, alphas)
 
     lines = ["# scoremorph eval-report format_version=1",
              "dataset,family,alpha,run_seed,mean_size,validity,error"]
-    lines += [_format_row(r) for r in rows]
+    lines += [_format_row(ds_name, r) for r in rows]
     write_text_atomic(args.report, "\n".join(lines) + "\n")
 
     aggregates = aggregate(rows, families, alphas)
@@ -270,15 +268,8 @@ def cmd_eval(args) -> int:
     inputs = [args.data]
     if args.model is not None:
         inputs += args.model.split(",")
-    write_manifest(args.report, "eval",
-                   {"data": os.fspath(args.data), "model": args.model,
-                    "families": args.families, "alphas": alphas,
-                    "runs": args.runs, "seed": args.seed,
-                    "epochs": args.epochs, "lr": args.lr, "batch": args.batch,
-                    "patience": args.patience, "gamma": args.gamma,
-                    "has_header": args.has_header, "knn_ks": knn_ks,
-                    "report": os.fspath(args.report)},
-                   inputs, [args.report, agg_path], timings)
+    write_manifest(args.report, args, inputs, [args.report, agg_path],
+                   timings, alphas=alphas, knn_ks=knn_ks)
     return 0
 
 
@@ -304,15 +295,19 @@ def cmd_plot(args) -> int:
     write_text_atomic(args.out, svg)
     csv_path = os.fspath(args.out) + ".band.csv"
     write_text_atomic(csv_path, band_csv(band))
-    write_manifest(args.out, "plot",
-                   {"data": os.fspath(args.data), "model": os.fspath(args.model),
-                    "alpha": args.alpha, "has_header": args.has_header,
-                    "out": os.fspath(args.out)},
-                   [args.data, args.model], [args.out, csv_path])
+    write_manifest(args.out, args, [args.data, args.model],
+                   [args.out, csv_path])
     return 0
 
 
 # ---- parser ----
+
+def _add_train_options(p) -> None:
+    """Add the training options, with TrainConfig's defaults, to ``p``."""
+    for option, field in _TRAIN_OPTIONS.items():
+        default = getattr(TrainConfig, field)
+        p.add_argument(f"--{option}", type=type(default), default=default)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -326,21 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a heteroskedastic dataset")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=SynthSpec.n)
+    p.add_argument("--rho", type=float, default=SynthSpec.rho)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="split, fit the point model, train a family")
     p.add_argument("--data", required=True)
     p.add_argument("--family", required=True, choices=CLI_FAMILIES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--gamma", type=float, default=1e-2)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    _add_train_options(p)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
@@ -353,11 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.05,0.1,0.32")
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--gamma", type=float, default=1e-2)
+    _add_train_options(p)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)

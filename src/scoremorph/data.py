@@ -111,7 +111,7 @@ class SplitSpec:
         if len(fr) != 4:
             raise ValueError("need exactly four fractions "
                              "(proper_train, cp_train, validation, test)")
-        if any(f < 0.0 or f > 1.0 for f in fr):
+        if not all(0.0 <= f <= 1.0 for f in fr):  # NaN fails too
             raise ValueError(f"fractions must lie in [0, 1], got {fr}")
         if abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got sum {sum(fr)}")

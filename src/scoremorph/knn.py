@@ -23,6 +23,8 @@ import numpy as np
 from .data import Dataset
 
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
+# cross-validation folds ``fit`` selects k with unless told otherwise
+FOLDS = 5
 
 # (query, stored row, dimension) difference cells one scan chunk may hold
 _CHUNK_CELLS = 1 << 21
@@ -32,7 +34,7 @@ _CHUNK_CELLS = 1 << 21
 _CHUNK_QUERIES = 128
 
 
-def grid_for(n: int, folds: int, k_grid=DEFAULT_K_GRID) -> list:
+def grid_for(n: int, folds: int = FOLDS, k_grid=DEFAULT_K_GRID) -> list:
     """The candidate k values that ``fit`` with ``folds`` folds accepts on n
     rows: none above the smallest CV training part, n - ceil(n / folds)."""
     return [k for k in k_grid if k <= n - (n + folds - 1) // folds]
@@ -213,9 +215,11 @@ def _k_smallest(d2, k):
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
-def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = 5,
+def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = FOLDS,
         seed: int = 0) -> KnnModel:
-    """Select k by K-fold cross-validation (MSE), ties toward smaller k."""
+    """Select k by ``folds``-fold cross-validation (MSE), ties toward
+    smaller k. ``train`` and the protocol use the defaults: ``FOLDS``
+    folds over the k values of ``grid_for`` that the smallest fold allows."""
     n = proper_train.n
     if folds < 2 or n < folds:
         raise ValueError(f"need n >= folds >= 2, got n={n}, folds={folds}")

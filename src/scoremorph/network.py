@@ -228,13 +228,11 @@ class AdamState:
                             for a in pair]
 
     @classmethod
-    def init(cls, net: LocalizerNet, learning_rate: float = 1e-3,
-             beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "AdamState":
+    def init(cls, net: LocalizerNet, **options) -> "AdamState":
+        """State for ``net``'s parameters, with the constructor's options."""
         shapes = [p.shape for pair in zip(net.weights, net.biases)
                   for p in pair]
-        return cls(shapes, learning_rate=learning_rate, beta1=beta1,
-                   beta2=beta2, eps=eps)
+        return cls(shapes, **options)
 
 
 def _layer_views(flat, shapes):

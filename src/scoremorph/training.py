@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -10,10 +11,10 @@ import numpy as np
 
 from . import knn
 from .conformal import evaluate, scored
-from .data import DEFAULT_FRACTIONS, Dataset, SplitSpec, split
+from .data import Dataset, SplitSpec, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
-from .transforms import FixedTransform, make_family
+from .transforms import DEFAULT_GAMMA, FixedTransform, make_family
 from .workers import map_in_workers
 
 CLI_FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
@@ -24,15 +25,20 @@ SHARED_LOCALIZER_KINDS = ("linear", "exp", "sigma")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How one localizer is trained; the CLI's defaults come from here."""
+
     family: str
     seed: int = 0
     epochs: int = 200
     batch_size: int = 16
     learning_rate: float = 1e-3
     patience: int = 20
-    gamma: float = 1e-2
+    gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError("learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.patience < 1:
@@ -140,7 +146,6 @@ def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
 
 @dataclass(frozen=True)
 class ProtocolRow:
-    dataset: str
     family: str
     alpha: float
     run_seed: int
@@ -187,17 +192,16 @@ def aggregate(rows, families, alphas) -> list:
     return out
 
 
-def protocol_rows(dataset_name: str, label: str, run_seed: int, alphas,
-                  evaluate_all) -> list:
+def protocol_rows(label: str, run_seed: int, alphas, evaluate_all) -> list:
     """Report rows of one (family, run) from ``evaluate_all()``'s reports;
     a ``ValueError`` or ``TrainingDiverged`` it raises gives one error row
     per alpha."""
     try:
         reports = evaluate_all()
     except (ValueError, TrainingDiverged) as exc:
-        return [ProtocolRow(dataset_name, label, float(alpha), run_seed, None,
-                            None, str(exc)) for alpha in alphas]
-    return [ProtocolRow(dataset_name, label, r.alpha, run_seed, r.mean_size,
+        return [ProtocolRow(label, float(alpha), run_seed, None, None,
+                            str(exc)) for alpha in alphas]
+    return [ProtocolRow(label, r.alpha, run_seed, r.mean_size,
                         r.empirical_validity, r.error) for r in reports]
 
 
@@ -205,9 +209,7 @@ def _trained_label(name: str) -> str:
     return "linear" if name in SHARED_LOCALIZER_KINDS else name
 
 
-def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig,
-                 fractions=DEFAULT_FRACTIONS, k_grid=knn.DEFAULT_K_GRID,
-                 folds: int = 5, dataset_name: str = "data"):
+def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
     """One job of ``run_protocol``, ``job = (run_seed, trained label)``:
     (the report rows of the families that label trains, the point model's
     k, the job's seconds).
@@ -218,10 +220,8 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig,
     """
     start = time.perf_counter()
     run_seed, trained = job
-    proper, cp_train, validation, test = split(
-        dataset, SplitSpec(run_seed, fractions))
-    model = knn.fit(proper, knn.grid_for(proper.n, folds, k_grid),
-                    folds=folds, seed=run_seed)
+    proper, cp_train, validation, test = split(dataset, SplitSpec(run_seed))
+    model = knn.fit(proper, knn.grid_for(proper.n), seed=run_seed)
     cp, val, te = (scored(d, model.predict_batch(d.x))
                    for d in (cp_train, validation, test))
     try:
@@ -241,21 +241,20 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig,
                    else make_family(name, localizer=fitted.localizer))
             return evaluate(fam, cp, te, alphas)
 
-        rows += protocol_rows(dataset_name, name, run_seed, alphas,
-                              evaluate_all)
+        rows += protocol_rows(name, run_seed, alphas, evaluate_all)
     return rows, model.k, time.perf_counter() - start
 
 
 def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
-                 seed0: int = 0, fractions=DEFAULT_FRACTIONS,
-                 epochs: int = 200, batch_size: int = 16,
-                 learning_rate: float = 1e-3, patience: int = 20,
-                 gamma: float = 1e-2, k_grid=knn.DEFAULT_K_GRID,
-                 folds: int = 5, dataset_name: str = "data") -> ProtocolResult:
+                 seed0: int = 0, **train_options) -> ProtocolResult:
     """Repeat split / point-model fit / family training / evaluation.
 
-    Run r uses seed0 + r for the split, the point model's cross-validation,
-    and the family training. linear, exp and sigma share one size loss, so
+    Run r uses seed0 + r for the split (``SplitSpec``'s default fractions),
+    the point model's ``knn.FOLDS``-fold cross-validation over
+    ``knn.DEFAULT_K_GRID``, and the family training, which otherwise follows
+    ``TrainConfig(**train_options)``: ``epochs``, ``batch_size``,
+    ``learning_rate``, ``patience`` and ``gamma``, each defaulting to
+    ``TrainConfig``'s. linear, exp and sigma share one size loss, so
     a run trains their localizer once and builds all three on it, or gives
     all three its error. Aggregates report mean and population sd per cell;
     rows come in (run, family, alpha) order.
@@ -274,12 +273,9 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     for name in families:
         if families.count(name) > 1:
             raise ValueError(f"family '{name}' given twice")
-    config = TrainConfig(family="fixed", epochs=epochs, batch_size=batch_size,
-                         learning_rate=learning_rate, patience=patience,
-                         gamma=gamma)
+    config = TrainConfig(family="fixed", **train_options)
     one_job = partial(protocol_job, dataset, families, list(alphas),
-                      config=config, fractions=fractions, k_grid=k_grid,
-                      folds=folds, dataset_name=dataset_name)
+                      config=config)
     trained = dict.fromkeys(_trained_label(f) for f in families)
     jobs = [(run_seed, label) for run_seed in range(seed0, seed0 + runs)
             for label in trained]

@@ -15,6 +15,7 @@ where no score saturates.
 from __future__ import annotations
 
 import copy
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -73,6 +74,9 @@ class TransformFamily:
 
     def __init__(self, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
         self.epsilon_floor = float(epsilon_floor)
+        if not 0 < self.epsilon_floor < math.inf:  # NaN fails too
+            raise ValueError("epsilon_floor must be finite and positive, "
+                             f"got {self.epsilon_floor}")
 
     # ---- localization ----
 
@@ -256,7 +260,7 @@ class ErcTransform(LogShiftCore):
     def __init__(self, localizer, gamma: float = DEFAULT_GAMMA,
                  epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
         super().__init__(localizer, epsilon_floor)
-        if gamma <= 0:
+        if not 0 < gamma < math.inf:  # NaN fails too
             raise ValueError(f"gamma must be positive, got {gamma}")
         self.gamma = float(gamma)
 

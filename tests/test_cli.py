@@ -14,6 +14,7 @@ from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
 from scoremorph.serialize import load_model, save_model
+from scoremorph.synthetic import SynthSpec
 from scoremorph.training import TrainConfig
 from scoremorph.transforms import FixedTransform
 
@@ -430,6 +431,37 @@ def test_eval_protocol_manifest_times_each_job(tmp_path):
     assert all(0 < j["seconds"] < timings["protocol_s"] for j in jobs)
 
 
+@pytest.mark.parametrize("field", ["epsilon_floor", "gamma"])
+def test_eval_frozen_rejects_a_nan_model_value(tmp_path, capsys, field):
+    # the file is refused: a NaN floor or erc gamma gives nan,0.0 in every row
+    data, model = train_model(tmp_path, family="erc")
+    doc = json.loads(model.read_text())
+    doc[field] = float("nan")
+    model.write_text(json.dumps(doc))
+    report = tmp_path / "r.csv"
+    assert run("eval", "--data", data, "--model", model, "--runs", 2,
+               "--report", report) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "-0.001", "nan", "inf"])
+def test_train_and_protocol_eval_reject_a_bad_rate(tmp_path, capsys,
+                                                   monkeypatch, rate):
+    # the protocol checks it before any worker starts
+    monkeypatch.setattr(training, "map_in_workers", None)
+    data = synth(tmp_path, n=300)
+    model, report = tmp_path / "m.json", tmp_path / "r.csv"
+    assert run("train", "--data", data, "--family", "linear", "--lr", rate,
+               "--model-out", model) == 1
+    assert run("eval", "--data", data, "--families", "fixed", "--lr", rate,
+               "--report", report) == 1
+    message = (f"error: learning_rate must be finite and positive, "
+               f"got {float(rate)}\n")
+    assert capsys.readouterr().err == 2 * message
+    assert not model.exists() and not report.exists()
+
+
 def test_eval_requires_exactly_one_mode(tmp_path):
     data = synth(tmp_path, n=300)
     assert run("eval", "--data", data, "--report", tmp_path / "x.csv") == 1
@@ -589,6 +621,88 @@ def test_outputs_carry_format_version(tmp_path):
     assert json.loads(model.read_text())["format_version"] == 1
     manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
     assert manifest["format_version"] == 1
+
+
+def _manifest_case(tmp_path, command):
+    """(argv, primary output) of one command, its inputs made first."""
+    data = synth(tmp_path, n=300)
+    model = tmp_path / "m.json"
+    if command != "train":
+        assert run("train", "--data", data, "--family", "linear",
+                   "--epochs", 2, "--model-out", model) == 0
+    out = tmp_path / "out"
+    return {
+        "synth": (["synth", "--kind", "squared", "--n", 200, "--out", out],
+                  out),
+        "train": (["train", "--data", data, "--family", "erc", "--seed", 3,
+                   "--epochs", 2, "--model-out", out], out),
+        "frozen eval": (["eval", "--data", data, "--model", model,
+                         "--alphas", "0.1,0.32", "--runs", 2,
+                         "--report", out], out),
+        "protocol eval": (["eval", "--data", data, "--families",
+                           "fixed,linear", "--alphas", "0.1", "--runs", 2,
+                           "--epochs", 2, "--report", out], out),
+        "plot": (["plot", "--data", data, "--model", model, "--alpha", 0.1,
+                  "--out", out], out),
+    }[command]
+
+
+@pytest.mark.parametrize("command, resolved", [
+    ("synth", set()),
+    ("train", {"fractions", "knn_k", "best_epoch"}),
+    ("frozen eval", {"alphas", "knn_ks"}),
+    ("protocol eval", {"alphas", "knn_ks"}),
+    ("plot", set()),
+])
+def test_manifest_config_is_the_parsed_options(tmp_path, command, resolved):
+    # config holds every parsed option but command and func, with only the
+    # values the command worked out itself in place of, or beside, them
+    argv, out = _manifest_case(tmp_path, command)
+    assert run(*argv) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    parsed = vars(cli.build_parser().parse_args([str(a) for a in argv]))
+    assert manifest["command"] == parsed.pop("command")
+    del parsed["func"]
+    config = manifest["config"]
+    assert set(config) == set(parsed) | resolved
+    assert {k: v for k, v in config.items() if k not in resolved} == {
+        k: v for k, v in parsed.items() if k not in resolved}
+    if command == "train":
+        b = load_model(out)
+        assert config["fractions"] == list(DEFAULT_FRACTIONS)
+        assert config["knn_k"] == b.knn_k
+        trace = read_rows(tmp_path / "out.trace.csv")
+        best = min(trace, key=lambda r: float(r["val_loss"]))
+        assert config["best_epoch"] == int(best["epoch"])
+    elif command.endswith("eval"):
+        assert config["alphas"] == cli._parse_alphas(parsed["alphas"])
+        k = load_model(tmp_path / "m.json").knn_k
+        if command == "frozen eval":
+            assert config["knn_ks"] == {"linear": k, "fixed": k}
+        else:  # run seed -> the k its point model selected
+            assert set(config["knn_ks"]) == {"0", "1"}
+            assert all(type(v) is int for v in config["knn_ks"].values())
+
+
+def test_option_defaults_come_from_the_library():
+    parse = cli.build_parser().parse_args
+    synth_args = parse(["synth", "--kind", "cos", "--out", "o"])
+    spec = SynthSpec("cos")
+    assert (synth_args.n, synth_args.rho, synth_args.seed) == (
+        spec.n, spec.rho, spec.seed)
+    config = TrainConfig("fixed")
+    for argv in (["train", "--data", "d", "--family", "fixed",
+                  "--model-out", "m"],
+                 ["eval", "--data", "d", "--report", "r"]):
+        args = parse(argv)
+        assert (args.epochs, args.lr, args.batch, args.patience,
+                args.gamma) == (config.epochs, config.learning_rate,
+                                config.batch_size, config.patience,
+                                config.gamma)
+        assert [type(v) for v in (args.epochs, args.lr, args.gamma)] == [
+            int, float, float]
+    assert parse(["train", "--data", "d", "--family", "fixed",
+                  "--model-out", "m"]).seed == config.seed
 
 
 def test_full_protocol_table_within_budget(tmp_path):

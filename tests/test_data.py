@@ -174,6 +174,9 @@ def test_split_spec_validation():
         SplitSpec(0, (0.4, 0.4, 0.2))
     with pytest.raises(ValueError):
         SplitSpec(0, (-0.1, 0.5, 0.3, 0.3))
+    # NaN passes a range check written as `f < 0 or f > 1`, and the sum check
+    with pytest.raises(ValueError, match=r"^fractions must lie in \[0, 1\]"):
+        SplitSpec(0, (float("nan"), 0.4, 0.1, 0.1))
 
 
 def test_dataset_arrays_read_only():

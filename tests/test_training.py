@@ -39,6 +39,15 @@ def quick_config(family, seed=0, epochs=25, patience=8):
                        patience=patience)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    # a rate of 0 or below leaves the localizer untrained; NaN or inf diverges
+    with pytest.raises(ValueError,
+                       match=f"^learning_rate must be finite and positive, "
+                             f"got {rate}$"):
+        TrainConfig("linear", learning_rate=rate)
+
+
 def test_zero_epochs_returns_init_and_empty_trace():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
@@ -287,10 +296,10 @@ def test_run_protocol_shares_one_localizer_across_log_families():
 
 
 def test_aggregate_skips_error_rows_and_empty_cells():
-    rows = [ProtocolRow("d", "fixed", 0.1, 0, 2.0, 0.9),
-            ProtocolRow("d", "fixed", 0.1, 1, 4.0, 0.8),
-            ProtocolRow("d", "fixed", 0.1, 2, None, None, "boom"),
-            ProtocolRow("d", "linear", 0.1, 0, None, None, "boom")]
+    rows = [ProtocolRow("fixed", 0.1, 0, 2.0, 0.9),
+            ProtocolRow("fixed", 0.1, 1, 4.0, 0.8),
+            ProtocolRow("fixed", 0.1, 2, None, None, "boom"),
+            ProtocolRow("linear", 0.1, 0, None, None, "boom")]
     (agg,) = aggregate(rows, ["fixed", "linear"], [0.1])
     assert (agg.family, agg.alpha) == ("fixed", 0.1)
     assert (agg.size_mean, agg.size_sd) == (3.0, 1.0)

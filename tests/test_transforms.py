@@ -317,6 +317,20 @@ def test_epsilon_floor_keeps_log_families_total():
         assert np.isfinite(fam.forward_batch(np.zeros((1, 3)), [0.0])[0])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_non_finite_or_non_positive_floor_and_gamma_rejected(value):
+    # a NaN floor or gamma would make every interval NaN
+    with pytest.raises(ValueError,
+                       match=f"^epsilon_floor must be finite and positive, "
+                             f"got {value}$"):
+        FixedTransform(epsilon_floor=value)
+    with pytest.raises(ValueError, match="^epsilon_floor must be"):
+        make_family("linear", localizer=net_for(), epsilon_floor=value)
+    with pytest.raises(ValueError,
+                       match=f"^gamma must be positive, got {value}$"):
+        make_family("erc", localizer=net_for(), gamma=value)
+
+
 def test_make_family_dispatch_and_errors():
     net = net_for()
     for kind in TRAINABLE_KINDS:
