@@ -10,17 +10,15 @@ takes a batch of attribute rows; a single point is a one-row batch.
 import numpy as np
 
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (CodomainError, ErcTransform, ExpTransform,
+from scoremorph.transforms import (CodomainError, ErcTransform,
                                    FixedTransform, LinearTransform,
-                                   SigmaTransform, TransformFamily)
+                                   TransformFamily)
 
 net = LocalizerNet.init(d=2, seed=0)
 families = [
     FixedTransform(),
     ErcTransform(net, gamma=1e-2),
     LinearTransform(net),
-    ExpTransform(net),
-    SigmaTransform(net),
 ]
 
 x = np.array([[0.3, -1.2]])  # one attribute row
@@ -32,20 +30,22 @@ for fam in families:
     slope = fam.dphi_da(fam.loc_batch(x), [2.0])[0]
     print(f"{fam.kind:8s} {b:12.6f} {back:12.6f} {slope:10.6f}")
 
-# the three log-based families are monotone maps of one another, so they
-# rank any score set identically
+# the paper's exp and sigma families are exp(z) and sigmoid(z) of linear's
+# score z = log A + g(x): increasing maps that rank any score set as z
+# does, so they give the same quantile rank and the same intervals, and
+# the library scores z for all three
 rng = np.random.default_rng(1)
 xs = rng.normal(size=(6, 2))
-a = rng.chisquare(1, size=6)
+z = families[2].forward_batch(xs, rng.chisquare(1, size=6))
 print("\nscore rankings (identical for linear / exp / sigma):")
-for fam in families[2:]:
-    order = np.argsort(fam.forward_batch(xs, a))
-    print(f"  {fam.kind:8s} {order.tolist()}")
+for name, score in (("linear", z), ("exp", np.exp(z)),
+                    ("sigma", 1.0 / (1.0 + np.exp(-z)))):
+    print(f"  {name:8s} {np.argsort(score).tolist()}")
 
 # inversion also works without a closed form: bisection on the monotone map
-fam = ExpTransform(net)
+fam = families[2]
 b = fam.forward_batch(x, [5.0])[0]
-print(f"\nbisection inverse of exp family at B={b:.4f}: "
+print(f"\nbisection inverse of linear family at B={b:.4f}: "
       f"{fam.phi_inv_numeric(fam.loc_batch(x), b)[0]:.10f} (exact 5.0)")
 
 

@@ -26,8 +26,7 @@ from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
                        ProtocolRow, TrainConfig, TrainTrace, TrainingDiverged,
                        aggregate, run_protocol, train)
 from .transforms import (TRAINABLE_KINDS, CodomainError, ErcTransform,
-                         ExpTransform, FixedTransform, LinearTransform,
-                         LogShiftCore, NoRootError, SigmaTransform,
-                         TransformFamily, make_family)
+                         FixedTransform, LinearTransform, LogShiftCore,
+                         NoRootError, TransformFamily, make_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,11 +2,10 @@
 
 ``scored`` pairs a split's attributes with its base scores (f(x) - y)^2,
 and everything below takes those ``(x, A)`` batches. One array path:
-``calibration_scores`` scores on ``fam.calibration_family()`` (for the
-log-shift core its pre-image z = log A + s(x), so a saturating outer map
-cannot lose the quantile), ``calibrate`` takes an actual order statistic of
-them (never interpolated), and ``half_widths`` inverts it through the same
-family at any test attribute.
+``calibration_scores`` scores them through the family (for the log-shift
+core z = log A + s(x), which no float saturates), ``calibrate`` takes an
+actual order statistic of them (never interpolated), and ``half_widths``
+inverts it through the same family at any test attribute.
 """
 
 from __future__ import annotations
@@ -78,9 +77,9 @@ def quantile_index(n: int, alpha: float) -> int:
 
 def calibration_scores(fam: TransformFamily, cal: LossBatch,
                        locs=None) -> np.ndarray:
-    """Scores phi_{x_n}(A_n) of a calibration set on its calibration family;
-    ``locs``, when given, holds ``fam.loc_batch(cal.x)``."""
-    return fam.calibration_family().forward_batch(cal.x, cal.a, locs)
+    """Scores phi_{x_n}(A_n) of a calibration set; ``locs``, when given,
+    holds ``fam.loc_batch(cal.x)``."""
+    return fam.forward_batch(cal.x, cal.a, locs)
 
 
 def calibrate(scores, alpha: float) -> float:
@@ -96,8 +95,7 @@ def calibrate(scores, alpha: float) -> float:
 
 def _inverse(fam: TransformFamily, xs, q_hat: float,
              locs=None) -> np.ndarray:
-    return np.asarray(fam.calibration_family().inverse_batch(xs, q_hat, locs),
-                      dtype=float)
+    return np.asarray(fam.inverse_batch(xs, q_hat, locs), dtype=float)
 
 
 def half_widths(fam: TransformFamily, xs, q_hat: float,

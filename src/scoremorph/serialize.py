@@ -32,13 +32,12 @@ def model_to_dict(label: str, family: TransformFamily,
                   stats: NormalizationStats, knn_k: int,
                   split: SplitSpec) -> dict:
     family_kind(label)  # rejects unknown labels
-    cfg = family.config_dict()
     localizer = getattr(family, "localizer", None)
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "family": label,
-        "gamma": cfg.get("gamma"),
-        "epsilon_floor": cfg["epsilon_floor"],
+        "gamma": getattr(family, "gamma", None),
+        "epsilon_floor": family.epsilon_floor,
         "localizer": localizer.to_json_dict() if localizer is not None else None,
         "normalization_stats": stats.to_json_dict(),
         "knn_k": int(knn_k),

@@ -8,6 +8,7 @@ normalized across samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class SynthSpec:
             raise ValueError(f"unknown kind '{self.kind}', pick from {KINDS}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:  # NaN fails too
+            raise ValueError(f"rho must be finite and positive, got {self.rho}")
 
 
 def amplitude(kind: str, x, rho: float = 0.1):

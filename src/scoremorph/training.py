@@ -19,7 +19,7 @@ from .workers import map_in_workers
 
 CLI_FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
 
-# log-shift presets with s = g: one size loss, so one trained localizer
+# labels that build linear's core, s = g: one trained localizer
 SHARED_LOCALIZER_KINDS = ("linear", "exp", "sigma")
 
 
@@ -254,7 +254,7 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     ``knn.DEFAULT_K_GRID``, and the family training, which otherwise follows
     ``TrainConfig(**train_options)``: ``epochs``, ``batch_size``,
     ``learning_rate``, ``patience`` and ``gamma``, each defaulting to
-    ``TrainConfig``'s. linear, exp and sigma share one size loss, so
+    ``TrainConfig``'s. linear, exp and sigma build the same family, so
     a run trains their localizer once and builds all three on it, or gives
     all three its error. Aggregates report mean and population sd per cell;
     rows come in (run, family, alpha) order.

@@ -2,21 +2,19 @@
 
 Each family maps a base score A = (f(x) - y)^2 to B = phi_x(A) where the
 attribute dependence enters through a scalar localization value (usually
-the output of a trainable network). The four trainable families are one
-log-shift core, phi = h(log max(A, eps) + s(g(x))): an outer map h (identity
-for linear, exp for exp and erc, sigmoid for sigma) around a shift s (s = g,
-or s = -log(g^2 + gamma) for erc). The core is strictly increasing in A with
-the x-independent codomain h(R), so the transformed scores can be calibrated
-and mapped back to label-space intervals at any test attribute. Because h is
-monotone, calibration can equally run on the pre-image z = log max(A, eps) + s,
-where no score saturates.
+the output of a trainable network). The trainable families are one
+log-shift core, z = log max(A, eps) + s(g(x)), with the shift s = g
+(linear, exp, sigma) or s = -log(g^2 + gamma) (erc). The paper writes exp,
+erc and sigma as exp(z) or sigmoid(z); an x-independent increasing map of
+every score changes neither the rank of the calibration quantile nor the
+interval it inverts to, so the core scores z itself. z is strictly
+increasing in A with codomain all of R at every x, so the scores can be
+calibrated and mapped back to label-space intervals at any test attribute.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -38,20 +36,6 @@ class CodomainError(ValueError):
 
 class NoRootError(ValueError):
     """Bracket expansion failed to enclose a root."""
-
-
-def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _logit(b):
-    return np.log(b) - np.log1p(-b)
 
 
 def _expand(value, *operands):
@@ -141,11 +125,6 @@ class TransformFamily:
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
 
-    def calibration_family(self) -> "TransformFamily":
-        """The family whose scores calibration ranks and inverts; any
-        strictly increasing map of phi gives the same intervals."""
-        return self
-
     # ---- helpers ----
 
     def _checked_locs(self, xs, locs):
@@ -164,9 +143,6 @@ class TransformFamily:
 
     def _clamped(self, a):
         return np.maximum(a, self.epsilon_floor)
-
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "epsilon_floor": self.epsilon_floor}
 
 
 class FixedTransform(TransformFamily):
@@ -189,25 +165,14 @@ class FixedTransform(TransformFamily):
         return _expand(0.0, loc, a)
 
 
-# strictly increasing outer map h of the log-shift core, onto the open
-# interval codomain = (lo, hi)
-_Outer = namedtuple("_Outer", "h h_inv dh codomain")
-_IDENTITY = _Outer(lambda z: z, lambda b: b, np.ones_like, (-np.inf, np.inf))
-_EXP = _Outer(np.exp, np.log, np.exp, (0.0, np.inf))
-_SIGMOID = _Outer(_sigmoid, _logit, lambda z: _sigmoid(z) * _sigmoid(-z),
-                  (0.0, 1.0))
-
-
 class LogShiftCore(TransformFamily):
-    """phi(g, A) = h(z), z = log max(A, eps) + s(g), with g a trainable network.
+    """phi(g, A) = log max(A, eps) + s(g), with g a trainable network.
 
-    Presets pick the outer map ``outer`` and may override the shift s
-    (default s = g); the inverse exp(h^{-1}(B) - s(g)), the codomain check
-    and the derivatives are written once here.
+    Presets may override the shift s (default s = g); the inverse
+    exp(B - s(g)) and the derivatives are written once here.
     """
 
     trainable = True
-    outer = _IDENTITY
 
     def __init__(self, localizer: LocalizerNet,
                  epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -223,39 +188,24 @@ class LogShiftCore(TransformFamily):
     def dshift(self, loc):
         return np.ones_like(loc)
 
-    def preimage(self, loc, a):
-        """z = log max(A, eps) + s(g), the argument of the outer map."""
+    def phi(self, loc, a):
         return np.log(self._clamped(a)) + self.shift(loc)
 
-    def phi(self, loc, a):
-        return self.outer.h(self.preimage(loc, a))
-
     def phi_inv(self, loc, b):
-        b = np.asarray(b, dtype=float)
-        lo, hi = self.outer.codomain
-        if np.any(b <= lo) or np.any(b >= hi):
-            raise CodomainError(
-                f"{self.kind} family: B must lie in ({lo:g}, {hi:g})")
-        return np.exp(self.outer.h_inv(b) - self.shift(loc))
+        return np.exp(np.asarray(b, dtype=float) - self.shift(loc))
 
     def dphi_da(self, loc, a):
-        return self.outer.dh(self.preimage(loc, a)) / self._clamped(a)
+        return 1.0 / self._clamped(a)
 
     def dphi_dloc(self, loc, a):
-        return self.outer.dh(self.preimage(loc, a)) * self.dshift(loc)
-
-    def calibration_family(self) -> "LogShiftCore":
-        """This family without its outer map: scores are the pre-image z."""
-        view = copy.copy(self)
-        view.outer = _IDENTITY
-        return view
+        return self.dshift(loc)
 
 
 class ErcTransform(LogShiftCore):
-    """Residual re-weighting: B = A / (g(x)^2 + gamma), s = -log(g^2 + gamma)."""
+    """Residual re-weighting A / (g(x)^2 + gamma), scored as its log:
+    s = -log(g^2 + gamma)."""
 
     kind = "erc"
-    outer = _EXP
 
     def __init__(self, localizer, gamma: float = DEFAULT_GAMMA,
                  epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -270,29 +220,12 @@ class ErcTransform(LogShiftCore):
     def dshift(self, loc):
         return -2.0 * loc / (loc * loc + self.gamma)
 
-    def config_dict(self):
-        return {"kind": self.kind, "gamma": self.gamma,
-                "epsilon_floor": self.epsilon_floor}
-
 
 class LinearTransform(LogShiftCore):
-    """Shifted log score: B = log A + g(x), codomain all of R."""
+    """Shifted log score z = log A + g(x); also the exp and sigma families,
+    A exp(g(x)) = exp(z) and sigmoid(z), scored as z."""
 
     kind = "linear"
-
-
-class ExpTransform(LogShiftCore):
-    """Exponentially re-scaled score: B = A * exp(g(x)), codomain (0, inf)."""
-
-    kind = "exp"
-    outer = _EXP
-
-
-class SigmaTransform(LogShiftCore):
-    """Logistic-squashed log score: B = sigma(log A + g(x)), codomain (0, 1)."""
-
-    kind = "sigma"
-    outer = _SIGMOID
 
 
 def make_family(kind: str, localizer: LocalizerNet | None = None,
@@ -306,7 +239,5 @@ def make_family(kind: str, localizer: LocalizerNet | None = None,
             raise ValueError(f"family '{kind}' needs a localizer network")
         if kind == "erc":
             return ErcTransform(localizer, gamma, epsilon_floor)
-        cls = {"linear": LinearTransform, "exp": ExpTransform,
-               "sigma": SigmaTransform}[kind]
-        return cls(localizer, epsilon_floor)
+        return LinearTransform(localizer, epsilon_floor)
     raise ValueError(f"unknown family kind '{kind}'")

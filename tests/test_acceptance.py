@@ -17,9 +17,9 @@ from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
 from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
 from scoremorph.training import TrainConfig, train
-from scoremorph.transforms import (CodomainError, ErcTransform, ExpTransform,
+from scoremorph.transforms import (CodomainError, ErcTransform,
                                    FixedTransform, LinearTransform,
-                                   SigmaTransform)
+                                   make_family)
 from support import (AdditiveFixture, AdditiveLogRepairFixture,
                      LogShiftTransform, SqrtMap, SqrtShiftFixture,
                      pre_activation_margin)
@@ -68,8 +68,8 @@ def test_criterion_2_marginal_validity_monte_carlo():
         "fixed": FixedTransform(),
         "erc": ErcTransform(LocalizerNet.init(3, seed=101), gamma=1e-2),
         "linear": LinearTransform(LocalizerNet.init(3, seed=102)),
-        "exp": ExpTransform(LocalizerNet.init(3, seed=103)),
-        "sigma": SigmaTransform(LocalizerNet.init(3, seed=104)),
+        "exp": make_family("exp", LocalizerNet.init(3, seed=103)),
+        "sigma": make_family("sigma", LocalizerNet.init(3, seed=104)),
     }
     failures = []
     for name, fam in families.items():
@@ -117,8 +117,8 @@ def test_criterion_3_global_monotone_invariance():
 FAMILY_BUILDERS = {
     "erc": lambda net: ErcTransform(net, gamma=1e-2),
     "linear": LinearTransform,
-    "exp": ExpTransform,
-    "sigma": SigmaTransform,
+    "exp": lambda net: make_family("exp", localizer=net),
+    "sigma": lambda net: make_family("sigma", localizer=net),
 }
 
 
@@ -183,13 +183,13 @@ def test_criterion_4_loss_gradient_correctness():
 
 def test_criterion_5_implicit_inverse_machinery():
     rng = np.random.default_rng(13)
-    fam = ExpTransform(LocalizerNet.init(3, seed=31))
+    fam = LinearTransform(LocalizerNet.init(3, seed=31))
     worst_inv, worst_grad, worst_db = 0.0, 0.0, 0.0
     for _ in range(20):
         x = rng.normal(size=3)
         a_true = float(rng.uniform(0.05, 20.0))
         g, tape = fam.localizer.forward_batch(x[None])
-        b = a_true * np.exp(g)
+        b = np.log(a_true) + g
         a_bis = fam.phi_inv_numeric(g, b, tol=1e-12)
         worst_inv = max(worst_inv, abs(a_bis[0] - a_true) / max(1.0, a_true))
         # implicit relations at the bisection root: d phi^{-1}/dB = 1 / phi_A
@@ -198,14 +198,14 @@ def test_criterion_5_implicit_inverse_machinery():
         implicit = fam.localizer.backward_batch(
             tape, -fam.dphi_dloc(g, a_bis) / phi_p)
         dinv_db = 1.0 / phi_p[0]
-        # closed-form oracle: phi^{-1} = B e^{-g}, so the theta-gradient is
-        # -B e^{-g} dg/dtheta and d phi^{-1}/dB = e^{-g}
-        oracle = fam.localizer.backward_batch(tape, -b * np.exp(-g))
+        # closed-form oracle: phi^{-1} = A = e^{B - g}, so the
+        # theta-gradient is -A dg/dtheta and d phi^{-1}/dB = A
+        a_closed = np.exp(b - g)
+        oracle = fam.localizer.backward_batch(tape, -a_closed)
         fi, fo = _flatten(implicit), _flatten(oracle)
         scale = max(float(np.abs(fo).max()), 1e-12)
         worst_grad = max(worst_grad, float(np.abs(fi - fo).max()) / scale)
-        e_g = np.exp(-g[0])
-        worst_db = max(worst_db, abs(dinv_db - e_g) / abs(e_g))
+        worst_db = max(worst_db, abs(dinv_db - a_closed[0]) / a_closed[0])
     ok = worst_inv <= 1e-8 and worst_grad <= 1e-8 and worst_db <= 1e-8
     report(5, ok,
            f"bisection vs closed form: inverse {worst_inv:.2e}, "
@@ -217,7 +217,8 @@ def test_criterion_5_implicit_inverse_machinery():
 
 def test_criterion_6_ranking_equivalence():
     net = LocalizerNet.init(3, seed=17)
-    fams = [LinearTransform(net), ExpTransform(net), SigmaTransform(net)]
+    fams = [make_family(kind, localizer=net)
+            for kind in ("linear", "exp", "sigma")]
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(20):
@@ -253,12 +254,14 @@ def test_criterion_7_local_adaptivity_efficiency():
             cp, val, test = (scored(d, model.predict_batch(d.x))
                              for d in (cp, val, test))
             fixed = evaluate(FixedTransform(), cp, test, [alpha])[0]
+            # the three labels train one localizer, so one training
+            # counts toward each
+            fam, _ = train(TrainConfig("linear", seed=seed), cp, val)
+            rep = evaluate(fam, cp, test, [alpha])[0]
             for name in wins:
-                fam, _ = train(TrainConfig(name, seed=seed), cp, val)
-                rep = evaluate(fam, cp, test, [alpha])[0]
                 wins[name] += rep.mean_size < fixed.mean_size
-                min_validity = min(min_validity, rep.empirical_validity)
-                ok &= rep.empirical_validity >= threshold
+            min_validity = min(min_validity, rep.empirical_validity)
+            ok &= rep.empirical_validity >= threshold
         ok &= all(w >= 4 for w in wins.values())
         detail.append(f"{kind}: wins {wins}, min validity {min_validity:.3f}")
     elapsed = time.perf_counter() - t0

@@ -86,6 +86,16 @@ def test_synth_unknown_kind_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kind", ["cos", "inverse"])
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_synth_rejects_a_bad_rho_by_name(tmp_path, capsys, kind, rho):
+    out = tmp_path / "x.csv"
+    assert run("synth", "--kind", kind, "--rho", rho, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: rho must be finite and positive, got {float(rho)}\n")
+    assert not out.exists()
+
+
 def test_missing_required_flag_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("train", "--family", "linear", "--model-out", tmp_path / "m.json")

@@ -6,8 +6,8 @@ from scoremorph.conformal import (PredictionInterval, calibrate,
                                   interval, quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
-                                   LinearTransform, SigmaTransform)
+from scoremorph.transforms import (ErcTransform, FixedTransform,
+                                   LinearTransform, make_family)
 from support import LogShiftTransform, SqrtMap, SqrtShiftFixture
 
 
@@ -203,8 +203,8 @@ def test_ranking_equivalent_families_identical_intervals():
     rng = np.random.default_rng(11)
     cal, test = score(predict_mean, *make_random_split(rng))
     reports = [evaluate(fam, cal, test, [0.1])[0]
-               for fam in (LinearTransform(net), ExpTransform(net),
-                           SigmaTransform(net))]
+               for fam in (make_family(kind, localizer=net)
+                           for kind in ("linear", "exp", "sigma"))]
     for rep in reports[1:]:
         assert rep.mean_size == pytest.approx(reports[0].mean_size, rel=1e-9)
         assert rep.empirical_validity == reports[0].empirical_validity
@@ -244,7 +244,7 @@ def test_marginal_coverage_localized_family():
 
 
 def saturating_split():
-    """A tenth of the labels scaled by 1e9 puts log A + g past 36.7, where
+    """A tenth of the labels scaled by 1e9 puts log A + g past 37, where
     sigmoid rounds to exactly 1."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(400, 2))
@@ -255,31 +255,32 @@ def saturating_split():
 
 
 def test_sigma_saturation_calibrates_like_linear():
-    # calibrating on the pre-image log A + g keeps sigma on the linear
-    # intervals instead of a CodomainError
+    # scoring z = log A + g keeps sigma on the linear intervals where
+    # sigmoid(z) would round to 1 and leave no quantile to invert
     cal, test = score(zero_predictor, *saturating_split())
     net = LocalizerNet.init(2, seed=1)
     alphas = [0.05, 0.1, 0.32]
     linear = evaluate(LinearTransform(net), cal, test, alphas)
-    sigma = evaluate(SigmaTransform(net), cal, test, alphas)
+    sigma = evaluate(make_family("sigma", localizer=net), cal, test, alphas)
     assert [r.mean_size for r in sigma] == [r.mean_size for r in linear]
     assert [r.empirical_validity for r in sigma] == [
         r.empirical_validity for r in linear]
 
 
 def test_sigma_saturation_single_interval_like_linear():
-    # the public scores/quantile/interval path calibrates on the same
-    # pre-image as evaluate, so sigma gives linear's interval, not a
-    # CodomainError from B-space scores rounded to 1
+    # the public scores/quantile/interval path scores the same z as
+    # evaluate, so sigma gives linear's interval, also where some scores
+    # lie past z = 37, where float64 sigmoid(z) is exactly 1
     cal, test = saturating_split()
     net = LocalizerNet.init(2, seed=1)
-    assert (SigmaTransform(net).forward_batch(cal.x, cal.y ** 2) == 1.0).any()
     (batch,) = score(zero_predictor, cal)
+    assert (calibration_scores(LinearTransform(net), batch) > 37.0).any()
     for alpha in (0.05, 0.1, 0.32):
         got = {}
-        for fam in (LinearTransform(net), SigmaTransform(net)):
+        for kind in ("linear", "sigma"):
+            fam = make_family(kind, localizer=net)
             q = calibrate(calibration_scores(fam, batch), alpha)
-            got[fam.kind] = interval(fam, test.x[0], 0.0, q)
+            got[kind] = interval(fam, test.x[0], 0.0, q)
         assert got["sigma"] == got["linear"]
 
 

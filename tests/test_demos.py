@@ -1,9 +1,11 @@
-"""Smoke test: the demos run to completion against the current API.
+"""Smoke test: the demos and README's library quick start run to
+completion against the current API.
 
 Demo 04 is left out; it repeats the CLI protocol test.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,14 +21,25 @@ SHOWS = {"02_transform_families.py": ("inversion fails as expected",
                                       "log-composed repair inverts fine")}
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    stdout = run_python([str(ROOT / "demos" / demo)], tmp_path)
     for text in SHOWS.get(demo, ()):
-        assert text in proc.stdout
+        assert text in stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1  # the library quick start
+    run_python(["-c", blocks[0]], tmp_path)

@@ -7,16 +7,15 @@ from scoremorph.network import LocalizerNet
 from scoremorph.objective import (LossBatch, _leave_one_out,
                                   erc_error_fit_loss, loss_batch,
                                   pairwise_size_loss)
-from scoremorph.transforms import (ErcTransform, ExpTransform, FixedTransform,
-                                   LinearTransform, SigmaTransform,
-                                   make_family)
+from scoremorph.transforms import (ErcTransform, FixedTransform,
+                                   LinearTransform, make_family)
 from support import pre_activation_margin
 
 FAMILY_BUILDERS = {
     "erc": lambda net: ErcTransform(net, gamma=1e-2),
     "linear": LinearTransform,
-    "exp": ExpTransform,
-    "sigma": SigmaTransform,
+    "exp": lambda net: make_family("exp", localizer=net),
+    "sigma": lambda net: make_family("sigma", localizer=net),
 }
 
 
@@ -100,7 +99,7 @@ def test_equal_x_batch_of_two_self_cancels():
 # the two pair terms sqrt(phi_{x_test}^{-1}(phi_{x_n}(A_n)))
 
 def test_pair_term_exp_closed_form():
-    fam = ExpTransform(identity_scalar_net())
+    fam = make_family("exp", localizer=identity_scalar_net())
     # g = 1 and 3, A = 1: g(x_n) - g(x_test) = 2 gives sqrt(e^2) = e, and
     # -2 gives 1/e, so the mean is cosh(1)
     batch = LossBatch(np.array([[1.0], [3.0]]), np.array([1.0, 1.0]))
@@ -154,7 +153,7 @@ def test_loss_batch_validation():
 def test_non_finite_localization_aborts():
     net = identity_scalar_net()
     net.weights[0][0, 0] = np.inf
-    fam = ExpTransform(net)
+    fam = LinearTransform(net)
     with pytest.raises(ValueError, match="non-finite"):
         loss_batch(fam, LossBatch(np.array([[1.0], [2.0]]),
                                   np.array([1.0, 1.0])))
@@ -242,14 +241,15 @@ def test_erc_fit_gradient_matches_fd():
 
 
 def test_loss_overflow_aborts_with_indices():
-    net = identity_scalar_net()
-    net.biases[-1] = net.biases[-1] + 800.0  # exp(g) overflows
-    fam = ExpTransform(net)
-    batch = LossBatch(np.array([[1.0], [2.0], [3.0]]),
+    # g = 1, 2, 2001: the pair terms exp((z_n - s_i) / 2) of test rows 0
+    # and 1 against row 2 are about e^1000, past the float64 range
+    fam = LinearTransform(identity_scalar_net())
+    batch = LossBatch(np.array([[1.0], [2.0], [2001.0]]),
                       np.array([1.0, 2.0, 3.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning may leak first
-        with pytest.raises(ValueError, match="pair indices"):
+        with pytest.raises(ValueError,
+                           match=r"pair indices \[\[0, 2\], \[1, 2\]\]$"):
             loss_batch(fam, batch)
 
 
@@ -259,12 +259,9 @@ def core_case(kind, m, spread, seed):
     """(family, batch) with shifts s over [-spread, spread] where the kind
     allows it; g(e_k) = g[k] exactly, so parameter gradients are dL/dg."""
     rng = np.random.default_rng(seed)
-    top = {"erc": 4.0, "sigma": 20.0}.get(kind, spread)
-    s = rng.uniform(-spread, min(spread, top), size=m)
-    if kind == "sigma":  # keep sigmoid(z) resolvable so bisection is exact
-        log_a = rng.uniform(-5.0, 2.0, size=m) - s
-    else:
-        log_a = rng.uniform(np.log(1e-10), np.log(1e12), size=m)
+    s = rng.uniform(-spread, min(spread, 4.0) if kind == "erc" else spread,
+                    size=m)
+    log_a = rng.uniform(np.log(1e-10), np.log(1e12), size=m)
     g = np.sqrt(np.exp(-s) - 1e-2) if kind == "erc" else s
     net = LocalizerNet([g[None, :]], [np.zeros(1)])
     # a floor below every pair inverse, so bisection always has a root

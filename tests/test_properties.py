@@ -30,22 +30,13 @@ def family_at(kind, *locs):
     return make_family(kind, localizer=net), np.eye(len(locs))
 
 
-def resolved(kind, b):
-    # float64 sigmoid loses the argument as B nears 1 (exactly 1 past
-    # z = 36.7); there only the pre-image z carries the score
-    return kind != "sigma" or b < 1.0 - 1e-4
-
-
 @SETTINGS
 @given(kind=KINDS, loc=LOCS, log10_a=LOG10_A, step=st.floats(1e-8, 2.0))
 def test_core_strictly_monotone_above_floor(kind, loc, log10_a, step):
     fam, x = family_at(kind, loc)
     a1, a2 = 10.0 ** log10_a, 10.0 ** (log10_a + step)
-    assert fam.preimage(loc, a1) < fam.preimage(loc, a2)
     b1, b2 = fam.forward_batch(x[:1], [a1, a2])
-    assert b1 <= b2
-    if resolved(kind, b2):
-        assert b1 < b2
+    assert b1 < b2
 
 
 @SETTINGS
@@ -54,23 +45,15 @@ def test_core_round_trip(kind, loc, log10_a):
     fam, x = family_at(kind, loc)
     a = 10.0 ** log10_a
     b = fam.forward_batch(x[:1], [a])[0]
-    if resolved(kind, b):
-        assert fam.inverse_batch(x[:1], b)[0] == pytest.approx(a, rel=1e-10)
-    cal = fam.calibration_family()
-    assert cal.inverse_batch(x[:1], cal.forward_batch(x[:1], [a])[0])[0] \
-        == pytest.approx(a, rel=1e-12)
+    assert fam.inverse_batch(x[:1], b)[0] == pytest.approx(a, rel=1e-12)
 
 
 @SETTINGS
 @given(kind=KINDS, loc1=LOCS, loc2=LOCS, log10_a=LOG10_A)
 def test_core_shared_codomain(kind, loc1, loc2, log10_a):
     fam, x = family_at(kind, loc1, loc2)
-    a = 10.0 ** log10_a
-    b = fam.forward_batch(x[:1], [a])[0]
-    if not (kind == "sigma" and b == 1.0):  # saturated, see resolved()
-        assert fam.inverse_batch(x[1:], b)[0] > 0
-    cal = fam.calibration_family()
-    assert cal.inverse_batch(x[1:], cal.forward_batch(x[:1], [a])[0])[0] > 0
+    b = fam.forward_batch(x[:1], [10.0 ** log10_a])[0]
+    assert fam.inverse_batch(x[1:], b)[0] > 0
 
 
 # ---- calibration: quantile index and the empirical quantile ----
@@ -192,7 +175,8 @@ def test_log_shift_intervals_match_fixed(problem, offset):
 @SETTINGS
 @given(problem=calibration_problems(), seed=st.integers(0, 2**31 - 1))
 def test_outer_maps_of_one_localizer_give_identical_intervals(problem, seed):
-    # linear, exp and sigma are id, exp and sigmoid of one pre-image z
+    # exp and sigma are exp(z) and sigmoid(z) of linear's z, global
+    # monotone maps that leave every interval as it is
     net = LocalizerNet.init(problem[0].shape[1], seed=seed, hidden=(6, 5))
     linear, exp_, sigma = (
         half_widths_at(make_family(kind, localizer=net), problem)

@@ -37,6 +37,14 @@ def test_spec_validation():
         SynthSpec("cos", rho=0.0)
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), -0.1])
+def test_spec_rejects_a_rho_that_is_not_finite_and_positive(rho):
+    # a NaN or inf rho makes a NaN dataset, whose error would not name rho
+    with pytest.raises(ValueError,
+                       match=f"^rho must be finite and positive, got {rho}$"):
+        SynthSpec("cos", rho=rho)
+
+
 def test_generate_shapes_and_normalization():
     sd = generate(SynthSpec("cos", n=500, seed=1))
     ds = sd.dataset

@@ -80,6 +80,19 @@ def test_train_deterministic_in_seed():
     assert tr1.epochs == tr2.epochs
 
 
+@pytest.mark.parametrize("label", ["exp", "sigma"])
+def test_exp_and_sigma_train_linears_localizer_bit_for_bit(label):
+    # the three labels score the same z = log A + g, so one size loss
+    proper, cp, val, _ = synth_splits()
+    cp, val = score(fitted_knn(proper).predict_batch, cp, val)
+    lin, lin_trace = train(quick_config("linear", seed=3, epochs=4), cp, val)
+    fam, trace = train(quick_config(label, seed=3, epochs=4), cp, val)
+    for got, want in ((fam.localizer.weights, lin.localizer.weights),
+                      (fam.localizer.biases, lin.localizer.biases)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert trace == lin_trace
+
+
 def test_early_stopping_dominance_and_best_epoch():
     proper, cp, val, _ = synth_splits()
     cp, val = score(fitted_knn(proper).predict_batch, cp, val)

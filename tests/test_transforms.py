@@ -3,9 +3,8 @@ import pytest
 
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (TRAINABLE_KINDS, CodomainError,
-                                   ErcTransform, ExpTransform, FixedTransform,
-                                   LinearTransform, NoRootError,
-                                   SigmaTransform, make_family)
+                                   ErcTransform, FixedTransform,
+                                   LinearTransform, NoRootError, make_family)
 from support import (AdditiveFixture, AdditiveLogRepairFixture, CubeFixture,
                      LogShiftTransform, SqrtShiftFixture)
 
@@ -21,8 +20,8 @@ def all_families(seed=0, d=3):
         FixedTransform(),
         ErcTransform(net_for(d, seed), gamma=1e-2),
         LinearTransform(net_for(d, seed + 1)),
-        ExpTransform(net_for(d, seed + 2)),
-        SigmaTransform(net_for(d, seed + 3)),
+        make_family("exp", net_for(d, seed + 2)),
+        make_family("sigma", net_for(d, seed + 3)),
         LogShiftTransform(offset=0.3),
     ]
 
@@ -33,20 +32,14 @@ def trainable_families(seed=0, d=3):
 
 # ---- forward examples ----
 
-def test_sigma_forward_at_unit_score():
-    fam = SigmaTransform(net_for())
-    fam.localizer.weights = [np.zeros_like(w) for w in fam.localizer.weights]
-    x = np.zeros((1, 3))
-    assert fam.forward_batch(x, [1.0])[0] == pytest.approx(0.5)
-
-
 def test_erc_identity_configuration():
+    # g = 0 and gamma = 1: the shift -log(g^2 + gamma) is 0, so z = log A
     net = net_for()
     net.weights = [np.zeros_like(w) for w in net.weights]
     fam = ErcTransform(net, gamma=1.0)
     x = np.zeros((1, 3))
-    assert fam.forward_batch(x, [7.0])[0] == pytest.approx(7.0)
-    assert fam.inverse_batch(x, 5.0)[0] == pytest.approx(5.0)
+    assert fam.forward_batch(x, [7.0])[0] == pytest.approx(np.log(7.0))
+    assert fam.inverse_batch(x, np.log(5.0))[0] == pytest.approx(5.0)
 
 
 def test_sqrt_shift_fixture_worked_values():
@@ -71,19 +64,6 @@ def test_linear_inverse_roundtrip_value():
     g = fam.loc_batch(x)[0]
     assert fam.inverse_batch(x, np.log(3.0) + g)[0] == pytest.approx(
         3.0, rel=1e-12)
-
-
-def test_exp_inverse_codomain_error():
-    fam = ExpTransform(net_for())
-    with pytest.raises(CodomainError):
-        fam.inverse_batch(np.zeros((1, 3)), -1.0)
-
-
-def test_sigma_inverse_codomain_error():
-    fam = SigmaTransform(net_for())
-    for bad in (-0.2, 0.0, 1.0, 1.5):
-        with pytest.raises(CodomainError):
-            fam.inverse_batch(np.zeros((1, 3)), bad)
 
 
 def test_fixed_inverse_negative_error():
@@ -125,16 +105,17 @@ def test_shared_codomain_across_attributes():
 
 
 def test_ranking_identical_for_log_based_families():
-    # linear, exp, sigma with one localizer are monotone maps of each other
+    # exp and sigma are exp(z) and sigmoid(z) of linear's z, which rank
+    # every score set alike, so the labels build linear's core
     net = net_for(seed=9)
-    fams = [LinearTransform(net), ExpTransform(net), SigmaTransform(net)]
     rng = np.random.default_rng(45)
     xs = rng.normal(size=(40, 3))
     a = rng.chisquare(1, size=40)
-    orders = [np.argsort(fam.forward_batch(xs, a), kind="stable")
-              for fam in fams]
-    for other in orders[1:]:
-        assert np.array_equal(orders[0], other)
+    linear = LinearTransform(net).forward_batch(xs, a)
+    for kind in ("exp", "sigma"):
+        fam = make_family(kind, localizer=net)
+        assert type(fam) is LinearTransform
+        assert np.array_equal(fam.forward_batch(xs, a), linear)
 
 
 # ---- derivative in A ----
@@ -144,7 +125,7 @@ def test_deriv_examples():
     net.weights = [np.zeros_like(w) for w in net.weights]
     erc = ErcTransform(net, gamma=1.0)
     x = np.zeros((1, 3))
-    assert erc.dphi_da(erc.loc_batch(x), [5.0])[0] == pytest.approx(1.0)
+    assert erc.dphi_da(erc.loc_batch(x), [5.0])[0] == pytest.approx(0.2)
     lin = LinearTransform(net_for())
     assert lin.dphi_da(lin.loc_batch(x), [4.0])[0] == pytest.approx(
         0.25 * np.exp(0.0) / np.exp(0.0))
@@ -176,9 +157,9 @@ def test_deriv_A_strictly_positive():
 
 def test_numeric_inverse_exp_against_analytic():
     net = net_for(seed=11)
-    fam = ExpTransform(net)
+    fam = make_family("exp", localizer=net)
     g = fam.loc_batch(np.array([[0.2, 0.4, -0.1]]))
-    b = 5.0 * np.exp(g)
+    b = np.log(5.0) + g
     got = fam.phi_inv_numeric(g, b, tol=1e-12)[0]
     assert abs(got - 5.0) <= 1e-10
 
@@ -224,20 +205,21 @@ def grad_list_allclose(a, b, rtol):
 
 def test_grad_inverse_params_exp_matches_closed_form():
     # implicit relations at A* = phi^{-1}(B): d A*/d theta = -(phi_g / phi_A)
-    # dg/dtheta and d A*/dB = 1 / phi_A, against the closed form B e^{-g}
+    # dg/dtheta and d A*/dB = 1 / phi_A, against the closed form
+    # A* = e^{B - g}
     rng = np.random.default_rng(49)
-    fam = ExpTransform(net_for(seed=13))
+    fam = make_family("exp", localizer=net_for(seed=13))
     for _ in range(5):
         x = rng.normal(size=3)
-        b = float(rng.uniform(0.1, 10.0))
+        b = float(np.log(rng.uniform(0.1, 10.0)))
         g, tape = fam.localizer.forward_batch(x[None])
         a_star = fam.phi_inv(g, b)
         phi_p = fam.dphi_da(g, a_star)
         implicit = fam.localizer.backward_batch(
             tape, -fam.dphi_dloc(g, a_star) / phi_p)
-        oracle = fam.localizer.backward_batch(tape, -b * np.exp(-g))
+        oracle = fam.localizer.backward_batch(tape, -np.exp(b - g))
         assert grad_list_allclose(implicit, oracle, 1e-10)
-        assert 1.0 / phi_p[0] == pytest.approx(np.exp(-g[0]), rel=1e-12)
+        assert 1.0 / phi_p[0] == pytest.approx(np.exp(b - g[0]), rel=1e-12)
 
 
 def test_grad_inverse_params_fixed_is_empty():
@@ -276,11 +258,9 @@ def test_implicit_vs_analytic_inverse_gradients():
             assert abs(db_a - db_n) <= 1e-9 * max(abs(db_a), 1e-12), fam.kind
 
     def core_inverse_derivatives(fam, g, b):
-        # A = exp(h^{-1}(B) - s(g)): dA/dg = -A s'(g), dA/dB = A dh^{-1}/dB
+        # A = exp(B - s(g)): dA/dg = -A s'(g), dA/dB = A
         a = fam.phi_inv(g, b)
-        dh_inv = {"linear": 1.0, "exp": 1.0 / b, "erc": 1.0 / b,
-                  "sigma": 1.0 / (b * (1.0 - b))}[fam.kind]
-        return -a * float(fam.dshift(g)), a * dh_inv
+        return -a * float(fam.dshift(g)), a
 
     for fam in trainable_families(seed=22):
         x = rng.normal(size=3)[None]
@@ -312,7 +292,7 @@ def test_additive_fixture_codomain_failure_and_repair():
 
 def test_epsilon_floor_keeps_log_families_total():
     for fam in (LinearTransform(net_for(seed=15)),
-                SigmaTransform(net_for(seed=16)),
+                ErcTransform(net_for(seed=16)),
                 LogShiftTransform()):
         assert np.isfinite(fam.forward_batch(np.zeros((1, 3)), [0.0])[0])
 
@@ -334,7 +314,9 @@ def test_non_finite_or_non_positive_floor_and_gamma_rejected(value):
 def test_make_family_dispatch_and_errors():
     net = net_for()
     for kind in TRAINABLE_KINDS:
-        assert make_family(kind, localizer=net).kind == kind
+        # exp and sigma are linear's core; the label lives in the model file
+        assert make_family(kind, localizer=net).kind == (
+            "erc" if kind == "erc" else "linear")
     assert make_family("fixed").kind == "fixed"
     with pytest.raises(ValueError, match="unknown family kind 'log'"):
         make_family("log")
