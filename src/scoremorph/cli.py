@@ -69,6 +69,9 @@ def _parse_alphas(text: str):
         raise ValueError(f"cannot parse alphas '{text}'") from None
     if not alphas:
         raise ValueError("no alphas given")
+    for alpha in alphas:
+        if alphas.count(alpha) > 1:
+            raise ValueError(f"alpha {alpha!r} given twice")
     return alphas
 
 
@@ -132,11 +135,11 @@ def _train_options(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    ds = normalize(load_csv(args.data, args.has_header))
+    config = TrainConfig(args.family, args.seed, **_train_options(args))
     spec = SplitSpec(args.seed)
+    ds = normalize(load_csv(args.data, args.has_header))
     proper, cp_train, validation, _ = split(ds, spec)
     model = knn_fit(proper, grid_for(proper.n), seed=args.seed)
-    config = TrainConfig(args.family, args.seed, **_train_options(args))
     cp, val = (scored(d, model.predict_batch(d.x))
                for d in (cp_train, validation))
     fam, trace = train(config, cp, val)
@@ -241,6 +244,8 @@ def cmd_eval(args) -> int:
         raise ValueError("pass exactly one of --model or --families")
     if args.runs < 1:
         raise ValueError("runs must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     alphas = _parse_alphas(args.alphas)
     ds_name = os.path.splitext(os.path.basename(os.fspath(args.data)))[0]
     timings = None  # the protocol's wall time and per-job seconds

@@ -107,6 +107,8 @@ class SplitSpec:
     fractions: tuple = DEFAULT_FRACTIONS
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         fr = tuple(float(f) for f in self.fractions)
         if len(fr) != 4:
             raise ValueError("need exactly four fractions "

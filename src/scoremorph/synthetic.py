@@ -32,6 +32,8 @@ class SynthSpec:
             raise ValueError("n must be >= 1")
         if not 0 < self.rho < math.inf:  # NaN fails too
             raise ValueError(f"rho must be finite and positive, got {self.rho}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def amplitude(kind: str, x, rho: float = 0.1):

@@ -17,10 +17,12 @@ from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_
 from .transforms import DEFAULT_GAMMA, FixedTransform, make_family
 from .workers import map_in_workers
 
-CLI_FAMILIES = ("fixed", "erc", "erc-fit", "linear", "exp", "sigma")
-
-# labels that build linear's core, s = g: one trained localizer
-SHARED_LOCALIZER_KINDS = ("linear", "exp", "sigma")
+# CLI label -> (transform kind, label whose localizer it uses); exp and sigma
+# are the paper's exp(z) and sigmoid(z) of linear's z, which rank as z does
+FAMILY_LABELS = {"fixed": ("fixed", "fixed"), "erc": ("erc", "erc"),
+                 "erc-fit": ("erc", "erc-fit"), "linear": ("linear", "linear"),
+                 "exp": ("linear", "linear"), "sigma": ("linear", "linear")}
+CLI_FAMILIES = tuple(FAMILY_LABELS)
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:  # NaN fails too
             raise ValueError("learning_rate must be finite and positive, "
                              f"got {self.learning_rate}")
+        if not 0 < self.gamma < math.inf:  # as ErcTransform refuses it
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.patience < 1:
@@ -118,9 +122,9 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
 
 def family_kind(label: str) -> str:
     """Transform kind of a CLI label ("erc-fit" is a training mode of erc)."""
-    if label not in CLI_FAMILIES:
+    if label not in FAMILY_LABELS:
         raise ValueError(f"unknown family label '{label}'")
-    return "erc" if label == "erc-fit" else label
+    return FAMILY_LABELS[label][0]
 
 
 def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
@@ -205,14 +209,10 @@ def protocol_rows(label: str, run_seed: int, alphas, evaluate_all) -> list:
                         r.empirical_validity, r.error) for r in reports]
 
 
-def _trained_label(name: str) -> str:
-    return "linear" if name in SHARED_LOCALIZER_KINDS else name
-
-
 def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
     """One job of ``run_protocol``, ``job = (run_seed, trained label)``:
-    (the report rows of the families that label trains, the point model's
-    k, the job's seconds).
+    (the report rows of the families that use that label's localizer, the
+    point model's k, the job's seconds).
 
     ``run_seed`` seeds the split, the point model's cross-validation and
     the training, which otherwise follows ``config``. Every job of a run
@@ -224,25 +224,15 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
     model = knn.fit(proper, knn.grid_for(proper.n), seed=run_seed)
     cp, val, te = (scored(d, model.predict_batch(d.x))
                    for d in (cp_train, validation, test))
-    try:
-        fitted, _ = train(replace(config, family=trained, seed=run_seed),
-                          cp, val)
-    except (ValueError, TrainingDiverged) as exc:
-        fitted = exc
-    rows = []
-    for name in families:
-        if _trained_label(name) != trained:
-            continue
 
-        def evaluate_all():
-            if isinstance(fitted, Exception):
-                raise fitted
-            fam = (fitted if name == trained
-                   else make_family(name, localizer=fitted.localizer))
-            return evaluate(fam, cp, te, alphas)
+    def evaluate_trained():
+        fam, _ = train(replace(config, family=trained, seed=run_seed), cp, val)
+        return evaluate(fam, cp, te, alphas)
 
-        rows += protocol_rows(name, run_seed, alphas, evaluate_all)
-    return rows, model.k, time.perf_counter() - start
+    rows = protocol_rows(trained, run_seed, alphas, evaluate_trained)
+    return ([replace(row, family=name) for name in families
+             if FAMILY_LABELS[name][1] == trained for row in rows],
+            model.k, time.perf_counter() - start)
 
 
 def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
@@ -254,10 +244,10 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     ``knn.DEFAULT_K_GRID``, and the family training, which otherwise follows
     ``TrainConfig(**train_options)``: ``epochs``, ``batch_size``,
     ``learning_rate``, ``patience`` and ``gamma``, each defaulting to
-    ``TrainConfig``'s. linear, exp and sigma build the same family, so
-    a run trains their localizer once and builds all three on it, or gives
-    all three its error. Aggregates report mean and population sd per cell;
-    rows come in (run, family, alpha) order.
+    ``TrainConfig``'s. Labels that share a localizer in ``FAMILY_LABELS``
+    share one training and one evaluation per run, so they get the same
+    rows, or the same error rows. Aggregates report mean and population sd
+    per cell; rows come in (run, family, alpha) order.
 
     One job is one (run, trained label); the jobs share no state, and run
     side by side in worker processes (``workers.map_in_workers``), each on
@@ -276,7 +266,7 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     config = TrainConfig(family="fixed", **train_options)
     one_job = partial(protocol_job, dataset, families, list(alphas),
                       config=config)
-    trained = dict.fromkeys(_trained_label(f) for f in families)
+    trained = dict.fromkeys(FAMILY_LABELS[f][1] for f in families)
     jobs = [(run_seed, label) for run_seed in range(seed0, seed0 + runs)
             for label in trained]
     rows = []

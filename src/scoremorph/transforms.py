@@ -4,12 +4,12 @@ Each family maps a base score A = (f(x) - y)^2 to B = phi_x(A) where the
 attribute dependence enters through a scalar localization value (usually
 the output of a trainable network). The trainable families are one
 log-shift core, z = log max(A, eps) + s(g(x)), with the shift s = g
-(linear, exp, sigma) or s = -log(g^2 + gamma) (erc). The paper writes exp,
-erc and sigma as exp(z) or sigmoid(z); an x-independent increasing map of
-every score changes neither the rank of the calibration quantile nor the
-interval it inverts to, so the core scores z itself. z is strictly
-increasing in A with codomain all of R at every x, so the scores can be
-calibrated and mapped back to label-space intervals at any test attribute.
+(linear) or s = -log(g^2 + gamma) (erc). The paper scores erc as exp(z),
+and exp and sigma as exp(z) and sigmoid(z) of linear's z; an x-independent
+increasing map of every score changes neither the calibration quantile's
+rank nor the interval it inverts to, so the core scores z itself (exp and
+sigma are CLI labels of linear). z is strictly increasing in A onto all of
+R at every x, so scores map back to label-space intervals at any test x.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .network import LocalizerNet
 
-TRAINABLE_KINDS = ("erc", "linear", "exp", "sigma")
+TRAINABLE_KINDS = ("erc", "linear")
 
 DEFAULT_GAMMA = 1e-2
 DEFAULT_EPSILON_FLOOR = 1e-12
@@ -222,8 +222,8 @@ class ErcTransform(LogShiftCore):
 
 
 class LinearTransform(LogShiftCore):
-    """Shifted log score z = log A + g(x); also the exp and sigma families,
-    A exp(g(x)) = exp(z) and sigmoid(z), scored as z."""
+    """Shifted log score z = log A + g(x); the paper's exp and sigma
+    families, A exp(g(x)) = exp(z) and sigmoid(z), rank scores as z does."""
 
     kind = "linear"
 
@@ -231,7 +231,7 @@ class LinearTransform(LogShiftCore):
 def make_family(kind: str, localizer: LocalizerNet | None = None,
                 gamma: float = DEFAULT_GAMMA,
                 epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> TransformFamily:
-    """Construct one of the supported families by name."""
+    """Construct a family of kind "fixed", "erc" or "linear"."""
     if kind == "fixed":
         return FixedTransform(epsilon_floor)
     if kind in TRAINABLE_KINDS:

@@ -2,9 +2,10 @@
 
 The library ships the families the CLI trains and evaluates; the ones
 here exist to pin properties from outside that set: global monotone maps
-that must not change intervals, a worked example whose codomain moves
-with x, and the additive family whose inverse fails at a test attribute
-(with its log-composed repair). Each defines only the methods some test
+that must not change intervals (among them the paper's exp and sigma,
+which score exp(z) and sigmoid(z) of linear's z), a worked example whose
+codomain moves with x, and the additive family whose inverse fails at a
+test attribute (with its log-composed repair). Each defines only the methods some test
 reaches. ``spy_popen`` records the worker processes a call starts.
 """
 
@@ -48,6 +49,31 @@ class SqrtMap(TransformFamily):
         if np.any(np.asarray(b) < 0):
             raise ValueError("negative")
         return np.asarray(b, dtype=float) ** 2
+
+
+class OuterMap(TransformFamily):
+    """h(z) of a core family's score z, for an increasing h with inverse
+    h_inv; ``EXP`` and ``SIGMOID`` give the paper's exp and sigma."""
+
+    kind = "outer-map"
+
+    def __init__(self, core, h, h_inv):
+        super().__init__(core.epsilon_floor)
+        self.core, self.h, self.h_inv = core, h, h_inv
+
+    def loc_batch(self, xs) -> np.ndarray:
+        return self.core.loc_batch(xs)
+
+    def phi(self, loc, a):
+        return self.h(self.core.phi(loc, a))
+
+    def phi_inv(self, loc, b):
+        return self.core.phi_inv(loc, self.h_inv(np.asarray(b, dtype=float)))
+
+
+EXP = (np.exp, np.log)
+SIGMOID = (lambda z: 1.0 / (1.0 + np.exp(-z)),
+           lambda b: np.log(b) - np.log1p(-b))
 
 
 class CubeFixture(TransformFamily):

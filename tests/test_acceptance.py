@@ -18,10 +18,9 @@ from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
 from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
 from scoremorph.training import TrainConfig, train
 from scoremorph.transforms import (CodomainError, ErcTransform,
-                                   FixedTransform, LinearTransform,
-                                   make_family)
-from support import (AdditiveFixture, AdditiveLogRepairFixture,
-                     LogShiftTransform, SqrtMap, SqrtShiftFixture,
+                                   FixedTransform, LinearTransform)
+from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
+                     LogShiftTransform, OuterMap, SqrtMap, SqrtShiftFixture,
                      pre_activation_margin)
 
 
@@ -68,8 +67,8 @@ def test_criterion_2_marginal_validity_monte_carlo():
         "fixed": FixedTransform(),
         "erc": ErcTransform(LocalizerNet.init(3, seed=101), gamma=1e-2),
         "linear": LinearTransform(LocalizerNet.init(3, seed=102)),
-        "exp": make_family("exp", LocalizerNet.init(3, seed=103)),
-        "sigma": make_family("sigma", LocalizerNet.init(3, seed=104)),
+        "linear seed 103": LinearTransform(LocalizerNet.init(3, seed=103)),
+        "linear seed 104": LinearTransform(LocalizerNet.init(3, seed=104)),
     }
     failures = []
     for name, fam in families.items():
@@ -117,8 +116,6 @@ def test_criterion_3_global_monotone_invariance():
 FAMILY_BUILDERS = {
     "erc": lambda net: ErcTransform(net, gamma=1e-2),
     "linear": LinearTransform,
-    "exp": lambda net: make_family("exp", localizer=net),
-    "sigma": lambda net: make_family("sigma", localizer=net),
 }
 
 
@@ -175,7 +172,7 @@ def test_criterion_4_loss_gradient_correctness():
                 worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     report(4, worst <= 1e-5 and elapsed < 60,
-           f"20 batches x 4 families, max relative FD error {worst:.2e} "
+           f"20 batches x 2 families, max relative FD error {worst:.2e} "
            f"<= 1e-5, {elapsed:.1f}s < 60s")
 
 
@@ -216,9 +213,9 @@ def test_criterion_5_implicit_inverse_machinery():
 # ---------------------------------------------------------------- criterion 6
 
 def test_criterion_6_ranking_equivalence():
-    net = LocalizerNet.init(3, seed=17)
-    fams = [make_family(kind, localizer=net)
-            for kind in ("linear", "exp", "sigma")]
+    # the paper's exp and sigma score exp(z) and sigmoid(z) of linear's z
+    linear = LinearTransform(LocalizerNet.init(3, seed=17))
+    fams = [linear, OuterMap(linear, *EXP), OuterMap(linear, *SIGMOID)]
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(20):

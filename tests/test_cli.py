@@ -472,6 +472,65 @@ def test_train_and_protocol_eval_reject_a_bad_rate(tmp_path, capsys,
     assert not model.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("gamma", ["0", "-0.001", "nan", "inf"])
+def test_train_and_protocol_eval_reject_a_bad_gamma(tmp_path, capsys,
+                                                    monkeypatch, gamma):
+    # refused for every label before the point model is fit or any worker
+    # starts; a NaN gamma would reach the manifest, which is then not JSON
+    monkeypatch.setattr(cli, "knn_fit", None)
+    monkeypatch.setattr(training, "map_in_workers", None)
+    data = synth(tmp_path, n=300)
+    model, report = tmp_path / "m.json", tmp_path / "r.csv"
+    assert run("train", "--data", data, "--family", "linear",
+               "--gamma", gamma, "--model-out", model) == 1
+    assert run("eval", "--data", data, "--families", "fixed,erc",
+               "--gamma", gamma, "--report", report) == 1
+    message = f"error: gamma must be positive, got {float(gamma)}\n"
+    assert capsys.readouterr().err == 2 * message
+    assert not model.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("synth", -1), ("train", -2), ("protocol eval", -3), ("frozen eval", -3),
+])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, monkeypatch,
+                                            command, seed):
+    # numpy's message would not name the option; eval refuses the seed
+    # before it loads a model or starts a worker
+    data, model = train_model(tmp_path, family="fixed")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "load_model", None)
+    monkeypatch.setattr(training, "map_in_workers", None)
+    out = tmp_path / "out.csv"
+    argv = {
+        "synth": ["synth", "--kind", "cos", "--n", 300, "--out", out],
+        "train": ["train", "--data", data, "--family", "linear",
+                  "--model-out", out],
+        "protocol eval": ["eval", "--data", data, "--families", "fixed",
+                          "--report", out],
+        "frozen eval": ["eval", "--data", data, "--model", model,
+                        "--report", out],
+    }[command]
+    assert run(*argv, "--seed", seed) == 1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ["0.1,0.1", "0.05,0.1,0.10"])
+def test_eval_refuses_an_alpha_given_twice_in_both_modes(tmp_path, capsys,
+                                                         alphas):
+    # values are compared, so 0.1 and 0.10 are one alpha; the report would
+    # hold every row and aggregate line twice
+    data, model = train_model(tmp_path, family="fixed")
+    capsys.readouterr()
+    for mode in (["--model", model], ["--families", "fixed"]):
+        report = tmp_path / "r.csv"
+        assert run("eval", "--data", data, *mode, "--alphas", alphas,
+                   "--report", report) == 1
+        assert capsys.readouterr().err == "error: alpha 0.1 given twice\n"
+        assert not report.exists()
+
+
 def test_eval_requires_exactly_one_mode(tmp_path):
     data = synth(tmp_path, n=300)
     assert run("eval", "--data", data, "--report", tmp_path / "x.csv") == 1

@@ -6,9 +6,11 @@ from scoremorph.conformal import (PredictionInterval, calibrate,
                                   interval, quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
+from scoremorph.training import family_kind
 from scoremorph.transforms import (ErcTransform, FixedTransform,
                                    LinearTransform, make_family)
-from support import LogShiftTransform, SqrtMap, SqrtShiftFixture
+from support import (EXP, SIGMOID, LogShiftTransform, OuterMap, SqrtMap,
+                     SqrtShiftFixture)
 
 
 def zero_predictor(xs):
@@ -199,12 +201,13 @@ def test_evaluate_invalid_alpha_is_an_error_report_for_that_alpha_only():
 
 
 def test_ranking_equivalent_families_identical_intervals():
-    net = LocalizerNet.init(3, seed=3, hidden=(10, 8))
+    # the paper's exp and sigma score exp(z) and sigmoid(z) of linear's z
+    linear = LinearTransform(LocalizerNet.init(3, seed=3, hidden=(10, 8)))
     rng = np.random.default_rng(11)
     cal, test = score(predict_mean, *make_random_split(rng))
     reports = [evaluate(fam, cal, test, [0.1])[0]
-               for fam in (make_family(kind, localizer=net)
-                           for kind in ("linear", "exp", "sigma"))]
+               for fam in (linear, OuterMap(linear, *EXP),
+                           OuterMap(linear, *SIGMOID))]
     for rep in reports[1:]:
         assert rep.mean_size == pytest.approx(reports[0].mean_size, rel=1e-9)
         assert rep.empirical_validity == reports[0].empirical_validity
@@ -254,34 +257,40 @@ def saturating_split():
     return ds.subset(np.arange(200)), ds.subset(np.arange(200, 400))
 
 
+def sigma_label_family():
+    return make_family(family_kind("sigma"),
+                       localizer=LocalizerNet.init(2, seed=1))
+
+
 def test_sigma_saturation_calibrates_like_linear():
-    # scoring z = log A + g keeps sigma on the linear intervals where
-    # sigmoid(z) would round to 1 and leave no quantile to invert
+    # sigmoid(z) rounds to 1 past z = 37, so the paper's sigma, scored as
+    # sigmoid(z), inverts the alpha = 0.05 quantile to an unbounded
+    # interval; the sigma label builds linear's family, which scores z
     cal, test = score(zero_predictor, *saturating_split())
-    net = LocalizerNet.init(2, seed=1)
+    linear = sigma_label_family()
     alphas = [0.05, 0.1, 0.32]
-    linear = evaluate(LinearTransform(net), cal, test, alphas)
-    sigma = evaluate(make_family("sigma", localizer=net), cal, test, alphas)
-    assert [r.mean_size for r in sigma] == [r.mean_size for r in linear]
-    assert [r.empirical_validity for r in sigma] == [
-        r.empirical_validity for r in linear]
+    with np.errstate(divide="ignore"):
+        saturated = evaluate(OuterMap(linear, *SIGMOID), cal, test, alphas)
+    assert saturated[0].mean_size == np.inf
+    sizes = [r.mean_size for r in evaluate(linear, cal, test, alphas)]
+    assert np.all(np.isfinite(sizes))
+    assert sizes[0] > sizes[1] > sizes[2]
 
 
 def test_sigma_saturation_single_interval_like_linear():
-    # the public scores/quantile/interval path scores the same z as
-    # evaluate, so sigma gives linear's interval, also where some scores
-    # lie past z = 37, where float64 sigmoid(z) is exactly 1
+    # the public scores/quantile/interval path scores z as evaluate does,
+    # so the sigma label's interval stays finite where some scores lie past
+    # z = 37, where float64 sigmoid(z) is exactly 1
     cal, test = saturating_split()
-    net = LocalizerNet.init(2, seed=1)
+    linear = sigma_label_family()
     (batch,) = score(zero_predictor, cal)
-    assert (calibration_scores(LinearTransform(net), batch) > 37.0).any()
-    for alpha in (0.05, 0.1, 0.32):
-        got = {}
-        for kind in ("linear", "sigma"):
-            fam = make_family(kind, localizer=net)
-            q = calibrate(calibration_scores(fam, batch), alpha)
-            got[kind] = interval(fam, test.x[0], 0.0, q)
-        assert got["sigma"] == got["linear"]
+    scores = calibration_scores(linear, batch)
+    assert (calibration_scores(OuterMap(linear, *SIGMOID), batch)
+            == 1.0).any()
+    half = [interval(linear, test.x[0], 0.0, calibrate(scores, alpha))
+            .half_width for alpha in (0.05, 0.1, 0.32)]
+    assert np.all(np.isfinite(half))
+    assert half[0] > half[1] > half[2]
 
 
 def test_half_widths_match_single_intervals():

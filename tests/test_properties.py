@@ -170,16 +170,3 @@ def test_log_shift_intervals_match_fixed(problem, offset):
     logged = half_widths_at(LogShiftTransform(offset), problem)
     assert np.all(fixed == fixed[0])
     assert logged == pytest.approx(fixed, rel=1e-12, abs=0.0)
-
-
-@SETTINGS
-@given(problem=calibration_problems(), seed=st.integers(0, 2**31 - 1))
-def test_outer_maps_of_one_localizer_give_identical_intervals(problem, seed):
-    # exp and sigma are exp(z) and sigmoid(z) of linear's z, global
-    # monotone maps that leave every interval as it is
-    net = LocalizerNet.init(problem[0].shape[1], seed=seed, hidden=(6, 5))
-    linear, exp_, sigma = (
-        half_widths_at(make_family(kind, localizer=net), problem)
-        for kind in ("linear", "exp", "sigma"))
-    assert np.array_equal(exp_, linear)
-    assert np.array_equal(sigma, linear)

@@ -1,6 +1,7 @@
 import os
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scoremorph.objective import LossBatch, pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
 from scoremorph.training import (ProtocolRow, TrainConfig, TrainingDiverged,
                                  TrainTrace, aggregate, run_protocol, train)
-from scoremorph.transforms import FixedTransform
+from scoremorph.transforms import FixedTransform, make_family
 
 from support import spy_popen
 
@@ -37,6 +38,32 @@ def score(predict, *parts):
 def quick_config(family, seed=0, epochs=25, patience=8):
     return TrainConfig(family=family, seed=seed, epochs=epochs,
                        patience=patience)
+
+
+def test_family_labels_table():
+    # label -> (kind, label whose localizer it trains); exp and sigma are
+    # labels of the linear kind, not kinds of their own
+    assert {label: (training.family_kind(label), trained)
+            for label, (_, trained) in training.FAMILY_LABELS.items()} == {
+        "fixed": ("fixed", "fixed"), "erc": ("erc", "erc"),
+        "erc-fit": ("erc", "erc-fit"), "linear": ("linear", "linear"),
+        "exp": ("linear", "linear"), "sigma": ("linear", "linear")}
+    assert training.CLI_FAMILIES == tuple(training.FAMILY_LABELS)
+    with pytest.raises(ValueError, match="^unknown family label 'log'$"):
+        training.family_kind("log")
+    for kind in ("exp", "sigma"):
+        with pytest.raises(ValueError,
+                           match=f"^unknown family kind '{kind}'$"):
+            make_family(kind, localizer=LocalizerNet.init(3, seed=0))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_rejects_a_gamma_that_is_not_finite_and_positive(gamma):
+    # ErcTransform's refusal, also for labels that never read gamma: a NaN
+    # gamma would otherwise reach the manifest
+    with pytest.raises(ValueError,
+                       match=f"^gamma must be positive, got {gamma}$"):
+        TrainConfig("linear", gamma=gamma)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
@@ -73,24 +100,11 @@ def test_train_fixed_gives_identity_and_empty_trace():
 def test_train_deterministic_in_seed():
     proper, cp, val, _ = synth_splits()
     cp, val = score(fitted_knn(proper).predict_batch, cp, val)
-    fam1, tr1 = train(quick_config("exp", seed=5, epochs=6), cp, val)
-    fam2, tr2 = train(quick_config("exp", seed=5, epochs=6), cp, val)
+    fam1, tr1 = train(quick_config("linear", seed=5, epochs=6), cp, val)
+    fam2, tr2 = train(quick_config("linear", seed=5, epochs=6), cp, val)
     for w1, w2 in zip(fam1.localizer.weights, fam2.localizer.weights):
         assert np.array_equal(w1, w2)
     assert tr1.epochs == tr2.epochs
-
-
-@pytest.mark.parametrize("label", ["exp", "sigma"])
-def test_exp_and_sigma_train_linears_localizer_bit_for_bit(label):
-    # the three labels score the same z = log A + g, so one size loss
-    proper, cp, val, _ = synth_splits()
-    cp, val = score(fitted_knn(proper).predict_batch, cp, val)
-    lin, lin_trace = train(quick_config("linear", seed=3, epochs=4), cp, val)
-    fam, trace = train(quick_config(label, seed=3, epochs=4), cp, val)
-    for got, want in ((fam.localizer.weights, lin.localizer.weights),
-                      (fam.localizer.biases, lin.localizer.biases)):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert trace == lin_trace
 
 
 def test_early_stopping_dominance_and_best_epoch():
@@ -108,7 +122,7 @@ def test_early_stopping_dominance_and_best_epoch():
 def test_trained_family_keeps_monotonicity_and_roundtrip():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    fam, _ = train(quick_config("sigma", epochs=8),
+    fam, _ = train(quick_config("linear", epochs=8),
                    *score(model.predict_batch, cp, val))
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -246,7 +260,7 @@ def test_divergence_aborts_with_trace():
     proper, cp, val, _ = split(Dataset(x, y), SplitSpec(0))
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged) as exc:
-            train(TrainConfig("exp", seed=0, epochs=50, learning_rate=1e9),
+            train(TrainConfig("linear", seed=0, epochs=50, learning_rate=1e9),
                   *score(lambda xs: np.asarray(xs)[:, 0], cp, val))
     assert exc.value.trace.epochs  # the trace rides along for diagnosis
 
@@ -306,6 +320,35 @@ def test_run_protocol_shares_one_localizer_across_log_families():
             (row.mean_size, row.validity))
     assert len(cells) == 2 * 2
     assert all(len(c) == 1 for c in cells.values())
+
+
+def test_protocol_job_evaluates_a_shared_localizer_once(monkeypatch):
+    # linear, exp and sigma share linear's localizer: its job trains and
+    # evaluates once and copies the rows to each label, error rows included
+    calls = {"evaluate": 0}
+
+    def counting_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(training, "evaluate", counting_evaluate)
+    ds = generate(SynthSpec("cos", n=300, seed=5)).dataset
+    labels = ["linear", "exp", "sigma"]
+    alphas = [0.1, 0.32]
+    for config, evaluations in ((TrainConfig("fixed", epochs=3), 1),
+                                (TrainConfig("fixed", learning_rate=1e9), 0)):
+        calls["evaluate"] = 0
+        with np.errstate(all="ignore"):
+            rows, _, _ = training.protocol_job(ds, labels, alphas,
+                                               (2, "linear"), config)
+        assert calls["evaluate"] == evaluations
+        linear = rows[:len(alphas)]
+        assert [r.family for r in linear] == ["linear"] * len(alphas)
+        assert rows == [replace(r, family=label)
+                        for label in labels for r in linear]
+        if evaluations == 0:
+            assert all(r.error.startswith("training diverged")
+                       for r in rows)
 
 
 def test_aggregate_skips_error_rows_and_empty_cells():

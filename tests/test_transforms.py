@@ -5,8 +5,9 @@ from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (TRAINABLE_KINDS, CodomainError,
                                    ErcTransform, FixedTransform,
                                    LinearTransform, NoRootError, make_family)
-from support import (AdditiveFixture, AdditiveLogRepairFixture, CubeFixture,
-                     LogShiftTransform, SqrtShiftFixture)
+from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
+                     CubeFixture, LogShiftTransform, OuterMap,
+                     SqrtShiftFixture)
 
 A_GRID = np.logspace(-8, 4, 40)
 
@@ -20,8 +21,6 @@ def all_families(seed=0, d=3):
         FixedTransform(),
         ErcTransform(net_for(d, seed), gamma=1e-2),
         LinearTransform(net_for(d, seed + 1)),
-        make_family("exp", net_for(d, seed + 2)),
-        make_family("sigma", net_for(d, seed + 3)),
         LogShiftTransform(offset=0.3),
     ]
 
@@ -105,17 +104,16 @@ def test_shared_codomain_across_attributes():
 
 
 def test_ranking_identical_for_log_based_families():
-    # exp and sigma are exp(z) and sigmoid(z) of linear's z, which rank
-    # every score set alike, so the labels build linear's core
-    net = net_for(seed=9)
+    # the paper's exp and sigma score exp(z) and sigmoid(z) of linear's z,
+    # which rank every score set as z does
+    linear = LinearTransform(net_for(seed=9))
     rng = np.random.default_rng(45)
     xs = rng.normal(size=(40, 3))
     a = rng.chisquare(1, size=40)
-    linear = LinearTransform(net).forward_batch(xs, a)
-    for kind in ("exp", "sigma"):
-        fam = make_family(kind, localizer=net)
-        assert type(fam) is LinearTransform
-        assert np.array_equal(fam.forward_batch(xs, a), linear)
+    order = np.argsort(linear.forward_batch(xs, a))
+    for outer in (EXP, SIGMOID):
+        fam = OuterMap(linear, *outer)
+        assert np.array_equal(np.argsort(fam.forward_batch(xs, a)), order)
 
 
 # ---- derivative in A ----
@@ -156,8 +154,8 @@ def test_deriv_A_strictly_positive():
 # ---- numeric inverse ----
 
 def test_numeric_inverse_exp_against_analytic():
-    net = net_for(seed=11)
-    fam = make_family("exp", localizer=net)
+    # the analytic inverse is the exponential exp(B - g)
+    fam = LinearTransform(net_for(seed=11))
     g = fam.loc_batch(np.array([[0.2, 0.4, -0.1]]))
     b = np.log(5.0) + g
     got = fam.phi_inv_numeric(g, b, tol=1e-12)[0]
@@ -208,7 +206,7 @@ def test_grad_inverse_params_exp_matches_closed_form():
     # dg/dtheta and d A*/dB = 1 / phi_A, against the closed form
     # A* = e^{B - g}
     rng = np.random.default_rng(49)
-    fam = make_family("exp", localizer=net_for(seed=13))
+    fam = LinearTransform(net_for(seed=13))
     for _ in range(5):
         x = rng.normal(size=3)
         b = float(np.log(rng.uniform(0.1, 10.0)))
@@ -314,9 +312,7 @@ def test_non_finite_or_non_positive_floor_and_gamma_rejected(value):
 def test_make_family_dispatch_and_errors():
     net = net_for()
     for kind in TRAINABLE_KINDS:
-        # exp and sigma are linear's core; the label lives in the model file
-        assert make_family(kind, localizer=net).kind == (
-            "erc" if kind == "erc" else "linear")
+        assert make_family(kind, localizer=net).kind == kind
     assert make_family("fixed").kind == "fixed"
     with pytest.raises(ValueError, match="unknown family kind 'log'"):
         make_family("log")
