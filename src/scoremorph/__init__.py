@@ -13,7 +13,7 @@ from .conformal import (EvalReport, PredictionInterval, calibrate,
                         calibration_scores, evaluate, half_widths, interval,
                         quantile_index, scored)
 from .data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
-                   NormalizationStats, SplitSpec, apply_normalization,
+                   NormalizationStats, Split, SplitSpec, apply_normalization,
                    compute_stats, load_csv, normalize, split, split_indices)
 from .knn import DEFAULT_K_GRID, KnnModel
 from .knn import fit as fit_knn
@@ -24,7 +24,7 @@ from .serialize import ModelBundle, load_model, save_model
 from .synthetic import SynthData, SynthSpec, amplitude, generate
 from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
                        ProtocolRow, TrainConfig, TrainTrace, TrainingDiverged,
-                       aggregate, run_protocol, train)
+                       aggregate, point_model, run_protocol, score, train)
 from .transforms import (TRAINABLE_KINDS, CodomainError, ErcTransform,
                          FixedTransform, LinearTransform, LogShiftCore,
                          NoRootError, TransformFamily, make_family)

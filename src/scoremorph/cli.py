@@ -28,11 +28,12 @@ from .data import (IngestionError, SplitSpec, apply_normalization, load_csv,
                    normalize, split, split_indices)
 from .figures import band_csv, compute_band, render_svg
 from .ioutil import sha256_file, write_text_atomic
-from .knn import KnnModel, fit as knn_fit, grid_for
+# perfbench/tracer.py patches cli.split and cli.knn_fit, so both stay here
+from .knn import fit as knn_fit
 from .serialize import ModelBundle, load_model, save_model
 from .synthetic import KINDS, SynthSpec, generate
 from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, aggregate,
-                       protocol_rows, run_protocol, train)
+                       point_model, protocol_rows, run_protocol, score, train)
 from .transforms import FixedTransform
 
 MANIFEST_FORMAT_VERSION = 1
@@ -62,9 +63,14 @@ def write_manifest(primary_out, args, inputs, outputs, timings=None,
     return path
 
 
+def _names(text: str) -> list:
+    """The entries of a comma-separated list, stripped, empty ones dropped."""
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _parse_alphas(text: str):
     try:
-        alphas = [float(t) for t in text.split(",") if t.strip()]
+        alphas = [float(t) for t in _names(text)]
     except ValueError:
         raise ValueError(f"cannot parse alphas '{text}'") from None
     if not alphas:
@@ -138,10 +144,8 @@ def cmd_train(args) -> int:
     config = TrainConfig(args.family, args.seed, **_train_options(args))
     spec = SplitSpec(args.seed)
     ds = normalize(load_csv(args.data, args.has_header))
-    proper, cp_train, validation, _ = split(ds, spec)
-    model = knn_fit(proper, grid_for(proper.n), seed=args.seed)
-    cp, val = (scored(d, model.predict_batch(d.x))
-               for d in (cp_train, validation))
+    model, parts = point_model(ds, spec)
+    cp, val = score(model, parts.cp_train, parts.validation)
     fam, trace = train(config, cp, val)
 
     save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
@@ -186,18 +190,11 @@ def _print_table(aggregates, alphas, dataset_name):
         print(line)
 
 
-def _rebuild(bundle: ModelBundle, ds_raw, seed: int):
-    """Point model, normalized data, calibration and test splits of a
-    model file on its data, split with ``seed``."""
-    ds = apply_normalization(ds_raw, bundle.stats)
-    proper, cp_train, _, test = split(
-        ds, SplitSpec(seed, bundle.split.fractions))
-    return KnnModel(proper.x, proper.y, bundle.knn_k), ds, cp_train, test
-
-
-def _eval_frozen(args, alphas):
+def _eval_frozen(args, paths, alphas):
+    if not paths:
+        raise ValueError("no model files given")
     rows = []
-    bundles = [load_model(p) for p in args.model.split(",")]
+    bundles = [load_model(p) for p in paths]
     labels = [b.label for b in bundles]
     for label in labels:
         if labels.count(label) > 1:
@@ -216,9 +213,10 @@ def _eval_frozen(args, alphas):
                 key = (json.dumps(b.stats.to_json_dict()), b.knn_k,
                        b.split.fractions)
                 if key not in splits:
-                    model, _, cp_train, test = _rebuild(b, ds_raw, run_seed)
-                    splits[key] = [scored(d, model.predict_batch(d.x))
-                                   for d in (cp_train, test)]
+                    model, parts = point_model(
+                        apply_normalization(ds_raw, b.stats),
+                        SplitSpec(run_seed, b.split.fractions), b.knn_k)
+                    splits[key] = score(model, parts.cp_train, parts.test)
                 return evaluate(b.family, *splits[key], alphas)
 
             rows += protocol_rows(b.label, run_seed, alphas, evaluate_all)
@@ -226,7 +224,7 @@ def _eval_frozen(args, alphas):
 
 
 def _eval_protocol(args, alphas):
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
+    families = _names(args.families)
     ds = normalize(load_csv(args.data, args.has_header))
     base_seed = args.seed if args.seed is not None else 0
     start = time.perf_counter()
@@ -249,8 +247,9 @@ def cmd_eval(args) -> int:
     alphas = _parse_alphas(args.alphas)
     ds_name = os.path.splitext(os.path.basename(os.fspath(args.data)))[0]
     timings = None  # the protocol's wall time and per-job seconds
+    models = [] if args.model is None else _names(args.model)
     if args.model is not None:
-        rows, families, knn_ks = _eval_frozen(args, alphas)
+        rows, families, knn_ks = _eval_frozen(args, models, alphas)
     else:
         rows, families, knn_ks, timings = _eval_protocol(args, alphas)
 
@@ -270,10 +269,8 @@ def cmd_eval(args) -> int:
     write_text_atomic(agg_path, "\n".join(agg_lines) + "\n")
     _print_table(aggregates, alphas, ds_name)
 
-    inputs = [args.data]
-    if args.model is not None:
-        inputs += args.model.split(",")
-    write_manifest(args.report, args, inputs, [args.report, agg_path],
+    write_manifest(args.report, args, [args.data, *models],
+                   [args.report, agg_path],
                    timings, alphas=alphas, knn_ks=knn_ks)
     return 0
 
@@ -282,13 +279,14 @@ def cmd_eval(args) -> int:
 
 def cmd_plot(args) -> int:
     bundle = load_model(args.model)
-    model, ds, _, _ = _rebuild(
-        bundle, load_csv(args.data, args.has_header), bundle.split.seed)
+    ds = apply_normalization(load_csv(args.data, args.has_header),
+                             bundle.stats)
+    model, parts = point_model(ds, bundle.split, bundle.knn_k)
     center = model.predict_batch(ds.x)
     locs = bundle.family.loc_batch(ds.x)
-    cal = split_indices(ds.n, bundle.split)[1]
+    cal = split_indices(ds.n, bundle.split).cp_train
     q_hat = calibrate(calibration_scores(
-        bundle.family, scored(ds.subset(cal), center[cal]), locs[cal]),
+        bundle.family, scored(parts.cp_train, center[cal]), locs[cal]),
         args.alpha)
     axis = read_raw_axis(args.data)
     if axis is None:

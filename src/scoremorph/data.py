@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-# proper-train / cp-train / validation / test
-DEFAULT_FRACTIONS = (0.4, 0.4, 0.1, 0.1)
+DEFAULT_FRACTIONS = (0.4, 0.4, 0.1, 0.1)  # one per field of Split, in order
+Split = namedtuple("Split", "proper cp_train validation test")
 
 # below this (relative) spread a column is treated as constant
 _ZERO_VAR_TOL = 1e-15
@@ -202,8 +203,8 @@ def normalize(ds: Dataset) -> Dataset:
     return apply_normalization(ds, compute_stats(ds))
 
 
-def split_indices(n: int, spec: SplitSpec):
-    """Shuffled index partition into four parts, deterministic in the seed."""
+def split_indices(n: int, spec: SplitSpec) -> Split:
+    """Shuffled ``Split`` of the row indices, deterministic in the seed."""
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
     cum = np.cumsum(spec.fractions)
@@ -218,10 +219,10 @@ def split_indices(n: int, spec: SplitSpec):
         if p.size == 0:
             raise ValueError(
                 f"fraction {spec.fractions[i]} yields an empty part for n={n}")
-    return tuple(parts)
+    return Split(*parts)
 
 
-def split(ds: Dataset, spec: SplitSpec):
-    """Partition into (proper_train, cp_train, validation, test) Datasets."""
-    parts = split_indices(ds.n, spec)
-    return tuple(ds.subset(p) for p in parts)
+def split(ds: Dataset, spec: SplitSpec) -> Split:
+    """Partition into a ``Split`` of Datasets: ``proper`` (the point
+    model's rows), ``cp_train``, ``validation`` and ``test``."""
+    return Split(*(ds.subset(p) for p in split_indices(ds.n, spec)))

@@ -1,8 +1,9 @@
 """Model-file serialization: family, localizer, normalization, split recipe.
 
 A model file is self-contained given the original data file: it stores the
-split seed/fractions and the selected K so the point predictor and the
-calibration scores can be reconstructed deterministically.
+split seed/fractions and the selected K, from which
+``training.point_model(dataset, bundle.split, bundle.knn_k)`` rebuilds the
+point predictor and the calibration split deterministically.
 """
 
 from __future__ import annotations

@@ -127,6 +127,21 @@ def family_kind(label: str) -> str:
     return FAMILY_LABELS[label][0]
 
 
+def point_model(dataset: Dataset, spec: SplitSpec, k=None):
+    """Every command's ``(model, parts)``: ``parts = split(dataset, spec)``
+    and KNN on ``parts.proper``, with ``k`` neighbours or a CV-chosen k."""
+    parts = split(dataset, spec)
+    if k is None:
+        return knn.fit(parts.proper, knn.grid_for(parts.proper.n),
+                       seed=spec.seed), parts
+    return knn.KnnModel(parts.proper.x, parts.proper.y, k), parts
+
+
+def score(model, *datasets) -> list:
+    """Each dataset's rows with their base scores under ``model``."""
+    return [scored(d, model.predict_batch(d.x)) for d in datasets]
+
+
 def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
     """(family, trace) for any CLI label ``config.family``.
 
@@ -171,7 +186,6 @@ class ProtocolAggregate:
 @dataclass(frozen=True)
 class ProtocolResult:
     rows: list
-    aggregates: list
     knn_ks: dict  # run_seed -> selected k
     job_seconds: list  # (run_seed, trained label, seconds) per job, in order
 
@@ -220,10 +234,8 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
     """
     start = time.perf_counter()
     run_seed, trained = job
-    proper, cp_train, validation, test = split(dataset, SplitSpec(run_seed))
-    model = knn.fit(proper, knn.grid_for(proper.n), seed=run_seed)
-    cp, val, te = (scored(d, model.predict_batch(d.x))
-                   for d in (cp_train, validation, test))
+    model, parts = point_model(dataset, SplitSpec(run_seed))
+    cp, val, te = score(model, parts.cp_train, parts.validation, parts.test)
 
     def evaluate_trained():
         fam, _ = train(replace(config, family=trained, seed=run_seed), cp, val)
@@ -246,8 +258,8 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     ``learning_rate``, ``patience`` and ``gamma``, each defaulting to
     ``TrainConfig``'s. Labels that share a localizer in ``FAMILY_LABELS``
     share one training and one evaluation per run, so they get the same
-    rows, or the same error rows. Aggregates report mean and population sd
-    per cell; rows come in (run, family, alpha) order.
+    rows, or the same error rows. Rows come in (run, family, alpha) order;
+    ``aggregate`` summarizes them per cell.
 
     One job is one (run, trained label); the jobs share no state, and run
     side by side in worker processes (``workers.map_in_workers``), each on
@@ -279,5 +291,4 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
         job_seconds.append((run_seed, label, seconds))
     rank = {name: i for i, name in enumerate(families)}
     rows.sort(key=lambda row: (row.run_seed, rank[row.family]))  # stable
-    return ProtocolResult(rows, aggregate(rows, families, alphas), knn_ks,
-                          job_seconds)
+    return ProtocolResult(rows, knn_ks, job_seconds)

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from scoremorph import cli, training
+from scoremorph import cli, knn, training
 from scoremorph.cli import main, read_raw_axis
 from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
                              load_csv, normalize, split_indices)
@@ -288,6 +288,65 @@ def test_eval_frozen_duplicate_labels_fail(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("template", ["{0}, {1}", "{0},"])
+def test_eval_parses_the_model_list_as_it_parses_families(tmp_path,
+                                                          template):
+    # entries are stripped and empty ones dropped, for loading and for the
+    # manifest's inputs alike
+    data, model = train_model(tmp_path)
+    b = load_model(model)
+    fixed = tmp_path / "m_fixed.json"
+    save_model(fixed, "fixed", FixedTransform(), b.stats, b.knn_k, b.split)
+    report = tmp_path / "r.csv"
+    assert run("eval", "--data", data, "--model",
+               template.format(model, fixed), "--report", report) == 0
+    assert {r["family"] for r in read_rows(report)} == {"linear", "fixed"}
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    models = [model, fixed] if "{1}" in template else [model]
+    assert set(manifest["inputs"]) == {str(p) for p in [data, *models]}
+
+
+def test_eval_refuses_a_model_list_with_no_file(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    assert run("eval", "--data", synth(tmp_path, n=100), "--model", " , ",
+               "--report", report) == 1
+    assert capsys.readouterr().err == "error: no model files given\n"
+    assert not report.exists()
+
+
+def test_every_command_splits_and_fits_through_point_model(tmp_path,
+                                                           monkeypatch):
+    # train, frozen eval, plot and each protocol job get their split and
+    # point model from one function: cross-validated k for the ones that
+    # train, the model file's k for the frozen ones
+    calls = []
+    point_model = training.point_model
+
+    def spy(dataset, spec, k=None):
+        calls.append(k)
+        return point_model(dataset, spec, k)
+
+    monkeypatch.setattr(cli, "point_model", spy)
+    monkeypatch.setattr(training, "point_model", spy)
+    data, model = train_model(tmp_path)
+    assert calls == [None]
+    k = load_model(model).knn_k
+    calls.clear()
+    assert run("eval", "--data", data, "--model", model, "--runs", 2,
+               "--report", tmp_path / "r.csv") == 0
+    assert calls == [k, k]
+    calls.clear()
+    assert run("plot", "--data", data, "--model", model,
+               "--out", tmp_path / "p.svg") == 0
+    assert calls == [k]
+    ds = normalize(load_csv(data))
+    for trained in ("fixed", "linear"):
+        calls.clear()
+        training.protocol_job(ds, ["fixed", "linear"], [0.1], (0, trained),
+                              TrainConfig("fixed", epochs=2))
+        assert calls == [None]
+
+
 def test_eval_runs_zero_fails_in_both_modes(tmp_path, capsys):
     data, model = train_model(tmp_path, family="fixed")
     for mode in (["--model", model], ["--families", "fixed"]):
@@ -477,7 +536,7 @@ def test_train_and_protocol_eval_reject_a_bad_gamma(tmp_path, capsys,
                                                     monkeypatch, gamma):
     # refused for every label before the point model is fit or any worker
     # starts; a NaN gamma would reach the manifest, which is then not JSON
-    monkeypatch.setattr(cli, "knn_fit", None)
+    monkeypatch.setattr(knn, "fit", None)
     monkeypatch.setattr(training, "map_in_workers", None)
     data = synth(tmp_path, n=300)
     model, report = tmp_path / "m.json", tmp_path / "r.csv"

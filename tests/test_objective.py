@@ -160,11 +160,16 @@ def test_non_finite_localization_aborts():
 
 # ---- gradient correctness ----
 
+# a fixed seed offset per kind, so every run checks the same batches
+FD_SEED_OFFSET = {"erc": 31, "linear": 62}
+
+
 def test_gradients_match_directional_fd():
     rng = np.random.default_rng(10)
     for kind in FAMILY_BUILDERS:
         for trial in range(5):
-            fam, batch = off_kink_case(kind, seed=100 * trial + hash(kind) % 97)
+            fam, batch = off_kink_case(kind,
+                                       seed=100 * trial + FD_SEED_OFFSET[kind])
             out = loss_batch(fam, batch)
             for _ in range(4):
                 v = random_direction(fam.localizer, rng)

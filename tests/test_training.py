@@ -203,12 +203,13 @@ def test_run_protocol_shape_and_zero_sd():
     ds = generate(SynthSpec("linear", n=300, seed=1)).dataset
     result = run_protocol(ds, ["fixed", "linear"], [0.1, 0.32], runs=1,
                           seed0=0, epochs=3, patience=2)
+    aggregates = aggregate(result.rows, ["fixed", "linear"], [0.1, 0.32])
     assert len(result.rows) == 2 * 2
-    assert len(result.aggregates) == 2 * 2
-    for agg in result.aggregates:
+    assert len(aggregates) == 2 * 2
+    for agg in aggregates:
         assert agg.size_sd == 0.0
         assert agg.validity_sd == 0.0
-    assert {a.family for a in result.aggregates} == {"fixed", "linear"}
+    assert {a.family for a in aggregates} == {"fixed", "linear"}
 
 
 def test_run_protocol_multi_run_row_count_and_determinism():
