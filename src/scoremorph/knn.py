@@ -12,6 +12,23 @@ at or below the k-th distance) instead of sorting all the rows it scanned,
 and is reduced at once to what its caller needs (label means for a
 prediction, their prefix means for the cross-validation), so no
 (queries, k) array outlives its chunk.
+
+The budget bounds a chunk's scratch memory. Per (query, row) pair a chunk
+holds at most:
+
+- d = 1: its distance (8 B), the argpartition index (8 B) and the mask of
+  distances at or below the k-th (1 B), 17 B, so 4.25 MiB at 2^18 pairs;
+- d = 2-7: the same plus an 8 B per-column difference temporary, at most
+  2^18 / d pairs, so 3.1 MiB at d = 2;
+- d >= 8: the (queries, rows, d) difference tensor and its square, 16 B a
+  cell, 4 MiB, plus the distances and the index of d = 1 per pair.
+
+So a chunk holds about 4.5 MiB at most for any number of columns, as long
+as one query's scan fits the budget (window rows * d <= 2^18); past that a
+chunk holds one query. Smaller terms come on top: the candidate set takes
+24 B for each of its c rows per query (c >= k, more where distances tie at
+the k-th), and ``_window``'s ring (queries, k) arrays, both small next to a
+chunk's rows at the grid's k <= 50.
 """
 
 from __future__ import annotations
@@ -26,8 +43,9 @@ DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
 # cross-validation folds ``fit`` selects k with unless told otherwise
 FOLDS = 5
 
-# (query, stored row, dimension) difference cells one scan chunk may hold
-_CHUNK_CELLS = 1 << 21
+# (query, stored row, dimension) difference cells one scan chunk may hold:
+# about 4.5 MiB of scratch at most, whatever the dimension (module doc)
+_CHUNK_CELLS = 1 << 18
 # queries one windowed scan chunk may hold, and stored rows their spread
 # may span on average: a chunk costs a few dozen numpy calls whatever its
 # size, and its window widens with its queries' spread
@@ -100,8 +118,12 @@ def _chunks(train_x, queries, k):
     in place, as many queries as the budget allows for all n rows; when
     the projection cannot prune at all, as on columns of similar spread,
     that is every chunk. A call whose queries all fit in one such full scan
-    scans every row without sorting: at that size (a few hundred stored
-    rows) the sorts and the bound cost more than the window saves.
+    (n_queries * n * d <= ``_CHUNK_CELLS``, e.g. 100 queries against 400
+    stored rows of 3 columns) scans every row without sorting. That saves
+    the sorts and the bound, about a tenth of such a call where the window
+    prunes nothing (uniform data, d = 2 or 8); where it prunes (synth cos,
+    or uniform data with d = 1) windowing is as fast at about 10^5 cells
+    and faster above.
     """
     n, d = train_x.shape
     n_queries = queries.shape[0]
@@ -198,7 +220,9 @@ def _k_smallest(d2, k):
     ascending column order, ranks them as the full stable sort would. The
     order past an ``argpartition``'s split point is unspecified, so when
     some row ties at its k-th distance (``c > k``) a second partition at
-    ``c`` collects the candidates.
+    ``c`` collects the candidates. The first partition is released before
+    the second partition or the full sort, so that only one (rows,
+    columns) index array is held at a time.
     """
     n = d2.shape[1]
     if k < n:
@@ -207,11 +231,13 @@ def _k_smallest(d2, k):
         c = int(np.count_nonzero(d2 <= kth, axis=1).max())
         if c < n:
             if c > k:
+                del part
                 part = np.argpartition(d2, c - 1, axis=1)
             cand = np.sort(part[:, :c], axis=1)
             order = np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1,
                                kind="stable")[:, :k]
             return np.take_along_axis(cand, order, axis=1)
+        del part
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 

@@ -24,6 +24,10 @@ import numpy as np
 from .network import LocalizerNet
 from .transforms import LogShiftCore, TransformFamily
 
+# pair terms held at a time while naming a loss's non-finite pairs: 2 MiB,
+# as many as a neighbour-scan chunk holds pairs at d = 1
+_SCAN_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class LossBatch:
@@ -60,9 +64,24 @@ class LossValue:
     grads: list  # per-layer (dW, db); empty for parameter-free families
 
 
-def _non_finite(bad_pairs) -> ValueError:
-    bad = np.argwhere(bad_pairs & ~np.eye(bad_pairs.shape[0], dtype=bool))
-    return ValueError(f"non-finite loss at pair indices {bad[:5].tolist()}")
+def _non_finite(bad_rows, m: int) -> ValueError:
+    """The error naming the first five off-diagonal pairs (i, n), in row
+    order, that ``bad_rows(lo, hi)`` marks: the mask of rows lo..hi-1 of the
+    (m, m) pair matrix. Rows come in blocks of at most ``_SCAN_CELLS``
+    pairs, so a failure costs no O(m^2) memory where the loss did not."""
+    bad = []
+    step = max(1, _SCAN_CELLS // m)
+    for lo in range(0, m, step):
+        mask = bad_rows(lo, min(lo + step, m))
+        diag = np.arange(mask.shape[0])
+        mask[diag, lo + diag] = False
+        # the first five pairs lie in the first five rows that hold any
+        rows = np.flatnonzero(mask.any(axis=1))[:5]
+        i, n = np.nonzero(mask[rows])
+        bad += np.column_stack((lo + rows[i], n))[:5 - len(bad)].tolist()
+        if len(bad) == 5:
+            break
+    return ValueError(f"non-finite loss at pair indices {bad}")
 
 
 def _pair_norm(m: int) -> float:
@@ -93,8 +112,11 @@ def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
         w_loo = _leave_one_out(w)
         value = float((r * w_loo).sum() * norm)
         if not np.isfinite(value):
-            terms = np.exp(0.5 * (z[None, :] - s[:, None]))
-            raise _non_finite(~np.isfinite(terms))
+            def bad_rows(lo, hi):
+                terms = z[None, :] - s[lo:hi, None]
+                terms *= 0.5
+                return ~np.isfinite(np.exp(terms, out=terms))
+            raise _non_finite(bad_rows, g.shape[0])
     if not grad:
         return value, None
     d_s = 0.5 * norm * (r * w_loo - w * _leave_one_out(r))
@@ -116,7 +138,7 @@ def _pairwise_loss(fam: TransformFamily, g, a_eff, inverse_mode: str,
     off_diag = ~np.eye(m, dtype=bool)
     value = float(t[off_diag].sum() * norm)
     if not np.isfinite(value):
-        raise _non_finite(~np.isfinite(t))
+        raise _non_finite(lambda lo, hi: ~np.isfinite(t[lo:hi]), m)
     if not grad:
         return value, None
     phi_p = fam.dphi_da(g_test, u)

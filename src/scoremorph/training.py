@@ -132,6 +132,12 @@ def point_model(dataset: Dataset, spec: SplitSpec, k=None):
     and KNN on ``parts.proper``, with ``k`` neighbours or a CV-chosen k."""
     parts = split(dataset, spec)
     if k is None:
+        if parts.proper.n < knn.FOLDS:
+            raise ValueError(
+                f"the data has {dataset.n} rows; cross-validating the point "
+                f"model's k takes at least "
+                f"{math.ceil(knn.FOLDS / spec.fractions[0])}, for a proper "
+                f"training part of {knn.FOLDS} rows, one per fold")
         return knn.fit(parts.proper, knn.grid_for(parts.proper.n),
                        seed=spec.seed), parts
     return knn.KnnModel(parts.proper.x, parts.proper.y, k), parts

@@ -460,16 +460,31 @@ def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
         assert errors.pop().startswith("training diverged")
 
 
+TOO_FEW_ROWS = ("error: the data has 10 rows; cross-validating the point "
+                "model's k takes at least 13, for a proper training part "
+                "of 5 rows, one per fold\n")
+
+
 def test_eval_protocol_worker_error_fails_the_command(tmp_path, capsys):
     # on 10 rows the proper split has 4, fewer than the 5 KNN folds: the
-    # ValueError knn.fit raises in a worker reaches the CLI unchanged
+    # ValueError point_model raises in a worker reaches the CLI unchanged,
+    # naming the data's row count, not the proper part's 4
     data = synth(tmp_path, n=10)
     report = tmp_path / "tiny.csv"
     assert run("eval", "--data", data, "--families", "fixed", "--runs", 2,
                "--report", report) == 1
-    assert capsys.readouterr().err == (
-        "error: need n >= folds >= 2, got n=4, folds=5\n")
+    assert capsys.readouterr().err == TOO_FEW_ROWS
     assert not report.exists()
+
+
+def test_train_names_the_row_count_too_small_to_cross_validate(tmp_path,
+                                                                capsys):
+    data = synth(tmp_path, n=10)
+    model = tmp_path / "m.json"
+    assert run("train", "--data", data, "--family", "linear",
+               "--model-out", model) == 1
+    assert capsys.readouterr().err == TOO_FEW_ROWS
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("families, message", [

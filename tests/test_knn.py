@@ -160,18 +160,48 @@ def test_chunked_scan_matches_one_chunk(monkeypatch):
     assert np.array_equal(chunked.predict_batch(queries), whole_pred)
 
 
-def test_fit_memory_below_one_full_distance_tensor():
-    # a single scan per fold would hold an (800, 3200, 3) float64
-    # difference tensor, 61 MB, for 4000 rows in 5 folds
-    rng = np.random.default_rng(12)
-    ds = make_ds(rng.normal(size=(4000, 3)), rng.normal(size=4000))
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
     tracemalloc.start()
     try:
-        knn.fit(ds, folds=5, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 800 * 3200 * 3 * 8
+
+
+def synth_cos_model(stored, n_queries):
+    ds = synthetic.generate(
+        synthetic.SynthSpec("cos", n=stored + n_queries, seed=1)).dataset
+    return knn.KnnModel(ds.x[:stored], ds.y[:stored], 50), ds.x[stored:]
+
+
+def uniform_model(d, stored, n_queries):
+    rng = np.random.default_rng(d)
+    return (knn.KnnModel(rng.random((stored, d)), rng.normal(size=stored), 50),
+            rng.random((n_queries, d)))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: synth_cos_model(800, 800),   # frozen eval of a 2000-row file
+    lambda: uniform_model(1, 2000, 1000),
+    lambda: uniform_model(8, 3000, 200),
+], ids=["synth-cos-800x800", "uniform-d1", "uniform-d8"])
+def test_predict_scratch_within_five_mib(case):
+    # a chunk holds about 4.5 MiB at most (knn's module doc); a budget of
+    # 2^21 cells let these calls peak at 14.8, 32.5 and 18.2 MB
+    model, queries = case()
+    assert traced_peak(lambda: model.predict_batch(queries)) <= 5 * 2**20
+
+
+def test_fit_memory_below_one_full_distance_tensor():
+    # a single scan per fold would hold an (800, 3200, 3) float64
+    # difference tensor, 61 MB, for 4000 rows in 5 folds; a chunk holds
+    # about 4.5 MiB at most (knn's module doc), where a budget of 2^21
+    # cells let this fit peak at 16.7 MB
+    rng = np.random.default_rng(12)
+    ds = make_ds(rng.normal(size=(4000, 3)), rng.normal(size=4000))
+    assert traced_peak(lambda: knn.fit(ds, folds=5, seed=0)) <= 5 * 2**20
 
 
 @settings(max_examples=300, deadline=None)

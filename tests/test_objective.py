@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,6 +257,24 @@ def test_loss_overflow_aborts_with_indices():
         with pytest.raises(ValueError,
                            match=r"pair indices \[\[0, 2\], \[1, 2\]\]$"):
             loss_batch(fam, batch)
+
+
+def test_loss_overflow_names_pairs_in_bounded_memory():
+    # g = -800 on rows 0-1499 and +800 on rows 1500-2999, so the loss
+    # overflows; naming its pairs once built the (3000, 3000) term matrix
+    # and an identity mask, 155 MB, and a MemoryError at larger m
+    net = LocalizerNet([np.array([[1.0]])], [np.zeros(1)])
+    xs = np.repeat([[-800.0], [800.0]], 1500, axis=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            pairwise_size_loss(LinearTransform(net), xs, np.ones(3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("non-finite loss at pair indices [[0, 1500], "
+                              "[0, 1501], [0, 1502], [0, 1503], [0, 1504]]")
+    assert peak < 5 * 2**20
 
 
 # ---- closed form of the log-shift core against the O(m^2) oracle ----

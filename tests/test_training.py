@@ -303,11 +303,13 @@ def test_run_protocol_leaves_no_worker_running(monkeypatch):
     assert all(p.returncode == 0 for p in procs)
     procs.clear()
     # on 10 rows the proper split has 4, fewer than the 5 KNN folds: every
-    # worker's knn.fit raises, and the first run's error reaches the caller
+    # worker's point_model raises, and the first run's error reaches the caller
     with pytest.raises(ValueError) as exc:
         run_protocol(ds.subset(range(10)), ["fixed"], [0.1], runs=3, seed0=0)
     assert type(exc.value) is ValueError
-    assert str(exc.value) == "need n >= folds >= 2, got n=4, folds=5"
+    assert str(exc.value) == (
+        "the data has 10 rows; cross-validating the point model's k takes "
+        "at least 13, for a proper training part of 5 rows, one per fold")
     assert procs and all(p.returncode is not None for p in procs)
 
 
