@@ -23,12 +23,11 @@ families = [
 
 x = np.array([[0.3, -1.2]])  # one attribute row
 print(f"localizer output g(x) = {net.values(x)[0]:+.4f}\n")
-print(f"{'family':8s} {'B=phi(2.0)':>12s} {'inverse(B)':>12s} {'dphi/dA':>10s}")
+print(f"{'family':8s} {'B=phi(2.0)':>12s} {'inverse(B)':>12s}")
 for fam in families:
     b = fam.forward_batch(x, [2.0])[0]
     back = fam.inverse_batch(x, b)[0]
-    slope = fam.dphi_da(fam.loc_batch(x), [2.0])[0]
-    print(f"{fam.kind:8s} {b:12.6f} {back:12.6f} {slope:10.6f}")
+    print(f"{fam.kind:8s} {b:12.6f} {back:12.6f}")
 
 # the paper's exp and sigma families are exp(z) and sigmoid(z) of linear's
 # score z = log A + g(x): increasing maps that rank any score set as z
@@ -41,12 +40,6 @@ print("\nscore rankings (identical for linear / exp / sigma):")
 for name, score in (("linear", z), ("exp", np.exp(z)),
                     ("sigma", 1.0 / (1.0 + np.exp(-z)))):
     print(f"  {name:8s} {np.argsort(score).tolist()}")
-
-# inversion also works without a closed form: bisection on the monotone map
-fam = families[2]
-b = fam.forward_batch(x, [5.0])[0]
-print(f"\nbisection inverse of linear family at B={b:.4f}: "
-      f"{fam.phi_inv_numeric(fam.loc_batch(x), b)[0]:.10f} (exact 5.0)")
 
 
 # breaking the shared-codomain requirement: B = A + g(x)^2 has codomain

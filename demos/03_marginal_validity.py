@@ -8,7 +8,7 @@ frozen random localizer reshapes the scores and coverage stays on target.
 
 import numpy as np
 
-from scoremorph.conformal import (calibrate, calibration_scores, interval,
+from scoremorph.conformal import (calibrate, calibration_scores, half_widths,
                                   quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
@@ -44,8 +44,9 @@ for name, fam in families.items():
             cal = ds.subset(np.arange(N_CAL))
             q = calibrate(calibration_scores(fam, scored(cal, predict(cal.x))),
                           alpha)
-            c = interval(fam, ds.x[N_CAL], float(predict(ds.x[N_CAL:])[0]), q)
-            hits += c.contains(float(ds.y[N_CAL]))
+            test = ds.subset([N_CAL])
+            half = half_widths(fam, test.x, q)[0]
+            hits += abs(test.y[0] - predict(test.x)[0]) <= half
         target = quantile_index(N_CAL, alpha) / (N_CAL + 1)
         se = np.sqrt(target * (1 - target) / REPS)
         print(f"  alpha={alpha:<5}: coverage {hits / REPS:.3f} "

@@ -9,9 +9,8 @@ coverage guarantee intact.
 
 __version__ = "0.1.0"
 
-from .conformal import (EvalReport, PredictionInterval, calibrate,
-                        calibration_scores, evaluate, half_widths, interval,
-                        quantile_index, scored)
+from .conformal import (EvalReport, calibrate, calibration_scores, evaluate,
+                        half_widths, quantile_index, scored)
 from .data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
                    NormalizationStats, Split, SplitSpec, apply_normalization,
                    compute_stats, load_csv, normalize, split, split_indices)
@@ -27,6 +26,6 @@ from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
                        aggregate, point_model, run_protocol, score, train)
 from .transforms import (TRAINABLE_KINDS, CodomainError, ErcTransform,
                          FixedTransform, LinearTransform, LogShiftCore,
-                         NoRootError, TransformFamily, make_family)
+                         TransformFamily, make_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

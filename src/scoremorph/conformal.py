@@ -21,23 +21,6 @@ from .transforms import TransformFamily
 
 
 @dataclass(frozen=True)
-class PredictionInterval:
-    center: float
-    half_width: float
-
-    def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half width must be nonnegative")
-
-    @property
-    def size(self) -> float:
-        return 2.0 * self.half_width
-
-    def contains(self, y: float) -> bool:
-        return abs(y - self.center) <= self.half_width
-
-
-@dataclass(frozen=True)
 class EvalReport:
     alpha: float
     mean_size: float | None
@@ -104,13 +87,6 @@ def half_widths(fam: TransformFamily, xs, q_hat: float,
     ``calibrate(calibration_scores(fam, ...))``; ``locs``, when given,
     holds ``fam.loc_batch(xs)``."""
     return np.sqrt(_inverse(fam, xs, q_hat, locs))
-
-
-def interval(fam: TransformFamily, x_test, f_x_test: float,
-             q_hat: float) -> PredictionInterval:
-    """Symmetric interval around f(x_test) with half width sqrt(phi^{-1}(q))."""
-    half = half_widths(fam, np.reshape(x_test, (1, -1)), q_hat)[0]
-    return PredictionInterval(center=float(f_x_test), half_width=float(half))
 
 
 def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,

@@ -8,11 +8,11 @@ For the log-shift core phi = z = log A + s(x) the pair term is
 exp((z_n - s_i) / 2), so the loss is sum_n e^{z_n/2} W_n / (m(m-1)) and
 its derivative in s_k is (e^{z_k/2} W_k - e^{-s_k/2} R_k) / (2m(m-1)), with
 the leave-one-out sums W_k = sum_{i != k} e^{-s_i/2} and
-R_k = sum_{n != k} e^{z_n/2}: O(m). A loss that overflows names the pairs
-whose term exp((z_n - s_i) / 2) is not finite. Other families, and the
-core with ``inverse_mode='implicit'``, invert all m^2 pairs (closed form or
-bisection) and take both partials from the implicit relations
-d phi^{-1}/d loc = -phi_loc / phi_A, d phi^{-1}/dB = 1 / phi_A.
+R_k = sum_{n != k} e^{z_n/2}: O(m), with no pair inverted. A loss that
+overflows names the pairs whose term exp((z_n - s_i) / 2) is not finite.
+The loss takes only the core and refuses other families by kind: the
+fixed baseline has no parameters to train, and its loss is the core's at
+any constant shift.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class LossBatch:
 @dataclass(frozen=True)
 class LossValue:
     value: float
-    grads: list  # per-layer (dW, db); empty for parameter-free families
+    grads: list  # per-layer (dW, db)
 
 
 def _non_finite(bad_rows, m: int) -> ValueError:
@@ -123,65 +123,32 @@ def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
     return value, d_s * fam.dshift(g)
 
 
-def _pairwise_loss(fam: TransformFamily, g, a_eff, inverse_mode: str,
-                   grad: bool):
-    """Loss value and d value / d g from the (m, m) matrix of pair inverses."""
-    m = g.shape[0]
-    norm = _pair_norm(m)
-    b = np.broadcast_to(fam.phi(g, a_eff), (m, m))
-    g_test = g[:, None]
-    if inverse_mode == "implicit":
-        u = fam.phi_inv_numeric(g_test, b, tol=0.0)  # to float resolution
-    else:
-        u = fam.phi_inv(g_test, b)
-    t = np.sqrt(u)
-    off_diag = ~np.eye(m, dtype=bool)
-    value = float(t[off_diag].sum() * norm)
-    if not np.isfinite(value):
-        raise _non_finite(lambda lo, hi: ~np.isfinite(t[lo:hi]), m)
-    if not grad:
-        return value, None
-    phi_p = fam.dphi_da(g_test, u)
-    weight = np.where(off_diag, norm * 0.5 / t, 0.0) / phi_p
-    d_g = (weight.sum(axis=0) * fam.dphi_dloc(g, a_eff)
-           - (weight * fam.dphi_dloc(g_test, u)).sum(axis=1))
-    return value, d_g
+def _core(fam: TransformFamily) -> LogShiftCore:
+    if not isinstance(fam, LogShiftCore):
+        raise ValueError("the size loss needs a log-shift core family, "
+                         f"not '{fam.kind}'")
+    return fam
 
 
-def loss_batch(fam: TransformFamily, batch: LossBatch,
-               inverse_mode: str = "analytic", out=None) -> LossValue:
-    """Pairwise mean interval-size loss with parameter gradients.
-
-    The log-shift core uses its O(m) closed form. ``inverse_mode='implicit'``
-    instead inverts every pair by bisection and differentiates through the
-    implicit relations; both agree to rounding. ``out`` is passed on to
+def loss_batch(fam: TransformFamily, batch: LossBatch, out=None) -> LossValue:
+    """Pairwise mean interval-size loss with parameter gradients, from the
+    core's O(m) closed form. ``out`` is passed on to
     ``LocalizerNet.backward_batch`` as the flat gradient buffer.
     """
-    if inverse_mode not in ("analytic", "implicit"):
-        raise ValueError(f"unknown inverse mode '{inverse_mode}'")
-    a_eff = np.maximum(batch.a, fam.epsilon_floor)
-    if fam.trainable:
-        g, tape = fam.localizer.forward_batch(batch.x)
-    else:
-        g, tape = fam.loc_batch(batch.x), None
+    net = _core(fam).localizer
+    g, tape = net.forward_batch(batch.x)
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite localization value in batch")
-    if isinstance(fam, LogShiftCore) and inverse_mode == "analytic":
-        value, d_g = _core_loss(fam, g, a_eff, fam.trainable)
-    else:
-        value, d_g = _pairwise_loss(fam, g, a_eff, inverse_mode, fam.trainable)
-    if not fam.trainable:
-        return LossValue(value, [])
-    return LossValue(value, fam.localizer.backward_batch(tape, d_g, out))
+    a_eff = np.maximum(batch.a, fam.epsilon_floor)
+    value, d_g = _core_loss(fam, g, a_eff, grad=True)
+    return LossValue(value, net.backward_batch(tape, d_g, out))
 
 
 def pairwise_size_loss(fam: TransformFamily, xs, a) -> float:
     """Loss value only, over all ordered pairs of the given set."""
-    a_eff = np.maximum(np.asarray(a, dtype=float), fam.epsilon_floor)
+    a_eff = np.maximum(np.asarray(a, dtype=float), _core(fam).epsilon_floor)
     g = np.asarray(fam.loc_batch(xs), dtype=float)
-    if isinstance(fam, LogShiftCore):
-        return _core_loss(fam, g, a_eff, grad=False)[0]
-    return _pairwise_loss(fam, g, a_eff, "analytic", grad=False)[0]
+    return _core_loss(fam, g, a_eff, grad=False)[0]
 
 
 def erc_error_fit_loss(net: LocalizerNet, batch: LossBatch,

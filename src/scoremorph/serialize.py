@@ -19,6 +19,12 @@ from .transforms import TransformFamily, make_family
 
 MODEL_FORMAT_VERSION = 1
 
+# every field save_model writes, with the JSON types it may hold
+_FIELDS = {"format_version": int, "family": str,
+           "gamma": (int, float, type(None)), "epsilon_floor": (int, float),
+           "localizer": (dict, type(None)), "normalization_stats": dict,
+           "knn_k": int, "split": dict}
+
 
 @dataclass(frozen=True)
 class ModelBundle:
@@ -71,5 +77,21 @@ def save_model(path, label, family, stats, knn_k, split) -> None:
 
 
 def load_model(path) -> ModelBundle:
+    """The bundle of the model file at path. A file that holds no JSON
+    object, or lacks a field or holds one of the wrong type, raises one
+    ValueError naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model file {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path} holds a JSON "
+                         f"{type(doc).__name__}, not an object")
+    for field, types in _FIELDS.items():
+        if field not in doc:
+            raise ValueError(f"model file {path} has no field '{field}'")
+        if not isinstance(doc[field], types):
+            raise ValueError(f"model file {path}: field '{field}' holds a "
+                             f"{type(doc[field]).__name__}")
+    return model_from_dict(doc)

@@ -160,7 +160,8 @@ def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
     if kind == "fixed":
         return FixedTransform(), TrainTrace()
     if cp_train.m < config.batch_size:
-        raise ValueError("training set smaller than one batch")
+        raise ValueError(f"training set of {cp_train.m} rows is smaller "
+                         f"than one batch of {config.batch_size}")
     net = LocalizerNet.init(cp_train.x.shape[1], config.seed)
     fam = make_family(kind, localizer=net, gamma=config.gamma)
     step = ((lambda b, out: erc_error_fit_loss(net, b, out=out))

@@ -9,7 +9,9 @@ and exp and sigma as exp(z) and sigmoid(z) of linear's z; an x-independent
 increasing map of every score changes neither the calibration quantile's
 rank nor the interval it inverts to, so the core scores z itself (exp and
 sigma are CLI labels of linear). z is strictly increasing in A onto all of
-R at every x, so scores map back to label-space intervals at any test x.
+R at every x, so scores map back to label-space intervals at any test x
+through the closed-form inverse A = exp(B - s(g(x))); no family here
+needs a numeric inverse.
 """
 
 from __future__ import annotations
@@ -25,17 +27,9 @@ TRAINABLE_KINDS = ("erc", "linear")
 DEFAULT_GAMMA = 1e-2
 DEFAULT_EPSILON_FLOOR = 1e-12
 
-# bracket doublings (or halvings) that reach either end of the float64 range
-# from the default bisection bracket
-_MAX_DOUBLINGS = 1100
-
 
 class CodomainError(ValueError):
     """A transformed score lies outside the family codomain at this x."""
-
-
-class NoRootError(ValueError):
-    """Bracket expansion failed to enclose a root."""
 
 
 def _expand(value, *operands):
@@ -47,14 +41,13 @@ def _expand(value, *operands):
 class TransformFamily:
     """Base class: core maps are expressed in terms of the localization value.
 
-    Subclasses implement ``phi``/``phi_inv``/derivatives as numpy-vectorized
-    functions of (loc, score), and ``loc_batch`` maps attribute rows to
-    their localization values. Every operation takes a batch of rows; a
-    single point is a one-row batch.
+    Subclasses implement ``phi``/``phi_inv`` as numpy-vectorized functions
+    of (loc, score), and ``loc_batch`` maps attribute rows to their
+    localization values. Every operation takes a batch of rows; a single
+    point is a one-row batch.
     """
 
     kind = "base"
-    trainable = False
 
     def __init__(self, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
         self.epsilon_floor = float(epsilon_floor)
@@ -75,12 +68,6 @@ class TransformFamily:
     def phi_inv(self, loc, b):
         raise NotImplementedError
 
-    def dphi_da(self, loc, a):
-        raise NotImplementedError
-
-    def dphi_dloc(self, loc, a):
-        raise NotImplementedError
-
     # ---- public API ----
 
     def forward_batch(self, xs, a, locs=None):
@@ -93,37 +80,6 @@ class TransformFamily:
         """A = phi_x^{-1}(B) at the rows of xs; ``locs`` as in
         ``forward_batch``. Raises CodomainError where B lies outside B_x."""
         return self.phi_inv(self._checked_locs(xs, locs), b)
-
-    def phi_inv_numeric(self, loc, b, bracket=(1e-12, 1.0), tol=1e-12):
-        """Invert phi(loc, .) = b by bisection with geometric bracket growth,
-        elementwise over broadcast ``loc`` and ``b``."""
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not 0 < lo < hi:
-            raise ValueError(f"invalid bracket {bracket}")
-        loc, b = np.broadcast_arrays(np.asarray(loc, dtype=float),
-                                     np.asarray(b, dtype=float))
-        lo, hi = np.full(b.shape, lo), np.full(b.shape, hi)
-        for _ in range(_MAX_DOUBLINGS):
-            grow = self.phi(loc, hi) < b
-            shrink = ~grow & (self.phi(loc, lo) > b)
-            if not (grow.any() or shrink.any()):
-                break
-            lo, hi = (np.where(grow, hi, np.where(shrink, 0.5 * lo, lo)),
-                      np.where(grow, 2.0 * hi, np.where(shrink, lo, hi)))
-        else:
-            side = "above" if grow.any() else "below"
-            raise NoRootError(f"no root {side} the bracket for "
-                              f"B={b[grow | shrink].flat[0]}")
-        active = np.ones(b.shape, dtype=bool)
-        while True:
-            mid = 0.5 * (lo + hi)
-            # stop at the tolerance or where float resolution is reached
-            active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
-            if not np.any(active):
-                return 0.5 * (lo + hi)
-            below = self.phi(loc, mid) <= b
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
 
     # ---- helpers ----
 
@@ -158,21 +114,13 @@ class FixedTransform(TransformFamily):
             raise CodomainError("fixed family: B must be >= 0")
         return _expand(b, loc, b)
 
-    def dphi_da(self, loc, a):
-        return _expand(1.0, loc, a)
-
-    def dphi_dloc(self, loc, a):
-        return _expand(0.0, loc, a)
-
 
 class LogShiftCore(TransformFamily):
     """phi(g, A) = log max(A, eps) + s(g), with g a trainable network.
 
-    Presets may override the shift s (default s = g); the inverse
-    exp(B - s(g)) and the derivatives are written once here.
+    Presets may override the shift s (default s = g) and its slope
+    ds/dg; the inverse exp(B - s(g)) is written once here.
     """
-
-    trainable = True
 
     def __init__(self, localizer: LocalizerNet,
                  epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -193,12 +141,6 @@ class LogShiftCore(TransformFamily):
 
     def phi_inv(self, loc, b):
         return np.exp(np.asarray(b, dtype=float) - self.shift(loc))
-
-    def dphi_da(self, loc, a):
-        return 1.0 / self._clamped(a)
-
-    def dphi_dloc(self, loc, a):
-        return self.dshift(loc)
 
 
 class ErcTransform(LogShiftCore):

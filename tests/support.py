@@ -1,4 +1,4 @@
-"""Families and helpers that only the tests use.
+"""Families, oracles and helpers that only the tests use.
 
 The library ships the families the CLI trains and evaluates; the ones
 here exist to pin properties from outside that set: global monotone maps
@@ -7,14 +7,102 @@ which score exp(z) and sigmoid(z) of linear's z), a worked example whose
 codomain moves with x, and the additive family whose inverse fails at a
 test attribute (with its log-composed repair). Each defines only the methods some test
 reaches. ``spy_popen`` records the worker processes a call starts.
+
+The oracles are the generic reference the library's closed forms are
+checked against, written for the log-shift core phi = log max(A, eps) + s
+from the shift s and its slope ds/dg alone: a bisection inverse, the
+implicit-relation derivatives of the inverse, and the size loss over the
+full (m, m) matrix of pair inverses.
 """
 
 import subprocess
 
 import numpy as np
 
+from scoremorph.objective import LossValue
 from scoremorph.transforms import (DEFAULT_EPSILON_FLOOR, CodomainError,
                                    TransformFamily, _expand)
+
+
+def bisect_inverse(s, b, eps=DEFAULT_EPSILON_FLOOR, tol=1e-12):
+    """A with log max(A, eps) + s = b, by bisection from the bracket
+    [1e-12, 1] grown geometrically, elementwise over broadcast s and b;
+    tol=0 bisects to float resolution. Raises ValueError where no bracket
+    encloses a root."""
+    s, b = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(b, dtype=float))
+
+    def phi(a):
+        return np.log(np.maximum(a, eps)) + s
+
+    lo, hi = np.full(b.shape, 1e-12), np.full(b.shape, 1.0)
+    for _ in range(1100):  # doublings that reach either end of float64
+        grow = phi(hi) < b
+        shrink = ~grow & (phi(lo) > b)
+        if not (grow.any() or shrink.any()):
+            break
+        lo, hi = (np.where(grow, hi, np.where(shrink, 0.5 * lo, lo)),
+                  np.where(grow, 2.0 * hi, np.where(shrink, lo, hi)))
+    else:
+        side = "above" if grow.any() else "below"
+        raise ValueError(f"no root {side} the bracket for "
+                         f"B={b[grow | shrink].flat[0]}")
+    active = np.ones(b.shape, dtype=bool)
+    while True:
+        mid = 0.5 * (lo + hi)
+        # stop at the tolerance or where float resolution is reached
+        active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not np.any(active):
+            return 0.5 * (lo + hi)
+        below = phi(mid) <= b
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+
+
+def inverse_slopes(ds, a, eps=DEFAULT_EPSILON_FLOOR):
+    """(dA/dg, dA/dB) of the inverse at A = phi^{-1}(B), from the implicit
+    relations -phi_g / phi_A and 1 / phi_A with phi_A = 1 / max(A, eps)
+    and phi_g = ds."""
+    phi_a = 1.0 / np.maximum(a, eps)
+    return -np.asarray(ds, dtype=float) / phi_a, 1.0 / phi_a
+
+
+def pair_loss(s, a, ds=None, eps=DEFAULT_EPSILON_FLOOR):
+    """(value, dL/dg) of the size loss over every ordered pair (i, n),
+    i != n: the mean of sqrt(phi_{x_i}^{-1}(phi_{x_n}(A_n))), each pair
+    inverted by bisection to float resolution, with the gradient from the
+    implicit relations (None when ds is not given). O(m^2)."""
+    s = np.asarray(s, dtype=float)
+    m = s.shape[0]
+    b = np.broadcast_to(np.log(np.maximum(a, eps)) + s, (m, m))
+    u = bisect_inverse(s[:, None], b, eps, tol=0.0)
+    t = np.sqrt(u)
+    off_diag = ~np.eye(m, dtype=bool)
+    norm = 1.0 / (m * (m - 1))
+    value = float(t[off_diag].sum() * norm)
+    if ds is None:
+        return value, None
+    # u[i, n] moves with g_n through B = phi_{x_n}(A_n), whose slope is
+    # ds_n, and with g_i through the inverse at x_i
+    ds = np.asarray(ds, dtype=float)
+    du_dg, du_db = inverse_slopes(ds[:, None], u, eps)
+    d_u = np.where(off_diag, norm * 0.5 / t, 0.0)
+    return value, (d_u * du_db).sum(axis=0) * ds + (d_u * du_dg).sum(axis=1)
+
+
+def oracle_loss(fam, batch) -> LossValue:
+    """``loss_batch(fam, batch)`` of a log-shift core family, from
+    ``pair_loss`` in place of the closed form."""
+    g, tape = fam.localizer.forward_batch(batch.x)
+    value, d_g = pair_loss(fam.shift(g), batch.a, fam.dshift(g),
+                           fam.epsilon_floor)
+    return LossValue(value, fam.localizer.backward_batch(tape, d_g))
+
+
+def fixed_loss(a) -> float:
+    """The size loss of the fixed family: the core's at a constant shift,
+    whose pair inverses are the fixed family's max(A_n, eps)."""
+    return pair_loss(np.zeros(len(a)), a)[0]
 
 
 class LogShiftTransform(TransformFamily):
@@ -32,9 +120,6 @@ class LogShiftTransform(TransformFamily):
 
     def phi_inv(self, loc, b):
         return _expand(np.exp(np.asarray(b, dtype=float) - self.offset), loc, b)
-
-    def dphi_da(self, loc, a):
-        return _expand(1.0 / self._clamped(a), loc, a)
 
 
 class SqrtMap(TransformFamily):
@@ -74,15 +159,6 @@ class OuterMap(TransformFamily):
 EXP = (np.exp, np.log)
 SIGMOID = (lambda z: 1.0 / (1.0 + np.exp(-z)),
            lambda b: np.log(b) - np.log1p(-b))
-
-
-class CubeFixture(TransformFamily):
-    """A^3, inverted only by bisection."""
-
-    kind = "cube-fixture"
-
-    def phi(self, loc, a):
-        return np.asarray(a, dtype=float) ** 3
 
 
 class SqrtShiftFixture(TransformFamily):

@@ -11,7 +11,7 @@ import numpy as np
 
 from scoremorph import knn
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
-                                  interval, quantile_index, scored)
+                                  half_widths, quantile_index, scored)
 from scoremorph.data import Dataset, SplitSpec, normalize, split
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
@@ -21,7 +21,7 @@ from scoremorph.transforms import (CodomainError, ErcTransform,
                                    FixedTransform, LinearTransform)
 from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
                      LogShiftTransform, OuterMap, SqrtMap, SqrtShiftFixture,
-                     pre_activation_margin)
+                     bisect_inverse, inverse_slopes, pre_activation_margin)
 
 
 def report(num, ok, detail):
@@ -48,7 +48,7 @@ def test_criterion_1_worked_example_exactness():
     for theta in (1.0, -1.0):
         fam = SqrtShiftFixture(theta)
         q = calibrate(fam.forward_batch(pairs[:, 1:], pairs[:, 0]), 0.5)
-        sizes[theta] = interval(fam, np.array([0.0]), 0.0, q).size
+        sizes[theta] = 2.0 * half_widths(fam, np.array([[0.0]]), q)[0]
     err_plus = abs(sizes[1.0] - 2 * (2 + np.sqrt(2)))
     err_minus = abs(sizes[-1.0] - 2 * (2 - np.sqrt(2)))
     report(1, err_plus <= 1e-12 and err_minus <= 1e-12,
@@ -81,8 +81,8 @@ def test_criterion_2_marginal_validity_monte_carlo():
             f_t = float(predict_plane(test.x)[0])
             for a in alphas:
                 q = calibrate(scores, a)
-                c = interval(fam, test.x[0], f_t, q)
-                hits[a] += c.contains(float(test.y[0]))
+                half = half_widths(fam, test.x, q)[0]
+                hits[a] += abs(float(test.y[0]) - f_t) <= half
         for a in alphas:
             p = quantile_index(n_cal, a) / (n_cal + 1)
             bound = 3 * np.sqrt(p * (1 - p) / reps)
@@ -187,14 +187,13 @@ def test_criterion_5_implicit_inverse_machinery():
         a_true = float(rng.uniform(0.05, 20.0))
         g, tape = fam.localizer.forward_batch(x[None])
         b = np.log(a_true) + g
-        a_bis = fam.phi_inv_numeric(g, b, tol=1e-12)
+        a_bis = bisect_inverse(fam.shift(g), b, fam.epsilon_floor, tol=1e-12)
         worst_inv = max(worst_inv, abs(a_bis[0] - a_true) / max(1.0, a_true))
         # implicit relations at the bisection root: d phi^{-1}/dB = 1 / phi_A
         # and d phi^{-1}/d theta = -(phi_g / phi_A) dg/dtheta
-        phi_p = fam.dphi_da(g, a_bis)
-        implicit = fam.localizer.backward_batch(
-            tape, -fam.dphi_dloc(g, a_bis) / phi_p)
-        dinv_db = 1.0 / phi_p[0]
+        d_loc, d_b = inverse_slopes(fam.dshift(g), a_bis, fam.epsilon_floor)
+        implicit = fam.localizer.backward_batch(tape, d_loc)
+        dinv_db = d_b[0]
         # closed-form oracle: phi^{-1} = A = e^{B - g}, so the
         # theta-gradient is -A dg/dtheta and d phi^{-1}/dB = A
         a_closed = np.exp(b - g)

@@ -427,7 +427,8 @@ def test_eval_protocol_untrainable_family_gives_error_rows(tmp_path):
     assert [r for r in both if r["family"] == "fixed"] == rows["fixed"]
     linear = [r for r in both if r["family"] == "linear"]
     assert len(linear) == 3 * 2
-    assert all(r["error"] == "training set smaller than one batch"
+    assert all(r["error"] == "training set of 12 rows is smaller than one "
+               "batch of 16"
                and r["mean_size"] == "" for r in linear)
 
 
@@ -513,6 +514,46 @@ def test_eval_protocol_manifest_times_each_job(tmp_path):
     assert [(j["run_seed"], j["trained"]) for j in jobs] == [
         (3, "fixed"), (3, "linear"), (4, "fixed"), (4, "linear")]
     assert all(0 < j["seconds"] < timings["protocol_s"] for j in jobs)
+
+
+@pytest.fixture(scope="module")
+def trained_linear(tmp_path_factory):
+    return train_model(tmp_path_factory.mktemp("model"))
+
+
+MODEL_FIELDS = ("format_version", "family", "gamma", "epsilon_floor",
+                "localizer", "normalization_stats", "knn_k", "split")
+
+
+@pytest.mark.parametrize("damage", [*(f"no-{field}" for field in MODEL_FIELDS),
+                                    "text-knn_k", "list", "truncated"])
+def test_a_broken_model_file_is_refused_by_path_and_field(
+        trained_linear, tmp_path, capsys, damage):
+    data, model = trained_linear
+    text = model.read_text()
+    doc = json.loads(text)
+    field = damage.split("-")[-1]
+    if damage == "list":
+        text = json.dumps([doc])
+    elif damage == "truncated":
+        text = text[:len(text) // 2]
+    elif damage.startswith("no-"):
+        del doc[field]
+        text = json.dumps(doc)
+    else:  # a number written as text
+        doc[field] = str(doc[field])
+        text = json.dumps(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    for argv in (("eval", "--model", bad, "--report", out),
+                 ("plot", "--model", bad, "--out", out)):
+        assert run(*argv, "--data", data) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(bad) in line
+        if damage not in ("list", "truncated"):
+            assert f"field '{field}'" in line
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("field", ["epsilon_floor", "gamma"])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from scoremorph.conformal import (PredictionInterval, calibrate,
-                                  calibration_scores, evaluate, half_widths,
-                                  interval, quantile_index, scored)
+from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
+                                  half_widths, quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
 from scoremorph.training import family_kind
@@ -103,24 +102,16 @@ def test_interval_worked_example_sizes():
         fam = SqrtShiftFixture(theta)
         (batch,) = score(zero_predictor, cal)
         q = calibrate(calibration_scores(fam, batch), 0.5)
-        c = interval(fam, np.array([0.0]), 0.0, q)
-        sizes[theta] = c.size
+        sizes[theta] = 2.0 * half_widths(fam, np.array([[0.0]]), q)[0]
     assert sizes[1.0] == pytest.approx(2 * (2 + np.sqrt(2)), abs=1e-12)
     assert sizes[-1.0] == pytest.approx(2 * (2 - np.sqrt(2)), abs=1e-12)
     assert sizes[1.0] != sizes[-1.0]
 
 
 def test_interval_fixed_family():
-    c = interval(FixedTransform(), np.zeros(2), 0.0, 9.0)
-    assert c.half_width == pytest.approx(3.0)
-    assert c.contains(2.9999)
-    assert not c.contains(3.1)
-    assert c.size == pytest.approx(6.0)
-
-
-def test_prediction_interval_validation():
-    with pytest.raises(ValueError):
-        PredictionInterval(0.0, -1.0)
+    half = half_widths(FixedTransform(), np.zeros((1, 2)), 9.0)[0]
+    assert half == pytest.approx(3.0)
+    assert 2.9999 <= half < 3.1
 
 
 def make_random_split(rng, n_cal=60, n_test=25):
@@ -221,8 +212,8 @@ def mc_coverage(fam_builder, alpha, n_cal=99, reps=400, seed=0):
         cal, test = make_random_split(rng, n_cal=n_cal, n_test=1)
         (batch,) = score(predict_mean, cal)
         q = calibrate(calibration_scores(fam, batch), alpha)
-        c = interval(fam, test.x[0], predict_mean(test.x)[0], q)
-        hits += c.contains(float(test.y[0]))
+        half = half_widths(fam, test.x, q)[0]
+        hits += abs(float(test.y[0]) - predict_mean(test.x)[0]) <= half
     return hits / reps
 
 
@@ -278,7 +269,7 @@ def test_sigma_saturation_calibrates_like_linear():
 
 
 def test_sigma_saturation_single_interval_like_linear():
-    # the public scores/quantile/interval path scores z as evaluate does,
+    # the public scores/quantile/half-width path scores z as evaluate does,
     # so the sigma label's interval stays finite where some scores lie past
     # z = 37, where float64 sigmoid(z) is exactly 1
     cal, test = saturating_split()
@@ -287,8 +278,8 @@ def test_sigma_saturation_single_interval_like_linear():
     scores = calibration_scores(linear, batch)
     assert (calibration_scores(OuterMap(linear, *SIGMOID), batch)
             == 1.0).any()
-    half = [interval(linear, test.x[0], 0.0, calibrate(scores, alpha))
-            .half_width for alpha in (0.05, 0.1, 0.32)]
+    half = [half_widths(linear, test.x[:1], calibrate(scores, alpha))[0]
+            for alpha in (0.05, 0.1, 0.32)]
     assert np.all(np.isfinite(half))
     assert half[0] > half[1] > half[2]
 
@@ -301,5 +292,5 @@ def test_half_widths_match_single_intervals():
     half = half_widths(fam, test.x, q)
     assert half.shape == (test.n,)
     # one row or many through the localizer: equal up to BLAS rounding
-    single = [interval(fam, x, 0.0, q).half_width for x in test.x]
+    single = [half_widths(fam, x[None], q)[0] for x in test.x]
     assert single == pytest.approx(half, rel=1e-12)

@@ -1,5 +1,6 @@
 """Smoke test: the demos and README's library quick start run to
-completion against the current API.
+completion against the current API, and the library loads nothing beyond
+numpy and the standard library.
 
 Demo 04 is left out; it repeats the CLI protocol test.
 """
@@ -43,3 +44,14 @@ def test_readme_quick_start_runs(tmp_path):
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     assert len(blocks) == 1  # the library quick start
     run_python(["-c", blocks[0]], tmp_path)
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    # the modules importing the library and its CLI adds, by top-level name;
+    # the test oracles in tests/support.py must not be among them
+    code = ("import sys; before = set(sys.modules); "
+            "import scoremorph, scoremorph.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    loaded = set(run_python(["-c", code], tmp_path).split())
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "scoremorph"}
+    assert not loaded & {"support", "tests"}

@@ -10,7 +10,7 @@ from scoremorph.objective import (LossBatch, _leave_one_out,
                                   pairwise_size_loss)
 from scoremorph.transforms import (ErcTransform, FixedTransform,
                                    LinearTransform, make_family)
-from support import pre_activation_margin
+from support import fixed_loss, oracle_loss, pre_activation_margin
 
 FAMILY_BUILDERS = {
     "erc": lambda net: ErcTransform(net, gamma=1e-2),
@@ -77,11 +77,18 @@ def directional_fd(fam, batch, direction, h=1e-5):
 def test_fixed_family_loss_is_mean_root_score():
     rng = np.random.default_rng(0)
     batch = random_batch(rng, m=5)
-    out = loss_batch(FixedTransform(), batch)
     m = batch.m
     expected = np.sqrt(batch.a).sum() * (m - 1) / (m * (m - 1))
-    assert out.value == pytest.approx(expected, rel=1e-12)
-    assert out.grads == []
+    assert fixed_loss(batch.a) == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_refuses_a_family_outside_the_core_by_name():
+    batch = random_batch(np.random.default_rng(0), m=5)
+    message = "^the size loss needs a log-shift core family, not 'fixed'$"
+    with pytest.raises(ValueError, match=message):
+        loss_batch(FixedTransform(), batch)
+    with pytest.raises(ValueError, match=message):
+        pairwise_size_loss(FixedTransform(), batch.x, batch.a)
 
 
 def test_equal_x_batch_of_two_self_cancels():
@@ -103,14 +110,14 @@ def test_pair_term_exp_closed_form():
     # A = 1: g(x_n) - g(x_test) = 2 gives sqrt(e^2) = e, and -2 gives 1/e,
     # so the mean is cosh(1)
     batch = LossBatch(np.array([[1.0], [3.0]]), np.array([1.0, 1.0]))
-    for mode in ("analytic", "implicit"):
-        got = loss_batch(fam, batch, inverse_mode=mode).value
+    for mode, loss in (("analytic", loss_batch), ("implicit", oracle_loss)):
+        got = loss(fam, batch).value
         assert got == pytest.approx(np.cosh(1.0), rel=1e-12), mode
 
 
 def test_pair_term_fixed():
     batch = LossBatch(np.stack([np.zeros(2), np.ones(2)]), np.full(2, 4.0))
-    assert loss_batch(FixedTransform(), batch).value == pytest.approx(2.0)
+    assert fixed_loss(batch.a) == pytest.approx(2.0)
 
 
 def test_pair_term_self_cancellation():
@@ -118,15 +125,16 @@ def test_pair_term_self_cancellation():
         fam = FAMILY_BUILDERS[kind](small_net(2))
         x = np.array([0.3, 0.1, -0.5])
         batch = LossBatch(np.stack([x, x]), np.array([2.5, 2.5]))
-        for mode in ("analytic", "implicit"):
-            assert loss_batch(fam, batch, inverse_mode=mode).value == \
+        for mode, loss in (("analytic", loss_batch),
+                           ("implicit", oracle_loss)):
+            assert loss(fam, batch).value == \
                 pytest.approx(np.sqrt(2.5), rel=1e-9), (kind, mode)
 
 
 def test_constant_localizer_matches_fixed_loss():
     rng = np.random.default_rng(3)
     batch = random_batch(rng, m=8)
-    fixed_value = loss_batch(FixedTransform(), batch).value
+    fixed_value = fixed_loss(batch.a)
     for kind in FAMILY_BUILDERS:
         net = small_net(4)
         net.weights = [np.zeros_like(w) for w in net.weights]
@@ -138,14 +146,13 @@ def test_constant_localizer_matches_fixed_loss():
 
 
 def test_loss_batch_validation():
-    # one row is a valid (x, A) batch, but no pair loss: the matrix path
-    # (fixed) and the closed form (erc) both refuse it
+    # one row is a valid (x, A) batch, but no pair loss
     one = LossBatch(np.zeros((1, 2)), np.zeros(1))
-    for fam in (FixedTransform(), ErcTransform(small_net(0, d=2))):
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            loss_batch(fam, one)
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            pairwise_size_loss(fam, one.x, one.a)
+    fam = ErcTransform(small_net(0, d=2))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        loss_batch(fam, one)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        pairwise_size_loss(fam, one.x, one.a)
     with pytest.raises(ValueError):
         LossBatch(np.zeros((3, 2)), np.array([1.0, -1.0, 2.0]))
 
@@ -183,8 +190,8 @@ def test_gradients_match_directional_fd():
 def test_implicit_mode_matches_analytic_exp():
     # the analytic inverse is the exponential exp(B - g)
     fam, batch = off_kink_case("linear", seed=42)
-    analytic = loss_batch(fam, batch, inverse_mode="analytic")
-    implicit = loss_batch(fam, batch, inverse_mode="implicit")
+    analytic = loss_batch(fam, batch)
+    implicit = oracle_loss(fam, batch)
     assert implicit.value == pytest.approx(analytic.value, rel=1e-8)
     fa, fi = flatten(analytic.grads), flatten(implicit.grads)
     # relative to the gradient scale: bisection noise ~1e-12 would fail a
@@ -195,8 +202,8 @@ def test_implicit_mode_matches_analytic_exp():
 def test_implicit_mode_matches_analytic_all_trainable():
     for kind in FAMILY_BUILDERS:
         fam, batch = off_kink_case(kind, seed=77, m=4)
-        analytic = loss_batch(fam, batch, inverse_mode="analytic")
-        implicit = loss_batch(fam, batch, inverse_mode="implicit")
+        analytic = loss_batch(fam, batch)
+        implicit = oracle_loss(fam, batch)
         assert implicit.value == pytest.approx(analytic.value, rel=1e-7), kind
 
 
@@ -298,7 +305,7 @@ def core_case(kind, m, spread, seed):
 def test_closed_form_matches_implicit_oracle(kind, m, spread):
     fam, batch = core_case(kind, m, spread, seed=m)
     closed = loss_batch(fam, batch)
-    oracle = loss_batch(fam, batch, inverse_mode="implicit")
+    oracle = oracle_loss(fam, batch)
     assert abs(closed.value - oracle.value) <= 1e-12 * abs(oracle.value)
     fc, fo = flatten(closed.grads), flatten(oracle.grads)
     assert np.abs(fc - fo).max() <= 1e-10 * np.abs(fo).max()

@@ -16,7 +16,7 @@ from scoremorph.training import (ProtocolRow, TrainConfig, TrainingDiverged,
                                  TrainTrace, aggregate, run_protocol, train)
 from scoremorph.transforms import FixedTransform, make_family
 
-from support import spy_popen
+from support import fixed_loss, spy_popen
 
 A_GRID = np.logspace(-6, 3, 25)
 
@@ -141,11 +141,11 @@ def test_heteroskedastic_training_beats_fixed_majority_of_seeds():
     for seed in range(5):
         proper, cp, val, _ = synth_splits("linear", n=500, seed=seed)
         cp, val = score(fitted_knn(proper, seed).predict_batch, cp, val)
-        fixed_loss = pairwise_size_loss(FixedTransform(), val.x, val.a)
+        fixed = fixed_loss(val.a)
         fam, _ = train(quick_config("linear", seed=seed, epochs=40,
                                     patience=12), cp, val)
         trained_loss = pairwise_size_loss(fam, val.x, val.a)
-        wins += trained_loss < fixed_loss
+        wins += trained_loss < fixed
     assert wins >= 3
 
 
@@ -164,11 +164,11 @@ def test_homoskedastic_training_cannot_beat_fixed():
         y = exact_predict(x) + 0.3 * rng.normal(size=1000)
         proper, cp, val, _ = split(Dataset(x, y), SplitSpec(seed))
         cp, val = score(exact_predict, cp, val)
-        fixed_loss = pairwise_size_loss(FixedTransform(), val.x, val.a)
+        fixed = fixed_loss(val.a)
         fam, _ = train(quick_config("linear", seed=seed, epochs=20), cp, val)
         trained_loss = pairwise_size_loss(fam, val.x, val.a)
-        assert trained_loss >= fixed_loss - 2e-3, seed
-        diffs.append(trained_loss - fixed_loss)
+        assert trained_loss >= fixed - 2e-3, seed
+        diffs.append(trained_loss - fixed)
     assert np.mean(diffs) >= -1e-3
 
 

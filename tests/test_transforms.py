@@ -4,10 +4,10 @@ import pytest
 from scoremorph.network import LocalizerNet
 from scoremorph.transforms import (TRAINABLE_KINDS, CodomainError,
                                    ErcTransform, FixedTransform,
-                                   LinearTransform, NoRootError, make_family)
+                                   LinearTransform, LogShiftCore, make_family)
 from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
-                     CubeFixture, LogShiftTransform, OuterMap,
-                     SqrtShiftFixture)
+                     LogShiftTransform, OuterMap, SqrtShiftFixture,
+                     bisect_inverse, inverse_slopes)
 
 A_GRID = np.logspace(-8, 4, 40)
 
@@ -26,7 +26,21 @@ def all_families(seed=0, d=3):
 
 
 def trainable_families(seed=0, d=3):
-    return [f for f in all_families(seed, d) if f.trainable]
+    return [f for f in all_families(seed, d) if isinstance(f, LogShiftCore)]
+
+
+def slope_a(fam, loc, a):
+    """phi_A at (loc, A), which depends on A alone: 1 for the fixed family,
+    and the oracle's 1 / (d phi^{-1}/dB) for the log families."""
+    a = np.asarray(a, dtype=float)
+    if fam.kind == "fixed":
+        return np.ones_like(a)
+    return 1.0 / inverse_slopes(0.0, a, fam.epsilon_floor)[1]
+
+
+def implicit_slopes(fam, g, a_star):
+    """The oracle's (d phi^{-1}/dg, d phi^{-1}/dB) at A* of a core family."""
+    return inverse_slopes(fam.dshift(g), a_star, fam.epsilon_floor)
 
 
 # ---- forward examples ----
@@ -123,11 +137,11 @@ def test_deriv_examples():
     net.weights = [np.zeros_like(w) for w in net.weights]
     erc = ErcTransform(net, gamma=1.0)
     x = np.zeros((1, 3))
-    assert erc.dphi_da(erc.loc_batch(x), [5.0])[0] == pytest.approx(0.2)
+    assert slope_a(erc, erc.loc_batch(x), [5.0])[0] == pytest.approx(0.2)
     lin = LinearTransform(net_for())
-    assert lin.dphi_da(lin.loc_batch(x), [4.0])[0] == pytest.approx(
+    assert slope_a(lin, lin.loc_batch(x), [4.0])[0] == pytest.approx(
         0.25 * np.exp(0.0) / np.exp(0.0))
-    assert lin.dphi_da(lin.loc_batch(x), [4.0])[0] == pytest.approx(0.25)
+    assert slope_a(lin, lin.loc_batch(x), [4.0])[0] == pytest.approx(0.25)
 
 
 def test_deriv_A_matches_finite_differences():
@@ -139,7 +153,7 @@ def test_deriv_A_matches_finite_differences():
             h = 1e-6 * max(1.0, a)
             fd = (fam.forward_batch(x, [a + h])[0]
                   - fam.forward_batch(x, [a - h])[0]) / (2 * h)
-            an = fam.dphi_da(fam.loc_batch(x), [a])[0]
+            an = slope_a(fam, fam.loc_batch(x), [a])[0]
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)), fam.kind
 
 
@@ -148,37 +162,26 @@ def test_deriv_A_strictly_positive():
     for fam in all_families():
         for _ in range(20):
             loc = fam.loc_batch(rng.normal(size=3)[None])
-            assert fam.dphi_da(loc, [float(rng.uniform(1e-6, 100.0))])[0] > 0
+            assert slope_a(fam, loc, [float(rng.uniform(1e-6, 100.0))])[0] > 0
 
 
-# ---- numeric inverse ----
+# ---- numeric inverse (the bisection oracle of the closed form) ----
 
 def test_numeric_inverse_exp_against_analytic():
     # the analytic inverse is the exponential exp(B - g)
     fam = LinearTransform(net_for(seed=11))
     g = fam.loc_batch(np.array([[0.2, 0.4, -0.1]]))
     b = np.log(5.0) + g
-    got = fam.phi_inv_numeric(g, b, tol=1e-12)[0]
+    got = bisect_inverse(fam.shift(g), b, fam.epsilon_floor, tol=1e-12)[0]
     assert abs(got - 5.0) <= 1e-10
-
-
-def test_numeric_inverse_fixed():
-    fam = FixedTransform()
-    got = fam.phi_inv_numeric(fam.loc_batch(np.zeros((1, 2))), 9.0)[0]
-    assert got == pytest.approx(9.0, abs=1e-10)
-
-
-def test_numeric_inverse_cube_root():
-    fam = CubeFixture()
-    got = fam.phi_inv_numeric(fam.loc_batch(np.zeros((1, 2))), 8.0)[0]
-    assert got == pytest.approx(2.0, abs=1e-10)
 
 
 def test_numeric_inverse_no_root():
     lin = LinearTransform(net_for(seed=12))
     # below the clamped floor log(1e-12)+g there is no root
-    with pytest.raises(NoRootError):
-        lin.phi_inv_numeric(lin.loc_batch(np.zeros((1, 3))), -1e6)
+    with pytest.raises(ValueError, match="^no root below the bracket"):
+        bisect_inverse(lin.shift(lin.loc_batch(np.zeros((1, 3)))), -1e6,
+                       lin.epsilon_floor)
 
 
 def test_numeric_inverse_agrees_with_analytic_everywhere():
@@ -188,7 +191,8 @@ def test_numeric_inverse_agrees_with_analytic_everywhere():
             x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.01, 50.0))
             b = fam.forward_batch(x, [a])[0]
-            got = fam.phi_inv_numeric(fam.loc_batch(x), b, tol=1e-12)[0]
+            got = bisect_inverse(fam.shift(fam.loc_batch(x)), b,
+                                 fam.epsilon_floor, tol=1e-12)[0]
             assert abs(got - a) <= 1e-9 * max(1.0, a), fam.kind
 
 
@@ -212,28 +216,17 @@ def test_grad_inverse_params_exp_matches_closed_form():
         b = float(np.log(rng.uniform(0.1, 10.0)))
         g, tape = fam.localizer.forward_batch(x[None])
         a_star = fam.phi_inv(g, b)
-        phi_p = fam.dphi_da(g, a_star)
-        implicit = fam.localizer.backward_batch(
-            tape, -fam.dphi_dloc(g, a_star) / phi_p)
+        d_loc, d_b = implicit_slopes(fam, g, a_star)
+        implicit = fam.localizer.backward_batch(tape, d_loc)
         oracle = fam.localizer.backward_batch(tape, -np.exp(b - g))
         assert grad_list_allclose(implicit, oracle, 1e-10)
-        assert 1.0 / phi_p[0] == pytest.approx(np.exp(b - g[0]), rel=1e-12)
-
-
-def test_grad_inverse_params_fixed_is_empty():
-    # no parameters, and B does not move with the localization value
-    fam = FixedTransform()
-    loc = fam.loc_batch(np.zeros((1, 3)))
-    a_star = fam.phi_inv(loc, 2.0)
-    assert not fam.trainable
-    assert fam.dphi_dloc(loc, a_star)[0] == 0.0
-    assert 1.0 / fam.dphi_da(loc, a_star)[0] == pytest.approx(1.0)
+        assert d_b[0] == pytest.approx(np.exp(b - g[0]), rel=1e-12)
 
 
 def test_linear_inverse_derivative_at_b_equals_g():
     fam = LinearTransform(net_for(seed=14))
     g = fam.loc_batch(np.array([[0.5, -0.5, 0.2]]))
-    dinv_db = 1.0 / fam.dphi_da(g, fam.phi_inv(g, g))[0]
+    dinv_db = implicit_slopes(fam, g, fam.phi_inv(g, g))[1][0]
     assert dinv_db == pytest.approx(1.0, rel=1e-12)
 
 
@@ -247,10 +240,11 @@ def test_implicit_vs_analytic_inverse_gradients():
             b = fam.forward_batch(x, [a])[0]
             g, tape = fam.localizer.forward_batch(x)
             grads = []
-            for a_star in (fam.phi_inv(g, b), fam.phi_inv_numeric(g, b)):
-                phi_p = fam.dphi_da(g, a_star)
-                grads.append((fam.localizer.backward_batch(
-                    tape, -fam.dphi_dloc(g, a_star) / phi_p), 1.0 / phi_p[0]))
+            for a_star in (fam.phi_inv(g, b),
+                           bisect_inverse(fam.shift(g), b, fam.epsilon_floor)):
+                d_loc, d_b = implicit_slopes(fam, g, a_star)
+                grads.append((fam.localizer.backward_batch(tape, d_loc),
+                              d_b[0]))
             (analytic, db_a), (implicit, db_n) = grads
             assert grad_list_allclose(analytic, implicit, 1e-9), fam.kind
             assert abs(db_a - db_n) <= 1e-9 * max(abs(db_a), 1e-12), fam.kind
@@ -266,11 +260,9 @@ def test_implicit_vs_analytic_inverse_gradients():
         b = fam.forward_batch(x, [a])[0]
         g = fam.loc_batch(x)[0]
         d_loc, d_b = core_inverse_derivatives(fam, g, b)
-        a_star = fam.phi_inv(g, b)
-        phi_p = fam.dphi_da(g, a_star)
-        assert -fam.dphi_dloc(g, a_star) / phi_p == pytest.approx(
-            d_loc, rel=1e-9), fam.kind
-        assert 1.0 / phi_p == pytest.approx(d_b, rel=1e-9), fam.kind
+        implicit_loc, implicit_b = implicit_slopes(fam, g, fam.phi_inv(g, b))
+        assert implicit_loc == pytest.approx(d_loc, rel=1e-9), fam.kind
+        assert implicit_b == pytest.approx(d_b, rel=1e-9), fam.kind
 
 
 # ---- codomain failure fixtures ----
