@@ -16,7 +16,7 @@ from scoremorph.data import SplitSpec, normalize, split
 from scoremorph.figures import band_csv, compute_band, render_svg
 from scoremorph.synthetic import SynthSpec, generate
 from scoremorph.training import TrainConfig, train
-from scoremorph.transforms import FixedTransform
+from scoremorph.transforms import make_family
 
 ALPHA = 0.05
 
@@ -35,7 +35,7 @@ fam, trace = train(TrainConfig(family="linear", seed=7), cal, val)
 print(f"trained for {len(trace.epochs) - 1} epochs, "
       f"best validation loss at epoch {trace.best_epoch}")
 
-for name, family in (("fixed", FixedTransform()), ("linear", fam)):
+for name, family in (("fixed", make_family("fixed")), ("linear", fam)):
     rep = evaluate(family, cal, te, [ALPHA])[0]
     print(f"{name:7s} alpha={ALPHA}: mean interval size {rep.mean_size:.3f}, "
           f"empirical validity {rep.empirical_validity:.3f}")

@@ -1,24 +1,23 @@
 """Tour of the monotone score transformations.
 
-Every family maps the squared residual A to a new score B = phi_x(A),
-strictly increasing in A with an x-independent codomain. That pair of
-properties is what keeps the calibrated quantile invertible at any test
-attribute; the last section shows what goes wrong without it. Every call
-takes a batch of attribute rows; a single point is a one-row batch.
+Every family maps the squared residual A to a new score
+B = log max(A, eps) + s(g(x)), strictly increasing in A with an
+x-independent codomain, all of R. That pair of properties is what keeps
+the calibrated quantile invertible at any test attribute; the last section
+shows what goes wrong without it, on a map of its own. Every call takes a
+batch of attribute rows; a single point is a one-row batch.
 """
 
 import numpy as np
 
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (CodomainError, ErcTransform,
-                                   FixedTransform, LinearTransform,
-                                   TransformFamily)
+from scoremorph.transforms import make_family
 
 net = LocalizerNet.init(d=2, seed=0)
 families = [
-    FixedTransform(),
-    ErcTransform(net, gamma=1e-2),
-    LinearTransform(net),
+    make_family("fixed"),
+    make_family("erc", net, gamma=1e-2),
+    make_family("linear", net),
 ]
 
 x = np.array([[0.3, -1.2]])  # one attribute row
@@ -44,16 +43,22 @@ for name, score in (("linear", z), ("exp", np.exp(z)),
 
 # breaking the shared-codomain requirement: B = A + g(x)^2 has codomain
 # [g(x)^2, inf), so a quantile from one x may be uninvertible at another
-class Additive(TransformFamily):
+class OutOfCodomain(ValueError):
+    """A score lies outside the map's codomain at this x."""
+
+
+class Additive:
     def loc_batch(self, xs):
         return 2.0 + xs[:, 0]  # g at each row
 
-    def phi(self, g, a):
-        return a + g * g
+    def forward_batch(self, xs, a):
+        g = self.loc_batch(xs)
+        return np.asarray(a) + g * g
 
-    def phi_inv(self, g, b):
+    def inverse_batch(self, xs, b):
+        g = self.loc_batch(xs)
         if np.any(b < g * g):
-            raise CodomainError("additive fixture: B below g(x)^2 has no "
+            raise OutOfCodomain("additive fixture: B below g(x)^2 has no "
                                 "nonnegative base score")
         return b - g * g
 
@@ -61,10 +66,12 @@ class Additive(TransformFamily):
 class AdditiveLogRepair(Additive):
     """(1 + eps) log A + g(x)^2 with eps = 0.1: codomain all of R at any x."""
 
-    def phi(self, g, a):
-        return 1.1 * np.log(self._clamped(a)) + g * g
+    def forward_batch(self, xs, a):
+        g = self.loc_batch(xs)
+        return 1.1 * np.log(np.maximum(a, 1e-12)) + g * g
 
-    def phi_inv(self, g, b):
+    def inverse_batch(self, xs, b):
+        g = self.loc_batch(xs)
         return np.exp((b - g * g) / 1.1)
 
 
@@ -75,7 +82,7 @@ print(f"\nadditive fixture: calibration score B = {b:.1f}, "
       f"test codomain starts at {broken.loc_batch(x_test)[0] ** 2:.1f}")
 try:
     broken.inverse_batch(x_test, b)
-except CodomainError as exc:
+except OutOfCodomain as exc:
     print(f"  inversion fails as expected: {exc}")
 b2 = repaired.forward_batch(x_cal, [1.0])[0]
 print("  log-composed repair inverts fine: "

@@ -12,7 +12,7 @@ from scoremorph.conformal import (calibrate, calibration_scores, half_widths,
                                   quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import ErcTransform, FixedTransform
+from scoremorph.transforms import make_family
 
 N_CAL = 99
 REPS = 2000
@@ -30,9 +30,9 @@ def draw(n):
 
 
 families = {
-    "fixed": FixedTransform(),
-    "erc (frozen random localizer)": ErcTransform(
-        LocalizerNet.init(3, seed=5), gamma=1e-2),
+    "fixed": make_family("fixed"),
+    "erc (frozen random localizer)": make_family(
+        "erc", LocalizerNet.init(3, seed=5), gamma=1e-2),
 }
 
 for name, fam in families.items():

@@ -24,8 +24,6 @@ from .synthetic import SynthData, SynthSpec, amplitude, generate
 from .training import (CLI_FAMILIES, ProtocolAggregate, ProtocolResult,
                        ProtocolRow, TrainConfig, TrainTrace, TrainingDiverged,
                        aggregate, point_model, run_protocol, score, train)
-from .transforms import (TRAINABLE_KINDS, CodomainError, ErcTransform,
-                         FixedTransform, LinearTransform, LogShiftCore,
-                         TransformFamily, make_family)
+from .transforms import TRAINABLE_KINDS, TransformFamily, make_family
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,7 +34,7 @@ from .serialize import ModelBundle, load_model, save_model
 from .synthetic import KINDS, SynthSpec, generate
 from .training import (CLI_FAMILIES, ProtocolRow, TrainConfig, aggregate,
                        point_model, protocol_rows, run_protocol, score, train)
-from .transforms import FixedTransform
+from .transforms import make_family
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -203,7 +203,7 @@ def _eval_frozen(args, paths, alphas):
     base_seed = args.seed if args.seed is not None else bundles[0].split.seed
     if "fixed" not in labels:
         first = bundles[0]
-        bundles.append(ModelBundle("fixed", FixedTransform(), first.stats,
+        bundles.append(ModelBundle("fixed", make_family("fixed"), first.stats,
                                    first.knn_k, first.split))
     for r in range(args.runs):
         run_seed = base_seed + r

@@ -2,10 +2,15 @@
 
 ``scored`` pairs a split's attributes with its base scores (f(x) - y)^2,
 and everything below takes those ``(x, A)`` batches. One array path:
-``calibration_scores`` scores them through the family (for the log-shift
-core z = log A + s(x), which no float saturates), ``calibrate`` takes an
-actual order statistic of them (never interpolated), and ``half_widths``
-inverts it through the same family at any test attribute.
+``calibration_scores`` scores them through the family (the log-shift core
+z = log max(A, eps) + s(x), which no float saturates), ``calibrate`` takes
+an actual order statistic of them (never interpolated), and
+``half_widths`` inverts it through the same family at any test attribute.
+
+``evaluate`` counts a test row as covered on the event the split conformal
+guarantee bounds, test score <= calibration quantile, in score space: the
+half width sqrt(exp(q)) of a quantile q = log A may round below sqrt(A),
+so the label-space event A <= exp(q) could miss a test score that ties q.
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ def half_widths(fam: TransformFamily, xs, q_hat: float,
 
 def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
              alphas) -> list[EvalReport]:
-    """Mean interval size and empirical coverage on a test set, per alpha.
+    """Mean interval size and empirical coverage on a test set, per alpha;
+    a test row is covered where its score is at most the alpha's quantile.
 
     A ``ValueError`` of one alpha's quantile or inverse becomes that
     alpha's ``error``, with no size or validity. The localizer runs once
@@ -99,14 +105,16 @@ def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
     """
     b_cal = calibration_scores(fam, calibration)
     locs = fam.loc_batch(test.x)
+    b_test = fam.forward_batch(test.x, test.a, locs)
     reports = []
     for alpha in alphas:
         try:
-            inv = _inverse(fam, test.x, calibrate(b_cal, alpha), locs)
+            q_hat = calibrate(b_cal, alpha)
+            inv = _inverse(fam, test.x, q_hat, locs)
         except ValueError as exc:
             reports.append(EvalReport(float(alpha), None, None, str(exc)))
             continue
         reports.append(EvalReport(
             float(alpha), float((2.0 * np.sqrt(inv)).mean()),
-            float((test.a <= inv).mean())))
+            float((b_test <= q_hat).mean())))
     return reports

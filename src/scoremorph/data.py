@@ -49,14 +49,6 @@ class NormalizationStats:
             "zero_variance": [bool(f) for f in self.zero_variance],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            sd=np.asarray(d["sd"], dtype=float),
-            zero_variance=np.asarray(d["zero_variance"], dtype=bool),
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:

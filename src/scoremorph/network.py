@@ -188,10 +188,6 @@ class LocalizerNet:
             "biases": [b.tolist() for b in self.biases],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LocalizerNet":
-        return cls(d["weights"], d["biases"])
-
 
 class AdamState:
     """First/second moment accumulators plus the step counter.

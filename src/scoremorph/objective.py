@@ -10,9 +10,9 @@ its derivative in s_k is (e^{z_k/2} W_k - e^{-s_k/2} R_k) / (2m(m-1)), with
 the leave-one-out sums W_k = sum_{i != k} e^{-s_i/2} and
 R_k = sum_{n != k} e^{z_n/2}: O(m), with no pair inverted. A loss that
 overflows names the pairs whose term exp((z_n - s_i) / 2) is not finite.
-The loss takes only the core and refuses other families by kind: the
-fixed baseline has no parameters to train, and its loss is the core's at
-any constant shift.
+Every family is the core, so ``pairwise_size_loss`` takes any, fixed (the
+core at s = 0) included; ``loss_batch`` trains a localizer and refuses, by
+name, a family that has none.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import LocalizerNet
-from .transforms import LogShiftCore, TransformFamily
+from .transforms import TransformFamily
 
 # pair terms held at a time while naming a loss's non-finite pairs: 2 MiB,
 # as many as a neighbour-scan chunk holds pairs at d = 1
@@ -99,11 +99,12 @@ def _leave_one_out(v):
     return out
 
 
-def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
-    """Closed-form loss value and d value / d g of the log-shift core, O(m)."""
+def _core_loss(fam: TransformFamily, g, a_eff, grad: bool):
+    """Closed-form loss value and d value / d g of the log-shift core, O(m),
+    at scores a_eff already floored at eps."""
     norm = _pair_norm(g.shape[0])
     s = fam.shift(g)
-    z = fam.phi(g, a_eff)
+    z = np.log(a_eff) + s
     # centre the exponents so neither factor overflows before the product
     c = 0.5 * (z.max() + s.min())
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,19 +124,14 @@ def _core_loss(fam: LogShiftCore, g, a_eff, grad: bool):
     return value, d_s * fam.dshift(g)
 
 
-def _core(fam: TransformFamily) -> LogShiftCore:
-    if not isinstance(fam, LogShiftCore):
-        raise ValueError("the size loss needs a log-shift core family, "
-                         f"not '{fam.kind}'")
-    return fam
-
-
 def loss_batch(fam: TransformFamily, batch: LossBatch, out=None) -> LossValue:
     """Pairwise mean interval-size loss with parameter gradients, from the
     core's O(m) closed form. ``out`` is passed on to
     ``LocalizerNet.backward_batch`` as the flat gradient buffer.
     """
-    net = _core(fam).localizer
+    net = fam.localizer
+    if net is None:
+        raise ValueError(f"family '{fam.kind}' has no localizer to train")
     g, tape = net.forward_batch(batch.x)
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite localization value in batch")
@@ -146,7 +142,7 @@ def loss_batch(fam: TransformFamily, batch: LossBatch, out=None) -> LossValue:
 
 def pairwise_size_loss(fam: TransformFamily, xs, a) -> float:
     """Loss value only, over all ordered pairs of the given set."""
-    a_eff = np.maximum(np.asarray(a, dtype=float), _core(fam).epsilon_floor)
+    a_eff = np.maximum(np.asarray(a, dtype=float), fam.epsilon_floor)
     g = np.asarray(fam.loc_batch(xs), dtype=float)
     return _core_loss(fam, g, a_eff, grad=False)[0]
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import NormalizationStats, SplitSpec
 from .ioutil import write_text_atomic
 from .network import LocalizerNet
@@ -19,11 +21,19 @@ from .transforms import TransformFamily, make_family
 
 MODEL_FORMAT_VERSION = 1
 
-# every field save_model writes, with the JSON types it may hold
+# every top-level field save_model writes, with the JSON types it may hold
 _FIELDS = {"format_version": int, "family": str,
            "gamma": (int, float, type(None)), "epsilon_floor": (int, float),
            "localizer": (dict, type(None)), "normalization_stats": dict,
            "knn_k": int, "split": dict}
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _layers(value):
+    return [_floats(layer) for layer in value]
 
 
 @dataclass(frozen=True)
@@ -39,11 +49,11 @@ def model_to_dict(label: str, family: TransformFamily,
                   stats: NormalizationStats, knn_k: int,
                   split: SplitSpec) -> dict:
     family_kind(label)  # rejects unknown labels
-    localizer = getattr(family, "localizer", None)
+    localizer = family.localizer
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "family": label,
-        "gamma": getattr(family, "gamma", None),
+        "gamma": family.gamma,
         "epsilon_floor": family.epsilon_floor,
         "localizer": localizer.to_json_dict() if localizer is not None else None,
         "normalization_stats": stats.to_json_dict(),
@@ -52,21 +62,49 @@ def model_to_dict(label: str, family: TransformFamily,
     }
 
 
-def model_from_dict(doc: dict) -> ModelBundle:
-    version = doc.get("format_version")
+def model_from_dict(doc: dict, path) -> ModelBundle:
+    """The bundle of the JSON object doc read from the model file at path.
+    A field that is missing, holds a value of the wrong JSON type, or holds
+    an array numpy cannot read, raises one ValueError naming the file and
+    the field, dotted below the top level as in ``split.seed``."""
+    def field(name, types, read=None):
+        value = doc
+        for key in name.split("."):
+            if key not in value:
+                raise ValueError(f"model file {path} has no field '{name}'")
+            value = value[key]
+        if not isinstance(value, types):
+            raise ValueError(f"model file {path}: field '{name}' holds a "
+                             f"{type(value).__name__}")
+        if read is None:
+            return value
+        try:
+            return read(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model file {path}: field '{name}' cannot be "
+                             f"read: {exc}") from None
+
+    for name, types in _FIELDS.items():
+        field(name, types)
+    version = doc["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version}")
     label = doc["family"]
     kind = family_kind(label)
     localizer = None
-    if doc.get("localizer") is not None:
-        localizer = LocalizerNet.from_json_dict(doc["localizer"])
-    kwargs = {"epsilon_floor": doc["epsilon_floor"]}
-    if kind == "erc":
-        kwargs["gamma"] = doc["gamma"]
-    family = make_family(kind, localizer=localizer, **kwargs)
-    stats = NormalizationStats.from_json_dict(doc["normalization_stats"])
-    split = SplitSpec(doc["split"]["seed"], tuple(doc["split"]["fractions"]))
+    if doc["localizer"] is not None:
+        localizer = LocalizerNet(
+            field("localizer.weights", list, _layers),
+            field("localizer.biases", list, _layers))
+    gamma = field("gamma", (int, float)) if kind == "erc" else None
+    family = make_family(kind, localizer, gamma, doc["epsilon_floor"])
+    stats = NormalizationStats(
+        field("normalization_stats.mean", list, _floats),
+        field("normalization_stats.sd", list, _floats),
+        field("normalization_stats.zero_variance", list,
+              lambda v: np.asarray(v, dtype=bool)))
+    split = SplitSpec(field("split.seed", int),
+                      tuple(field("split.fractions", list, _floats)))
     return ModelBundle(label, family, stats, int(doc["knn_k"]), split)
 
 
@@ -78,8 +116,8 @@ def save_model(path, label, family, stats, knn_k, split) -> None:
 
 def load_model(path) -> ModelBundle:
     """The bundle of the model file at path. A file that holds no JSON
-    object, or lacks a field or holds one of the wrong type, raises one
-    ValueError naming the file and the field."""
+    object raises a ValueError naming the file; see ``model_from_dict``
+    for the fields."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -88,10 +126,4 @@ def load_model(path) -> ModelBundle:
     if not isinstance(doc, dict):
         raise ValueError(f"model file {path} holds a JSON "
                          f"{type(doc).__name__}, not an object")
-    for field, types in _FIELDS.items():
-        if field not in doc:
-            raise ValueError(f"model file {path} has no field '{field}'")
-        if not isinstance(doc[field], types):
-            raise ValueError(f"model file {path}: field '{field}' holds a "
-                             f"{type(doc[field]).__name__}")
-    return model_from_dict(doc)
+    return model_from_dict(doc, path)

@@ -5,8 +5,9 @@ here exist to pin properties from outside that set: global monotone maps
 that must not change intervals (among them the paper's exp and sigma,
 which score exp(z) and sigmoid(z) of linear's z), a worked example whose
 codomain moves with x, and the additive family whose inverse fails at a
-test attribute (with its log-composed repair). Each defines only the methods some test
-reaches. ``spy_popen`` records the worker processes a call starts.
+test attribute (with its log-composed repair). They share the generic
+``MapFamily`` base, and each defines only the methods some test reaches.
+``spy_popen`` records the worker processes a call starts.
 
 The oracles are the generic reference the library's closed forms are
 checked against, written for the log-shift core phi = log max(A, eps) + s
@@ -20,8 +21,7 @@ import subprocess
 import numpy as np
 
 from scoremorph.objective import LossValue
-from scoremorph.transforms import (DEFAULT_EPSILON_FLOOR, CodomainError,
-                                   TransformFamily, _expand)
+from scoremorph.transforms import DEFAULT_EPSILON_FLOOR
 
 
 def bisect_inverse(s, b, eps=DEFAULT_EPSILON_FLOOR, tol=1e-12):
@@ -105,7 +105,43 @@ def fixed_loss(a) -> float:
     return pair_loss(np.zeros(len(a)), a)[0]
 
 
-class LogShiftTransform(TransformFamily):
+class CodomainError(ValueError):
+    """A transformed score lies outside the family codomain at this x."""
+
+
+def _expand(value, *operands):
+    """Broadcast a (possibly constant) value to the joint operand shape."""
+    shape = np.broadcast_shapes(*(np.shape(o) for o in operands))
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
+class MapFamily:
+    """A family B = phi(loc, A) with the library family's batch API.
+
+    Subclasses implement ``phi``/``phi_inv`` as numpy-vectorized functions
+    of (loc, score), and ``loc_batch`` where the map depends on x.
+    """
+
+    def __init__(self, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
+        self.epsilon_floor = float(epsilon_floor)
+
+    def loc_batch(self, xs) -> np.ndarray:
+        return np.zeros(np.asarray(xs).shape[0])
+
+    def forward_batch(self, xs, a, locs=None):
+        a = np.asarray(a, dtype=float)
+        if np.any(a < 0):
+            raise ValueError("base scores must be nonnegative")
+        return self.phi(self.loc_batch(xs) if locs is None else locs, a)
+
+    def inverse_batch(self, xs, b, locs=None):
+        return self.phi_inv(self.loc_batch(xs) if locs is None else locs, b)
+
+    def _clamped(self, a):
+        return np.maximum(a, self.epsilon_floor)
+
+
+class LogShiftTransform(MapFamily):
     """Non-adaptive log score with a constant offset; width is x-independent."""
 
     kind = "log-shift"
@@ -122,7 +158,7 @@ class LogShiftTransform(TransformFamily):
         return _expand(np.exp(np.asarray(b, dtype=float) - self.offset), loc, b)
 
 
-class SqrtMap(TransformFamily):
+class SqrtMap(MapFamily):
     """X-independent sqrt of the base score (global monotone map)."""
 
     kind = "sqrt-map"
@@ -136,24 +172,24 @@ class SqrtMap(TransformFamily):
         return np.asarray(b, dtype=float) ** 2
 
 
-class OuterMap(TransformFamily):
-    """h(z) of a core family's score z, for an increasing h with inverse
+class OuterMap:
+    """h(z) of a library family's score z, for an increasing h with inverse
     h_inv; ``EXP`` and ``SIGMOID`` give the paper's exp and sigma."""
 
     kind = "outer-map"
 
     def __init__(self, core, h, h_inv):
-        super().__init__(core.epsilon_floor)
         self.core, self.h, self.h_inv = core, h, h_inv
 
     def loc_batch(self, xs) -> np.ndarray:
         return self.core.loc_batch(xs)
 
-    def phi(self, loc, a):
-        return self.h(self.core.phi(loc, a))
+    def forward_batch(self, xs, a, locs=None):
+        return self.h(self.core.forward_batch(xs, a, locs))
 
-    def phi_inv(self, loc, b):
-        return self.core.phi_inv(loc, self.h_inv(np.asarray(b, dtype=float)))
+    def inverse_batch(self, xs, b, locs=None):
+        return self.core.inverse_batch(
+            xs, self.h_inv(np.asarray(b, dtype=float)), locs)
 
 
 EXP = (np.exp, np.log)
@@ -161,7 +197,7 @@ SIGMOID = (lambda z: 1.0 / (1.0 + np.exp(-z)),
            lambda b: np.log(b) - np.log1p(-b))
 
 
-class SqrtShiftFixture(TransformFamily):
+class SqrtShiftFixture(MapFamily):
     """B = sqrt(A) + theta * x for scalar attributes.
 
     The codomain depends on x, so calibrated intervals are not invariant in
@@ -186,7 +222,7 @@ class SqrtShiftFixture(TransformFamily):
         return diff * diff
 
 
-class AdditiveFixture(TransformFamily):
+class AdditiveFixture(MapFamily):
     """B = A + g(x)^2 with per-x codomain [g(x)^2, inf).
 
     Inversion at a test attribute can ask for a negative base score, which

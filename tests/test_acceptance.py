@@ -17,11 +17,11 @@ from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
 from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
 from scoremorph.training import TrainConfig, train
-from scoremorph.transforms import (CodomainError, ErcTransform,
-                                   FixedTransform, LinearTransform)
+from scoremorph.transforms import make_family
 from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
-                     LogShiftTransform, OuterMap, SqrtMap, SqrtShiftFixture,
-                     bisect_inverse, inverse_slopes, pre_activation_margin)
+                     CodomainError, LogShiftTransform, OuterMap, SqrtMap,
+                     SqrtShiftFixture, bisect_inverse, inverse_slopes,
+                     pre_activation_margin)
 
 
 def report(num, ok, detail):
@@ -64,11 +64,13 @@ def test_criterion_2_marginal_validity_monte_carlo():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2026)
     families = {
-        "fixed": FixedTransform(),
-        "erc": ErcTransform(LocalizerNet.init(3, seed=101), gamma=1e-2),
-        "linear": LinearTransform(LocalizerNet.init(3, seed=102)),
-        "linear seed 103": LinearTransform(LocalizerNet.init(3, seed=103)),
-        "linear seed 104": LinearTransform(LocalizerNet.init(3, seed=104)),
+        "fixed": make_family("fixed"),
+        "erc": make_family("erc", LocalizerNet.init(3, seed=101), gamma=1e-2),
+        "linear": make_family("linear", LocalizerNet.init(3, seed=102)),
+        "linear seed 103": make_family("linear",
+                                       LocalizerNet.init(3, seed=103)),
+        "linear seed 104": make_family("linear",
+                                       LocalizerNet.init(3, seed=104)),
     }
     failures = []
     for name, fam in families.items():
@@ -98,7 +100,7 @@ def test_criterion_2_marginal_validity_monte_carlo():
 
 def test_criterion_3_global_monotone_invariance():
     rng = np.random.default_rng(7)
-    fams = [FixedTransform(), SqrtMap(), LogShiftTransform(offset=0.0)]
+    fams = [make_family("fixed"), SqrtMap(), LogShiftTransform(offset=0.0)]
     worst = 0.0
     for _ in range(50):
         ds = heteroskedastic(rng, 90)
@@ -114,8 +116,8 @@ def test_criterion_3_global_monotone_invariance():
 # ---------------------------------------------------------------- criterion 4
 
 FAMILY_BUILDERS = {
-    "erc": lambda net: ErcTransform(net, gamma=1e-2),
-    "linear": LinearTransform,
+    "erc": lambda net: make_family("erc", net, gamma=1e-2),
+    "linear": lambda net: make_family("linear", net),
 }
 
 
@@ -180,7 +182,7 @@ def test_criterion_4_loss_gradient_correctness():
 
 def test_criterion_5_implicit_inverse_machinery():
     rng = np.random.default_rng(13)
-    fam = LinearTransform(LocalizerNet.init(3, seed=31))
+    fam = make_family("linear", LocalizerNet.init(3, seed=31))
     worst_inv, worst_grad, worst_db = 0.0, 0.0, 0.0
     for _ in range(20):
         x = rng.normal(size=3)
@@ -213,7 +215,7 @@ def test_criterion_5_implicit_inverse_machinery():
 
 def test_criterion_6_ranking_equivalence():
     # the paper's exp and sigma score exp(z) and sigmoid(z) of linear's z
-    linear = LinearTransform(LocalizerNet.init(3, seed=17))
+    linear = make_family("linear", LocalizerNet.init(3, seed=17))
     fams = [linear, OuterMap(linear, *EXP), OuterMap(linear, *SIGMOID)]
     rng = np.random.default_rng(19)
     worst = 0.0
@@ -249,7 +251,7 @@ def test_criterion_7_local_adaptivity_efficiency():
             model = knn.fit(proper, grid, folds=5, seed=seed)
             cp, val, test = (scored(d, model.predict_batch(d.x))
                              for d in (cp, val, test))
-            fixed = evaluate(FixedTransform(), cp, test, [alpha])[0]
+            fixed = evaluate(make_family("fixed"), cp, test, [alpha])[0]
             # the three labels train one localizer, so one training
             # counts toward each
             fam, _ = train(TrainConfig("linear", seed=seed), cp, val)

@@ -16,7 +16,7 @@ from scoremorph.network import LocalizerNet
 from scoremorph.serialize import load_model, save_model
 from scoremorph.synthetic import SynthSpec
 from scoremorph.training import TrainConfig
-from scoremorph.transforms import FixedTransform
+from scoremorph.transforms import make_family
 
 
 def read_rows(path):
@@ -158,7 +158,7 @@ def test_train_fixed_family_no_localizer(tmp_path):
     doc = json.loads(model.read_text())
     assert doc["localizer"] is None
     bundle = load_model(model)
-    assert isinstance(bundle.family, FixedTransform)
+    assert bundle.family.kind == "fixed"
 
 
 def test_train_erc_fit_dispatch(tmp_path):
@@ -260,7 +260,7 @@ def test_eval_frozen_unbuildable_point_model_gives_error_rows(tmp_path):
     data, model = train_model(tmp_path, data=synth(tmp_path, n=60))
     b = load_model(model)
     k5, k34 = tmp_path / "k5.json", tmp_path / "k34.json"
-    save_model(k5, "fixed", FixedTransform(), b.stats, 5, b.split)
+    save_model(k5, "fixed", make_family("fixed"), b.stats, 5, b.split)
     save_model(k34, "linear", b.family, b.stats, 34, b.split)
     rows = {}
     for models in (f"{k5},{k34}", str(k5)):
@@ -296,7 +296,7 @@ def test_eval_parses_the_model_list_as_it_parses_families(tmp_path,
     data, model = train_model(tmp_path)
     b = load_model(model)
     fixed = tmp_path / "m_fixed.json"
-    save_model(fixed, "fixed", FixedTransform(), b.stats, b.knn_k, b.split)
+    save_model(fixed, "fixed", make_family("fixed"), b.stats, b.knn_k, b.split)
     report = tmp_path / "r.csv"
     assert run("eval", "--data", data, "--model",
                template.format(model, fixed), "--report", report) == 0
@@ -554,6 +554,30 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
         if damage not in ("list", "truncated"):
             assert f"field '{field}'" in line
         assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("split.seed", lambda doc: doc.update(split={})),
+    ("localizer.weights", lambda doc: doc.update(localizer={"weights": 3})),
+    ("normalization_stats.mean",
+     lambda doc: doc["normalization_stats"].update(mean="x")),
+    ("split.fractions", lambda doc: doc["split"].update(fractions="ab")),
+    ("gamma", lambda doc: doc.update(family="erc", gamma=None)),
+])
+def test_a_model_file_error_names_the_nested_field(
+        trained_linear, tmp_path, capsys, field, edit):
+    data, model = trained_linear
+    doc = json.loads(model.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    report = tmp_path / "r.csv"
+    assert run("eval", "--data", data, "--model", bad,
+               "--report", report) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: model file {bad}")
+    assert f"field '{field}'" in line
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("field", ["epsilon_floor", "gamma"])

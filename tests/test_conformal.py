@@ -3,11 +3,11 @@ import pytest
 
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
                                   half_widths, quantile_index, scored)
-from scoremorph.data import Dataset
+from scoremorph.data import Dataset, SplitSpec, split
+from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
 from scoremorph.training import family_kind
-from scoremorph.transforms import (ErcTransform, FixedTransform,
-                                   LinearTransform, make_family)
+from scoremorph.transforms import make_family
 from support import (EXP, SIGMOID, LogShiftTransform, OuterMap, SqrtMap,
                      SqrtShiftFixture)
 
@@ -47,7 +47,7 @@ def test_evaluate_names_a_nan_alpha():
     # NaN fails every comparison; its error row must not blame a bound
     rng = np.random.default_rng(3)
     cal, test = score(zero_predictor, *make_random_split(rng))
-    (rep,) = evaluate(FixedTransform(), cal, test, [float("nan")])
+    (rep,) = evaluate(make_family("fixed"), cal, test, [float("nan")])
     assert rep.error == "alpha=nan is not a number"
     assert rep.mean_size is None and rep.empirical_validity is None
 
@@ -109,7 +109,7 @@ def test_interval_worked_example_sizes():
 
 
 def test_interval_fixed_family():
-    half = half_widths(FixedTransform(), np.zeros((1, 2)), 9.0)[0]
+    half = half_widths(make_family("fixed"), np.zeros((1, 2)), np.log(9.0))[0]
     assert half == pytest.approx(3.0)
     assert 2.9999 <= half < 3.1
 
@@ -129,7 +129,7 @@ def predict_mean(xs):
 def test_global_monotone_invariance():
     # identity, sqrt, and log of the base score give identical intervals
     rng = np.random.default_rng(7)
-    fams = [FixedTransform(), SqrtMap(), LogShiftTransform(offset=0.0)]
+    fams = [make_family("fixed"), SqrtMap(), LogShiftTransform(offset=0.0)]
     for _ in range(50):
         cal, test = score(predict_mean, *make_random_split(rng))
         sizes = []
@@ -156,8 +156,28 @@ def test_evaluate_degenerate_exact_predictions():
     test = Dataset(x, y)  # test labels equal predictions exactly
     cal, test = score(predict_mean, ds, test)
     for alpha in (0.05, 0.2, 0.5):
-        rep = evaluate(FixedTransform(), cal, test, [alpha])[0]
+        rep = evaluate(make_family("fixed"), cal, test, [alpha])[0]
         assert rep.empirical_validity == 1.0
+
+
+def test_fixed_validity_on_tied_scores_is_the_label_space_count():
+    # integer attributes and labels with repeated rows: the KNN predictions,
+    # and so the scores, take few distinct values, and many test scores tie
+    # the quantile; scored as log max(A, eps), fixed must still cover
+    # exactly the test rows with A at most the m*-th calibration A
+    fixed = make_family("fixed")
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 5, size=1000)
+        y = x + rng.integers(-3, 4, size=1000)
+        proper, cp, _, te = split(Dataset(x[:, None], y), SplitSpec(seed))
+        cal, test = score(KnnModel(proper.x, proper.y, 50).predict_batch,
+                          cp, te)
+        alphas = np.linspace(1.0 / (cal.m + 1), 1.0, 30)
+        for alpha, rep in zip(alphas, evaluate(fixed, cal, test, alphas)):
+            q = np.sort(cal.a)[quantile_index(cal.m, alpha) - 1]
+            assert rep.empirical_validity == np.mean(test.a <= q), (seed,
+                                                                    alpha)
 
 
 def test_evaluate_fixed_vs_zero_localizer_linear():
@@ -165,8 +185,8 @@ def test_evaluate_fixed_vs_zero_localizer_linear():
     net.weights = [np.zeros_like(w) for w in net.weights]
     rng = np.random.default_rng(10)
     cal, test = score(predict_mean, *make_random_split(rng))
-    fixed = evaluate(FixedTransform(), cal, test, [0.1, 0.32])
-    lin = evaluate(LinearTransform(net), cal, test, [0.1, 0.32])
+    fixed = evaluate(make_family("fixed"), cal, test, [0.1, 0.32])
+    lin = evaluate(make_family("linear", net), cal, test, [0.1, 0.32])
     for a, b in zip(fixed, lin):
         assert a.mean_size == pytest.approx(b.mean_size, rel=1e-9)
         assert a.empirical_validity == b.empirical_validity
@@ -179,7 +199,7 @@ def test_evaluate_invalid_alpha_is_an_error_report_for_that_alpha_only():
     cal, test = score(predict_mean, *make_random_split(rng))
     net = LocalizerNet.init(3, seed=2, hidden=(6, 5))
     alphas = [0.1, 1e-6, 0.32, 1.5]
-    for fam in (FixedTransform(), LinearTransform(net)):
+    for fam in (make_family("fixed"), make_family("linear", net)):
         reports = evaluate(fam, cal, test, alphas)
         singles = [evaluate(fam, cal, test, [a])[0] for a in alphas]
         assert reports == singles
@@ -193,7 +213,8 @@ def test_evaluate_invalid_alpha_is_an_error_report_for_that_alpha_only():
 
 def test_ranking_equivalent_families_identical_intervals():
     # the paper's exp and sigma score exp(z) and sigmoid(z) of linear's z
-    linear = LinearTransform(LocalizerNet.init(3, seed=3, hidden=(10, 8)))
+    linear = make_family("linear",
+                         LocalizerNet.init(3, seed=3, hidden=(10, 8)))
     rng = np.random.default_rng(11)
     cal, test = score(predict_mean, *make_random_split(rng))
     reports = [evaluate(fam, cal, test, [0.1])[0]
@@ -220,7 +241,8 @@ def mc_coverage(fam_builder, alpha, n_cal=99, reps=400, seed=0):
 def test_marginal_coverage_fixed_family():
     alpha = 0.1
     p = quantile_index(99, alpha) / 100.0
-    cov = mc_coverage(lambda rng: FixedTransform(), alpha, reps=400, seed=5)
+    cov = mc_coverage(lambda rng: make_family("fixed"), alpha, reps=400,
+                      seed=5)
     bound = 3 * np.sqrt(p * (1 - p) / 400)
     assert abs(cov - p) <= bound
 
@@ -229,8 +251,8 @@ def test_marginal_coverage_localized_family():
     alpha = 0.32
     p = quantile_index(99, alpha) / 100.0
     cov = mc_coverage(
-        lambda rng: ErcTransform(
-            LocalizerNet.init(3, seed=int(rng.integers(1 << 31)),
+        lambda rng: make_family(
+            "erc", LocalizerNet.init(3, seed=int(rng.integers(1 << 31)),
                               hidden=(10, 8))),
         alpha, reps=400, seed=6)
     bound = 3 * np.sqrt(p * (1 - p) / 400)
@@ -287,7 +309,7 @@ def test_sigma_saturation_single_interval_like_linear():
 def test_half_widths_match_single_intervals():
     rng = np.random.default_rng(12)
     cal, test = make_random_split(rng)
-    fam = ErcTransform(LocalizerNet.init(3, seed=4, hidden=(10, 8)))
+    fam = make_family("erc", LocalizerNet.init(3, seed=4, hidden=(10, 8)))
     q = calibrate(calibration_scores(fam, *score(predict_mean, cal)), 0.1)
     half = half_widths(fam, test.x, q)
     assert half.shape == (test.n,)

@@ -8,13 +8,12 @@ from scoremorph.network import LocalizerNet
 from scoremorph.objective import (LossBatch, _leave_one_out,
                                   erc_error_fit_loss, loss_batch,
                                   pairwise_size_loss)
-from scoremorph.transforms import (ErcTransform, FixedTransform,
-                                   LinearTransform, make_family)
+from scoremorph.transforms import make_family
 from support import fixed_loss, oracle_loss, pre_activation_margin
 
 FAMILY_BUILDERS = {
-    "erc": lambda net: ErcTransform(net, gamma=1e-2),
-    "linear": LinearTransform,
+    "erc": lambda net: make_family("erc", net, gamma=1e-2),
+    "linear": lambda net: make_family("linear", net),
 }
 
 
@@ -82,13 +81,15 @@ def test_fixed_family_loss_is_mean_root_score():
     assert fixed_loss(batch.a) == pytest.approx(expected, rel=1e-12)
 
 
-def test_loss_refuses_a_family_outside_the_core_by_name():
+def test_size_loss_takes_fixed_and_training_refuses_it_by_name():
+    # fixed is the core at s = 0, with no localizer for loss_batch to train
     batch = random_batch(np.random.default_rng(0), m=5)
-    message = "^the size loss needs a log-shift core family, not 'fixed'$"
-    with pytest.raises(ValueError, match=message):
-        loss_batch(FixedTransform(), batch)
-    with pytest.raises(ValueError, match=message):
-        pairwise_size_loss(FixedTransform(), batch.x, batch.a)
+    fixed = make_family("fixed")
+    assert pairwise_size_loss(fixed, batch.x, batch.a) == pytest.approx(
+        fixed_loss(batch.a), rel=1e-12)
+    with pytest.raises(ValueError,
+                       match="^family 'fixed' has no localizer to train$"):
+        loss_batch(fixed, batch)
 
 
 def test_equal_x_batch_of_two_self_cancels():
@@ -105,7 +106,7 @@ def test_equal_x_batch_of_two_self_cancels():
 # the two pair terms sqrt(phi_{x_test}^{-1}(phi_{x_n}(A_n)))
 
 def test_pair_term_exp_closed_form():
-    fam = LinearTransform(identity_scalar_net())
+    fam = make_family("linear", identity_scalar_net())
     # the pair term is sqrt(A_n exp(g(x_n) - g(x_test))); g = 1 and 3,
     # A = 1: g(x_n) - g(x_test) = 2 gives sqrt(e^2) = e, and -2 gives 1/e,
     # so the mean is cosh(1)
@@ -148,7 +149,7 @@ def test_constant_localizer_matches_fixed_loss():
 def test_loss_batch_validation():
     # one row is a valid (x, A) batch, but no pair loss
     one = LossBatch(np.zeros((1, 2)), np.zeros(1))
-    fam = ErcTransform(small_net(0, d=2))
+    fam = make_family("erc", small_net(0, d=2))
     with pytest.raises(ValueError, match="at least 2 samples"):
         loss_batch(fam, one)
     with pytest.raises(ValueError, match="at least 2 samples"):
@@ -160,7 +161,7 @@ def test_loss_batch_validation():
 def test_non_finite_localization_aborts():
     net = identity_scalar_net()
     net.weights[0][0, 0] = np.inf
-    fam = LinearTransform(net)
+    fam = make_family("linear", net)
     with pytest.raises(ValueError, match="non-finite"):
         loss_batch(fam, LossBatch(np.array([[1.0], [2.0]]),
                                   np.array([1.0, 1.0])))
@@ -210,7 +211,7 @@ def test_implicit_mode_matches_analytic_all_trainable():
 def test_pairwise_size_loss_matches_loss_batch():
     rng = np.random.default_rng(11)
     batch = random_batch(rng, m=7)
-    fam = LinearTransform(small_net(12))
+    fam = make_family("linear", small_net(12))
     assert pairwise_size_loss(fam, batch.x, batch.a) == pytest.approx(
         loss_batch(fam, batch).value, rel=1e-12)
 
@@ -256,7 +257,7 @@ def test_erc_fit_gradient_matches_fd():
 def test_loss_overflow_aborts_with_indices():
     # g = 1, 2, 2001: the pair terms exp((z_n - s_i) / 2) of test rows 0
     # and 1 against row 2 are about e^1000, past the float64 range
-    fam = LinearTransform(identity_scalar_net())
+    fam = make_family("linear", identity_scalar_net())
     batch = LossBatch(np.array([[1.0], [2.0], [2001.0]]),
                       np.array([1.0, 2.0, 3.0]))
     with warnings.catch_warnings():
@@ -275,7 +276,7 @@ def test_loss_overflow_names_pairs_in_bounded_memory():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
-            pairwise_size_loss(LinearTransform(net), xs, np.ones(3000))
+            pairwise_size_loss(make_family("linear", net), xs, np.ones(3000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,6 @@
 """Property tests of the log-shift core over wide score and shift ranges,
-of the order-statistic calibration, and of interval invariance under
-global monotone maps."""
+of the order-statistic calibration, of interval invariance under global
+monotone maps, and of each family's coverage of its own calibration set."""
 
 from fractions import Fraction
 
@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from hypothesis.extra import numpy as hnp
 
-from scoremorph.conformal import (calibrate, calibration_scores, half_widths,
-                                  quantile_index, scored)
+from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
+                                  half_widths, quantile_index, scored)
 from scoremorph.data import Dataset
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import TRAINABLE_KINDS, FixedTransform, make_family
+from scoremorph.objective import LossBatch
+from scoremorph.transforms import TRAINABLE_KINDS, make_family
 from support import LogShiftTransform
 
 KINDS = st.sampled_from(TRAINABLE_KINDS)
@@ -166,7 +167,41 @@ def half_widths_at(fam, problem):
 def test_log_shift_intervals_match_fixed(problem, offset):
     # log A + offset is a global monotone map of A: same order statistic,
     # same x-independent half width
-    fixed = half_widths_at(FixedTransform(), problem)
+    fixed = half_widths_at(make_family("fixed"), problem)
     logged = half_widths_at(LogShiftTransform(offset), problem)
     assert np.all(fixed == fixed[0])
     assert logged == pytest.approx(fixed, rel=1e-12, abs=0.0)
+
+
+# ---- coverage of the calibration set itself ----
+
+# scores on and below the 1e-12 floor, and up to 1e12
+SELF_SCORES = st.one_of(st.floats(0.0, 1e-12),
+                        st.builds(lambda e: 10.0 ** e, LOG10_A))
+
+
+@st.composite
+def self_coverage_problems(draw, kind):
+    """A family of the kind, a trained kind on a frozen random localizer; a
+    calibration set of N rows drawn with repeats from a pool, so rows and
+    scores come duplicated; an alpha in [1/(N+1), 1]."""
+    pool, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    pool_x = draw(hnp.arrays(float, (pool, d), elements=ATTR))
+    pool_a = draw(hnp.arrays(float, pool, elements=SELF_SCORES))
+    rows = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=60))
+    fam = make_family(kind) if kind == "fixed" else make_family(
+        kind, LocalizerNet.init(d, seed=draw(st.integers(0, 2**32 - 1)),
+                                hidden=(6, 5)))
+    cal = LossBatch(pool_x[rows], pool_a[rows])
+    return fam, cal, alpha_for(cal.m, draw(st.floats(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("kind", ["fixed", *TRAINABLE_KINDS])
+@settings(SETTINGS, derandomize=True)
+@given(data=st.data())
+def test_evaluate_covers_its_own_calibration_set(kind, data):
+    # the quantile is the m*-th smallest calibration score, so at least m*
+    # of the N calibration scores are at most it
+    fam, cal, alpha = data.draw(self_coverage_problems(kind))
+    (rep,) = evaluate(fam, cal, cal, [alpha])
+    assert rep.empirical_validity >= quantile_index(cal.m, alpha) / cal.m

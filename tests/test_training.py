@@ -14,7 +14,7 @@ from scoremorph.objective import LossBatch, pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
 from scoremorph.training import (ProtocolRow, TrainConfig, TrainingDiverged,
                                  TrainTrace, aggregate, run_protocol, train)
-from scoremorph.transforms import FixedTransform, make_family
+from scoremorph.transforms import make_family
 
 from support import fixed_loss, spy_popen
 
@@ -59,8 +59,8 @@ def test_family_labels_table():
 
 @pytest.mark.parametrize("gamma", [0.0, -1e-3, float("nan"), float("inf")])
 def test_train_config_rejects_a_gamma_that_is_not_finite_and_positive(gamma):
-    # ErcTransform's refusal, also for labels that never read gamma: a NaN
-    # gamma would otherwise reach the manifest
+    # make_family's refusal for erc, also for labels that never read gamma:
+    # a NaN gamma would otherwise reach the manifest
     with pytest.raises(ValueError,
                        match=f"^gamma must be positive, got {gamma}$"):
         TrainConfig("linear", gamma=gamma)
@@ -93,7 +93,7 @@ def test_train_fixed_gives_identity_and_empty_trace():
     model = fitted_knn(proper)
     fam, trace = train(quick_config("fixed"),
                        *score(model.predict_batch, cp, val))
-    assert isinstance(fam, FixedTransform)
+    assert fam.kind == "fixed"
     assert trace == TrainTrace()
 
 
@@ -180,7 +180,7 @@ def test_erc_fit_constant_residuals_close_to_fixed():
     cp, val, test = score(fitted_knn(proper, 4).predict_batch, cp, val, test)
     fam, trace = train(quick_config("erc-fit", seed=4, epochs=20), cp, val)
     erc_rep = evaluate(fam, cp, test, [0.1])[0]
-    fix_rep = evaluate(FixedTransform(), cp, test, [0.1])[0]
+    fix_rep = evaluate(make_family("fixed"), cp, test, [0.1])[0]
     assert erc_rep.mean_size == pytest.approx(fix_rep.mean_size, rel=0.05)
     # early stopping: returned validation loss is the best recorded one
     vals = [v for _, _, v in trace.epochs]

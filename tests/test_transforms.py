@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from scoremorph.network import LocalizerNet
-from scoremorph.transforms import (TRAINABLE_KINDS, CodomainError,
-                                   ErcTransform, FixedTransform,
-                                   LinearTransform, LogShiftCore, make_family)
+from scoremorph.transforms import TRAINABLE_KINDS, make_family
 from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
-                     LogShiftTransform, OuterMap, SqrtShiftFixture,
-                     bisect_inverse, inverse_slopes)
+                     CodomainError, LogShiftTransform, OuterMap,
+                     SqrtShiftFixture, bisect_inverse, inverse_slopes)
 
 A_GRID = np.logspace(-8, 4, 40)
 
@@ -18,23 +16,21 @@ def net_for(d=3, seed=0, hidden=(10, 8)):
 
 def all_families(seed=0, d=3):
     return [
-        FixedTransform(),
-        ErcTransform(net_for(d, seed), gamma=1e-2),
-        LinearTransform(net_for(d, seed + 1)),
+        make_family("fixed"),
+        make_family("erc", net_for(d, seed), gamma=1e-2),
+        make_family("linear", net_for(d, seed + 1)),
         LogShiftTransform(offset=0.3),
     ]
 
 
 def trainable_families(seed=0, d=3):
-    return [f for f in all_families(seed, d) if isinstance(f, LogShiftCore)]
+    return [f for f in all_families(seed, d) if f.kind in TRAINABLE_KINDS]
 
 
 def slope_a(fam, loc, a):
-    """phi_A at (loc, A), which depends on A alone: 1 for the fixed family,
-    and the oracle's 1 / (d phi^{-1}/dB) for the log families."""
+    """phi_A at (loc, A), which depends on A alone: the oracle's
+    1 / (d phi^{-1}/dB) = 1 / max(A, eps) of every log family, fixed too."""
     a = np.asarray(a, dtype=float)
-    if fam.kind == "fixed":
-        return np.ones_like(a)
     return 1.0 / inverse_slopes(0.0, a, fam.epsilon_floor)[1]
 
 
@@ -49,7 +45,7 @@ def test_erc_identity_configuration():
     # g = 0 and gamma = 1: the shift -log(g^2 + gamma) is 0, so z = log A
     net = net_for()
     net.weights = [np.zeros_like(w) for w in net.weights]
-    fam = ErcTransform(net, gamma=1.0)
+    fam = make_family("erc", net, gamma=1.0)
     x = np.zeros((1, 3))
     assert fam.forward_batch(x, [7.0])[0] == pytest.approx(np.log(7.0))
     assert fam.inverse_batch(x, np.log(5.0))[0] == pytest.approx(5.0)
@@ -72,16 +68,11 @@ def test_forward_rejects_negative_score():
 # ---- inverse examples ----
 
 def test_linear_inverse_roundtrip_value():
-    fam = LinearTransform(net_for())
+    fam = make_family("linear", net_for())
     x = np.array([[0.1, -0.3, 0.7]])
     g = fam.loc_batch(x)[0]
     assert fam.inverse_batch(x, np.log(3.0) + g)[0] == pytest.approx(
         3.0, rel=1e-12)
-
-
-def test_fixed_inverse_negative_error():
-    with pytest.raises(CodomainError):
-        FixedTransform().inverse_batch(np.zeros((1, 2)), -0.5)
 
 
 # ---- monotonicity / roundtrip / shared codomain ----
@@ -120,7 +111,7 @@ def test_shared_codomain_across_attributes():
 def test_ranking_identical_for_log_based_families():
     # the paper's exp and sigma score exp(z) and sigmoid(z) of linear's z,
     # which rank every score set as z does
-    linear = LinearTransform(net_for(seed=9))
+    linear = make_family("linear", net_for(seed=9))
     rng = np.random.default_rng(45)
     xs = rng.normal(size=(40, 3))
     a = rng.chisquare(1, size=40)
@@ -135,10 +126,10 @@ def test_ranking_identical_for_log_based_families():
 def test_deriv_examples():
     net = net_for()
     net.weights = [np.zeros_like(w) for w in net.weights]
-    erc = ErcTransform(net, gamma=1.0)
+    erc = make_family("erc", net, gamma=1.0)
     x = np.zeros((1, 3))
     assert slope_a(erc, erc.loc_batch(x), [5.0])[0] == pytest.approx(0.2)
-    lin = LinearTransform(net_for())
+    lin = make_family("linear", net_for())
     assert slope_a(lin, lin.loc_batch(x), [4.0])[0] == pytest.approx(
         0.25 * np.exp(0.0) / np.exp(0.0))
     assert slope_a(lin, lin.loc_batch(x), [4.0])[0] == pytest.approx(0.25)
@@ -169,7 +160,7 @@ def test_deriv_A_strictly_positive():
 
 def test_numeric_inverse_exp_against_analytic():
     # the analytic inverse is the exponential exp(B - g)
-    fam = LinearTransform(net_for(seed=11))
+    fam = make_family("linear", net_for(seed=11))
     g = fam.loc_batch(np.array([[0.2, 0.4, -0.1]]))
     b = np.log(5.0) + g
     got = bisect_inverse(fam.shift(g), b, fam.epsilon_floor, tol=1e-12)[0]
@@ -177,7 +168,7 @@ def test_numeric_inverse_exp_against_analytic():
 
 
 def test_numeric_inverse_no_root():
-    lin = LinearTransform(net_for(seed=12))
+    lin = make_family("linear", net_for(seed=12))
     # below the clamped floor log(1e-12)+g there is no root
     with pytest.raises(ValueError, match="^no root below the bracket"):
         bisect_inverse(lin.shift(lin.loc_batch(np.zeros((1, 3)))), -1e6,
@@ -210,12 +201,12 @@ def test_grad_inverse_params_exp_matches_closed_form():
     # dg/dtheta and d A*/dB = 1 / phi_A, against the closed form
     # A* = e^{B - g}
     rng = np.random.default_rng(49)
-    fam = LinearTransform(net_for(seed=13))
+    fam = make_family("linear", net_for(seed=13))
     for _ in range(5):
         x = rng.normal(size=3)
         b = float(np.log(rng.uniform(0.1, 10.0)))
         g, tape = fam.localizer.forward_batch(x[None])
-        a_star = fam.phi_inv(g, b)
+        a_star = fam.inverse_batch(x[None], b, g)
         d_loc, d_b = implicit_slopes(fam, g, a_star)
         implicit = fam.localizer.backward_batch(tape, d_loc)
         oracle = fam.localizer.backward_batch(tape, -np.exp(b - g))
@@ -224,9 +215,10 @@ def test_grad_inverse_params_exp_matches_closed_form():
 
 
 def test_linear_inverse_derivative_at_b_equals_g():
-    fam = LinearTransform(net_for(seed=14))
-    g = fam.loc_batch(np.array([[0.5, -0.5, 0.2]]))
-    dinv_db = implicit_slopes(fam, g, fam.phi_inv(g, g))[1][0]
+    fam = make_family("linear", net_for(seed=14))
+    x = np.array([[0.5, -0.5, 0.2]])
+    g = fam.loc_batch(x)
+    dinv_db = implicit_slopes(fam, g, fam.inverse_batch(x, g, g))[1][0]
     assert dinv_db == pytest.approx(1.0, rel=1e-12)
 
 
@@ -240,7 +232,7 @@ def test_implicit_vs_analytic_inverse_gradients():
             b = fam.forward_batch(x, [a])[0]
             g, tape = fam.localizer.forward_batch(x)
             grads = []
-            for a_star in (fam.phi_inv(g, b),
+            for a_star in (fam.inverse_batch(x, b, g),
                            bisect_inverse(fam.shift(g), b, fam.epsilon_floor)):
                 d_loc, d_b = implicit_slopes(fam, g, a_star)
                 grads.append((fam.localizer.backward_batch(tape, d_loc),
@@ -249,18 +241,19 @@ def test_implicit_vs_analytic_inverse_gradients():
             assert grad_list_allclose(analytic, implicit, 1e-9), fam.kind
             assert abs(db_a - db_n) <= 1e-9 * max(abs(db_a), 1e-12), fam.kind
 
-    def core_inverse_derivatives(fam, g, b):
+    def core_inverse_derivatives(fam, x, g, b):
         # A = exp(B - s(g)): dA/dg = -A s'(g), dA/dB = A
-        a = fam.phi_inv(g, b)
-        return -a * float(fam.dshift(g)), a
+        a = fam.inverse_batch(x, b, g)
+        return -a * fam.dshift(g), a
 
     for fam in trainable_families(seed=22):
         x = rng.normal(size=3)[None]
         a = float(rng.uniform(0.05, 5.0))
         b = fam.forward_batch(x, [a])[0]
-        g = fam.loc_batch(x)[0]
-        d_loc, d_b = core_inverse_derivatives(fam, g, b)
-        implicit_loc, implicit_b = implicit_slopes(fam, g, fam.phi_inv(g, b))
+        g = fam.loc_batch(x)
+        d_loc, d_b = core_inverse_derivatives(fam, x, g, b)
+        implicit_loc, implicit_b = implicit_slopes(
+            fam, g, fam.inverse_batch(x, b, g))
         assert implicit_loc == pytest.approx(d_loc, rel=1e-9), fam.kind
         assert implicit_b == pytest.approx(d_b, rel=1e-9), fam.kind
 
@@ -281,8 +274,8 @@ def test_additive_fixture_codomain_failure_and_repair():
 
 
 def test_epsilon_floor_keeps_log_families_total():
-    for fam in (LinearTransform(net_for(seed=15)),
-                ErcTransform(net_for(seed=16)),
+    for fam in (make_family("linear", net_for(seed=15)),
+                make_family("erc", net_for(seed=16)),
                 LogShiftTransform()):
         assert np.isfinite(fam.forward_batch(np.zeros((1, 3)), [0.0])[0])
 
@@ -293,7 +286,7 @@ def test_non_finite_or_non_positive_floor_and_gamma_rejected(value):
     with pytest.raises(ValueError,
                        match=f"^epsilon_floor must be finite and positive, "
                              f"got {value}$"):
-        FixedTransform(epsilon_floor=value)
+        make_family("fixed", epsilon_floor=value)
     with pytest.raises(ValueError, match="^epsilon_floor must be"):
         make_family("linear", localizer=net_for(), epsilon_floor=value)
     with pytest.raises(ValueError,
@@ -306,6 +299,9 @@ def test_make_family_dispatch_and_errors():
     for kind in TRAINABLE_KINDS:
         assert make_family(kind, localizer=net).kind == kind
     assert make_family("fixed").kind == "fixed"
+    with pytest.raises(ValueError,
+                       match="^family 'fixed' takes no localizer network$"):
+        make_family("fixed", localizer=net)
     with pytest.raises(ValueError, match="unknown family kind 'log'"):
         make_family("log")
     with pytest.raises(ValueError):
@@ -319,7 +315,7 @@ def test_non_finite_localization_rejected():
         def values(self, xs):
             return np.full(len(xs), np.nan)
 
-    fam = LinearTransform(net_for())
+    fam = make_family("linear", net_for())
     fam.localizer = BadNet()
     with pytest.raises(ValueError, match="non-finite"):
         fam.forward_batch(np.zeros((1, 3)), [1.0])
