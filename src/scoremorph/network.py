@@ -3,10 +3,9 @@
 The network maps an attribute vector to a scalar. Forward passes record a
 tape of activations (``values`` records none); backward replays it in
 reverse. The tape is tied to a parameter version counter so gradients
-cannot be computed against a net that has since been updated. Adam keeps
-its moments in flat vectors and updates every parameter in one pass;
-backward can write the gradients straight into Adam's flat gradient
-vector. Weights and biases stay per-layer arrays.
+cannot be computed against a net that has since been updated. The
+parameters, their gradient, Adam's moments and a snapshot are each one
+flat vector in the layout ``_layer_views`` defines.
 """
 
 from __future__ import annotations
@@ -33,23 +32,39 @@ class StaleTapeError(RuntimeError):
 
 
 class LocalizerNet:
-    """ReLU MLP g(x; theta) -> R with explicit weight/bias lists.
+    """ReLU MLP g(x; theta) -> R on one flat parameter vector ``theta``.
 
-    weights[l] has shape (out, in); biases[l] has shape (out,). Hidden
+    weights[l] has shape (out, in) and biases[l] shape (out,); both are
+    tuples of views into ``theta``, laid out by ``_layer_views``. Hidden
     layers apply ReLU, the output layer is affine.
     """
 
     def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
-        for w, b in zip(self.weights, self.biases):
-            if w.shape[0] != b.shape[0]:
-                raise ValueError(f"bias shape {b.shape} mismatches weight {w.shape}")
-        if self.weights[-1].shape[0] != 1:
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        if not weights or len(weights) != len(biases):
+            raise ValueError("need one or more (weights, biases) layers")
+        n_in = weights[0].shape[1:]  # then each layer's output shape
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or w.shape != b.shape + n_in:
+                raise ValueError(f"layer {l}: weight {w.shape} and bias "
+                                 f"{b.shape} do not fit input {n_in}")
+            n_in = b.shape
+        if weights[-1].shape[0] != 1:
             raise ValueError("output layer must produce a scalar")
+        self.shapes = [w.shape for w in weights]
+        self.theta = np.empty(sum(map(np.size, weights + biases)))
+        views = _layer_views(self.theta, self.shapes)
+        self._weights, self._biases = zip(*views)
+        for view, p in zip(self._weights + self._biases, weights + biases):
+            view[...] = p
         self.version = 0
+
+    def __reduce__(self):  # pickled views would no longer share theta
+        return type(self), (self.weights, self.biases)
+
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
 
     @classmethod
     def init(cls, d: int, seed: int, hidden=DEFAULT_HIDDEN) -> "LocalizerNet":
@@ -75,7 +90,7 @@ class LocalizerNet:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.theta.size
 
     # ---- forward / backward ----
 
@@ -105,10 +120,9 @@ class LocalizerNet:
     def backward_batch(self, tape: Tape, upstream, out=None):
         """Gradients of sum_i upstream[i] * g(x_i) w.r.t. every parameter.
 
-        Returns per-layer ``(dW, db)`` views of one flat float64 vector laid
-        out in (w0, b0, w1, b1, ...) order. That vector is ``out`` when given
-        (the caller owns it; its old contents are overwritten) and a fresh
-        one otherwise.
+        Returns one flat float64 vector in the layout of ``theta``: ``out``
+        when given (the caller owns it; its old contents are overwritten)
+        and a fresh one otherwise.
         """
         if tape.version != self.version:
             raise StaleTapeError("tape predates the current parameters")
@@ -122,25 +136,19 @@ class LocalizerNet:
               or not out.flags.c_contiguous):
             raise ValueError(
                 f"gradient buffer must be a contiguous ({n},) float64 vector")
-        weights, acts = self.weights, tape.acts
-        grads = [None] * len(weights)
-        end = n  # walk the (w0, b0, w1, b1, ...) layout from its end
+        acts, grads = tape.acts, _layer_views(out, self.shapes)
         dz = upstream[:, None]
-        for l in range(len(weights) - 1, -1, -1):
-            w = weights[l]
-            if l < len(weights) - 1:
+        for l in range(len(grads) - 1, -1, -1):
+            if l < len(grads) - 1:
                 # relu(z) > 0 exactly where z > 0 (NaN in neither), and
                 # the ReLU subgradient at 0 is 0
                 dz *= acts[l] > 0
-            mid = end - w.shape[0]
-            gw, gb = out[mid - w.size:mid].reshape(w.shape), out[mid:end]
-            end = mid - w.size
+            gw, gb = grads[l]
             np.matmul(dz.T, acts[l - 1] if l > 0 else tape.x, out=gw)
             np.add.reduce(dz, axis=0, out=gb)
             if l > 0:
-                dz = dz @ w
-            grads[l] = (gw, gb)
-        return grads
+                dz = dz @ self._weights[l]
+        return out
 
     def values(self, xs) -> np.ndarray:
         """g at the rows of xs, recording no tape.
@@ -172,13 +180,11 @@ class LocalizerNet:
 
     # ---- parameter management ----
 
-    def snapshot(self):
-        return ([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+    def snapshot(self) -> np.ndarray:
+        return self.theta.copy()
 
     def restore(self, snap):
-        weights, biases = snap
-        self.weights = [w.copy() for w in weights]
-        self.biases = [b.copy() for b in biases]
+        np.copyto(self.theta, snap)
         self.version += 1
 
     def to_json_dict(self) -> dict:
@@ -192,13 +198,11 @@ class LocalizerNet:
 class AdamState:
     """First/second moment accumulators plus the step counter.
 
-    The moments of every parameter live in one float64 vector each,
-    ``m_flat`` and ``v_flat``, in (w0, b0, w1, b1, ...) order; ``m`` and
-    ``v`` are lists of per-layer ``(w, b)`` views into them. ``grad`` is a
-    vector of the same layout for ``backward_batch(..., out=state.grad)``
-    to write the gradients into; ``adam_step`` overwrites it with the
-    update once it has used them. The state also owns the other scratch
-    vectors ``adam_step`` writes through, so a step allocates no array the
+    The moments are float64 vectors ``m_flat`` and ``v_flat`` in the layout
+    of ``LocalizerNet.theta``; ``m`` lists the per-layer ``(w, b)`` views of
+    ``m_flat``. ``backward_batch(..., out=state.grad)`` writes the gradient
+    into ``grad``, which ``adam_step`` overwrites with the update; with the
+    other scratch vectors the state owns, a step allocates no array the
     size of the parameters.
     """
 
@@ -212,33 +216,30 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.flush_every = _flush_period(beta1, learning_rate)
-        size = sum(math.prod(s) for s in self.shapes)
+        size = sum(rows * (cols + 1) for rows, cols in self.shapes)
         self.m_flat = np.zeros(size)
         self.v_flat = np.zeros(size)
         self.grad = np.empty(size)
         self._tmp = np.empty(size)
         self._mask = np.empty(size, dtype=bool)
         self.m = _layer_views(self.m_flat, self.shapes)
-        self.v = _layer_views(self.v_flat, self.shapes)
-        self._grad_views = [a for pair in _layer_views(self.grad, self.shapes)
-                            for a in pair]
 
     @classmethod
     def init(cls, net: LocalizerNet, **options) -> "AdamState":
         """State for ``net``'s parameters, with the constructor's options."""
-        shapes = [p.shape for pair in zip(net.weights, net.biases)
-                  for p in pair]
-        return cls(shapes, **options)
+        return cls(net.shapes, **options)
 
 
 def _layer_views(flat, shapes):
-    """[(w, b), ...] reshaped views of ``flat`` laid out in ``shapes`` order."""
+    """[(w, b), ...] views of ``flat`` for weights of the (out, in)
+    ``shapes``: the one parameter layout, (w0, b0, w1, b1, ...)."""
     views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return list(zip(views[0::2], views[1::2]))
+    for rows, cols in shapes:
+        mid = start + rows * cols
+        views.append((flat[start:mid].reshape(rows, cols),
+                      flat[mid:mid + rows]))
+        start = mid + rows
+    return views
 
 
 # First moments below this magnitude are flushed to zero (see adam_step).
@@ -260,17 +261,16 @@ def _flush_period(beta1: float, learning_rate: float) -> int:
 def adam_step(net: LocalizerNet, grads, state: AdamState):
     """Bias-corrected Adam update, applied in place. Returns (net, state).
 
-    Gradients that are views of ``state.grad`` must be the ones
-    ``backward_batch(..., out=state.grad)`` returns, and are used where they
-    lie; any others are copied into ``state.grad`` first. All gradients are
-    checked (layer count, shapes, NaN and infinity) before anything else is
-    written, so a rejected call leaves the weights and the state unchanged.
-    The update then runs once over the flat moment vectors with the
-    elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``, ``v
-    = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
-    eps)``, so every entry is bit-identical to updating layer by layer. Once
-    ``c1`` rounds to 1.0 (from about step 350 for the default ``b1``) the
-    division by it is skipped: ``m / 1.0 == m``.
+    ``grads`` is one vector in the layout of ``net.theta``, as
+    ``backward_batch`` returns it; unless it is ``state.grad`` itself it is
+    copied there first. It is checked (shape, NaN and infinity) before
+    anything else is written, so a rejected call leaves the weights and the
+    state unchanged. The update then runs once over the flat vectors with
+    the elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
+    eps)``, so every entry is bit-identical to updating layer by layer.
+    Once ``c1`` rounds to 1.0 (from about step 350 for the default ``b1``)
+    the division by it is skipped: ``m / 1.0 == m``.
 
     Every ``state.flush_every`` steps, each ``|m| < 1e-300`` is set to zero
     after the ``m`` update. Without that, a unit whose gradient stays
@@ -284,20 +284,13 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
     gradient ``g`` dominates the dropped remainder the same way, so the
     weights stay bit-identical to the unflushed update.
     """
-    if len(grads) != len(net.weights):
-        raise ValueError("gradient layer count mismatches the network")
-    params = [p for pair in zip(net.weights, net.biases) for p in pair]
-    flat_grads = [g for pair in grads for g in pair]
-    if [p.shape for p in params] != state.shapes:
+    if net.shapes != state.shapes:
         raise ValueError("Adam state shapes mismatch the network")
-    for g, p in zip(flat_grads, params):
-        if np.shape(g) != p.shape:
-            raise ValueError(
-                f"gradient shape {np.shape(g)} mismatches parameter {p.shape}")
     g = state.grad
-    # views of state.grad are what backward_batch(..., out=state.grad) wrote
-    if not all(isinstance(a, np.ndarray) and a.base is g for a in flat_grads):
-        np.concatenate([np.ravel(a) for a in flat_grads], out=g)
+    if np.shape(grads) != g.shape:
+        raise ValueError(f"gradient shape {np.shape(grads)} is not {g.shape}")
+    if grads is not g:
+        np.copyto(g, grads)
     # a NaN or infinite entry makes the sum of g NaN or infinite; a sum of
     # finite entries can still overflow, so only then is every entry
     # checked. The sum is numpy's own reduction: a BLAS dot product of this
@@ -331,7 +324,6 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
     upd /= tmp
-    for target, u in zip(params, state._grad_views):
-        target -= u
+    net.theta -= upd
     net.version += 1
     return net, state

@@ -61,7 +61,7 @@ class LossBatch:
 @dataclass(frozen=True)
 class LossValue:
     value: float
-    grads: list  # per-layer (dW, db)
+    grads: np.ndarray  # flat, in the layout of LocalizerNet.theta
 
 
 def _non_finite(bad_rows, m: int) -> ValueError:

@@ -29,11 +29,17 @@ _FIELDS = {"format_version": int, "family": str,
 
 
 def _floats(value):
+    if np.ndim(value) != 1:
+        raise ValueError("it is not a flat list of numbers")
     return np.asarray(value, dtype=float)
 
 
-def _layers(value):
-    return [_floats(layer) for layer in value]
+def _localizer(value, d):
+    net = LocalizerNet(value["weights"], value["biases"])
+    if net.d != d:
+        raise ValueError(f"it takes {net.d} attributes, but the "
+                         f"normalization stats describe {d}")
+    return net
 
 
 @dataclass(frozen=True)
@@ -91,18 +97,19 @@ def model_from_dict(doc: dict, path) -> ModelBundle:
         raise ValueError(f"unsupported model format_version {version}")
     label = doc["family"]
     kind = family_kind(label)
-    localizer = None
-    if doc["localizer"] is not None:
-        localizer = LocalizerNet(
-            field("localizer.weights", list, _layers),
-            field("localizer.biases", list, _layers))
-    gamma = field("gamma", (int, float)) if kind == "erc" else None
-    family = make_family(kind, localizer, gamma, doc["epsilon_floor"])
     stats = NormalizationStats(
         field("normalization_stats.mean", list, _floats),
         field("normalization_stats.sd", list, _floats),
         field("normalization_stats.zero_variance", list,
               lambda v: np.asarray(v, dtype=bool)))
+    localizer = None
+    if doc["localizer"] is not None:
+        field("localizer.weights", list)
+        field("localizer.biases", list)
+        localizer = field("localizer", dict,
+                          lambda v: _localizer(v, len(stats.mean) - 1))
+    gamma = field("gamma", (int, float)) if kind == "erc" else None
+    family = make_family(kind, localizer, gamma, doc["epsilon_floor"])
     split = SplitSpec(field("split.seed", int),
                       tuple(field("split.fractions", list, _floats)))
     return ModelBundle(label, family, stats, int(doc["knn_k"]), split)

@@ -280,12 +280,6 @@ def pre_activation_margin(net, xs) -> float:
     return margin
 
 
-def zero_grads_like(net):
-    """Per-layer ``(dW, db)`` zero arrays shaped like net's parameters."""
-    return [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)]
-
-
 def spy_popen(monkeypatch):
     """The list every subprocess.Popen started from now on is added to."""
     procs = []

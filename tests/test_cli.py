@@ -562,7 +562,18 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
     ("normalization_stats.mean",
      lambda doc: doc["normalization_stats"].update(mean="x")),
     ("split.fractions", lambda doc: doc["split"].update(fractions="ab")),
+    pytest.param("split.fractions", lambda doc: doc["split"].update(
+        fractions=[[0.4], [0.4], [0.1], [0.1]]), id="nested-fractions"),
     ("gamma", lambda doc: doc.update(family="erc", gamma=None)),
+    pytest.param("localizer", lambda doc: doc.update(
+        localizer={"weights": [], "biases": []}), id="no-layers"),
+    # 2 outputs feed a layer taking 5 inputs
+    pytest.param("localizer", lambda doc: doc.update(localizer={
+        "weights": [[[0.0] * 3] * 2, [[0.0] * 5]],
+        "biases": [[0.0] * 2, [0.0]]}), id="unchained-layers"),
+    # a localizer of 2 attributes on the file's 3
+    pytest.param("localizer", lambda doc: doc.update(localizer={
+        "weights": [[[0.0] * 2]], "biases": [[0.0]]}), id="input-width"),
 ])
 def test_a_model_file_error_names_the_nested_field(
         trained_linear, tmp_path, capsys, field, edit):

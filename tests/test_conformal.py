@@ -182,7 +182,8 @@ def test_fixed_validity_on_tied_scores_is_the_label_space_count():
 
 def test_evaluate_fixed_vs_zero_localizer_linear():
     net = LocalizerNet.init(3, seed=0, hidden=(6, 5))
-    net.weights = [np.zeros_like(w) for w in net.weights]
+    for w in net.weights:
+        w[...] = 0.0
     rng = np.random.default_rng(10)
     cal, test = score(predict_mean, *make_random_split(rng))
     fixed = evaluate(make_family("fixed"), cal, test, [0.1, 0.32])

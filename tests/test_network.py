@@ -1,13 +1,13 @@
+import pickle
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from scoremorph import network
 from scoremorph.network import (AdamState, LocalizerNet, StaleTapeError,
-                                adam_step)
-from support import pre_activation_margin, zero_grads_like
+                                _layer_views, adam_step)
+from support import pre_activation_margin
 
 
 def toy_net():
@@ -41,8 +41,7 @@ def test_init_fan_in_bound():
 
 def test_forward_zero_weights_gives_zero():
     net = LocalizerNet.init(2, seed=0)
-    net.weights = [np.zeros_like(w) for w in net.weights]
-    net.biases = [np.zeros_like(b) for b in net.biases]
+    net.theta[:] = 0.0
     g, _ = net.forward_batch(np.array([[3.0, -1.0]]))
     assert g[0] == 0.0
 
@@ -65,7 +64,7 @@ def test_backward_toy_hand_chain_rule():
     net = toy_net()
     _, tape = net.forward_batch(np.array([[3.0]]))
     grads = net.backward_batch(tape, [1.0])
-    (dw1, db1), (dw2, db2) = grads
+    (dw1, db1), (dw2, db2) = _layer_views(grads, net.shapes)
     assert dw2[0, 0] == pytest.approx(3.0)  # relu(3)
     assert db2[0] == pytest.approx(1.0)
     assert dw1[0, 0] == pytest.approx(6.0)  # 2*3
@@ -75,9 +74,7 @@ def test_backward_toy_hand_chain_rule():
 def test_backward_zero_upstream():
     net = LocalizerNet.init(2, seed=1)
     _, tape = net.forward_batch(np.array([[0.5, 0.5]]))
-    for dw, db in net.backward_batch(tape, [0.0]):
-        assert not dw.any()
-        assert not db.any()
+    assert not net.backward_batch(tape, [0.0]).any()
 
 
 def test_backward_stale_tape():
@@ -89,6 +86,35 @@ def test_backward_stale_tape():
     adam_step(net, grads, state)
     with pytest.raises(StaleTapeError):
         net.backward_batch(tape, [1.0])
+
+
+def test_snapshot_restore_and_layer_views_share_theta():
+    net = LocalizerNet.init(2, seed=4, hidden=(8, 8))
+    state = AdamState.init(net)
+    xs = np.random.default_rng(3).normal(size=(4, 2))
+    snap = net.snapshot()
+    kept = snap.copy()
+    for _ in range(3):
+        _, tape = net.forward_batch(xs)
+        adam_step(net, net.backward_batch(tape, np.ones(4)), state)
+    assert np.array_equal(snap, kept)  # a copy: the steps left it alone
+    assert not np.array_equal(net.theta, kept)
+    _, tape = net.forward_batch(xs)
+    net.restore(snap)
+    assert net.theta.tobytes() == kept.tobytes()
+    with pytest.raises(StaleTapeError):
+        net.backward_batch(tape, np.ones(4))
+    net.weights[1][2, 3] = 5.0
+    net.biases[0][1] = -1.0
+    (_, b0), (w1, _), _ = _layer_views(net.theta, net.shapes)
+    assert w1[2, 3] == 5.0 and b0[1] == -1.0
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((8, 2))
+    with pytest.raises(AttributeError):
+        net.biases = ()
+    clone = pickle.loads(pickle.dumps(net))  # its views share its own theta
+    clone.weights[0][0, 0] = 7.0
+    assert clone.theta[0] == 7.0 and net.theta[0] != 7.0
 
 
 def sample_off_kink(seed, d=3, margin=1e-3):
@@ -141,7 +167,7 @@ def test_gradient_matches_finite_differences_full_architecture():
     for trial in range(20):
         net, x = sample_off_kink(seed=trial)
         _, tape = net.forward_batch(x[None])
-        grads = net.backward_batch(tape, [1.0])
+        grads = _layer_views(net.backward_batch(tape, [1.0]), net.shapes)
         picks = random_param_picks(net, rng, 12)
         fd = fd_gradient_subset(net, x, picks)
         analytic = []
@@ -159,7 +185,7 @@ def test_gradient_matches_exhaustive_fd_small_net():
     x = rng.normal(size=2)
     assert pre_activation_margin(net, x) > 1e-3
     _, tape = net.forward_batch(x[None])
-    grads = net.backward_batch(tape, [1.0])
+    grads = _layer_views(net.backward_batch(tape, [1.0]), net.shapes)
     step = 1e-5
     for layer in range(len(net.weights)):
         for which in ("w", "b"):
@@ -182,16 +208,11 @@ def test_batch_backward_matches_sum_of_singles():
     upstream = np.array([0.3, -1.0, 2.0, 0.0, 1.5])
     _, tape = net.forward_batch(xs)
     batch_grads = net.backward_batch(tape, upstream)
-    acc = zero_grads_like(net)
+    acc = np.zeros(net.n_params)
     for i in range(5):
         _, t = net.forward_batch(xs[i][None])
-        singles = net.backward_batch(t, [upstream[i]])
-        for (aw, ab), (gw, gb) in zip(acc, singles):
-            aw += gw
-            ab += gb
-    for (bw, bb), (aw, ab) in zip(batch_grads, acc):
-        assert np.allclose(bw, aw, atol=1e-12)
-        assert np.allclose(bb, ab, atol=1e-12)
+        acc += net.backward_batch(t, [upstream[i]])
+    assert np.allclose(batch_grads, acc, atol=1e-12)
 
 
 def test_backward_into_buffer_matches_fresh_arrays():
@@ -201,14 +222,8 @@ def test_backward_into_buffer_matches_fresh_arrays():
     _, tape = net.forward_batch(xs)
     fresh = net.backward_batch(tape, upstream)
     out = np.full(net.n_params, np.nan)
-    into = net.backward_batch(tape, upstream, out=out)
-    start = 0
-    for (fw, fb), (iw, ib) in zip(fresh, into):
-        for f, i in ((fw, iw), (fb, ib)):
-            assert np.array_equal(f, i)
-            assert np.array_equal(out[start:start + f.size], f.ravel())
-            start += f.size
-    assert start == out.size
+    assert net.backward_batch(tape, upstream, out=out) is out
+    assert np.array_equal(out, fresh)
     # a strided vector would make the per-layer views copies, not views
     for bad in (np.empty(net.n_params + 1), np.empty(2 * net.n_params)[::2]):
         with pytest.raises(ValueError, match="buffer"):
@@ -227,7 +242,7 @@ def test_output_bias_shift():
     net = LocalizerNet.init(2, seed=3)
     x = np.array([0.4, -0.2])
     before = net.values(x[None])[0]
-    net.biases[-1] = net.biases[-1] + 2.5
+    net.biases[-1][:] += 2.5
     assert net.values(x[None])[0] == pytest.approx(before + 2.5, abs=1e-12)
 
 
@@ -245,8 +260,7 @@ def scalar_adam_oracle(grad_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 def test_adam_single_step_matches_scalar_oracle():
     net = LocalizerNet([np.array([[0.0]])], [np.array([0.0])])
     state = AdamState.init(net, learning_rate=1e-3)
-    grads = [(np.array([[1.0]]), np.array([0.0]))]
-    adam_step(net, grads, state)
+    adam_step(net, np.array([1.0, 0.0]), state)
     expected = scalar_adam_oracle([1.0])[0]
     assert net.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(-9.99999990e-4, rel=1e-6)
@@ -259,7 +273,7 @@ def test_adam_sequence_matches_scalar_oracle():
     seq = [1.0, 0.5, -0.2, 0.9]
     path = scalar_adam_oracle(seq)
     for g, expected in zip(seq, path):
-        adam_step(net, [(np.array([[g]]), np.array([0.0]))], state)
+        adam_step(net, np.array([g, 0.0]), state)
         assert net.weights[0][0, 0] == pytest.approx(expected, abs=1e-14)
 
 
@@ -267,9 +281,8 @@ def test_adam_zero_gradient_keeps_parameters():
     net = LocalizerNet.init(2, seed=4)
     before = net.snapshot()
     state = AdamState.init(net)
-    adam_step(net, zero_grads_like(net), state)
-    for w, w0 in zip(net.weights, before[0]):
-        assert np.array_equal(w, w0)
+    adam_step(net, np.zeros(net.n_params), state)
+    assert np.array_equal(net.theta, before)
 
 
 def test_adam_constant_positive_gradient_decreases_parameter():
@@ -277,23 +290,21 @@ def test_adam_constant_positive_gradient_decreases_parameter():
     state = AdamState.init(net)
     values = [net.weights[0][0, 0]]
     for _ in range(3):
-        adam_step(net, [(np.array([[1.0]]), np.array([0.0]))], state)
+        adam_step(net, np.array([1.0, 0.0]), state)
         values.append(net.weights[0][0, 0])
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def adam_snapshot(net, state):
     """Copies of everything a rejected adam_step must leave unchanged."""
-    return (net.snapshot(), [a.copy() for pair in state.m for a in pair],
-            [a.copy() for pair in state.v for a in pair], state.step)
+    return (net.snapshot(), state.m_flat.copy(), state.v_flat.copy(),
+            state.step)
 
 
 def assert_same_snapshot(a, b):
-    (aw, ab), am, av, astep = a
-    (bw, bb), bm, bv, bstep = b
-    for x, y in zip(aw + ab + am + av, bw + bb + bm + bv):
+    for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x, y)
-    assert astep == bstep
+    assert a[3] == b[3]
 
 
 def stepped_net_and_state():
@@ -302,16 +313,15 @@ def stepped_net_and_state():
     state = AdamState.init(net)
     rng = np.random.default_rng(0)
     for _ in range(2):
-        adam_step(net, [(rng.normal(size=w.shape), rng.normal(size=b.shape))
-                        for w, b in zip(net.weights, net.biases)], state)
+        adam_step(net, rng.normal(size=net.n_params), state)
     return net, state
 
 
 def test_adam_rejects_nan_gradient():
     net, state = stepped_net_and_state()
     before = adam_snapshot(net, state)
-    grads = zero_grads_like(net)
-    grads[0][0][0, 0] = np.nan
+    grads = np.zeros(net.n_params)
+    grads[0] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         adam_step(net, grads, state)
     assert_same_snapshot(adam_snapshot(net, state), before)
@@ -321,8 +331,8 @@ def test_adam_rejects_nan_gradient():
 def test_adam_rejects_inf_gradient(bad):
     net, state = stepped_net_and_state()
     before = adam_snapshot(net, state)
-    grads = zero_grads_like(net)
-    grads[0][0][0, 0] = bad
+    grads = np.zeros(net.n_params)
+    grads[0] = bad
     with pytest.raises(ValueError, match="NaN"):
         adam_step(net, grads, state)
     assert_same_snapshot(adam_snapshot(net, state), before)
@@ -334,12 +344,9 @@ def test_adam_accepts_huge_finite_gradient():
     net, state = stepped_net_and_state()
     ref_net, ref_state = stepped_net_and_state()
     rng = np.random.default_rng(1)
-    grads = [(rng.uniform(1e307, 1.7e307, size=w.shape),
-              rng.uniform(1e307, 1.7e307, size=b.shape))
-             for w, b in zip(net.weights, net.biases)]
+    grads = rng.uniform(1e307, 1.7e307, size=net.n_params)
     with np.errstate(over="ignore"):
-        assert not np.isfinite(np.add.reduce(
-            np.concatenate([g.ravel() for pair in grads for g in pair])))
+        assert not np.isfinite(np.add.reduce(grads))
         adam_step(net, grads, state)
         per_layer_adam_step(ref_net, grads, ref_state)
     assert_same_snapshot(adam_snapshot(net, state),
@@ -347,15 +354,14 @@ def test_adam_accepts_huge_finite_gradient():
 
 
 def test_adam_rejects_misshaped_gradient():
-    # a transposed (2, 100) gradient for the (100, 2) first weight holds the
-    # right number of entries, so only the shape check can catch it
+    # one entry too many, or the right entries as an (n, 1) column, which
+    # would broadcast against the parameters
     net, state = stepped_net_and_state()
     before = adam_snapshot(net, state)
-    grads = zero_grads_like(net)
-    grads[0] = (grads[0][0].T.copy(), grads[0][1])
-    with pytest.raises(ValueError, match="shape"):
-        adam_step(net, grads, state)
-    assert_same_snapshot(adam_snapshot(net, state), before)
+    for grads in (np.zeros(net.n_params + 1), np.zeros((net.n_params, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(net, grads, state)
+        assert_same_snapshot(adam_snapshot(net, state), before)
 
 
 def per_layer_adam_step(net, grads, state):
@@ -364,15 +370,14 @@ def per_layer_adam_step(net, grads, state):
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for l, (gw, gb) in enumerate(grads):
-        for which, g in (("w", gw), ("b", gb)):
-            m = state.m[l][0 if which == "w" else 1]
-            v = state.v[l][0 if which == "w" else 1]
+    layers = zip(*(_layer_views(a, net.shapes) for a in
+                   (net.theta, grads, state.m_flat, state.v_flat)))
+    for (pw, pb), (gw, gb), (mw, mb), (vw, vb) in layers:
+        for target, g, m, v in ((pw, gw, mw, vw), (pb, gb, mb, vb)):
             m *= state.beta1
             m += (1.0 - state.beta1) * g
             v *= state.beta2
             v += (1.0 - state.beta2) * g * g
-            target = net.weights[l] if which == "w" else net.biases[l]
             target -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
     net.version += 1
 
@@ -389,23 +394,17 @@ def test_adam_moment_flush_changes_no_weight():
     # subnormals while adam_step has flushed them to zero. The run crosses
     # many flush boundaries and the step (~350) where c1 rounds to 1.0.
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
-    ref = LocalizerNet(*net.snapshot())
+    ref = LocalizerNet(net.weights, net.biases)
     state = AdamState.init(net)
     assert state.flush_every == 101
-    ref_state = SimpleNamespace(
-        m=zero_grads_like(ref), v=zero_grads_like(ref), step=0,
-        learning_rate=state.learning_rate, beta1=state.beta1,
-        beta2=state.beta2, eps=state.eps)
+    ref_state = AdamState.init(ref)
     rng = np.random.default_rng(6)
-    live = [(rng.random(w.shape) < 0.7, rng.random(b.shape) < 0.7)
-            for w, b in zip(net.weights, net.biases)]
+    live = rng.random(net.n_params) < 0.7
     unflushed_tiny = 0  # steps that kept some 0 < |m| < 1e-300
     for step in range(7050):
-        grads = [(rng.normal(size=lw.shape), rng.normal(size=lb.shape))
-                 for lw, lb in live]
+        grads = rng.normal(size=net.n_params)
         if step >= 50:
-            grads = [(gw * lw, gb * lb) for (gw, gb), (lw, lb)
-                     in zip(grads, live)]
+            grads *= live
         adam_step(net, grads, state)
         per_layer_adam_step(ref, grads, ref_state)
         # neither m nor the lr * m the update scales it to is subnormal
@@ -413,8 +412,7 @@ def test_adam_moment_flush_changes_no_weight():
         assert subnormal_count([state.m_flat * state.learning_rate]) == 0
         m = np.abs(state.m_flat)
         unflushed_tiny += bool(((m > 0) & (m < 1e-300)).any())
-    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net.theta, ref.theta)
     assert subnormal_count(a for pair in ref_state.m for a in pair) > 0
     assert 1.0 - state.beta1 ** state.step == 1.0
     assert unflushed_tiny > 0  # the flush is periodic, not every step
@@ -424,7 +422,7 @@ def test_adam_flush_period_follows_beta1():
     # with beta1 = 0.5 a first moment halves each step, so it must be
     # flushed every 15 steps for lr * m to stay out of the subnormal range
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
-    ref = LocalizerNet(*net.snapshot())
+    ref = LocalizerNet(net.weights, net.biases)
     state = AdamState.init(net, beta1=0.5)
     ref_state = AdamState.init(ref, beta1=0.5)
     assert state.flush_every == 15
@@ -433,16 +431,13 @@ def test_adam_flush_period_follows_beta1():
     ref_subnormal_steps = 0
     for step in range(1200):
         scale = 1.0 if step < 5 else 0.0  # every unit dies after step 5
-        grads = [(scale * rng.normal(size=w.shape),
-                  scale * rng.normal(size=b.shape))
-                 for w, b in zip(net.weights, net.biases)]
+        grads = scale * rng.normal(size=net.n_params)
         adam_step(net, grads, state)
         per_layer_adam_step(ref, grads, ref_state)
         assert subnormal_count([state.m_flat]) == 0
         assert subnormal_count([state.m_flat * state.learning_rate]) == 0
         ref_subnormal_steps += subnormal_count([ref_state.m_flat]) > 0
-    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net.theta, ref.theta)
     assert ref_subnormal_steps > 0  # unflushed, the moments pass through
 
 

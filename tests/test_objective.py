@@ -42,21 +42,13 @@ def off_kink_case(kind, seed, m=6, d=3, margin=1e-3):
     raise RuntimeError("no off-kink batch found")
 
 
-def flatten(grads):
-    return np.concatenate([np.ravel(g) for pair in grads for g in pair])
-
-
 def random_direction(net, rng):
-    vecs = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
-            for w, b in zip(net.weights, net.biases)]
-    norm = np.sqrt(sum((vw ** 2).sum() + (vb ** 2).sum() for vw, vb in vecs))
-    return [(vw / norm, vb / norm) for vw, vb in vecs]
+    vec = rng.normal(size=net.n_params)
+    return vec / np.sqrt((vec ** 2).sum())
 
 
 def shift_params(net, direction, h):
-    for (w, b), (vw, vb) in zip(zip(net.weights, net.biases), direction):
-        w += h * vw
-        b += h * vb
+    net.theta += h * direction
     net.version += 1
 
 
@@ -138,9 +130,8 @@ def test_constant_localizer_matches_fixed_loss():
     fixed_value = fixed_loss(batch.a)
     for kind in FAMILY_BUILDERS:
         net = small_net(4)
-        net.weights = [np.zeros_like(w) for w in net.weights]
-        net.biases = [np.zeros_like(b) for b in net.biases]
-        net.biases[-1] = net.biases[-1] + 0.7  # g == 0.7 everywhere
+        net.theta[:] = 0.0
+        net.biases[-1][:] = 0.7  # g == 0.7 everywhere
         fam = FAMILY_BUILDERS[kind](net)
         assert loss_batch(fam, batch).value == pytest.approx(
             fixed_value, rel=1e-9), kind
@@ -183,7 +174,7 @@ def test_gradients_match_directional_fd():
             for _ in range(4):
                 v = random_direction(fam.localizer, rng)
                 fd = directional_fd(fam, batch, v)
-                an = float(np.dot(flatten(out.grads), flatten(v)))
+                an = float(np.dot(out.grads, v))
                 denom = max(abs(fd), abs(an), 1e-10)
                 assert abs(fd - an) / denom <= 1e-5, (kind, trial)
 
@@ -194,7 +185,7 @@ def test_implicit_mode_matches_analytic_exp():
     analytic = loss_batch(fam, batch)
     implicit = oracle_loss(fam, batch)
     assert implicit.value == pytest.approx(analytic.value, rel=1e-8)
-    fa, fi = flatten(analytic.grads), flatten(implicit.grads)
+    fa, fi = analytic.grads, implicit.grads
     # relative to the gradient scale: bisection noise ~1e-12 would fail a
     # per-element relative test on exactly-zero (dead-path) entries
     assert np.abs(fa - fi).max() <= 1e-8 * max(1.0, np.abs(fa).max())
@@ -228,8 +219,7 @@ def test_erc_fit_loss_zero_when_g_matches():
 
 def test_erc_fit_loss_hand_value():
     net = small_net(13, d=1)
-    net.weights = [np.zeros_like(w) for w in net.weights]
-    net.biases = [np.zeros_like(b) for b in net.biases]
+    net.theta[:] = 0.0
     x = np.array([[0.5], [-0.5]])
     out = erc_error_fit_loss(net, LossBatch(x, np.array([1.0, 4.0])))
     assert out.value == pytest.approx((1.0 + 16.0) / 2.0)
@@ -250,7 +240,7 @@ def test_erc_fit_gradient_matches_fd():
         down = float(((net.values(batch.x) - batch.a) ** 2).mean())
         shift_params(net, v, h)
         fd = (up - down) / (2 * h)
-        an = float(np.dot(flatten(out.grads), flatten(v)))
+        an = float(np.dot(out.grads, v))
         assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
 
 
@@ -308,7 +298,7 @@ def test_closed_form_matches_implicit_oracle(kind, m, spread):
     closed = loss_batch(fam, batch)
     oracle = oracle_loss(fam, batch)
     assert abs(closed.value - oracle.value) <= 1e-12 * abs(oracle.value)
-    fc, fo = flatten(closed.grads), flatten(oracle.grads)
+    fc, fo = closed.grads, oracle.grads
     assert np.abs(fc - fo).max() <= 1e-10 * np.abs(fo).max()
     assert pairwise_size_loss(fam, batch.x, batch.a) == closed.value
 
