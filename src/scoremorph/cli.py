@@ -210,7 +210,8 @@ def _eval_frozen(args, paths, alphas):
         splits = {}  # point-model recipe -> scored calibration and test split
         for b in bundles:
             def evaluate_all():
-                key = (json.dumps(b.stats.to_json_dict()), b.knn_k,
+                key = (b.stats.mean.tobytes(), b.stats.sd.tobytes(),
+                       b.stats.zero_variance.tobytes(), b.knn_k,
                        b.split.fractions)
                 if key not in splits:
                     model, parts = point_model(

@@ -76,9 +76,7 @@ def calibrate(scores, alpha: float) -> float:
     if b.size == 0:
         raise ValueError("empty calibration scores")
     m = quantile_index(b.shape[0], alpha)
-    # stable sort: ties resolved by original index, deterministic
-    order = np.argsort(b, kind="stable")
-    return float(b[order[m - 1]])
+    return float(np.partition(b, m - 1)[m - 1])
 
 
 def _inverse(fam: TransformFamily, xs, q_hat: float,

@@ -24,7 +24,9 @@ class NormalizationStats:
     """Per-column mean and population sd; last entry is the label column.
 
     Columns flagged in ``zero_variance`` were centered only (their raw sd is
-    kept as recorded but treated as 1 when scaling).
+    kept as recorded but treated as 1 when scaling). Every mean and sd is
+    finite and every sd >= 0, positive where the column is not flagged, so
+    scaling never flips a column or divides by zero.
     """
 
     mean: np.ndarray
@@ -32,22 +34,22 @@ class NormalizationStats:
     zero_variance: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "sd", "zero_variance"):
-            arr = np.asarray(getattr(self, name))
+        for name, dtype in (("mean", float), ("sd", float),
+                            ("zero_variance", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (self.mean.shape == self.sd.shape == self.zero_variance.shape):
             raise ValueError("normalization stats column counts disagree")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.sd).all()):
+            raise ValueError("normalization stats hold a non-finite value")
+        if (self.sd < 0).any():
+            raise ValueError("normalization stats hold a negative sd")
+        if (~self.zero_variance & (self.sd == 0)).any():
+            raise ValueError("a column of sd 0 is not flagged zero_variance")
 
     def effective_sd(self) -> np.ndarray:
         return np.where(self.zero_variance, 1.0, self.sd)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "sd": self.sd.tolist(),
-            "zero_variance": [bool(f) for f in self.zero_variance],
-        }
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,6 @@ class LocalizerNet:
         return cls(weights, biases)
 
     @property
-    def layer_dims(self):
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
     def d(self) -> int:
         return self.weights[0].shape[1]
 
@@ -186,13 +182,6 @@ class LocalizerNet:
     def restore(self, snap):
         np.copyto(self.theta, snap)
         self.version += 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "layer_dims": self.layer_dims,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
 
 
 class AdamState:

@@ -4,6 +4,10 @@ A model file is self-contained given the original data file: it stores the
 split seed/fractions and the selected K, from which
 ``training.point_model(dataset, bundle.split, bundle.knn_k)`` rebuilds the
 point predictor and the calibration split deterministically.
+
+This module alone writes and reads the file, by one rule: every value
+reaches its check or constructor inside the ``field`` read that names it,
+so a refused value raises one ValueError naming the file and that field.
 """
 
 from __future__ import annotations
@@ -17,15 +21,19 @@ from .data import NormalizationStats, SplitSpec
 from .ioutil import write_text_atomic
 from .network import LocalizerNet
 from .training import family_kind
-from .transforms import TransformFamily, make_family
+from .transforms import (TransformFamily, checked_floor, checked_gamma,
+                         make_family)
 
 MODEL_FORMAT_VERSION = 1
 
-# every top-level field save_model writes, with the JSON types it may hold
-_FIELDS = {"format_version": int, "family": str,
-           "gamma": (int, float, type(None)), "epsilon_floor": (int, float),
-           "localizer": (dict, type(None)), "normalization_stats": dict,
-           "knn_k": int, "split": dict}
+
+class _FieldError(ValueError):
+    """A refused field, already named; an enclosing read passes it on."""
+
+
+def _version(value):
+    if value != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format_version {value}")
 
 
 def _floats(value):
@@ -34,12 +42,16 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
-def _localizer(value, d):
-    net = LocalizerNet(value["weights"], value["biases"])
-    if net.d != d:
-        raise ValueError(f"it takes {net.d} attributes, but the "
-                         f"normalization stats describe {d}")
-    return net
+def _flags(value):
+    if not all(isinstance(f, bool) for f in value):
+        raise ValueError("it holds an entry that is not true or false")
+    return np.asarray(value, dtype=bool)
+
+
+def _knn_k(value):
+    if value < 1:
+        raise ValueError(f"k must be >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,14 +67,19 @@ def model_to_dict(label: str, family: TransformFamily,
                   stats: NormalizationStats, knn_k: int,
                   split: SplitSpec) -> dict:
     family_kind(label)  # rejects unknown labels
-    localizer = family.localizer
+    net = family.localizer
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "family": label,
         "gamma": family.gamma,
         "epsilon_floor": family.epsilon_floor,
-        "localizer": localizer.to_json_dict() if localizer is not None else None,
-        "normalization_stats": stats.to_json_dict(),
+        "localizer": None if net is None else {
+            "layer_dims": [net.d] + [rows for rows, _ in net.shapes],
+            "weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases]},
+        "normalization_stats": {
+            "mean": stats.mean.tolist(), "sd": stats.sd.tolist(),
+            "zero_variance": stats.zero_variance.tolist()},
         "knn_k": int(knn_k),
         "split": {"seed": int(split.seed), "fractions": list(split.fractions)},
     }
@@ -70,49 +87,55 @@ def model_to_dict(label: str, family: TransformFamily,
 
 def model_from_dict(doc: dict, path) -> ModelBundle:
     """The bundle of the JSON object doc read from the model file at path.
-    A field that is missing, holds a value of the wrong JSON type, or holds
-    an array numpy cannot read, raises one ValueError naming the file and
-    the field, dotted below the top level as in ``split.seed``."""
+    A field that is missing, of the wrong JSON type or refused raises one
+    ValueError naming the file and the field, dotted as in ``split.seed``."""
     def field(name, types, read=None):
+        # read after its parents' type checks: each step is into a dict
         value = doc
         for key in name.split("."):
             if key not in value:
-                raise ValueError(f"model file {path} has no field '{name}'")
+                raise _FieldError(f"model file {path}: field '{name}' "
+                                  "is missing")
             value = value[key]
         if not isinstance(value, types):
-            raise ValueError(f"model file {path}: field '{name}' holds a "
-                             f"{type(value).__name__}")
-        if read is None:
-            return value
+            raise _FieldError(f"model file {path}: field '{name}' holds a "
+                              f"{type(value).__name__}")
         try:
-            return read(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"model file {path}: field '{name}' cannot be "
-                             f"read: {exc}") from None
+            return value if read is None else read(value)
+        except _FieldError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _FieldError(f"model file {path}: field '{name}' cannot be "
+                              f"read: {exc}") from None
 
-    for name, types in _FIELDS.items():
-        field(name, types)
-    version = doc["format_version"]
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version}")
-    label = doc["family"]
-    kind = family_kind(label)
-    stats = NormalizationStats(
+    field("format_version", int, _version)
+    kind, label = field("family", str, lambda v: (family_kind(v), v))
+    stats = field("normalization_stats", dict, lambda v: NormalizationStats(
         field("normalization_stats.mean", list, _floats),
         field("normalization_stats.sd", list, _floats),
-        field("normalization_stats.zero_variance", list,
-              lambda v: np.asarray(v, dtype=bool)))
-    localizer = None
-    if doc["localizer"] is not None:
-        field("localizer.weights", list)
-        field("localizer.biases", list)
-        localizer = field("localizer", dict,
-                          lambda v: _localizer(v, len(stats.mean) - 1))
-    gamma = field("gamma", (int, float)) if kind == "erc" else None
-    family = make_family(kind, localizer, gamma, doc["epsilon_floor"])
-    split = SplitSpec(field("split.seed", int),
-                      tuple(field("split.fractions", list, _floats)))
-    return ModelBundle(label, family, stats, int(doc["knn_k"]), split)
+        field("normalization_stats.zero_variance", list, _flags)))
+    erc = kind == "erc"
+    gamma = field("gamma", (int, float) if erc else (int, float, type(None)),
+                  checked_gamma if erc else None)
+    epsilon_floor = field("epsilon_floor", (int, float), checked_floor)
+
+    def localizer(value):  # fixed takes none, the other kinds need one
+        net, d = None, len(stats.mean) - 1
+        if value is not None:
+            net = LocalizerNet(field("localizer.weights", list),
+                               field("localizer.biases", list))
+            if net.d != d:
+                raise ValueError(f"it takes {net.d} attributes, but the "
+                                 f"normalization stats describe {d}")
+        return make_family(kind, net, gamma, epsilon_floor)
+
+    family = field("localizer", (dict, type(None)), localizer)
+    knn_k = field("knn_k", int, _knn_k)
+    field("split", dict)  # then its entries, through SplitSpec's checks
+    seed = field("split.seed", int, lambda s: SplitSpec(s).seed)
+    split = field("split.fractions", list,
+                  lambda f: SplitSpec(seed, tuple(_floats(f))))
+    return ModelBundle(label, family, stats, knn_k, split)
 
 
 def save_model(path, label, family, stats, knn_k, split) -> None:

@@ -14,7 +14,7 @@ from .conformal import evaluate, scored
 from .data import Dataset, SplitSpec, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
-from .transforms import DEFAULT_GAMMA, make_family
+from .transforms import DEFAULT_GAMMA, checked_gamma, make_family
 from .workers import map_in_workers
 
 # CLI label -> (transform kind, label whose localizer it uses); exp and sigma
@@ -41,8 +41,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:  # NaN fails too
             raise ValueError("learning_rate must be finite and positive, "
                              f"got {self.learning_rate}")
-        if not 0 < self.gamma < math.inf:  # as make_family refuses it for erc
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        checked_gamma(self.gamma)  # as make_family refuses it for erc
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.patience < 1:

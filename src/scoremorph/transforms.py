@@ -94,14 +94,22 @@ def make_family(kind: str, localizer: LocalizerNet | None = None,
         raise ValueError("family 'fixed' takes no localizer network")
     if kind != "fixed" and localizer is None:
         raise ValueError(f"family '{kind}' needs a localizer network")
+    epsilon_floor = checked_floor(epsilon_floor)
+    gamma = checked_gamma(gamma) if kind == "erc" else None
+    return TransformFamily(kind, localizer, gamma, epsilon_floor)
+
+
+def checked_floor(epsilon_floor) -> float:
+    """epsilon_floor as a float, refused unless finite and positive."""
     epsilon_floor = float(epsilon_floor)
     if not 0 < epsilon_floor < math.inf:  # NaN fails too
         raise ValueError("epsilon_floor must be finite and positive, "
                          f"got {epsilon_floor}")
-    if kind != "erc":
-        gamma = None
-    elif not 0 < gamma < math.inf:
+    return epsilon_floor
+
+
+def checked_gamma(gamma) -> float:
+    """gamma as a float, refused unless finite and positive."""
+    if not 0 < gamma < math.inf:  # NaN fails too
         raise ValueError(f"gamma must be positive, got {gamma}")
-    else:
-        gamma = float(gamma)
-    return TransformFamily(kind, localizer, gamma, epsilon_floor)
+    return float(gamma)

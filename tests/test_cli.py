@@ -1,11 +1,14 @@
 import csv
 import hashlib
 import json
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoremorph import cli, knn, training
 from scoremorph.cli import main, read_raw_axis
@@ -13,7 +16,8 @@ from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
                              load_csv, normalize, split_indices)
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
-from scoremorph.serialize import load_model, save_model
+from scoremorph.serialize import (ModelBundle, load_model, model_from_dict,
+                                  save_model)
 from scoremorph.synthetic import SynthSpec
 from scoremorph.training import TrainConfig
 from scoremorph.transforms import make_family
@@ -574,6 +578,30 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
     # a localizer of 2 attributes on the file's 3
     pytest.param("localizer", lambda doc: doc.update(localizer={
         "weights": [[[0.0] * 2]], "biases": [[0.0]]}), id="input-width"),
+    # each value below is refused inside the read that names its field
+    pytest.param("normalization_stats", lambda doc: doc[
+        "normalization_stats"].update(sd=[-1.0] * 4), id="negative-sd"),
+    pytest.param("normalization_stats", lambda doc: doc[
+        "normalization_stats"].update(sd=[0.0] * 4), id="zero-sd"),
+    pytest.param("normalization_stats", lambda doc: doc[
+        "normalization_stats"].update(sd=[1.0] * 3), id="short-sd"),
+    pytest.param("normalization_stats.zero_variance", lambda doc: doc[
+        "normalization_stats"].update(zero_variance=[7, 0, 0, 0]),
+        id="integer-flags"),
+    pytest.param("normalization_stats.zero_variance", lambda doc: doc[
+        "normalization_stats"].update(zero_variance=[[False]] * 4),
+        id="nested-flags"),
+    pytest.param("gamma", lambda doc: doc.update(
+        family="erc", gamma=float("nan")), id="nan-gamma"),
+    pytest.param("family", lambda doc: doc.update(family="foo"),
+                 id="unknown-family"),
+    pytest.param("format_version", lambda doc: doc.update(format_version=2),
+                 id="format-version-2"),
+    pytest.param("split.seed", lambda doc: doc["split"].update(seed=-1),
+                 id="negative-seed"),
+    pytest.param("split.fractions", lambda doc: doc["split"].update(
+        fractions=[0.8, 0.8, 0.2, 0.2]), id="fractions-sum-2"),
+    pytest.param("knn_k", lambda doc: doc.update(knn_k=0), id="zero-k"),
 ])
 def test_a_model_file_error_names_the_nested_field(
         trained_linear, tmp_path, capsys, field, edit):
@@ -586,9 +614,79 @@ def test_a_model_file_error_names_the_nested_field(
     assert run("eval", "--data", data, "--model", bad,
                "--report", report) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: model file {bad}")
-    assert f"field '{field}'" in line
+    assert line.startswith(f"error: model file {bad}: field '{field}' ")
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def field_names(doc, prefix=""):
+    """Every field of a model document, dotted below the top level."""
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from field_names(value, prefix + key + ".")
+
+
+DELETE = object()
+
+
+def with_field(doc, name, value):
+    """doc with field name set to value, or deleted where value is DELETE;
+    only the objects on the field's path are copied."""
+    key, _, rest = name.partition(".")
+    doc = dict(doc)
+    if rest:
+        doc[key] = with_field(doc[key], rest, value)
+    elif value is DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
+
+
+# one field's damage, from its value: gone, another JSON type, a bad
+# number, or an empty, nested or short list
+DAMAGE = {
+    "delete": lambda v: DELETE, "text": lambda v: "text",
+    "true": lambda v: True, "null": lambda v: None, "object": lambda v: {},
+    "integer": lambda v: 3, "float": lambda v: 0.5,
+    "nan": lambda v: float("nan"), "inf": lambda v: float("inf"),
+    "-inf": lambda v: float("-inf"), "zero": lambda v: 0,
+    "huge": lambda v: 10 ** 400,  # an integer no float holds
+    "negative": lambda v: -v if isinstance(v, (int, float)) else -1,
+    "empty": lambda v: [],
+    "nested": lambda v: [[e] for e in v] if isinstance(v, list) else [v],
+    "short": lambda v: v[:-1] if isinstance(v, list) else [],
+}
+
+
+@pytest.fixture(scope="module")
+def model_docs(trained_linear):
+    """A trained linear model document, and the same as erc and fixed."""
+    doc = json.loads(trained_linear[1].read_text())
+    return [doc, {**doc, "family": "erc", "gamma": 0.01},
+            {**doc, "family": "fixed", "localizer": None}]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_damaged_model_field_is_refused_by_name_or_loads(model_docs, data):
+    doc = data.draw(st.sampled_from(model_docs))
+    names = list(field_names(doc))
+    name = data.draw(st.sampled_from(names))
+    damage = DAMAGE[data.draw(st.sampled_from(sorted(DAMAGE)))]
+    value = doc
+    for key in name.split("."):
+        value = value[key]
+    try:
+        bundle = model_from_dict(with_field(doc, name, damage(value)),
+                                 "m.json")
+    except ValueError as exc:
+        refused = re.fullmatch(r"model file m\.json: field '([^']+)' .+",
+                               str(exc))
+        assert refused and refused[1] in names, str(exc)
+        assert str(exc).count("model file") == 1, str(exc)
+    else:
+        assert isinstance(bundle, ModelBundle)
 
 
 @pytest.mark.parametrize("field", ["epsilon_floor", "gamma"])
@@ -601,7 +699,10 @@ def test_eval_frozen_rejects_a_nan_model_value(tmp_path, capsys, field):
     report = tmp_path / "r.csv"
     assert run("eval", "--data", data, "--model", model, "--runs", 2,
                "--report", report) == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert capsys.readouterr().err == (
+        f"error: model file {model}: field '{field}' cannot be read: "
+        f"{field} must be {'finite and ' * (field == 'epsilon_floor')}"
+        "positive, got nan\n")
     assert not report.exists()
 
 

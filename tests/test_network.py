@@ -22,7 +22,7 @@ def test_init_deterministic_and_shapes():
     b = LocalizerNet.init(3, seed=42)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
-    assert a.layer_dims == [3, 100, 100, 100, 100, 100, 1]
+    assert a.shapes == [(100, 3), *[(100, 100)] * 4, (1, 100)]
     assert a.weights[0].shape == (100, 3)
 
 
