@@ -165,7 +165,8 @@ def cmd_train(args) -> int:
 # ---- eval ----
 
 def _format_row(dataset_name: str, r: ProtocolRow) -> str:
-    return (f"{dataset_name},{r.family},{r.alpha!r},{r.run_seed},"
+    return (f"{dataset_name.replace(',', ';')},{r.family},{r.alpha!r},"
+            f"{r.run_seed},"
             f"{'' if r.mean_size is None else repr(r.mean_size)},"
             f"{'' if r.validity is None else repr(r.validity)},"
             f"{r.error.replace(',', ';')}")

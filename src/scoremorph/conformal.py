@@ -79,17 +79,13 @@ def calibrate(scores, alpha: float) -> float:
     return float(np.partition(b, m - 1)[m - 1])
 
 
-def _inverse(fam: TransformFamily, xs, q_hat: float,
-             locs=None) -> np.ndarray:
-    return np.asarray(fam.inverse_batch(xs, q_hat, locs), dtype=float)
-
-
 def half_widths(fam: TransformFamily, xs, q_hat: float,
                 locs=None) -> np.ndarray:
     """Half widths sqrt(phi_x^{-1}(q)) at the rows of xs, for q from
     ``calibrate(calibration_scores(fam, ...))``; ``locs``, when given,
     holds ``fam.loc_batch(xs)``."""
-    return np.sqrt(_inverse(fam, xs, q_hat, locs))
+    return np.sqrt(np.asarray(fam.inverse_batch(xs, q_hat, locs),
+                              dtype=float))
 
 
 def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
@@ -108,11 +104,11 @@ def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
     for alpha in alphas:
         try:
             q_hat = calibrate(b_cal, alpha)
-            inv = _inverse(fam, test.x, q_hat, locs)
+            half = half_widths(fam, test.x, q_hat, locs)
         except ValueError as exc:
             reports.append(EvalReport(float(alpha), None, None, str(exc)))
             continue
         reports.append(EvalReport(
-            float(alpha), float((2.0 * np.sqrt(inv)).mean()),
+            float(alpha), float((2.0 * half).mean()),
             float((b_test <= q_hat).mean())))
     return reports

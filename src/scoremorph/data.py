@@ -171,10 +171,22 @@ def _columns(ds: Dataset) -> np.ndarray:
 
 
 def compute_stats(ds: Dataset) -> NormalizationStats:
-    """Per-column mean and population sd over attributes plus label."""
+    """Per-column mean and population sd over attributes plus label.
+
+    A column whose plain stats overflow (``std`` squares the values, so
+    past about 1e154) gets them from the column divided by its largest
+    magnitude, scaled back; every other column keeps the plain ones.
+    """
     cols = _columns(ds)
-    mean = cols.mean(axis=0)
-    sd = cols.std(axis=0)  # population convention (divide by n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = cols.mean(axis=0)
+        sd = cols.std(axis=0)  # population convention (divide by n)
+    huge = ~(np.isfinite(mean) & np.isfinite(sd))
+    if huge.any():
+        scale = np.abs(cols[:, huge]).max(axis=0)
+        unit = cols[:, huge] / scale
+        mean[huge] = unit.mean(axis=0) * scale
+        sd[huge] = unit.std(axis=0) * scale
     zero_var = sd <= _ZERO_VAR_TOL * np.maximum(1.0, np.abs(mean))
     return NormalizationStats(mean=mean, sd=sd, zero_variance=zero_var)
 

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import secrets
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The temp file is created as ``open(path, "w")`` would create the file,
+    mode 0o666 less the umask, so the result's mode follows the umask.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -117,21 +117,14 @@ def _chunks(train_x, queries, k):
     a fifth of scanning the rows they hold), so the chunk scans every row
     in place, as many queries as the budget allows for all n rows; when
     the projection cannot prune at all, as on columns of similar spread,
-    that is every chunk. A call whose queries all fit in one such full scan
-    (n_queries * n * d <= ``_CHUNK_CELLS``, e.g. 100 queries against 400
-    stored rows of 3 columns) scans every row without sorting. That saves
-    the sorts and the bound, about a tenth of such a call where the window
-    prunes nothing (uniform data, d = 2 or 8); where it prunes (synth cos,
-    or uniform data with d = 1) windowing is as fast at about 10^5 cells
-    and faster above.
+    that is every chunk.
     """
     n, d = train_x.shape
     n_queries = queries.shape[0]
-    full = max(1, _CHUNK_CELLS // (n * d))  # queries per scan of every row
-    if n_queries <= full:
-        yield slice(None), (_k_smallest(_sq_distances(queries, train_x), k)
-                            if n_queries else np.empty((0, k), dtype=np.intp))
+    if not n_queries:
+        yield slice(None), np.empty((0, k), dtype=np.intp)
         return
+    full = max(1, _CHUNK_CELLS // (n * d))  # queries per scan of every row
     j = int(np.argmax(train_x.max(axis=0) - train_x.min(axis=0)))
     order = np.argsort(train_x[:, j])
     sorted_x = train_x[order]

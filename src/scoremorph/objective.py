@@ -8,11 +8,11 @@ For the log-shift core phi = z = log A + s(x) the pair term is
 exp((z_n - s_i) / 2), so the loss is sum_n e^{z_n/2} W_n / (m(m-1)) and
 its derivative in s_k is (e^{z_k/2} W_k - e^{-s_k/2} R_k) / (2m(m-1)), with
 the leave-one-out sums W_k = sum_{i != k} e^{-s_i/2} and
-R_k = sum_{n != k} e^{z_n/2}: O(m), with no pair inverted. A loss that
-overflows names the pairs whose term exp((z_n - s_i) / 2) is not finite.
-Every family is the core, so ``pairwise_size_loss`` takes any, fixed (the
-core at s = 0) included; ``loss_batch`` trains a localizer and refuses, by
-name, a family that has none.
+R_k = sum_{n != k} e^{z_n/2}: O(m), with no pair inverted. Every family
+is the core, so ``pairwise_size_loss`` takes any, fixed (the core at
+s = 0) included; ``loss_batch`` trains a localizer and refuses, by name, a
+family that has none. The size loss and ``erc_error_fit_loss`` both refuse
+a value that is not finite with ``ValueError("non-finite loss")``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ import numpy as np
 
 from .network import LocalizerNet
 from .transforms import TransformFamily
-
-# pair terms held at a time while naming a loss's non-finite pairs: 2 MiB,
-# as many as a neighbour-scan chunk holds pairs at d = 1
-_SCAN_CELLS = 1 << 18
-
 
 @dataclass(frozen=True)
 class LossBatch:
@@ -64,26 +59,6 @@ class LossValue:
     grads: np.ndarray  # flat, in the layout of LocalizerNet.theta
 
 
-def _non_finite(bad_rows, m: int) -> ValueError:
-    """The error naming the first five off-diagonal pairs (i, n), in row
-    order, that ``bad_rows(lo, hi)`` marks: the mask of rows lo..hi-1 of the
-    (m, m) pair matrix. Rows come in blocks of at most ``_SCAN_CELLS``
-    pairs, so a failure costs no O(m^2) memory where the loss did not."""
-    bad = []
-    step = max(1, _SCAN_CELLS // m)
-    for lo in range(0, m, step):
-        mask = bad_rows(lo, min(lo + step, m))
-        diag = np.arange(mask.shape[0])
-        mask[diag, lo + diag] = False
-        # the first five pairs lie in the first five rows that hold any
-        rows = np.flatnonzero(mask.any(axis=1))[:5]
-        i, n = np.nonzero(mask[rows])
-        bad += np.column_stack((lo + rows[i], n))[:5 - len(bad)].tolist()
-        if len(bad) == 5:
-            break
-    return ValueError(f"non-finite loss at pair indices {bad}")
-
-
 def _pair_norm(m: int) -> float:
     """1 / (m(m-1)): the weight of each ordered pair of m samples."""
     if m < 2:
@@ -112,12 +87,8 @@ def _core_loss(fam: TransformFamily, g, a_eff, grad: bool):
         w = np.exp(-0.5 * (s - c))
         w_loo = _leave_one_out(w)
         value = float((r * w_loo).sum() * norm)
-        if not np.isfinite(value):
-            def bad_rows(lo, hi):
-                terms = z[None, :] - s[lo:hi, None]
-                terms *= 0.5
-                return ~np.isfinite(np.exp(terms, out=terms))
-            raise _non_finite(bad_rows, g.shape[0])
+    if not np.isfinite(value):
+        raise ValueError("non-finite loss")
     if not grad:
         return value, None
     d_s = 0.5 * norm * (r * w_loo - w * _leave_one_out(r))
@@ -153,6 +124,9 @@ def erc_error_fit_loss(net: LocalizerNet, batch: LossBatch,
     as in ``loss_batch``."""
     g, tape = net.forward_batch(batch.x)
     resid = g - batch.a
-    value = float((resid ** 2).mean())
+    with np.errstate(over="ignore"):
+        value = float((resid ** 2).mean())
+    if not np.isfinite(value):
+        raise ValueError("non-finite loss")
     grads = net.backward_batch(tape, 2.0 * resid / batch.m, out)
     return LossValue(value, grads)

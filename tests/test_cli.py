@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -14,6 +15,7 @@ from scoremorph import cli, knn, training
 from scoremorph.cli import main, read_raw_axis
 from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
                              load_csv, normalize, split_indices)
+from scoremorph.ioutil import write_text_atomic
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
 from scoremorph.serialize import (ModelBundle, load_model, model_from_dict,
@@ -121,6 +123,29 @@ def test_main_calls_parse_independently(tmp_path):
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    # the CLI's files are created as open(path, "w") creates a file, not
+    # with a temp file's fixed 0600
+    old = os.umask(umask)
+    try:
+        data = synth(tmp_path, n=50, seed=7)
+        assert run("train", "--data", data, "--family", "fixed",
+                   "--model-out", tmp_path / "m.json") == 0
+    finally:
+        os.umask(old)
+    for path in (data, tmp_path / "d.csv.manifest.json", tmp_path / "m.json"):
+        assert path.stat().st_mode & 0o777 == mode
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # a lone surrogate fails to encode partway through the write
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(tmp_path / "out.txt", "row\n\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runtime_failure_exit_code(tmp_path):
     assert run("eval", "--data", tmp_path / "missing.csv", "--families",
                "fixed", "--report", tmp_path / "r.csv") == 1
@@ -222,6 +247,26 @@ def test_eval_out_of_range_alpha_error_row(tmp_path):
     assert bad and all("order statistic" in r["error"] for r in bad)
     good = [r for r in rows if r["alpha"] == "0.1"]
     assert good and all(r["error"] == "" for r in good)
+
+
+@pytest.mark.parametrize("mode", ["frozen", "protocol"])
+def test_eval_report_rows_keep_seven_cells(tmp_path, mode):
+    # the dataset cell comes from the file name, whose commas become
+    # semicolons as the error cell's do
+    data = synth(tmp_path, name="a,b.csv", n=300)
+    if mode == "frozen":
+        _, model = train_model(tmp_path, family="fixed", data=data)
+        source = ["--model", model]
+    else:
+        source = ["--families", "fixed"]
+    report = tmp_path / "r.csv"
+    assert run("eval", "--data", data, *source, "--alphas", "0.1",
+               "--report", report) == 0
+    lines = [l for l in report.read_text().splitlines()
+             if not l.startswith("#")]
+    assert len(lines) == 2
+    assert all(len(l.split(",")) == 7 for l in lines)
+    assert read_rows(report)[0]["dataset"] == "a;b"
 
 
 def test_eval_frozen_scores_once_per_run_and_bundle(tmp_path, monkeypatch):

@@ -114,6 +114,22 @@ def test_normalize_constant_column_centered_and_flagged():
     assert out.stats.zero_variance.tolist() == [True, False, False]
 
 
+def test_normalize_column_of_huge_magnitude():
+    # np.std squares the values, so the first column's plain sd overflows;
+    # it is scaled as that column divided by 1e200 would be, and the
+    # ordinary columns keep numpy's plain mean and sd bit for bit
+    x = np.array([[1e200, 1.0], [-1e200, 2.0], [5e199, 3.0]])
+    y = np.array([0.5, -1.0, 4.0])
+    out = normalize(Dataset(x, y))
+    small = normalize(Dataset(x / [1e200, 1.0], y))
+    assert np.allclose(out.x, small.x, rtol=1e-14, atol=0)
+    assert np.allclose(out.stats.sd[0], 1e200 * small.stats.sd[0],
+                       rtol=1e-14, atol=0)
+    cols = np.column_stack([x[:, 1], y])
+    assert np.array_equal(out.stats.mean[1:], cols.mean(axis=0))
+    assert np.array_equal(out.stats.sd[1:], cols.std(axis=0))
+
+
 def test_normalize_needs_two_samples():
     with pytest.raises(ValueError):
         normalize(Dataset(np.zeros((1, 1)), np.zeros(1)))

@@ -244,6 +244,17 @@ def test_erc_fit_gradient_matches_fd():
         assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-8)
 
 
+def test_erc_fit_loss_overflow_aborts():
+    # g = x = 1e200, so the squared residuals overflow: the loss refuses
+    # them as the size loss does, before any gradient is computed
+    net = LocalizerNet([np.array([[1.0]])], [np.zeros(1)])
+    batch = LossBatch(np.array([[1e200], [1e200]]), np.array([1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may leak first
+        with pytest.raises(ValueError, match=r"^non-finite loss$"):
+            erc_error_fit_loss(net, batch)
+
+
 def test_loss_overflow_aborts_with_indices():
     # g = 1, 2, 2001: the pair terms exp((z_n - s_i) / 2) of test rows 0
     # and 1 against row 2 are about e^1000, past the float64 range
@@ -252,15 +263,14 @@ def test_loss_overflow_aborts_with_indices():
                       np.array([1.0, 2.0, 3.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning may leak first
-        with pytest.raises(ValueError,
-                           match=r"pair indices \[\[0, 2\], \[1, 2\]\]$"):
+        with pytest.raises(ValueError, match=r"^non-finite loss$"):
             loss_batch(fam, batch)
 
 
 def test_loss_overflow_names_pairs_in_bounded_memory():
     # g = -800 on rows 0-1499 and +800 on rows 1500-2999, so the loss
-    # overflows; naming its pairs once built the (3000, 3000) term matrix
-    # and an identity mask, 155 MB, and a MemoryError at larger m
+    # overflows; refusing it builds no (3000, 3000) pair matrix, which
+    # takes 72 MB
     net = LocalizerNet([np.array([[1.0]])], [np.zeros(1)])
     xs = np.repeat([[-800.0], [800.0]], 1500, axis=0)
     tracemalloc.start()
@@ -270,8 +280,7 @@ def test_loss_overflow_names_pairs_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value) == ("non-finite loss at pair indices [[0, 1500], "
-                              "[0, 1501], [0, 1502], [0, 1503], [0, 1504]]")
+    assert str(err.value) == "non-finite loss"
     assert peak < 5 * 2**20
 
 
