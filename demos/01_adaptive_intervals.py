@@ -31,7 +31,7 @@ print(f"KNN cross-validation selected k = {model.k}")
 cal, val, te = (scored(d, model.predict_batch(d.x))
                 for d in (cp_train, validation, test))
 
-fam, trace = train(TrainConfig(family="linear", seed=7), cal, val)
+fam, trace = train("linear", cal, val, TrainConfig(seed=7))
 print(f"trained for {len(trace.epochs) - 1} epochs, "
       f"best validation loss at epoch {trace.best_epoch}")
 

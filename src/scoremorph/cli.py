@@ -141,12 +141,12 @@ def _train_options(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(args.family, args.seed, **_train_options(args))
+    config = TrainConfig(seed=args.seed, **_train_options(args))
     spec = SplitSpec(args.seed)
     ds = normalize(load_csv(args.data, args.has_header))
     model, parts = point_model(ds, spec)
     cp, val = score(model, parts.cp_train, parts.validation)
-    fam, trace = train(config, cp, val)
+    fam, trace = train(args.family, cp, val, config)
 
     save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
     trace_path = os.path.splitext(os.fspath(args.model_out))[0] + ".trace.csv"

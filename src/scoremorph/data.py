@@ -192,10 +192,25 @@ def compute_stats(ds: Dataset) -> NormalizationStats:
 
 
 def apply_normalization(ds: Dataset, stats: NormalizationStats) -> Dataset:
+    """Center and scale every column by ``stats``.
+
+    A column whose plain result overflows (values near the float64 limit)
+    is centred and scaled on the column divided by its largest magnitude,
+    as ``compute_stats`` does; every other column keeps the plain result.
+    """
     if stats.mean.shape[0] != ds.d + 1:
         raise ValueError(
             f"stats have {stats.mean.shape[0]} columns, dataset needs {ds.d + 1}")
-    cols = (_columns(ds) - stats.mean) / stats.effective_sd()
+    raw = _columns(ds)
+    sd = stats.effective_sd()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = (raw - stats.mean) / sd
+    huge = ~np.isfinite(cols).all(axis=0)
+    if huge.any():
+        scale = np.abs(raw[:, huge]).max(axis=0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cols[:, huge] = ((raw[:, huge] / scale - stats.mean[huge] / scale)
+                             / (sd[huge] / scale))
     return Dataset(cols[:, :-1], cols[:, -1], stats)
 
 

@@ -55,7 +55,12 @@ _CHUNK_QUERIES = 128
 def grid_for(n: int, folds: int = FOLDS, k_grid=DEFAULT_K_GRID) -> list:
     """The candidate k values that ``fit`` with ``folds`` folds accepts on n
     rows: none above the smallest CV training part, n - ceil(n / folds)."""
-    return [k for k in k_grid if k <= n - (n + folds - 1) // folds]
+    return [k for k in k_grid if k <= _smallest_train_part(n, folds)]
+
+
+def _smallest_train_part(n: int, folds: int) -> int:
+    """n - ceil(n / folds): the rows left when the largest fold is out."""
+    return n - (n + folds - 1) // folds
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,7 @@ def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = FOLDS,
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     fold_ids = np.arange(n) % folds  # applied to the permuted order
-    min_train = min(int((fold_ids != f).sum()) for f in range(folds))
+    min_train = _smallest_train_part(n, folds)
     if grid[-1] > min_train:
         raise ValueError(
             f"grid k={grid[-1]} exceeds the smallest CV training part ({min_train})")

@@ -195,16 +195,11 @@ class AdamState:
     size of the parameters.
     """
 
-    def __init__(self, shapes, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, shapes, learning_rate: float = 1e-3):
         self.shapes = [tuple(s) for s in shapes]
         self.step = 0
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.flush_every = _flush_period(beta1, learning_rate)
+        self.flush_every = _flush_period(learning_rate)
         size = sum(rows * (cols + 1) for rows, cols in self.shapes)
         self.m_flat = np.zeros(size)
         self.v_flat = np.zeros(size)
@@ -231,20 +226,25 @@ def _layer_views(flat, shapes):
     return views
 
 
+# Adam's decay rates and denominator offset, at the defaults of Kingma & Ba
+# (ICLR 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 # First moments below this magnitude are flushed to zero (see adam_step).
 _M_FLUSH = 1e-300
 
 
-def _flush_period(beta1: float, learning_rate: float) -> int:
-    """Most steps K with lr * beta1^K * 1e-300 at or above the smallest
+def _flush_period(learning_rate: float) -> int:
+    """Most steps K with lr * BETA1^K * 1e-300 at or above the smallest
     normal float, so that between two flushes neither a first moment nor
-    its scaled update ``lr * m`` turns subnormal: 101 for beta1 = 0.9 and
-    lr = 1e-3, and 1 (every step) for beta1 = 0."""
+    its scaled update ``lr * m`` turns subnormal: 101 for lr = 1e-3, and 1
+    (every step) once lr * 1e-300 is itself below that float."""
     tiny = np.finfo(float).tiny
     scale = _M_FLUSH * min(learning_rate, 1.0)
-    if not (0.0 < beta1 < 1.0 and scale > tiny):
+    if scale <= tiny:
         return 1
-    return max(1, int(math.log(tiny / scale) / math.log(beta1)))
+    return max(1, int(math.log(tiny / scale) / math.log(BETA1)))
 
 
 def adam_step(net: LocalizerNet, grads, state: AdamState):
@@ -252,14 +252,15 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
 
     ``grads`` is one vector in the layout of ``net.theta``, as
     ``backward_batch`` returns it; unless it is ``state.grad`` itself it is
-    copied there first. It is checked (shape, NaN and infinity) before
+    copied there first. It is checked (shape, NaN, infinity, and entries
+    past about 1e154, whose squares overflow the second moment) before
     anything else is written, so a rejected call leaves the weights and the
     state unchanged. The update then runs once over the flat vectors with
     the elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
-    eps)``, so every entry is bit-identical to updating layer by layer.
-    Once ``c1`` rounds to 1.0 (from about step 350 for the default ``b1``)
-    the division by it is skipped: ``m / 1.0 == m``.
+    eps)`` with ``BETA1``, ``BETA2`` and ``EPS``, so every entry is
+    bit-identical to updating layer by layer. Once ``c1`` rounds to 1.0
+    (from about step 350) the division by it is skipped: ``m / 1.0 == m``.
 
     Every ``state.flush_every`` steps, each ``|m| < 1e-300`` is set to zero
     after the ``m`` update. Without that, a unit whose gradient stays
@@ -280,27 +281,30 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
         raise ValueError(f"gradient shape {np.shape(grads)} is not {g.shape}")
     if grads is not g:
         np.copyto(g, grads)
-    # a NaN or infinite entry makes the sum of g NaN or infinite; a sum of
-    # finite entries can still overflow, so only then is every entry
-    # checked. The sum is numpy's own reduction: a BLAS dot product of this
+    m, v, tmp = state.m_flat, state.v_flat, state._tmp
+    # a NaN or infinite entry, or one whose square overflows, makes the sum
+    # of squares NaN or infinite; a sum of finite squares can still
+    # overflow, so only then is every square checked. einsum sums in one
+    # pass, with no warning and no BLAS call: a BLAS dot product of this
     # length may be split across threads, and on a busy host it then stalls
-    if (not np.isfinite(np.add.reduce(g))
-            and not np.isfinite(g, out=state._mask).all()):
-        raise ValueError("NaN or infinite gradient; aborting the update")
+    if not np.isfinite(np.einsum("i,i->", g, g)):
+        with np.errstate(over="ignore"):
+            np.multiply(g, g, out=tmp)
+        if not np.isfinite(tmp, out=state._mask).all():
+            raise ValueError("NaN or infinite gradient or squared "
+                             "gradient; aborting the update")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    m, v, tmp = state.m_flat, state.v_flat, state._tmp
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=tmp)
     m += tmp
     if t % state.flush_every == 0:
         np.less(np.abs(m, out=tmp), _M_FLUSH, out=state._mask)
         np.copyto(m, 0.0, where=state._mask)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=tmp)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=tmp)
     tmp *= g
     v += tmp
     upd = g  # g is used up; the update overwrites it
@@ -311,7 +315,7 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
         upd *= state.learning_rate
     np.divide(v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += EPS
     upd /= tmp
     net.theta -= upd
     net.version += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, compute_stats
+from .data import Dataset, apply_normalization, compute_stats
 
 KINDS = ("cos", "squared", "inverse", "linear")
 
@@ -79,7 +79,5 @@ def generate(spec: SynthSpec) -> SynthData:
     raw = Dataset(features, y)
     # normalize the input vector across samples; the constant column is
     # centered only (zero variance), the label stays raw here
-    stats = compute_stats(raw)
-    feat_norm = (features - stats.mean[:3]) / np.where(
-        stats.zero_variance[:3], 1.0, stats.sd[:3])
+    feat_norm = apply_normalization(raw, compute_stats(raw)).x
     return SynthData(Dataset(feat_norm, y), x, w)

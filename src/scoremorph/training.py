@@ -29,7 +29,6 @@ CLI_FAMILIES = tuple(FAMILY_LABELS)
 class TrainConfig:
     """How one localizer is trained; the CLI's defaults come from here."""
 
-    family: str
     seed: int = 0
     epochs: int = 200
     batch_size: int = 16
@@ -58,13 +57,8 @@ class TrainTrace:
     best_epoch: int = 0
 
 
-class TrainingDiverged(RuntimeError):
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
-
-    def __reduce__(self):  # pickled with its trace, as a worker returns it
-        return type(self), (*self.args, self.trace)
+class TrainingDiverged(ValueError):
+    """Training met a non-finite loss, gradient or transformed score."""
 
 
 def _batches(n, batch_size, rng):
@@ -102,10 +96,10 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
                 epoch_losses.append(loss.value)
             val_loss = pairwise_size_loss(fam, val.x, val.a)
         except ValueError as exc:
-            # blown-up parameters surface as NaN losses, NaN gradients,
+            # blown-up parameters surface as NaN losses, NaN or huge gradients,
             # or degenerate (overflowed) transformed scores
             raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: {exc}", trace) from exc
+                f"training diverged at epoch {epoch}: {exc}") from exc
         trace.epochs.append((epoch, float(np.mean(epoch_losses)), val_loss))
         if val_loss < best_val:
             best_val = val_loss
@@ -145,15 +139,16 @@ def score(model, *datasets) -> list:
     return [scored(d, model.predict_batch(d.x)) for d in datasets]
 
 
-def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
-    """(family, trace) for any CLI label ``config.family``.
+def train(label: str, cp_train: LossBatch, validation: LossBatch,
+          config: TrainConfig = TrainConfig()):
+    """(family, trace) for any CLI label.
 
     "fixed" needs no training and gives an empty trace. "erc-fit" trains
     erc by fitting g to the squared residuals; every other label minimizes
     the pairwise size loss. Early stopping returns the family frozen at the
     epoch with the best validation size loss.
     """
-    kind = family_kind(config.family)
+    kind = family_kind(label)
     if kind == "fixed":
         return make_family("fixed"), TrainTrace()
     if cp_train.m < config.batch_size:
@@ -162,7 +157,7 @@ def train(config: TrainConfig, cp_train: LossBatch, validation: LossBatch):
     net = LocalizerNet.init(cp_train.x.shape[1], config.seed)
     fam = make_family(kind, localizer=net, gamma=config.gamma)
     step = ((lambda b, out: erc_error_fit_loss(net, b, out=out))
-            if config.family == "erc-fit"
+            if label == "erc-fit"
             else (lambda b, out: loss_batch(fam, b, out=out)))
     return _loop(fam, step, config, cp_train, validation)
 
@@ -216,11 +211,11 @@ def aggregate(rows, families, alphas) -> list:
 
 def protocol_rows(label: str, run_seed: int, alphas, evaluate_all) -> list:
     """Report rows of one (family, run) from ``evaluate_all()``'s reports;
-    a ``ValueError`` or ``TrainingDiverged`` it raises gives one error row
-    per alpha."""
+    a ``ValueError`` it raises, ``TrainingDiverged`` included, gives one
+    error row per alpha."""
     try:
         reports = evaluate_all()
-    except (ValueError, TrainingDiverged) as exc:
+    except ValueError as exc:
         return [ProtocolRow(label, float(alpha), run_seed, None, None,
                             str(exc)) for alpha in alphas]
     return [ProtocolRow(label, r.alpha, run_seed, r.mean_size,
@@ -242,7 +237,7 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
     cp, val, te = score(model, parts.cp_train, parts.validation, parts.test)
 
     def evaluate_trained():
-        fam, _ = train(replace(config, family=trained, seed=run_seed), cp, val)
+        fam, _ = train(trained, cp, val, replace(config, seed=run_seed))
         return evaluate(fam, cp, te, alphas)
 
     rows = protocol_rows(trained, run_seed, alphas, evaluate_trained)
@@ -279,9 +274,8 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
     for name in families:
         if families.count(name) > 1:
             raise ValueError(f"family '{name}' given twice")
-    config = TrainConfig(family="fixed", **train_options)
     one_job = partial(protocol_job, dataset, families, list(alphas),
-                      config=config)
+                      config=TrainConfig(**train_options))
     trained = dict.fromkeys(FAMILY_LABELS[f][1] for f in families)
     jobs = [(run_seed, label) for run_seed in range(seed0, seed0 + runs)
             for label in trained]

@@ -243,7 +243,7 @@ def test_criterion_7_local_adaptivity_efficiency():
             fixed = evaluate(make_family("fixed"), cp, test, [alpha])[0]
             # the three labels train one localizer, so one training
             # counts toward each
-            fam, _ = train(TrainConfig("linear", seed=seed), cp, val)
+            fam, _ = train("linear", cp, val, TrainConfig(seed=seed))
             rep = evaluate(fam, cp, test, [alpha])[0]
             for name in wins:
                 wins[name] += rep.mean_size < fixed.mean_size
@@ -270,7 +270,7 @@ def test_criterion_8_erc_fit_stability_observation():
         model = knn.fit(proper, grid, folds=5, seed=seed)
         cp, val, test = (scored(d, model.predict_batch(d.x))
                          for d in (cp, val, test))
-        fam, trace = train(TrainConfig("erc-fit", seed=seed), cp, val)
+        fam, trace = train("erc-fit", cp, val, TrainConfig(seed=seed))
         assert all(np.isfinite(v) for _, _, v in trace.epochs)
         rep = evaluate(fam, cp, test, [alpha])[0]
         sizes.append(rep.mean_size)

@@ -298,7 +298,7 @@ def test_eval_protocol_scores_each_split_once_per_run(tmp_path, monkeypatch):
             calls.clear()
             training.protocol_job(ds, list(training.CLI_FAMILIES), [0.1],
                                   (seed, trained),
-                                  TrainConfig("fixed", epochs=2))
+                                  TrainConfig(epochs=2))
             # cp-train, validation and test, once each
             assert calls == {"predict": 3}
 
@@ -392,7 +392,7 @@ def test_every_command_splits_and_fits_through_point_model(tmp_path,
     for trained in ("fixed", "linear"):
         calls.clear()
         training.protocol_job(ds, ["fixed", "linear"], [0.1], (0, trained),
-                              TrainConfig("fixed", epochs=2))
+                              TrainConfig(epochs=2))
         assert calls == [None]
 
 
@@ -463,6 +463,27 @@ def test_eval_protocol_divergence_becomes_error_rows(tmp_path):
     assert {a["family"] for a in agg} <= {"fixed", "erc"}
 
 
+def test_eval_protocol_gradient_overflow_becomes_error_rows(tmp_path,
+                                                            monkeypatch):
+    # lr = 1e20 drives erc-fit's gradient past 1e154 in the first epoch;
+    # Adam refuses it before squaring it into its second moment. The job
+    # runs in-process under the suite's warning filter, and the CLI's
+    # workers are told to raise any RuntimeWarning too
+    data = synth(tmp_path, n=300, seed=1)
+    rows, _, _ = training.protocol_job(
+        normalize(load_csv(data)), ["erc-fit"], [0.05, 0.1, 0.32],
+        (0, "erc-fit"), TrainConfig(learning_rate=1e20))
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    report = tmp_path / "over.csv"
+    assert run("eval", "--data", data, "--families", "erc-fit", "--runs", 1,
+               "--lr", 1e20, "--report", report) == 0
+    cli_rows = read_rows(report)
+    assert [r["error"] for r in cli_rows] == [r.error for r in rows] == [
+        "training diverged at epoch 1: NaN or infinite gradient or squared "
+        "gradient; aborting the update"] * 3
+    assert all(r["mean_size"] == "" for r in cli_rows)
+
+
 def test_eval_protocol_untrainable_family_gives_error_rows(tmp_path):
     # 30 rows: the 12-row cp-train split is smaller than one batch of 16
     data = synth(tmp_path, n=30)
@@ -495,7 +516,7 @@ def test_eval_protocol_shared_localizer_diverges_once(tmp_path, monkeypatch):
         calls.clear()
         rows, _, _ = training.protocol_job(
             ds, ["linear", "exp", "sigma"], [0.05, 0.1, 0.32],
-            (seed, "linear"), TrainConfig("fixed", learning_rate=1))
+            (seed, "linear"), TrainConfig(learning_rate=1))
         assert calls == {"loop": 1}
         assert [r.family for r in rows] == ["linear"] * 3 + ["exp"] * 3 \
             + ["sigma"] * 3
@@ -1055,7 +1076,7 @@ def test_option_defaults_come_from_the_library():
     spec = SynthSpec("cos")
     assert (synth_args.n, synth_args.rho, synth_args.seed) == (
         spec.n, spec.rho, spec.seed)
-    config = TrainConfig("fixed")
+    config = TrainConfig()
     for argv in (["train", "--data", "d", "--family", "fixed",
                   "--model-out", "m"],
                  ["eval", "--data", "d", "--report", "r"]):

@@ -130,6 +130,25 @@ def test_normalize_column_of_huge_magnitude():
     assert np.array_equal(out.stats.sd[1:], cols.std(axis=0))
 
 
+def test_normalize_column_near_the_float64_limit():
+    # the first column's stats are finite, but centring it on them
+    # overflows (1.7e308 minus a negative mean); it is centred and scaled
+    # as that column divided by 1.7e308 would be, and the other column
+    # keeps the plain arithmetic bit for bit
+    x = np.array([[1.7e308, 1.0], [-1.7e308, 2.0], [1.7e308, 3.0],
+                  [1e308, 5.0]])
+    y = np.array([0.5, -1.0, 4.0, 2.0])
+    out = normalize(Dataset(x, y))
+    small = normalize(Dataset(x / [1.7e308, 1.0], y))
+    assert np.isfinite(out.x).all()
+    assert np.allclose(out.x, small.x, rtol=1e-14, atol=1e-15)
+    assert abs(out.x[:, 0].mean()) < 1e-15
+    assert out.x[:, 0].std() == pytest.approx(1.0, rel=1e-14)
+    stats = out.stats
+    assert np.array_equal(out.x[:, 1], (x[:, 1] - stats.mean[1]) / stats.sd[1])
+    assert np.array_equal(out.y, (y - stats.mean[2]) / stats.sd[2])
+
+
 def test_normalize_needs_two_samples():
     with pytest.raises(ValueError):
         normalize(Dataset(np.zeros((1, 1)), np.zeros(1)))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from scoremorph import network
-from scoremorph.network import (AdamState, LocalizerNet, StaleTapeError,
-                                _layer_views, adam_step)
+from scoremorph.network import (BETA1, BETA2, EPS, AdamState, LocalizerNet,
+                                StaleTapeError, _layer_views, adam_step)
 from support import pre_activation_margin
 
 
@@ -338,19 +338,35 @@ def test_adam_rejects_inf_gradient(bad):
     assert_same_snapshot(adam_snapshot(net, state), before)
 
 
-def test_adam_accepts_huge_finite_gradient():
-    # entries near 1e307 are finite, but their sum overflows to inf, so the
-    # fast finiteness check fails and the entrywise one must accept them
+def test_adam_rejects_gradient_whose_square_overflows():
+    # entries near 1e307 are finite, but their squares, which the second
+    # moment takes, overflow; the step refuses them and writes nothing
+    net, state = stepped_net_and_state()
+    before = adam_snapshot(net, state)
+    rng = np.random.default_rng(1)
+    for grads in (rng.uniform(1e307, 1.7e307, size=net.n_params),
+                  np.where(np.arange(net.n_params) == 3, -1.4e154, 0.0)):
+        with pytest.raises(ValueError, match="^NaN or infinite gradient "
+                                             "or squared gradient; "):
+            adam_step(net, grads, state)
+        assert_same_snapshot(adam_snapshot(net, state), before)
+
+
+def test_adam_accepts_huge_gradient_whose_square_is_finite():
+    # entries near 1e152 square to about 1e304, finite, but the sum of all
+    # the squares overflows, so the fast check fails and the entrywise one
+    # must accept them bit for bit
     net, state = stepped_net_and_state()
     ref_net, ref_state = stepped_net_and_state()
     rng = np.random.default_rng(1)
-    grads = rng.uniform(1e307, 1.7e307, size=net.n_params)
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(np.add.reduce(grads))
-        adam_step(net, grads, state)
-        per_layer_adam_step(ref_net, grads, ref_state)
+    grads = rng.uniform(1e152, 1.3e152, size=net.n_params)
+    grads[::2] *= -1
+    assert not np.isfinite(np.einsum("i,i->", grads, grads))
+    adam_step(net, grads, state)
+    per_layer_adam_step(ref_net, grads, ref_state)
     assert_same_snapshot(adam_snapshot(net, state),
                          adam_snapshot(ref_net, ref_state))
+    assert np.isfinite(net.theta).all()
 
 
 def test_adam_rejects_misshaped_gradient():
@@ -368,17 +384,17 @@ def per_layer_adam_step(net, grads, state):
     """Reference: the layer-by-layer Adam update, with no moment flush."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     layers = zip(*(_layer_views(a, net.shapes) for a in
                    (net.theta, grads, state.m_flat, state.v_flat)))
     for (pw, pb), (gw, gb), (mw, mb), (vw, vb) in layers:
         for target, g, m, v in ((pw, gw, mw, vw), (pb, gb, mb, vb)):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            target -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            target -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
     net.version += 1
 
 
@@ -414,23 +430,26 @@ def test_adam_moment_flush_changes_no_weight():
         unflushed_tiny += bool(((m > 0) & (m < 1e-300)).any())
     assert np.array_equal(net.theta, ref.theta)
     assert subnormal_count(a for pair in ref_state.m for a in pair) > 0
-    assert 1.0 - state.beta1 ** state.step == 1.0
+    assert 1.0 - BETA1 ** state.step == 1.0
     assert unflushed_tiny > 0  # the flush is periodic, not every step
 
 
-def test_adam_flush_period_follows_beta1():
-    # with beta1 = 0.5 a first moment halves each step, so it must be
-    # flushed every 15 steps for lr * m to stay out of the subnormal range
+def test_adam_flush_period_follows_learning_rate():
+    # at lr = 1 the flushed floor 1e-300 may decay for 167 steps before
+    # lr * m leaves the normal range; at lr = 1e-9, lr * 1e-300 is already
+    # below it, so every step flushes
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
     ref = LocalizerNet(net.weights, net.biases)
-    state = AdamState.init(net, beta1=0.5)
-    ref_state = AdamState.init(ref, beta1=0.5)
-    assert state.flush_every == 15
-    assert AdamState.init(net, beta1=0.0).flush_every == 1
+    state = AdamState.init(net, learning_rate=1.0)
+    ref_state = AdamState.init(ref, learning_rate=1.0)
+    assert state.flush_every == 167
+    assert AdamState.init(net, learning_rate=1e-9).flush_every == 1
     rng = np.random.default_rng(7)
     ref_subnormal_steps = 0
-    for step in range(1200):
-        scale = 1.0 if step < 5 else 0.0  # every unit dies after step 5
+    for step in range(1400):
+        # moments start near 1e-251 and, once every unit dies after step
+        # 5, reach 1e-300 by about step 1080 and the subnormals by 1260
+        scale = 1e-250 if step < 5 else 0.0
         grads = scale * rng.normal(size=net.n_params)
         adam_step(net, grads, state)
         per_layer_adam_step(ref, grads, ref_state)

@@ -1,5 +1,4 @@
 import os
-import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -35,9 +34,8 @@ def score(predict, *parts):
     return [scored(ds, predict(ds.x)) for ds in parts]
 
 
-def quick_config(family, seed=0, epochs=25, patience=8):
-    return TrainConfig(family=family, seed=seed, epochs=epochs,
-                       patience=patience)
+def quick_config(seed=0, epochs=25, patience=8):
+    return TrainConfig(seed=seed, epochs=epochs, patience=patience)
 
 
 def test_family_labels_table():
@@ -63,7 +61,7 @@ def test_train_config_rejects_a_gamma_that_is_not_finite_and_positive(gamma):
     # a NaN gamma would otherwise reach the manifest
     with pytest.raises(ValueError,
                        match=f"^gamma must be positive, got {gamma}$"):
-        TrainConfig("linear", gamma=gamma)
+        TrainConfig(gamma=gamma)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
@@ -72,14 +70,14 @@ def test_train_config_rejects_a_rate_that_is_not_finite_and_positive(rate):
     with pytest.raises(ValueError,
                        match=f"^learning_rate must be finite and positive, "
                              f"got {rate}$"):
-        TrainConfig("linear", learning_rate=rate)
+        TrainConfig(learning_rate=rate)
 
 
 def test_zero_epochs_returns_init_and_empty_trace():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    fam, trace = train(quick_config("linear", epochs=0),
-                       *score(model.predict_batch, cp, val))
+    fam, trace = train("linear", *score(model.predict_batch, cp, val),
+                       quick_config(epochs=0))
     init_like = fam.localizer
     assert trace.epochs == []
     fresh = type(init_like).init(cp.d, seed=0)
@@ -91,8 +89,7 @@ def test_train_fixed_gives_identity_and_empty_trace():
     # "fixed" is a CLI label like the others: no localizer, no epochs
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    fam, trace = train(quick_config("fixed"),
-                       *score(model.predict_batch, cp, val))
+    fam, trace = train("fixed", *score(model.predict_batch, cp, val))
     assert fam.kind == "fixed"
     assert trace == TrainTrace()
 
@@ -100,8 +97,8 @@ def test_train_fixed_gives_identity_and_empty_trace():
 def test_train_deterministic_in_seed():
     proper, cp, val, _ = synth_splits()
     cp, val = score(fitted_knn(proper).predict_batch, cp, val)
-    fam1, tr1 = train(quick_config("linear", seed=5, epochs=6), cp, val)
-    fam2, tr2 = train(quick_config("linear", seed=5, epochs=6), cp, val)
+    fam1, tr1 = train("linear", cp, val, quick_config(seed=5, epochs=6))
+    fam2, tr2 = train("linear", cp, val, quick_config(seed=5, epochs=6))
     for w1, w2 in zip(fam1.localizer.weights, fam2.localizer.weights):
         assert np.array_equal(w1, w2)
     assert tr1.epochs == tr2.epochs
@@ -110,7 +107,7 @@ def test_train_deterministic_in_seed():
 def test_early_stopping_dominance_and_best_epoch():
     proper, cp, val, _ = synth_splits()
     cp, val = score(fitted_knn(proper).predict_batch, cp, val)
-    fam, trace = train(quick_config("linear", epochs=15), cp, val)
+    fam, trace = train("linear", cp, val, quick_config(epochs=15))
     val_losses = [v for _, _, v in trace.epochs]
     returned = pairwise_size_loss(fam, val.x, val.a)
     assert returned == pytest.approx(min(val_losses), rel=1e-9)
@@ -122,8 +119,8 @@ def test_early_stopping_dominance_and_best_epoch():
 def test_trained_family_keeps_monotonicity_and_roundtrip():
     proper, cp, val, _ = synth_splits()
     model = fitted_knn(proper)
-    fam, _ = train(quick_config("linear", epochs=8),
-                   *score(model.predict_batch, cp, val))
+    fam, _ = train("linear", *score(model.predict_batch, cp, val),
+                   quick_config(epochs=8))
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=3)[None]
@@ -142,8 +139,8 @@ def test_heteroskedastic_training_beats_fixed_majority_of_seeds():
         proper, cp, val, _ = synth_splits("linear", n=500, seed=seed)
         cp, val = score(fitted_knn(proper, seed).predict_batch, cp, val)
         fixed = fixed_loss(val.a)
-        fam, _ = train(quick_config("linear", seed=seed, epochs=40,
-                                    patience=12), cp, val)
+        fam, _ = train("linear", cp, val,
+                       quick_config(seed=seed, epochs=40, patience=12))
         trained_loss = pairwise_size_loss(fam, val.x, val.a)
         wins += trained_loss < fixed
     assert wins >= 3
@@ -165,7 +162,7 @@ def test_homoskedastic_training_cannot_beat_fixed():
         proper, cp, val, _ = split(Dataset(x, y), SplitSpec(seed))
         cp, val = score(exact_predict, cp, val)
         fixed = fixed_loss(val.a)
-        fam, _ = train(quick_config("linear", seed=seed, epochs=20), cp, val)
+        fam, _ = train("linear", cp, val, quick_config(seed=seed, epochs=20))
         trained_loss = pairwise_size_loss(fam, val.x, val.a)
         assert trained_loss >= fixed - 2e-3, seed
         diffs.append(trained_loss - fixed)
@@ -178,7 +175,7 @@ def test_erc_fit_constant_residuals_close_to_fixed():
     y = x[:, 0] + 0.5 * rng.normal(size=500)
     proper, cp, val, test = split(Dataset(x, y), SplitSpec(4))
     cp, val, test = score(fitted_knn(proper, 4).predict_batch, cp, val, test)
-    fam, trace = train(quick_config("erc-fit", seed=4, epochs=20), cp, val)
+    fam, trace = train("erc-fit", cp, val, quick_config(seed=4, epochs=20))
     erc_rep = evaluate(fam, cp, test, [0.1])[0]
     fix_rep = evaluate(make_family("fixed"), cp, test, [0.1])[0]
     assert erc_rep.mean_size == pytest.approx(fix_rep.mean_size, rel=0.05)
@@ -193,8 +190,8 @@ def test_erc_fit_constant_residuals_close_to_fixed():
 def test_erc_fit_deterministic():
     proper, cp, val, _ = synth_splits("cos", n=300, seed=7)
     cp, val = score(fitted_knn(proper, 7).predict_batch, cp, val)
-    fam1, _ = train(quick_config("erc-fit", seed=7, epochs=5), cp, val)
-    fam2, _ = train(quick_config("erc-fit", seed=7, epochs=5), cp, val)
+    fam1, _ = train("erc-fit", cp, val, quick_config(seed=7, epochs=5))
+    fam2, _ = train("erc-fit", cp, val, quick_config(seed=7, epochs=5))
     for w1, w2 in zip(fam1.localizer.weights, fam2.localizer.weights):
         assert np.array_equal(w1, w2)
 
@@ -254,28 +251,15 @@ def test_run_protocol_rows_in_run_family_alpha_order():
 
 
 def test_divergence_aborts_with_trace():
-    from scoremorph.training import TrainingDiverged
     rng = np.random.default_rng(1)
     x = rng.normal(size=(200, 2))
     y = x[:, 0] + 0.1 * rng.normal(size=200)
     proper, cp, val, _ = split(Dataset(x, y), SplitSpec(0))
     with np.errstate(all="ignore"):
-        with pytest.raises(TrainingDiverged) as exc:
-            train(TrainConfig("linear", seed=0, epochs=50, learning_rate=1e9),
-                  *score(lambda xs: np.asarray(xs)[:, 0], cp, val))
-    assert exc.value.trace.epochs  # the trace rides along for diagnosis
-
-
-def test_training_diverged_pickles_with_its_trace():
-    # a protocol worker returns its exception pickled
-    trace = TrainTrace(epochs=[(0, None, 1.5), (1, 2.0, float("nan"))],
-                       best_epoch=0)
-    exc = pickle.loads(pickle.dumps(TrainingDiverged("diverged", trace)))
-    assert type(exc) is TrainingDiverged
-    assert str(exc) == "diverged"
-    assert exc.trace.epochs[0] == (0, None, 1.5)
-    assert np.isnan(exc.trace.epochs[1][2])
-    assert exc.trace.best_epoch == 0
+        with pytest.raises(TrainingDiverged,
+                           match="^training diverged at epoch 1: "):
+            train("linear", *score(lambda xs: np.asarray(xs)[:, 0], cp, val),
+                  TrainConfig(seed=0, epochs=50, learning_rate=1e9))
 
 
 def test_run_protocol_run_rows_independent_of_runs_and_cores(monkeypatch):
@@ -338,8 +322,8 @@ def test_protocol_job_evaluates_a_shared_localizer_once(monkeypatch):
     ds = generate(SynthSpec("cos", n=300, seed=5)).dataset
     labels = ["linear", "exp", "sigma"]
     alphas = [0.1, 0.32]
-    for config, evaluations in ((TrainConfig("fixed", epochs=3), 1),
-                                (TrainConfig("fixed", learning_rate=1e9), 0)):
+    for config, evaluations in ((TrainConfig(epochs=3), 1),
+                                (TrainConfig(learning_rate=1e9), 0)):
         calls["evaluate"] = 0
         with np.errstate(all="ignore"):
             rows, _, _ = training.protocol_job(ds, labels, alphas,
@@ -389,7 +373,7 @@ def test_buffered_step_matches_allocating_step(monkeypatch, label):
     # moment flushes (every 101 steps) and the step (~350) from which Adam
     # skips its division by c1 = 1.0
     cp, val = zero_predictor_batches(160, 100, seed=3)
-    config = TrainConfig(label, seed=3, epochs=45, patience=45)
+    config = TrainConfig(seed=3, epochs=45, patience=45)
     runs = []
     for allocating in (False, True):
         if allocating:  # backward_batch without out: fresh gradient arrays
@@ -402,7 +386,7 @@ def test_buffered_step_matches_allocating_step(monkeypatch, label):
         record_steps(monkeypatch, lambda net, state: last.update(
             step=state.step, weights=[w.copy() for w in net.weights
                                       + net.biases]))
-        fam, trace = train(config, cp, val)
+        fam, trace = train(label, cp, val, config)
         runs.append((last, fam.localizer, trace))
     (last_b, net_b, trace_b), (last_a, net_a, trace_a) = runs
     assert last_b["step"] == last_a["step"] == 450
@@ -431,7 +415,7 @@ def test_training_step_allocates_no_parameter_sized_array(monkeypatch, label):
         tracemalloc.get_traced_memory()[1] - start["bytes"]))
     tracemalloc.start()
     try:
-        train(TrainConfig(label, seed=4, epochs=3, patience=3), cp, val)
+        train(label, cp, val, TrainConfig(seed=4, epochs=3, patience=3))
     finally:
         tracemalloc.stop()
     assert len(peaks) == 30
