@@ -40,10 +40,11 @@ for name, family in (("fixed", make_family("fixed")), ("linear", fam)):
     print(f"{name:7s} alpha={ALPHA}: mean interval size {rep.mean_size:.3f}, "
           f"empirical validity {rep.empirical_validity:.3f}")
 
-# draw the band over the raw X axis
+# draw the band over the raw X axis; x reaches the family only through
+# its localizer values g(x), which loc_batch computes once per row set
 q_hat = calibrate(calibration_scores(fam, cal), ALPHA)
-band = compute_band(fam, model.predict_batch(ds.x), ds.x, synth.x_raw, ds.y,
-                    q_hat)
+band = compute_band(fam, model.predict_batch(ds.x), fam.loc_batch(ds.x),
+                    synth.x_raw, ds.y, q_hat)
 with open("adaptive_band.svg", "w") as fh:
     fh.write(render_svg(band, title=f"trained linear family, alpha={ALPHA}"))
 with open("adaptive_band.csv", "w") as fh:

@@ -45,7 +45,7 @@ for name, fam in families.items():
             q = calibrate(calibration_scores(fam, scored(cal, predict(cal.x))),
                           alpha)
             test = ds.subset([N_CAL])
-            half = half_widths(fam, test.x, q)[0]
+            half = half_widths(fam, q, fam.loc_batch(test.x))[0]
             hits += abs(test.y[0] - predict(test.x)[0]) <= half
         target = quantile_index(N_CAL, alpha) / (N_CAL + 1)
         se = np.sqrt(target * (1 - target) / REPS)

@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
 writes a manifest next to its primary output recording its parsed
 arguments, the values it resolved from them, and input digests.
 
-Both ``eval`` modes need ``--runs`` >= 1 and build rows with
-``protocol_rows``, so an evaluation ``ValueError`` (an alpha outside
-[1/(N+1), 1] included) gives the same per-alpha error rows in both.
+Both ``eval`` modes need ``--runs`` >= 1 and finite ``--alphas`` and build
+rows with ``protocol_rows``, so an evaluation ``ValueError`` (an alpha
+outside [1/(N+1), 1] included) gives the same per-alpha error rows in both.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from array import array
 import numpy as np
 
 from . import __version__
-from .conformal import calibrate, calibration_scores, evaluate, scored
+from .conformal import calibrate, evaluate, scored
 from .data import (IngestionError, SplitSpec, apply_normalization, load_csv,
                    normalize, split, split_indices)
 from .figures import band_csv, compute_band, render_svg
@@ -76,6 +76,8 @@ def _parse_alphas(text: str):
     if not alphas:
         raise ValueError("no alphas given")
     for alpha in alphas:
+        if not np.isfinite(alpha):  # the manifest would not be JSON
+            raise ValueError(f"alpha {alpha!r} is not finite")
         if alphas.count(alpha) > 1:
             raise ValueError(f"alpha {alpha!r} given twice")
     return alphas
@@ -287,15 +289,14 @@ def cmd_plot(args) -> int:
     center = model.predict_batch(ds.x)
     locs = bundle.family.loc_batch(ds.x)
     cal = split_indices(ds.n, bundle.split).cp_train
-    q_hat = calibrate(calibration_scores(
-        bundle.family, scored(parts.cp_train, center[cal]), locs[cal]),
-        args.alpha)
+    q_hat = calibrate(bundle.family.forward_batch(
+        scored(parts.cp_train, center[cal]).a, locs[cal]), args.alpha)
     axis = read_raw_axis(args.data)
     if axis is None:
         axis = ds.x[:, 0]
     elif axis.shape[0] != ds.n:
         raise ValueError("raw_x comment length mismatches the data rows")
-    band = compute_band(bundle.family, center, ds.x, axis, ds.y, q_hat, locs)
+    band = compute_band(bundle.family, center, locs, axis, ds.y, q_hat)
     svg = render_svg(band, title=f"{bundle.label} alpha={args.alpha:g}")
     write_text_atomic(args.out, svg)
     csv_path = os.fspath(args.out) + ".band.csv"

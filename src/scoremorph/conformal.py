@@ -5,7 +5,8 @@ and everything below takes those ``(x, A)`` batches. One array path:
 ``calibration_scores`` scores them through the family (the log-shift core
 z = log max(A, eps) + s(x), which no float saturates), ``calibrate`` takes
 an actual order statistic of them (never interpolated), and
-``half_widths`` inverts it through the same family at any test attribute.
+``half_widths`` inverts it at any test rows' localizer values, the one
+way attributes reach the family (``fam.loc_batch``).
 
 ``evaluate`` counts a test row as covered on the event the split conformal
 guarantee bounds, test score <= calibration quantile, in score space: the
@@ -63,11 +64,9 @@ def quantile_index(n: int, alpha: float) -> int:
     return max(1, m)
 
 
-def calibration_scores(fam: TransformFamily, cal: LossBatch,
-                       locs=None) -> np.ndarray:
-    """Scores phi_{x_n}(A_n) of a calibration set; ``locs``, when given,
-    holds ``fam.loc_batch(cal.x)``."""
-    return fam.forward_batch(cal.x, cal.a, locs)
+def calibration_scores(fam: TransformFamily, cal: LossBatch) -> np.ndarray:
+    """Scores phi_{x_n}(A_n) of a calibration set."""
+    return fam.forward_batch(cal.a, fam.loc_batch(cal.x))
 
 
 def calibrate(scores, alpha: float) -> float:
@@ -79,13 +78,10 @@ def calibrate(scores, alpha: float) -> float:
     return float(np.partition(b, m - 1)[m - 1])
 
 
-def half_widths(fam: TransformFamily, xs, q_hat: float,
-                locs=None) -> np.ndarray:
-    """Half widths sqrt(phi_x^{-1}(q)) at the rows of xs, for q from
-    ``calibrate(calibration_scores(fam, ...))``; ``locs``, when given,
-    holds ``fam.loc_batch(xs)``."""
-    return np.sqrt(np.asarray(fam.inverse_batch(xs, q_hat, locs),
-                              dtype=float))
+def half_widths(fam: TransformFamily, q_hat: float, locs) -> np.ndarray:
+    """Half widths sqrt(phi_x^{-1}(q)) at rows whose ``fam.loc_batch``
+    values are locs, for q from ``calibrate(calibration_scores(fam, ...))``."""
+    return np.sqrt(np.asarray(fam.inverse_batch(q_hat, locs), dtype=float))
 
 
 def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
@@ -99,12 +95,12 @@ def evaluate(fam: TransformFamily, calibration: LossBatch, test: LossBatch,
     """
     b_cal = calibration_scores(fam, calibration)
     locs = fam.loc_batch(test.x)
-    b_test = fam.forward_batch(test.x, test.a, locs)
+    b_test = fam.forward_batch(test.a, locs)
     reports = []
     for alpha in alphas:
         try:
             q_hat = calibrate(b_cal, alpha)
-            half = half_widths(fam, test.x, q_hat, locs)
+            half = half_widths(fam, q_hat, locs)
         except ValueError as exc:
             reports.append(EvalReport(float(alpha), None, None, str(exc)))
             continue

@@ -1,7 +1,7 @@
 """Interval-band figures: band computation plus a minimal SVG scatter plot.
 
-The SVG is assembled by hand so identical inputs produce byte-identical
-files.
+A band takes its points' ``fam.loc_batch`` values, not their attributes;
+the SVG is assembled by hand so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ class Band:
     y: np.ndarray
 
 
-def compute_band(fam: TransformFamily, center, xs, axis_values, y,
-                 q_hat: float, locs=None) -> Band:
+def compute_band(fam: TransformFamily, center, locs, axis_values, y,
+                 q_hat: float) -> Band:
     """Evaluate [f(x) - D(x), f(x) + D(x)] at every point, sorted by axis;
-    ``center`` holds the point predictions f(x) at the rows of xs and
-    ``locs``, when given, ``fam.loc_batch(xs)``."""
+    ``center`` holds the point predictions f(x) at the points and ``locs``
+    their localizer values ``fam.loc_batch``."""
     axis_values = np.asarray(axis_values, dtype=float)
     center = np.asarray(center, dtype=float)
-    half = half_widths(fam, xs, q_hat, locs)
+    half = half_widths(fam, q_hat, locs)
     order = np.argsort(axis_values, kind="stable")
     return Band(axis_values[order], center[order], (center - half)[order],
                 (center + half)[order], np.asarray(y, dtype=float)[order])

@@ -23,12 +23,13 @@ holds at most:
 - d >= 8: the (queries, rows, d) difference tensor and its square, 16 B a
   cell, 4 MiB, plus the distances and the index of d = 1 per pair.
 
-So a chunk holds about 4.5 MiB at most for any number of columns, as long
-as one query's scan fits the budget (window rows * d <= 2^18); past that a
-chunk holds one query. Smaller terms come on top: the candidate set takes
-24 B for each of its c rows per query (c >= k, more where distances tie at
-the k-th), and ``_window``'s ring (queries, k) arrays, both small next to a
-chunk's rows at the grid's k <= 50.
+The k-wide arrays (``_window``'s ring, the c >= k candidates and the
+neighbours) take at most 32 B per (query, entry); a chunk takes no more
+queries than keep them within 2^14 entries, 0.5 MiB, which binds past
+k = 128 in a windowed chunk and where n * d < 16 k in a full scan. So a
+chunk holds about 4.5 MiB at most for any d and k, as long as one query's
+scan fits the budget (window rows * d <= 2^18; else it holds one query)
+and few distances tie at a query's k-th (c near k).
 """
 
 from __future__ import annotations
@@ -129,12 +130,14 @@ def _chunks(train_x, queries, k):
     if not n_queries:
         yield slice(None), np.empty((0, k), dtype=np.intp)
         return
-    full = max(1, _CHUNK_CELLS // (n * d))  # queries per scan of every row
+    # queries whose k-wide arrays hold 2^14 entries at most (module doc)
+    most = max(1, (_CHUNK_CELLS >> 4) // k)
+    full = min(most, max(1, _CHUNK_CELLS // (n * d)))  # per scan of all rows
     j = int(np.argmax(train_x.max(axis=0) - train_x.min(axis=0)))
     order = np.argsort(train_x[:, j])
     sorted_x = train_x[order]
     visit = np.argsort(queries[:, j])
-    cap = max(1, min(_CHUNK_QUERIES, _CHUNK_QUERIES * n_queries // n))
+    cap = max(1, min(_CHUNK_QUERIES, _CHUNK_QUERIES * n_queries // n, most))
     start, size = 0, cap
     while start < n_queries:
         idx = visit[start:start + size]

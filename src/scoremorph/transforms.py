@@ -11,6 +11,8 @@ scores z itself (exp and sigma are CLI labels of linear). z is strictly
 increasing in A onto all of R at every x, so scores map back to
 label-space intervals at any test x through the closed-form inverse
 A = exp(B - s(g(x))); no family here needs a numeric inverse.
+X reaches a family only through ``loc_batch``: both maps take the values
+``locs = loc_batch(xs)`` of their rows, so a caller runs g once per row set.
 """
 
 from __future__ import annotations
@@ -60,27 +62,23 @@ class TransformFamily:
             return -2.0 * g / (g * g + self.gamma)
         return np.ones_like(g)
 
-    def forward_batch(self, xs, a, locs=None):
-        """z at the rows of xs; ``locs`` may pass their ``loc_batch(xs)``
-        when the caller already holds it."""
+    def forward_batch(self, a, locs):
+        """z of the scores a at rows whose ``loc_batch`` values are locs."""
         a = np.asarray(a, dtype=float)
         if np.any(a < 0):
             raise ValueError("base scores must be nonnegative")
         return (np.log(np.maximum(a, self.epsilon_floor))
-                + self.shift(self._checked_locs(xs, locs)))
+                + self.shift(_finite(locs)))
 
-    def inverse_batch(self, xs, b, locs=None):
-        """A = exp(B - s(g(x))) at the rows of xs; ``locs`` as in
-        ``forward_batch``."""
-        return np.exp(np.asarray(b, dtype=float)
-                      - self.shift(self._checked_locs(xs, locs)))
+    def inverse_batch(self, b, locs):
+        """A = exp(B - s(g)) at rows whose ``loc_batch`` values are locs."""
+        return np.exp(np.asarray(b, dtype=float) - self.shift(_finite(locs)))
 
-    def _checked_locs(self, xs, locs):
-        if locs is None:
-            locs = self.loc_batch(xs)
-        if not np.all(np.isfinite(locs)):
-            raise ValueError("non-finite localization value")
-        return locs
+
+def _finite(locs):
+    if not np.all(np.isfinite(locs)):
+        raise ValueError("non-finite localization value")
+    return locs
 
 
 def make_family(kind: str, localizer: LocalizerNet | None = None,

@@ -128,14 +128,14 @@ class MapFamily:
     def loc_batch(self, xs) -> np.ndarray:
         return np.zeros(np.asarray(xs).shape[0])
 
-    def forward_batch(self, xs, a, locs=None):
+    def forward_batch(self, a, locs):
         a = np.asarray(a, dtype=float)
         if np.any(a < 0):
             raise ValueError("base scores must be nonnegative")
-        return self.phi(self.loc_batch(xs) if locs is None else locs, a)
+        return self.phi(locs, a)
 
-    def inverse_batch(self, xs, b, locs=None):
-        return self.phi_inv(self.loc_batch(xs) if locs is None else locs, b)
+    def inverse_batch(self, b, locs):
+        return self.phi_inv(locs, b)
 
     def _clamped(self, a):
         return np.maximum(a, self.epsilon_floor)
@@ -184,12 +184,12 @@ class OuterMap:
     def loc_batch(self, xs) -> np.ndarray:
         return self.core.loc_batch(xs)
 
-    def forward_batch(self, xs, a, locs=None):
-        return self.h(self.core.forward_batch(xs, a, locs))
+    def forward_batch(self, a, locs):
+        return self.h(self.core.forward_batch(a, locs))
 
-    def inverse_batch(self, xs, b, locs=None):
+    def inverse_batch(self, b, locs):
         return self.core.inverse_batch(
-            xs, self.h_inv(np.asarray(b, dtype=float)), locs)
+            self.h_inv(np.asarray(b, dtype=float)), locs)
 
 
 EXP = (np.exp, np.log)

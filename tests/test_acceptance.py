@@ -47,8 +47,10 @@ def test_criterion_1_worked_example_exactness():
     sizes = {}
     for theta in (1.0, -1.0):
         fam = SqrtShiftFixture(theta)
-        q = calibrate(fam.forward_batch(pairs[:, 1:], pairs[:, 0]), 0.5)
-        sizes[theta] = 2.0 * half_widths(fam, np.array([[0.0]]), q)[0]
+        q = calibrate(
+            fam.forward_batch(pairs[:, 0], fam.loc_batch(pairs[:, 1:])), 0.5)
+        sizes[theta] = 2.0 * half_widths(
+            fam, q, fam.loc_batch(np.array([[0.0]])))[0]
     err_plus = abs(sizes[1.0] - 2 * (2 + np.sqrt(2)))
     err_minus = abs(sizes[-1.0] - 2 * (2 - np.sqrt(2)))
     report(1, err_plus <= 1e-12 and err_minus <= 1e-12,
@@ -83,7 +85,7 @@ def test_criterion_2_marginal_validity_monte_carlo():
             f_t = float(predict_plane(test.x)[0])
             for a in alphas:
                 q = calibrate(scores, a)
-                half = half_widths(fam, test.x, q)[0]
+                half = half_widths(fam, q, fam.loc_batch(test.x))[0]
                 hits[a] += abs(float(test.y[0]) - f_t) <= half
         for a in alphas:
             p = quantile_index(n_cal, a) / (n_cal + 1)
@@ -288,14 +290,16 @@ def test_criterion_9_codomain_failure_reproduction():
     broken = AdditiveFixture(g_fn)
     repaired = AdditiveLogRepairFixture(g_fn, eps=0.1)
     x_cal, x_test = np.array([[0.0]]), np.array([[3.0]])
-    b = broken.forward_batch(x_cal, [1.0])[0]  # 5, below g(x_test)^2 = 25
+    # 5, below g(x_test)^2 = 25
+    b = broken.forward_batch([1.0], broken.loc_batch(x_cal))[0]
     raised = False
     try:
-        broken.inverse_batch(x_test, b)
+        broken.inverse_batch(b, broken.loc_batch(x_test))
     except CodomainError:
         raised = True
-    b2 = repaired.forward_batch(x_cal, [1.0])[0]
-    repaired_value = repaired.inverse_batch(x_test, b2)[0]
+    b2 = repaired.forward_batch([1.0], repaired.loc_batch(x_cal))[0]
+    repaired_value = repaired.inverse_batch(
+        b2, repaired.loc_batch(x_test))[0]
     report(9, raised and repaired_value > 0,
            f"additive fixture raised CodomainError; log-composed repair "
            f"inverted to {repaired_value:.3e} without error")

@@ -205,11 +205,13 @@ def test_model_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(5, 3))
     a = rng.chisquare(1, size=5) + 0.1
-    b = bundle.family.forward_batch(xs, a)
+    locs = bundle.family.loc_batch(xs)
+    b = bundle.family.forward_batch(a, locs)
     save_model(tmp_path / "again.json", bundle.label, bundle.family,
                bundle.stats, bundle.knn_k, bundle.split)
     again = load_model(tmp_path / "again.json")
-    assert np.array_equal(again.family.forward_batch(xs, a), b)
+    assert np.array_equal(again.family.loc_batch(xs), locs)
+    assert np.array_equal(again.family.forward_batch(a, locs), b)
     assert again.split == bundle.split
 
 
@@ -846,6 +848,23 @@ def test_eval_refuses_an_alpha_given_twice_in_both_modes(tmp_path, capsys,
                    "--report", report) == 1
         assert capsys.readouterr().err == "error: alpha 0.1 given twice\n"
         assert not report.exists()
+
+
+@pytest.mark.parametrize("alphas, name", [("nan,0.1", "nan"),
+                                          ("inf,0.1", "inf"),
+                                          ("0.1,-inf", "-inf")])
+def test_eval_refuses_a_non_finite_alpha_in_both_modes(tmp_path, capsys,
+                                                       alphas, name):
+    # it gave exit 0 and a bare NaN or Infinity in the manifest's
+    # config.alphas, which is then not JSON
+    data, model = train_model(tmp_path, family="fixed")
+    capsys.readouterr()
+    for mode in (["--model", model], ["--families", "fixed"]):
+        report = tmp_path / "r.csv"
+        assert run("eval", "--data", data, *mode, "--alphas", alphas,
+                   "--report", report) == 1
+        assert capsys.readouterr().err == f"error: alpha {name} is not finite\n"
+        assert list(tmp_path.glob("r.*")) == []
 
 
 def test_eval_requires_exactly_one_mode(tmp_path):

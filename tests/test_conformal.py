@@ -102,14 +102,16 @@ def test_interval_worked_example_sizes():
         fam = SqrtShiftFixture(theta)
         (batch,) = score(zero_predictor, cal)
         q = calibrate(calibration_scores(fam, batch), 0.5)
-        sizes[theta] = 2.0 * half_widths(fam, np.array([[0.0]]), q)[0]
+        sizes[theta] = 2.0 * half_widths(
+            fam, q, fam.loc_batch(np.array([[0.0]])))[0]
     assert sizes[1.0] == pytest.approx(2 * (2 + np.sqrt(2)), abs=1e-12)
     assert sizes[-1.0] == pytest.approx(2 * (2 - np.sqrt(2)), abs=1e-12)
     assert sizes[1.0] != sizes[-1.0]
 
 
 def test_interval_fixed_family():
-    half = half_widths(make_family("fixed"), np.zeros((1, 2)), np.log(9.0))[0]
+    fixed = make_family("fixed")
+    half = half_widths(fixed, np.log(9.0), fixed.loc_batch(np.zeros((1, 2))))[0]
     assert half == pytest.approx(3.0)
     assert 2.9999 <= half < 3.1
 
@@ -234,7 +236,7 @@ def mc_coverage(fam_builder, alpha, n_cal=99, reps=400, seed=0):
         cal, test = make_random_split(rng, n_cal=n_cal, n_test=1)
         (batch,) = score(predict_mean, cal)
         q = calibrate(calibration_scores(fam, batch), alpha)
-        half = half_widths(fam, test.x, q)[0]
+        half = half_widths(fam, q, fam.loc_batch(test.x))[0]
         hits += abs(float(test.y[0]) - predict_mean(test.x)[0]) <= half
     return hits / reps
 
@@ -301,7 +303,8 @@ def test_sigma_saturation_single_interval_like_linear():
     scores = calibration_scores(linear, batch)
     assert (calibration_scores(OuterMap(linear, *SIGMOID), batch)
             == 1.0).any()
-    half = [half_widths(linear, test.x[:1], calibrate(scores, alpha))[0]
+    locs = linear.loc_batch(test.x[:1])
+    half = [half_widths(linear, calibrate(scores, alpha), locs)[0]
             for alpha in (0.05, 0.1, 0.32)]
     assert np.all(np.isfinite(half))
     assert half[0] > half[1] > half[2]
@@ -312,8 +315,8 @@ def test_half_widths_match_single_intervals():
     cal, test = make_random_split(rng)
     fam = make_family("erc", LocalizerNet.init(3, seed=4, hidden=(10, 8)))
     q = calibrate(calibration_scores(fam, *score(predict_mean, cal)), 0.1)
-    half = half_widths(fam, test.x, q)
+    half = half_widths(fam, q, fam.loc_batch(test.x))
     assert half.shape == (test.n,)
     # one row or many through the localizer: equal up to BLAS rounding
-    single = [half_widths(fam, x[None], q)[0] for x in test.x]
+    single = [half_widths(fam, q, fam.loc_batch(x[None]))[0] for x in test.x]
     assert single == pytest.approx(half, rel=1e-12)

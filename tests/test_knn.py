@@ -176,9 +176,9 @@ def synth_cos_model(stored, n_queries):
     return knn.KnnModel(ds.x[:stored], ds.y[:stored], 50), ds.x[stored:]
 
 
-def uniform_model(d, stored, n_queries):
+def uniform_model(d, stored, n_queries, k=50):
     rng = np.random.default_rng(d)
-    return (knn.KnnModel(rng.random((stored, d)), rng.normal(size=stored), 50),
+    return (knn.KnnModel(rng.random((stored, d)), rng.normal(size=stored), k),
             rng.random((n_queries, d)))
 
 
@@ -186,10 +186,17 @@ def uniform_model(d, stored, n_queries):
     lambda: synth_cos_model(800, 800),   # frozen eval of a 2000-row file
     lambda: uniform_model(1, 2000, 1000),
     lambda: uniform_model(8, 3000, 200),
-], ids=["synth-cos-800x800", "uniform-d1", "uniform-d8"])
+    # a frozen model's k comes from its file, so it may reach n - 1
+    lambda: uniform_model(1, 512, 512, k=511),
+    lambda: uniform_model(1, 2000, 2000, k=1999),
+    lambda: uniform_model(3, 2000, 2000, k=1999),
+], ids=["synth-cos-800x800", "uniform-d1", "uniform-d8", "uniform-d1-k511",
+        "uniform-d1-k1999", "uniform-d3-k1999"])
 def test_predict_scratch_within_five_mib(case):
     # a chunk holds about 4.5 MiB at most (knn's module doc); a budget of
-    # 2^21 cells let these calls peak at 14.8, 32.5 and 18.2 MB
+    # 2^21 cells let the first three calls peak at 14.8, 32.5 and 18.2 MB,
+    # and chunks that did not count their k-wide arrays let the k = n - 1
+    # calls peak at 10.1, 12.1 and 9.9 MiB
     model, queries = case()
     assert traced_peak(lambda: model.predict_batch(queries)) <= 5 * 2**20
 

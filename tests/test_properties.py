@@ -36,7 +36,7 @@ def family_at(kind, *locs):
 def test_core_strictly_monotone_above_floor(kind, loc, log10_a, step):
     fam, x = family_at(kind, loc)
     a1, a2 = 10.0 ** log10_a, 10.0 ** (log10_a + step)
-    b1, b2 = fam.forward_batch(x[:1], [a1, a2])
+    b1, b2 = fam.forward_batch([a1, a2], fam.loc_batch(x[:1]))
     assert b1 < b2
 
 
@@ -45,16 +45,17 @@ def test_core_strictly_monotone_above_floor(kind, loc, log10_a, step):
 def test_core_round_trip(kind, loc, log10_a):
     fam, x = family_at(kind, loc)
     a = 10.0 ** log10_a
-    b = fam.forward_batch(x[:1], [a])[0]
-    assert fam.inverse_batch(x[:1], b)[0] == pytest.approx(a, rel=1e-12)
+    g = fam.loc_batch(x[:1])
+    b = fam.forward_batch([a], g)[0]
+    assert fam.inverse_batch(b, g)[0] == pytest.approx(a, rel=1e-12)
 
 
 @SETTINGS
 @given(kind=KINDS, loc1=LOCS, loc2=LOCS, log10_a=LOG10_A)
 def test_core_shared_codomain(kind, loc1, loc2, log10_a):
     fam, x = family_at(kind, loc1, loc2)
-    b = fam.forward_batch(x[:1], [10.0 ** log10_a])[0]
-    assert fam.inverse_batch(x[1:], b)[0] > 0
+    b = fam.forward_batch([10.0 ** log10_a], fam.loc_batch(x[:1]))[0]
+    assert fam.inverse_batch(b, fam.loc_batch(x[1:]))[0] > 0
 
 
 # ---- calibration: quantile index and the empirical quantile ----
@@ -159,7 +160,7 @@ def half_widths_at(fam, problem):
     cal_x, a, test_x, alpha = problem
     scores = calibration_scores(fam, scored(Dataset(cal_x, np.sqrt(a)),
                                             np.zeros(len(a))))
-    return half_widths(fam, test_x, calibrate(scores, alpha))
+    return half_widths(fam, calibrate(scores, alpha), fam.loc_batch(test_x))
 
 
 @SETTINGS

@@ -124,11 +124,11 @@ def test_trained_family_keeps_monotonicity_and_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=3)[None]
-        b = fam.forward_batch(x, A_GRID)
+        g = fam.loc_batch(x)
+        b = fam.forward_batch(A_GRID, g)
         assert np.all(np.diff(b) > 0)
-        back = np.asarray([
-            fam.inverse_batch(x, fam.forward_batch(x, [a])[0])[0]
-            for a in A_GRID])
+        back = np.asarray([fam.inverse_batch(fam.forward_batch([a], g)[0], g)[0]
+                           for a in A_GRID])
         assert np.all(np.abs(back - A_GRID) <= 1e-10 * np.maximum(1.0, A_GRID))
 
 

@@ -48,14 +48,16 @@ def test_erc_identity_configuration():
         w[...] = 0.0
     fam = make_family("erc", net, gamma=1.0)
     x = np.zeros((1, 3))
-    assert fam.forward_batch(x, [7.0])[0] == pytest.approx(np.log(7.0))
-    assert fam.inverse_batch(x, np.log(5.0))[0] == pytest.approx(5.0)
+    g = fam.loc_batch(x)
+    assert fam.forward_batch([7.0], g)[0] == pytest.approx(np.log(7.0))
+    assert fam.inverse_batch(np.log(5.0), g)[0] == pytest.approx(5.0)
 
 
 def test_sqrt_shift_fixture_worked_values():
     fam = SqrtShiftFixture(theta=1.0)
     pairs = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
-    got = [fam.forward_batch(np.array([[x]]), [a])[0] for a, x in pairs]
+    got = [fam.forward_batch([a], fam.loc_batch(np.array([[x]])))[0]
+           for a, x in pairs]
     expected = [2.0, np.sqrt(2) + 2.0, np.sqrt(3) + 3.0]
     assert np.allclose(got, expected, atol=1e-14)
 
@@ -63,7 +65,7 @@ def test_sqrt_shift_fixture_worked_values():
 def test_forward_rejects_negative_score():
     for fam in all_families():
         with pytest.raises(ValueError):
-            fam.forward_batch(np.zeros((1, 3)), [-1.0])
+            fam.forward_batch([-1.0], fam.loc_batch(np.zeros((1, 3))))
 
 
 # ---- inverse examples ----
@@ -72,7 +74,8 @@ def test_linear_inverse_roundtrip_value():
     fam = make_family("linear", net_for())
     x = np.array([[0.1, -0.3, 0.7]])
     g = fam.loc_batch(x)[0]
-    assert fam.inverse_batch(x, np.log(3.0) + g)[0] == pytest.approx(
+    assert fam.inverse_batch(np.log(3.0) + g,
+                             fam.loc_batch(x))[0] == pytest.approx(
         3.0, rel=1e-12)
 
 
@@ -83,7 +86,7 @@ def test_monotone_increasing_on_grid():
     for fam in all_families():
         for _ in range(100):
             x = rng.normal(size=3)
-            b = fam.forward_batch(x[None], A_GRID)
+            b = fam.forward_batch(A_GRID, fam.loc_batch(x[None]))
             assert np.all(np.diff(b) > 0), fam.kind
 
 
@@ -92,8 +95,9 @@ def test_roundtrip_on_grid():
     for fam in all_families():
         for _ in range(20):
             x = rng.normal(size=3)[None]
+            g = fam.loc_batch(x)
             back = np.asarray([
-                fam.inverse_batch(x, fam.forward_batch(x, [a])[0])[0]
+                fam.inverse_batch(fam.forward_batch([a], g)[0], g)[0]
                 for a in A_GRID])
             assert np.all(np.abs(back - A_GRID)
                           <= 1e-10 * np.maximum(1.0, A_GRID)), fam.kind
@@ -106,7 +110,8 @@ def test_shared_codomain_across_attributes():
             x1, x2 = rng.normal(size=(2, 1, 3))
             for a in (1e-6, 0.5, 3.0, 1e3):
                 # must not raise
-                fam.inverse_batch(x2, fam.forward_batch(x1, [a])[0])
+                fam.inverse_batch(fam.forward_batch([a], fam.loc_batch(x1))[0],
+                                  fam.loc_batch(x2))
 
 
 def test_ranking_identical_for_log_based_families():
@@ -116,10 +121,11 @@ def test_ranking_identical_for_log_based_families():
     rng = np.random.default_rng(45)
     xs = rng.normal(size=(40, 3))
     a = rng.chisquare(1, size=40)
-    order = np.argsort(linear.forward_batch(xs, a))
+    order = np.argsort(linear.forward_batch(a, linear.loc_batch(xs)))
     for outer in (EXP, SIGMOID):
         fam = OuterMap(linear, *outer)
-        assert np.array_equal(np.argsort(fam.forward_batch(xs, a)), order)
+        locs = fam.loc_batch(xs)
+        assert np.array_equal(np.argsort(fam.forward_batch(a, locs)), order)
 
 
 # ---- derivative in A ----
@@ -144,8 +150,8 @@ def test_deriv_A_matches_finite_differences():
             x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.05, 5.0))
             h = 1e-6 * max(1.0, a)
-            fd = (fam.forward_batch(x, [a + h])[0]
-                  - fam.forward_batch(x, [a - h])[0]) / (2 * h)
+            fd = (fam.forward_batch([a + h], fam.loc_batch(x))[0]
+                  - fam.forward_batch([a - h], fam.loc_batch(x))[0]) / (2 * h)
             an = slope_a(fam, fam.loc_batch(x), [a])[0]
             assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)), fam.kind
 
@@ -183,7 +189,7 @@ def test_numeric_inverse_agrees_with_analytic_everywhere():
         for _ in range(10):
             x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.01, 50.0))
-            b = fam.forward_batch(x, [a])[0]
+            b = fam.forward_batch([a], fam.loc_batch(x))[0]
             got = bisect_inverse(fam.shift(fam.loc_batch(x)), b,
                                  fam.epsilon_floor, tol=1e-12)[0]
             assert abs(got - a) <= 1e-9 * max(1.0, a), fam.kind
@@ -206,7 +212,7 @@ def test_grad_inverse_params_exp_matches_closed_form():
         x = rng.normal(size=3)
         b = float(np.log(rng.uniform(0.1, 10.0)))
         g, tape = fam.localizer.forward_batch(x[None])
-        a_star = fam.inverse_batch(x[None], b, g)
+        a_star = fam.inverse_batch(b, g)
         d_loc, d_b = implicit_slopes(fam, g, a_star)
         implicit = fam.localizer.backward_batch(tape, d_loc)
         oracle = fam.localizer.backward_batch(tape, -np.exp(b - g))
@@ -218,7 +224,7 @@ def test_linear_inverse_derivative_at_b_equals_g():
     fam = make_family("linear", net_for(seed=14))
     x = np.array([[0.5, -0.5, 0.2]])
     g = fam.loc_batch(x)
-    dinv_db = implicit_slopes(fam, g, fam.inverse_batch(x, g, g))[1][0]
+    dinv_db = implicit_slopes(fam, g, fam.inverse_batch(g, g))[1][0]
     assert dinv_db == pytest.approx(1.0, rel=1e-12)
 
 
@@ -229,10 +235,10 @@ def test_implicit_vs_analytic_inverse_gradients():
         for _ in range(5):
             x = rng.normal(size=3)[None]
             a = float(rng.uniform(0.05, 5.0))
-            b = fam.forward_batch(x, [a])[0]
+            b = fam.forward_batch([a], fam.loc_batch(x))[0]
             g, tape = fam.localizer.forward_batch(x)
             grads = []
-            for a_star in (fam.inverse_batch(x, b, g),
+            for a_star in (fam.inverse_batch(b, g),
                            bisect_inverse(fam.shift(g), b, fam.epsilon_floor)):
                 d_loc, d_b = implicit_slopes(fam, g, a_star)
                 grads.append((fam.localizer.backward_batch(tape, d_loc),
@@ -243,17 +249,17 @@ def test_implicit_vs_analytic_inverse_gradients():
 
     def core_inverse_derivatives(fam, x, g, b):
         # A = exp(B - s(g)): dA/dg = -A s'(g), dA/dB = A
-        a = fam.inverse_batch(x, b, g)
+        a = fam.inverse_batch(b, g)
         return -a * fam.dshift(g), a
 
     for fam in trainable_families(seed=22):
         x = rng.normal(size=3)[None]
         a = float(rng.uniform(0.05, 5.0))
-        b = fam.forward_batch(x, [a])[0]
+        b = fam.forward_batch([a], fam.loc_batch(x))[0]
         g = fam.loc_batch(x)
         d_loc, d_b = core_inverse_derivatives(fam, x, g, b)
         implicit_loc, implicit_b = implicit_slopes(
-            fam, g, fam.inverse_batch(x, b, g))
+            fam, g, fam.inverse_batch(b, g))
         assert implicit_loc == pytest.approx(d_loc, rel=1e-9), fam.kind
         assert implicit_b == pytest.approx(d_b, rel=1e-9), fam.kind
 
@@ -266,18 +272,20 @@ def test_additive_fixture_codomain_failure_and_repair():
     repaired = AdditiveLogRepairFixture(g_fn, eps=0.1)
     x_cal = np.array([[0.0]])  # g = 2, codomain [4, inf)
     x_test = np.array([[3.0]])  # g = 5, codomain [25, inf)
-    b = broken.forward_batch(x_cal, [1.0])[0]  # 1 + 4 = 5 < 25
+    b = broken.forward_batch([1.0], broken.loc_batch(x_cal))[0]  # 5 < 25
     with pytest.raises(CodomainError):
-        broken.inverse_batch(x_test, b)
-    b2 = repaired.forward_batch(x_cal, [1.0])[0]
-    assert repaired.inverse_batch(x_test, b2)[0] > 0  # no error
+        broken.inverse_batch(b, broken.loc_batch(x_test))
+    b2 = repaired.forward_batch([1.0], repaired.loc_batch(x_cal))[0]
+    # no error
+    assert repaired.inverse_batch(b2, repaired.loc_batch(x_test))[0] > 0
 
 
 def test_epsilon_floor_keeps_log_families_total():
     for fam in (make_family("linear", net_for(seed=15)),
                 make_family("erc", net_for(seed=16)),
                 LogShiftTransform()):
-        assert np.isfinite(fam.forward_batch(np.zeros((1, 3)), [0.0])[0])
+        g = fam.loc_batch(np.zeros((1, 3)))
+        assert np.isfinite(fam.forward_batch([0.0], g)[0])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
@@ -318,4 +326,4 @@ def test_non_finite_localization_rejected():
     fam = make_family("linear", net_for())
     fam.localizer = BadNet()
     with pytest.raises(ValueError, match="non-finite"):
-        fam.forward_batch(np.zeros((1, 3)), [1.0])
+        fam.forward_batch([1.0], fam.loc_batch(np.zeros((1, 3))))
