@@ -143,12 +143,19 @@ def _train_options(args) -> dict:
 
 
 def cmd_train(args) -> int:
+    """Train one family; the manifest's ``timings`` hold each phase's
+    seconds, the Adam steps and the training's milliseconds per step (null
+    when no step ran), and its config the resolved ``stop_reason``."""
     config = TrainConfig(seed=args.seed, **_train_options(args))
     spec = SplitSpec(args.seed)
+    start = time.perf_counter()
     ds = normalize(load_csv(args.data, args.has_header))
+    loaded = time.perf_counter()
     model, parts = point_model(ds, spec)
     cp, val = score(model, parts.cp_train, parts.validation)
+    scored_at = time.perf_counter()
     fam, trace = train(args.family, cp, val, config)
+    trained = time.perf_counter()
 
     save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
     trace_path = os.path.splitext(os.fspath(args.model_out))[0] + ".trace.csv"
@@ -157,10 +164,17 @@ def cmd_train(args) -> int:
     for epoch, tr, val in trace.epochs:
         rows.append(f"{epoch},{'' if tr is None else repr(tr)},{val!r}")
     write_text_atomic(trace_path, "\n".join(rows) + "\n")
+    train_s = trained - scored_at
+    timings = {"load_s": loaded - start, "point_model_s": scored_at - loaded,
+               "train_s": train_s, "write_s": time.perf_counter() - trained,
+               "steps": trace.steps,
+               "ms_per_step": (1e3 * train_s / trace.steps if trace.steps
+                               else None)}
     write_manifest(args.model_out, args, [args.data],
-                   [args.model_out, trace_path],
+                   [args.model_out, trace_path], timings,
                    fractions=list(spec.fractions), knn_k=model.k,
-                   best_epoch=trace.best_epoch)
+                   best_epoch=trace.best_epoch,
+                   stop_reason=trace.stop_reason)
     return 0
 
 

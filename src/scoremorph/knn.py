@@ -28,8 +28,10 @@ neighbours) take at most 32 B per (query, entry); a chunk takes no more
 queries than keep them within 2^14 entries, 0.5 MiB, which binds past
 k = 128 in a windowed chunk and where n * d < 16 k in a full scan. So a
 chunk holds about 4.5 MiB at most for any d and k, as long as one query's
-scan fits the budget (window rows * d <= 2^18; else it holds one query)
-and few distances tie at a query's k-th (c near k).
+scan fits the budget (window rows * d <= 2^18; else it holds one query).
+Where many distances tie at a query's k-th, so that the c candidates
+would pass the 2^14 entries, the chunk sorts all its distances instead,
+which holds one index per (query, row) pair, as the partition does.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ FOLDS = 5
 # (query, stored row, dimension) difference cells one scan chunk may hold:
 # about 4.5 MiB of scratch at most, whatever the dimension (module doc)
 _CHUNK_CELLS = 1 << 18
+# (query, entry) pairs a chunk's k-wide arrays may hold: 0.5 MiB at 32 B
+_K_WIDE = _CHUNK_CELLS >> 4
 # queries one windowed scan chunk may hold, and stored rows their spread
 # may span on average: a chunk costs a few dozen numpy calls whatever its
 # size, and its window widens with its queries' spread
@@ -131,7 +135,7 @@ def _chunks(train_x, queries, k):
         yield slice(None), np.empty((0, k), dtype=np.intp)
         return
     # queries whose k-wide arrays hold 2^14 entries at most (module doc)
-    most = max(1, (_CHUNK_CELLS >> 4) // k)
+    most = max(1, _K_WIDE // k)
     full = min(most, max(1, _CHUNK_CELLS // (n * d)))  # per scan of all rows
     j = int(np.argmax(train_x.max(axis=0) - train_x.min(axis=0)))
     order = np.argsort(train_x[:, j])
@@ -221,16 +225,18 @@ def _k_smallest(d2, k):
     ascending column order, ranks them as the full stable sort would. The
     order past an ``argpartition``'s split point is unspecified, so when
     some row ties at its k-th distance (``c > k``) a second partition at
-    ``c`` collects the candidates. The first partition is released before
-    the second partition or the full sort, so that only one (rows,
-    columns) index array is held at a time.
+    ``c`` collects the candidates. Where ties make the (rows, c) candidate
+    arrays pass ``_K_WIDE`` entries, the full stable sort runs instead:
+    it holds one (rows, columns) index array, as a partition does. The
+    first partition is released before the second partition or the full
+    sort, so that only one (rows, columns) index array is held at a time.
     """
     n = d2.shape[1]
     if k < n:
         part = np.argpartition(d2, k - 1, axis=1)
         kth = np.take_along_axis(d2, part[:, k - 1:k], axis=1)
         c = int(np.count_nonzero(d2 <= kth, axis=1).max())
-        if c < n:
+        if c < n and d2.shape[0] * c <= _K_WIDE:
             if c > k:
                 del part
                 part = np.argpartition(d2, c - 1, axis=1)

@@ -233,15 +233,21 @@ BETA2 = 0.999
 EPS = 1e-8
 # First moments below this magnitude are flushed to zero (see adam_step).
 _M_FLUSH = 1e-300
+# The least step scale sqrt(1 - BETA2^t) / (1 - BETA1^t) over all steps t:
+# 0.1522, at t = 12; past there it rises toward 1.
+_MIN_STEP_SCALE = min(math.sqrt(1.0 - BETA2 ** t) / (1.0 - BETA1 ** t)
+                      for t in range(1, 100))
 
 
 def _flush_period(learning_rate: float) -> int:
-    """Most steps K with lr * BETA1^K * 1e-300 at or above the smallest
-    normal float, so that between two flushes neither a first moment nor
-    its scaled update ``lr * m`` turns subnormal: 101 for lr = 1e-3, and 1
-    (every step) once lr * 1e-300 is itself below that float."""
+    """Most steps K with a * BETA1^K * 1e-300 at or above the smallest
+    normal float, where a is the least of 1 and the least step size
+    ``lr * _MIN_STEP_SCALE``, so that between two flushes neither a first
+    moment nor its scaled update ``alpha_t * m`` turns subnormal: 83 for
+    lr = 1e-3, 149 for lr = 1, and 1 (every step) once a * 1e-300 is itself
+    below that float."""
     tiny = np.finfo(float).tiny
-    scale = _M_FLUSH * min(learning_rate, 1.0)
+    scale = _M_FLUSH * min(learning_rate * _MIN_STEP_SCALE, 1.0)
     if scale <= tiny:
         return 1
     return max(1, int(math.log(tiny / scale) / math.log(BETA1)))
@@ -255,24 +261,33 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
     copied there first. It is checked (shape, NaN, infinity, and entries
     past about 1e154, whose squares overflow the second moment) before
     anything else is written, so a rejected call leaves the weights and the
-    state unchanged. The update then runs once over the flat vectors with
-    the elementwise order of the per-layer rule, ``m = b1 m + (1 - b1) g``,
-    ``v = b2 v + ((1 - b2) g) g``, ``upd = lr (m / c1) / (sqrt(v / c2) +
-    eps)`` with ``BETA1``, ``BETA2`` and ``EPS``, so every entry is
-    bit-identical to updating layer by layer. Once ``c1`` rounds to 1.0
-    (from about step 350) the division by it is skipped: ``m / 1.0 == m``.
+    state unchanged.
+
+    The update runs once over the flat vectors in the efficient order Kingma
+    & Ba give after their Algorithm 1: ``m = b1 m + (1 - b1) g``, ``v = b2 v
+    + (1 - b2) (g g)``, ``theta -= alpha_t m / (sqrt(v) + eps_t)`` with the
+    scalars ``alpha_t = lr sqrt(c2) / c1`` and ``eps_t = eps sqrt(c2)``,
+    where ``c1 = 1 - b1^t`` and ``c2 = 1 - b2^t`` (``BETA1``, ``BETA2``,
+    ``EPS``). That is the textbook ``lr (m / c1) / (sqrt(v / c2) + eps)``
+    rearranged, with no division of ``v`` by ``c2``. The two orders round
+    differently: fed the same 2000 gradients, each weight stays within
+    1e-12 of its path length (the sum of its update magnitudes) of the
+    textbook's. Each entry is updated alone, so the flat update is
+    bit-identical to the same order run layer by layer, and equal inputs
+    give equal weights.
 
     Every ``state.flush_every`` steps, each ``|m| < 1e-300`` is set to zero
     after the ``m`` update. Without that, a unit whose gradient stays
     exactly zero (a dead ReLU) decays its first moment by ``b1`` each step
     into the subnormal range, where the arithmetic is many times slower;
-    between two flushes an entry at 1e-300, and its ``lr * m``, cannot decay
-    below the smallest normal float. The flushed entry's update would have been below ``lr *
-    1e-300 / (c1 * eps)``, about 1e-295 for the default rate; that is under
-    half an ulp of any weight farther than about 1e-279 from zero, so
-    subtracting it would not have changed the weight. A later nonzero
-    gradient ``g`` dominates the dropped remainder the same way, so the
-    weights stay bit-identical to the unflushed update.
+    between two flushes an entry at 1e-300, and its ``alpha_t m``, cannot
+    decay below the smallest normal float. The flushed entry's update
+    would have been below ``alpha_t 1e-300 / eps_t = lr 1e-300 / (c1
+    eps)``, about 1e-295 for the default rate; that is under half an ulp
+    of any weight farther than about 1e-279 from zero, so subtracting it
+    would not have changed the weight. A later nonzero gradient ``g``
+    dominates the dropped remainder the same way, so the weights stay
+    bit-identical to the unflushed update.
     """
     if net.shapes != state.shapes:
         raise ValueError("Adam state shapes mismatch the network")
@@ -282,40 +297,33 @@ def adam_step(net: LocalizerNet, grads, state: AdamState):
     if grads is not g:
         np.copyto(g, grads)
     m, v, tmp = state.m_flat, state.v_flat, state._tmp
-    # a NaN or infinite entry, or one whose square overflows, makes the sum
-    # of squares NaN or infinite; a sum of finite squares can still
-    # overflow, so only then is every square checked. einsum sums in one
-    # pass, with no warning and no BLAS call: a BLAS dot product of this
-    # length may be split across threads, and on a busy host it then stalls
-    if not np.isfinite(np.einsum("i,i->", g, g)):
-        with np.errstate(over="ignore"):
-            np.multiply(g, g, out=tmp)
-        if not np.isfinite(tmp, out=state._mask).all():
+    # tmp holds the squares, for the check and then for v. A NaN or
+    # infinite entry, or one whose square overflows, makes their sum NaN or
+    # infinite; a sum of finite squares can still overflow, so only then is
+    # every square checked
+    with np.errstate(over="ignore"):
+        np.multiply(g, g, out=tmp)
+        if (not np.isfinite(np.add.reduce(tmp))
+                and not np.isfinite(tmp, out=state._mask).all()):
             raise ValueError("NaN or infinite gradient or squared "
                              "gradient; aborting the update")
     state.step += 1
     t = state.step
     c1 = 1.0 - BETA1 ** t
-    c2 = 1.0 - BETA2 ** t
+    root_c2 = math.sqrt(1.0 - BETA2 ** t)
+    v *= BETA2
+    tmp *= 1.0 - BETA2
+    v += tmp
     m *= BETA1
     np.multiply(g, 1.0 - BETA1, out=tmp)
     m += tmp
     if t % state.flush_every == 0:
         np.less(np.abs(m, out=tmp), _M_FLUSH, out=state._mask)
         np.copyto(m, 0.0, where=state._mask)
-    v *= BETA2
-    np.multiply(g, 1.0 - BETA2, out=tmp)
-    tmp *= g
-    v += tmp
     upd = g  # g is used up; the update overwrites it
-    if c1 == 1.0:
-        np.multiply(m, state.learning_rate, out=upd)
-    else:
-        np.divide(m, c1, out=upd)
-        upd *= state.learning_rate
-    np.divide(v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += EPS
+    np.multiply(m, state.learning_rate * root_c2 / c1, out=upd)
+    np.sqrt(v, out=tmp)
+    tmp += EPS * root_c2
     upd /= tmp
     net.theta -= upd
     net.version += 1

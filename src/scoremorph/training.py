@@ -51,10 +51,18 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch train/validation losses; epoch 0 is the initialization."""
+    """Per-epoch train/validation losses; epoch 0 is the initialization.
+
+    ``steps`` counts the Adam steps taken. ``stop_reason`` is "patience"
+    when early stopping ended the training before its last epoch, "epochs"
+    when every epoch ran (none, at ``epochs=0``), and None when nothing was
+    trained ("fixed").
+    """
 
     epochs: list = field(default_factory=list)  # (epoch, train_loss, val_loss)
     best_epoch: int = 0
+    steps: int = 0
+    stop_reason: str | None = None
 
 
 class TrainingDiverged(ValueError):
@@ -76,7 +84,7 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
     gradients written into ``out``, the Adam state's gradient vector.
     """
     net = fam.localizer
-    trace = TrainTrace()
+    trace = TrainTrace(stop_reason="epochs")
     if config.epochs == 0:
         return fam, trace
     rng = np.random.default_rng(config.seed)
@@ -93,6 +101,7 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
             for idx in _batches(cp.m, config.batch_size, rng):
                 loss = step_fn(cp.rows(idx), state.grad)
                 adam_step(net, loss.grads, state)
+                trace.steps += 1
                 epoch_losses.append(loss.value)
             val_loss = pairwise_size_loss(fam, val.x, val.a)
         except ValueError as exc:
@@ -106,6 +115,8 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
             best_snap = net.snapshot()
             trace.best_epoch = epoch
         elif epoch - trace.best_epoch >= config.patience:
+            if epoch < config.epochs:
+                trace.stop_reason = "patience"
             break
     net.restore(best_snap)
     return fam, trace

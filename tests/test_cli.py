@@ -588,6 +588,42 @@ def test_eval_protocol_manifest_times_each_job(tmp_path):
     assert all(0 < j["seconds"] < timings["protocol_s"] for j in jobs)
 
 
+def test_train_manifest_times_its_phases_and_names_why_it_stopped(tmp_path):
+    # 200 rows leave 80 calibration-training rows: 5 steps of 16 an epoch
+    data = synth(tmp_path, n=200)
+    cases = {  # name -> (family, epochs, patience)
+        "full": ("linear", 3, 3), "early": ("linear", 30, 1),
+        "none": ("linear", 0, 1), "fixed": ("fixed", 3, 3)}
+    got = {}
+    for name, (family, epochs, patience) in cases.items():
+        model = tmp_path / f"{name}.json"
+        assert run("train", "--data", data, "--family", family,
+                   "--epochs", epochs, "--patience", patience,
+                   "--model-out", model) == 0
+        manifest = json.loads(
+            (tmp_path / f"{name}.json.manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"load_s", "point_model_s", "train_s",
+                                "write_s", "steps", "ms_per_step"}
+        assert all(timings[k] > 0 for k in ("load_s", "point_model_s",
+                                            "write_s"))
+        epochs_run = len(read_rows(tmp_path / f"{name}.trace.csv")) - 1
+        got[name] = (timings, manifest["config"]["stop_reason"], epochs_run)
+    # at --patience equal to --epochs every epoch runs
+    timings, reason, epochs_run = got["full"]
+    assert (reason, epochs_run, timings["steps"]) == ("epochs", 3, 15)
+    assert timings["ms_per_step"] == pytest.approx(
+        1e3 * timings["train_s"] / 15)
+    timings, reason, epochs_run = got["early"]
+    assert reason == "patience" and epochs_run < 30
+    assert timings["steps"] == 5 * epochs_run
+    assert timings["ms_per_step"] > 0
+    for name, reason in (("none", "epochs"), ("fixed", None)):
+        timings, stop_reason, _ = got[name]
+        assert (timings["steps"], timings["ms_per_step"], stop_reason) == (
+            0, None, reason)
+
+
 @pytest.fixture(scope="module")
 def trained_linear(tmp_path_factory):
     return train_model(tmp_path_factory.mktemp("model"))
@@ -1054,7 +1090,7 @@ def _manifest_case(tmp_path, command):
 
 @pytest.mark.parametrize("command, resolved", [
     ("synth", set()),
-    ("train", {"fractions", "knn_k", "best_epoch"}),
+    ("train", {"fractions", "knn_k", "best_epoch", "stop_reason"}),
     ("frozen eval", {"alphas", "knn_ks"}),
     ("protocol eval", {"alphas", "knn_ks"}),
     ("plot", set()),

@@ -182,6 +182,15 @@ def uniform_model(d, stored, n_queries, k=50):
             rng.random((n_queries, d)))
 
 
+def tied_model(stored=512, k=1):
+    """Every stored row but the first at 0.5, and as many queries there:
+    each query's k-th distance, 0, ties with stored - 1 of them."""
+    x = np.full((stored, 1), 0.5)
+    x[0] = 0.0
+    return (knn.KnnModel(x, np.arange(stored, dtype=float), k),
+            np.full((stored, 1), 0.5))
+
+
 @pytest.mark.parametrize("case", [
     lambda: synth_cos_model(800, 800),   # frozen eval of a 2000-row file
     lambda: uniform_model(1, 2000, 1000),
@@ -190,13 +199,16 @@ def uniform_model(d, stored, n_queries, k=50):
     lambda: uniform_model(1, 512, 512, k=511),
     lambda: uniform_model(1, 2000, 2000, k=1999),
     lambda: uniform_model(3, 2000, 2000, k=1999),
+    tied_model,
 ], ids=["synth-cos-800x800", "uniform-d1", "uniform-d8", "uniform-d1-k511",
-        "uniform-d1-k1999", "uniform-d3-k1999"])
+        "uniform-d1-k1999", "uniform-d3-k1999", "tied-d1-k1"])
 def test_predict_scratch_within_five_mib(case):
     # a chunk holds about 4.5 MiB at most (knn's module doc); a budget of
     # 2^21 cells let the first three calls peak at 14.8, 32.5 and 18.2 MB,
-    # and chunks that did not count their k-wide arrays let the k = n - 1
-    # calls peak at 10.1, 12.1 and 9.9 MiB
+    # chunks that did not count their k-wide arrays let the k = n - 1
+    # calls peak at 10.1, 12.1 and 9.9 MiB, and candidate arrays that grew
+    # with the ties at a query's k-th distance let the tied call peak at
+    # 10.0 MiB
     model, queries = case()
     assert traced_peak(lambda: model.predict_batch(queries)) <= 5 * 2**20
 

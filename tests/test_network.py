@@ -1,3 +1,4 @@
+import math
 import pickle
 import tracemalloc
 
@@ -361,7 +362,8 @@ def test_adam_accepts_huge_gradient_whose_square_is_finite():
     rng = np.random.default_rng(1)
     grads = rng.uniform(1e152, 1.3e152, size=net.n_params)
     grads[::2] *= -1
-    assert not np.isfinite(np.einsum("i,i->", grads, grads))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(grads * grads))
     adam_step(net, grads, state)
     per_layer_adam_step(ref_net, grads, ref_state)
     assert_same_snapshot(adam_snapshot(net, state),
@@ -380,12 +382,20 @@ def test_adam_rejects_misshaped_gradient():
         assert_same_snapshot(adam_snapshot(net, state), before)
 
 
-def per_layer_adam_step(net, grads, state):
-    """Reference: the layer-by-layer Adam update, with no moment flush."""
-    state.step += 1
+def step_size(state):
+    """Adam's alpha_t = lr sqrt(1 - BETA2^t) / (1 - BETA1^t) at the state's
+    last step."""
     t = state.step
-    c1 = 1.0 - BETA1 ** t
-    c2 = 1.0 - BETA2 ** t
+    return (state.learning_rate * math.sqrt(1.0 - BETA2 ** t)
+            / (1.0 - BETA1 ** t))
+
+
+def per_layer_adam_step(net, grads, state):
+    """Reference: the layer-by-layer Adam update in Kingma & Ba's efficient
+    order, with no moment flush."""
+    state.step += 1
+    root_c2 = math.sqrt(1.0 - BETA2 ** state.step)
+    alpha_t = step_size(state)
     layers = zip(*(_layer_views(a, net.shapes) for a in
                    (net.theta, grads, state.m_flat, state.v_flat)))
     for (pw, pb), (gw, gb), (mw, mb), (vw, vb) in layers:
@@ -393,9 +403,51 @@ def per_layer_adam_step(net, grads, state):
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            target -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
+            v += (1.0 - BETA2) * (g * g)
+            target -= alpha_t * m / (np.sqrt(v) + EPS * root_c2)
     net.version += 1
+
+
+def textbook_adam_step(theta, m, v, g, t, lr):
+    """Algorithm 1 of Kingma & Ba as printed, on flat vectors; returns the
+    update it subtracted from ``theta``."""
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    upd = lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t))
+                                          + EPS)
+    theta -= upd
+    return upd
+
+
+@pytest.mark.parametrize("lr", [1e-3, 1.0])
+def test_adam_efficient_order_tracks_textbook_algorithm(lr):
+    # 2000 steps of gradients whose entries span 1e-30 to 1e30 in scale,
+    # a fifth of them zero at each step and a tenth zero throughout. The
+    # weights start at zero, so each is minus the sum of its updates, and
+    # it may part from the textbook's by at most 1e-12 of its path length,
+    # the sum of its textbook updates' magnitudes: twice the 2000 * 2^-52
+    # that summing 2000 updates may round by (both rates read 4.4e-16)
+    net = LocalizerNet.init(2, seed=8, hidden=(8, 8))
+    net.theta[:] = 0.0
+    state = AdamState.init(net, learning_rate=lr)
+    theta, m, v = np.zeros((3, net.n_params))
+    path = np.zeros(net.n_params)
+    rng = np.random.default_rng(9)
+    scale = 10.0 ** rng.uniform(-30, 30, size=net.n_params)
+    scale[rng.random(net.n_params) < 0.1] = 0.0
+    worst = 0.0
+    for t in range(1, 2001):
+        grads = scale * rng.normal(size=net.n_params)
+        grads[rng.random(net.n_params) < 0.2] = 0.0
+        adam_step(net, grads, state)
+        path += np.abs(textbook_adam_step(theta, m, v, grads, t, lr))
+        gap = np.abs(net.theta - theta)
+        assert np.all(gap <= 1e-12 * path)
+        worst = max(worst, float(np.max(gap / np.where(path > 0, path, 1))))
+    assert 0 < worst  # the two orders do round differently
+    assert np.array_equal(state.m_flat, m)
 
 
 def subnormal_count(arrays):
@@ -412,7 +464,7 @@ def test_adam_moment_flush_changes_no_weight():
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
     ref = LocalizerNet(net.weights, net.biases)
     state = AdamState.init(net)
-    assert state.flush_every == 101
+    assert state.flush_every == 83
     ref_state = AdamState.init(ref)
     rng = np.random.default_rng(6)
     live = rng.random(net.n_params) < 0.7
@@ -423,9 +475,9 @@ def test_adam_moment_flush_changes_no_weight():
             grads *= live
         adam_step(net, grads, state)
         per_layer_adam_step(ref, grads, ref_state)
-        # neither m nor the lr * m the update scales it to is subnormal
+        # neither m nor the alpha_t * m the update scales it to is subnormal
         assert subnormal_count([state.m_flat]) == 0
-        assert subnormal_count([state.m_flat * state.learning_rate]) == 0
+        assert subnormal_count([state.m_flat * step_size(state)]) == 0
         m = np.abs(state.m_flat)
         unflushed_tiny += bool(((m > 0) & (m < 1e-300)).any())
     assert np.array_equal(net.theta, ref.theta)
@@ -435,14 +487,14 @@ def test_adam_moment_flush_changes_no_weight():
 
 
 def test_adam_flush_period_follows_learning_rate():
-    # at lr = 1 the flushed floor 1e-300 may decay for 167 steps before
-    # lr * m leaves the normal range; at lr = 1e-9, lr * 1e-300 is already
-    # below it, so every step flushes
+    # at lr = 1 the flushed floor 1e-300 may decay for 149 steps before
+    # alpha_t * m, at least 0.1522 * lr * m, leaves the normal range; at
+    # lr = 1e-9, lr * 1e-300 is already below it, so every step flushes
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
     ref = LocalizerNet(net.weights, net.biases)
     state = AdamState.init(net, learning_rate=1.0)
     ref_state = AdamState.init(ref, learning_rate=1.0)
-    assert state.flush_every == 167
+    assert state.flush_every == 149
     assert AdamState.init(net, learning_rate=1e-9).flush_every == 1
     rng = np.random.default_rng(7)
     ref_subnormal_steps = 0
@@ -454,7 +506,7 @@ def test_adam_flush_period_follows_learning_rate():
         adam_step(net, grads, state)
         per_layer_adam_step(ref, grads, ref_state)
         assert subnormal_count([state.m_flat]) == 0
-        assert subnormal_count([state.m_flat * state.learning_rate]) == 0
+        assert subnormal_count([state.m_flat * step_size(state)]) == 0
         ref_subnormal_steps += subnormal_count([ref_state.m_flat]) > 0
     assert np.array_equal(net.theta, ref.theta)
     assert ref_subnormal_steps > 0  # unflushed, the moments pass through

@@ -369,9 +369,9 @@ def record_steps(monkeypatch, on_step):
 
 @pytest.mark.parametrize("label", ["linear", "erc", "erc-fit"])
 def test_buffered_step_matches_allocating_step(monkeypatch, label):
-    # 160 rows in batches of 16 for 45 epochs: 450 steps, past four first
-    # moment flushes (every 101 steps) and the step (~350) from which Adam
-    # skips its division by c1 = 1.0
+    # 160 rows in batches of 16 for 45 epochs: 450 steps, past five first
+    # moment flushes (every 83 steps) and the step (~350) from which the
+    # bias correction c1 rounds to 1.0
     cp, val = zero_predictor_batches(160, 100, seed=3)
     config = TrainConfig(seed=3, epochs=45, patience=45)
     runs = []
