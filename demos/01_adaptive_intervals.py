@@ -25,7 +25,7 @@ ds = normalize(synth.dataset)
 proper, cp_train, validation, test = split(ds, SplitSpec(seed=7))
 
 # the point predictor is fixed before any conformal machinery runs
-model = knn.fit(proper, k_grid=(1, 2, 3, 5, 8, 13, 21, 34), folds=5, seed=7)
+model = knn.fit(proper, seed=7)
 print(f"KNN cross-validation selected k = {model.k}")
 # it scores each split once: (x, A) with A = (f(x) - y)^2
 cal, val, te = (scored(d, model.predict_batch(d.x))

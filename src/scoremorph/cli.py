@@ -136,17 +136,17 @@ _TRAIN_OPTIONS = {"epochs": "epochs", "lr": "learning_rate",
                   "gamma": "gamma"}
 
 
-def _train_options(args) -> dict:
-    """The TrainConfig fields that ``args``' training options set."""
-    return {field: getattr(args, option)
-            for option, field in _TRAIN_OPTIONS.items()}
+def _train_config(args, seed: int) -> TrainConfig:
+    """The TrainConfig of ``seed`` and ``args``' training options."""
+    return TrainConfig(seed, **{field: getattr(args, option)
+                                for option, field in _TRAIN_OPTIONS.items()})
 
 
 def cmd_train(args) -> int:
     """Train one family; the manifest's ``timings`` hold each phase's
     seconds, the Adam steps and the training's milliseconds per step (null
     when no step ran), and its config the resolved ``stop_reason``."""
-    config = TrainConfig(seed=args.seed, **_train_options(args))
+    config = _train_config(args, args.seed)
     spec = SplitSpec(args.seed)
     start = time.perf_counter()
     ds = normalize(load_csv(args.data, args.has_header))
@@ -247,7 +247,7 @@ def _eval_protocol(args, alphas):
     base_seed = args.seed if args.seed is not None else 0
     start = time.perf_counter()
     result = run_protocol(ds, families, alphas, args.runs, base_seed,
-                          **_train_options(args))
+                          _train_config(args, base_seed))
     timings = {"protocol_s": time.perf_counter() - start,
                "jobs": [{"run_seed": seed, "trained": label, "seconds": sec}
                         for seed, label, sec in result.job_seconds]}
@@ -322,7 +322,7 @@ def cmd_plot(args) -> int:
 
 # ---- parser ----
 
-def _add_train_options(p) -> None:
+def _add_training_flags(p) -> None:
     """Add the training options, with TrainConfig's defaults, to ``p``."""
     for option, field in _TRAIN_OPTIONS.items():
         default = getattr(TrainConfig, field)
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--family", required=True, choices=CLI_FAMILIES)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    _add_train_options(p)
+    _add_training_flags(p)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.05,0.1,0.32")
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    _add_train_options(p)
+    _add_training_flags(p)
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)

@@ -52,9 +52,10 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
-def render_svg(band: Band, title: str = "", width: int = 640,
-               height: int = 480) -> str:
-    """Scatter of (axis, y) with the shaded interval band and center line."""
+def render_svg(band: Band, title: str) -> str:
+    """640x480 scatter of (axis, y) with the shaded interval band, the
+    center line and ``title``."""
+    width, height = 640, 480
     ml, mr, mt, mb = 50, 15, 30, 40
     x_lo, x_hi = float(band.axis.min()), float(band.axis.max())
     y_all = np.concatenate([band.y, band.lower, band.upper])
@@ -103,8 +104,7 @@ def render_svg(band: Band, title: str = "", width: int = 640,
                f'text-anchor="end">{y_lo:.3g}</text>')
     out.append(f'<text x="{ml - 6}" y="{mt + 4}" font-size="11" '
                f'text-anchor="end">{y_hi:.3g}</text>')
-    if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" font-size="13" '
-                   f'text-anchor="middle">{title}</text>')
+    out.append(f'<text x="{width / 2:.1f}" y="18" font-size="13" '
+               f'text-anchor="middle">{title}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,5 +1,8 @@
 """K-nearest-neighbor regression with cross-validated K.
 
+``fit`` alone chooses k: ``FOLDS``-fold cross-validation over the
+``DEFAULT_K_GRID`` values that fit in the smallest CV training part.
+
 Exact Euclidean neighbours; distance ties broken toward the lower stored
 index so predictions are reproducible. The stored rows are sorted on their
 widest-spread column (Friedman, Baskett & Shustek, "An Algorithm for
@@ -43,7 +46,7 @@ import numpy as np
 from .data import Dataset
 
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 50)
-# cross-validation folds ``fit`` selects k with unless told otherwise
+# cross-validation folds ``fit`` selects k with
 FOLDS = 5
 
 # (query, stored row, dimension) difference cells one scan chunk may hold:
@@ -55,17 +58,6 @@ _K_WIDE = _CHUNK_CELLS >> 4
 # may span on average: a chunk costs a few dozen numpy calls whatever its
 # size, and its window widens with its queries' spread
 _CHUNK_QUERIES = 128
-
-
-def grid_for(n: int, folds: int = FOLDS, k_grid=DEFAULT_K_GRID) -> list:
-    """The candidate k values that ``fit`` with ``folds`` folds accepts on n
-    rows: none above the smallest CV training part, n - ceil(n / folds)."""
-    return [k for k in k_grid if k <= _smallest_train_part(n, folds)]
-
-
-def _smallest_train_part(n: int, folds: int) -> int:
-    """n - ceil(n / folds): the rows left when the largest fold is out."""
-    return n - (n + folds - 1) // folds
 
 
 @dataclass(frozen=True)
@@ -248,34 +240,20 @@ def _k_smallest(d2, k):
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
-def fit(proper_train: Dataset, k_grid=DEFAULT_K_GRID, folds: int = FOLDS,
-        seed: int = 0) -> KnnModel:
-    """Select k by ``folds``-fold cross-validation (MSE), ties toward
-    smaller k. ``train`` and the protocol use the defaults: ``FOLDS``
-    folds over the k values of ``grid_for`` that the smallest fold allows."""
+def fit(proper_train: Dataset, seed: int = 0) -> KnnModel:
+    """Select k by ``FOLDS``-fold cross-validation (MSE), ties toward
+    smaller k, over the ``DEFAULT_K_GRID`` values that fit in the smallest
+    CV training part, n - ceil(n / FOLDS) rows; n >= FOLDS keeps 1, 2, 3."""
     n = proper_train.n
-    if folds < 2 or n < folds:
-        raise ValueError(f"need n >= folds >= 2, got n={n}, folds={folds}")
-    grid = sorted(set(int(k) for k in k_grid))
-    if not grid:
-        raise ValueError("empty k grid")
-    if grid[0] < 1:
-        raise ValueError(f"k must be positive, got {grid[0]}")
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    fold_ids = np.arange(n) % folds  # applied to the permuted order
-    min_train = _smallest_train_part(n, folds)
-    if grid[-1] > min_train:
-        raise ValueError(
-            f"grid k={grid[-1]} exceeds the smallest CV training part ({min_train})")
-
-    if len(grid) == 1:
-        return KnnModel(proper_train.x, proper_train.y, grid[0])
-
+    if n < FOLDS:
+        raise ValueError(f"need at least FOLDS = {FOLDS} rows, one per fold, "
+                         f"got {n}")
+    grid = [k for k in DEFAULT_K_GRID if k <= n - (n + FOLDS - 1) // FOLDS]
+    perm = np.random.default_rng(seed).permutation(n)
+    fold_ids = np.arange(n) % FOLDS  # applied to the permuted order
     ks = np.array(grid)
     sq_errors = {k: [] for k in grid}
-    for f in range(folds):
+    for f in range(FOLDS):
         val_idx = perm[fold_ids == f]
         tr_idx = perm[fold_ids != f]
         tr_y = proper_train.y[tr_idx]

@@ -195,7 +195,7 @@ class AdamState:
     size of the parameters.
     """
 
-    def __init__(self, shapes, learning_rate: float = 1e-3):
+    def __init__(self, shapes, learning_rate: float):
         self.shapes = [tuple(s) for s in shapes]
         self.step = 0
         self.learning_rate = learning_rate
@@ -207,11 +207,6 @@ class AdamState:
         self._tmp = np.empty(size)
         self._mask = np.empty(size, dtype=bool)
         self.m = _layer_views(self.m_flat, self.shapes)
-
-    @classmethod
-    def init(cls, net: LocalizerNet, **options) -> "AdamState":
-        """State for ``net``'s parameters, with the constructor's options."""
-        return cls(net.shapes, **options)
 
 
 def _layer_views(flat, shapes):

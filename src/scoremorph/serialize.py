@@ -39,6 +39,8 @@ def _version(value):
 def _floats(value):
     if np.ndim(value) != 1:
         raise ValueError("it is not a flat list of numbers")
+    if any(isinstance(v, bool) for v in value):
+        raise ValueError("it holds an entry that is true or false")
     return np.asarray(value, dtype=float)
 
 
@@ -97,7 +99,9 @@ def model_from_dict(doc: dict, path) -> ModelBundle:
                 raise _FieldError(f"model file {path}: field '{name}' "
                                   "is missing")
             value = value[key]
-        if not isinstance(value, types):
+        # a JSON true or false reads as a bool, which Python counts as an
+        # int; no field's types name bool, so every field refuses it
+        if isinstance(value, bool) or not isinstance(value, types):
             raise _FieldError(f"model file {path}: field '{name}' holds a "
                               f"{type(value).__name__}")
         try:

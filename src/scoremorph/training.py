@@ -88,7 +88,7 @@ def _loop(fam, step_fn, config, cp: LossBatch, val: LossBatch):
     if config.epochs == 0:
         return fam, trace
     rng = np.random.default_rng(config.seed)
-    state = AdamState.init(net, learning_rate=config.learning_rate)
+    state = AdamState(net.shapes, config.learning_rate)
 
     best_val = pairwise_size_loss(fam, val.x, val.a)
     best_snap = net.snapshot()
@@ -140,8 +140,7 @@ def point_model(dataset: Dataset, spec: SplitSpec, k=None):
                 f"model's k takes at least "
                 f"{math.ceil(knn.FOLDS / spec.fractions[0])}, for a proper "
                 f"training part of {knn.FOLDS} rows, one per fold")
-        return knn.fit(parts.proper, knn.grid_for(parts.proper.n),
-                       seed=spec.seed), parts
+        return knn.fit(parts.proper, seed=spec.seed), parts
     return knn.KnnModel(parts.proper.x, parts.proper.y, k), parts
 
 
@@ -257,19 +256,17 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
             model.k, time.perf_counter() - start)
 
 
-def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
-                 seed0: int = 0, **train_options) -> ProtocolResult:
+def run_protocol(dataset: Dataset, families, alphas, runs: int, seed0: int,
+                 config: TrainConfig = TrainConfig()) -> ProtocolResult:
     """Repeat split / point-model fit / family training / evaluation.
 
     Run r uses seed0 + r for the split (``SplitSpec``'s default fractions),
-    the point model's ``knn.FOLDS``-fold cross-validation over
-    ``knn.DEFAULT_K_GRID``, and the family training, which otherwise follows
-    ``TrainConfig(**train_options)``: ``epochs``, ``batch_size``,
-    ``learning_rate``, ``patience`` and ``gamma``, each defaulting to
-    ``TrainConfig``'s. Labels that share a localizer in ``FAMILY_LABELS``
-    share one training and one evaluation per run, so they get the same
-    rows, or the same error rows. Rows come in (run, family, alpha) order;
-    ``aggregate`` summarizes them per cell.
+    the point model's cross-validation (``knn.fit``) and the family
+    training, which otherwise follows ``config``; its ``seed`` is unread.
+    Labels that share a localizer in ``FAMILY_LABELS`` share one training
+    and one evaluation per run, so they get the same rows, or the same error
+    rows. Rows come in (run, family, alpha) order; ``aggregate`` summarizes
+    them per cell.
 
     One job is one (run, trained label); the jobs share no state, and run
     side by side in worker processes (``workers.map_in_workers``), each on
@@ -286,7 +283,7 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int = 5,
         if families.count(name) > 1:
             raise ValueError(f"family '{name}' given twice")
     one_job = partial(protocol_job, dataset, families, list(alphas),
-                      config=TrainConfig(**train_options))
+                      config=config)
     trained = dict.fromkeys(FAMILY_LABELS[f][1] for f in families)
     jobs = [(run_seed, label) for run_seed in range(seed0, seed0 + runs)
             for label in trained]

@@ -9,14 +9,13 @@ import time
 
 import numpy as np
 
-from scoremorph import knn
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
                                   half_widths, quantile_index, scored)
-from scoremorph.data import Dataset, SplitSpec, normalize, split
+from scoremorph.data import Dataset, SplitSpec, normalize
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
 from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
-from scoremorph.training import TrainConfig, train
+from scoremorph.training import TrainConfig, point_model, train
 from scoremorph.transforms import make_family
 from support import (EXP, SIGMOID, AdditiveFixture, AdditiveLogRepairFixture,
                      CodomainError, LogShiftTransform, OuterMap, SqrtMap,
@@ -237,9 +236,7 @@ def test_criterion_7_local_adaptivity_efficiency():
         min_validity = 1.0
         for seed in range(5):
             ds = normalize(generate(SynthSpec(kind, n=1000, seed=seed)).dataset)
-            proper, cp, val, test = split(ds, SplitSpec(seed))
-            grid = [k for k in knn.DEFAULT_K_GRID if k <= proper.n]
-            model = knn.fit(proper, grid, folds=5, seed=seed)
+            model, (_, cp, val, test) = point_model(ds, SplitSpec(seed))
             cp, val, test = (scored(d, model.predict_batch(d.x))
                              for d in (cp, val, test))
             fixed = evaluate(make_family("fixed"), cp, test, [alpha])[0]
@@ -267,9 +264,7 @@ def test_criterion_8_erc_fit_stability_observation():
     sizes = []
     for seed in range(3):
         ds = normalize(generate(SynthSpec("cos", n=1000, seed=seed)).dataset)
-        proper, cp, val, test = split(ds, SplitSpec(seed))
-        grid = [k for k in knn.DEFAULT_K_GRID if k <= proper.n]
-        model = knn.fit(proper, grid, folds=5, seed=seed)
+        model, (_, cp, val, test) = point_model(ds, SplitSpec(seed))
         cp, val, test = (scored(d, model.predict_batch(d.x))
                          for d in (cp, val, test))
         fam, trace = train("erc-fit", cp, val, TrainConfig(seed=seed))

@@ -722,6 +722,33 @@ def test_a_model_file_error_names_the_nested_field(
     assert list(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("knn_k", lambda doc: doc.update(knn_k=True)),
+    ("format_version", lambda doc: doc.update(format_version=True)),
+    ("split.seed", lambda doc: doc["split"].update(seed=True)),
+    ("gamma", lambda doc: doc.update(family="erc", gamma=True)),
+    ("epsilon_floor", lambda doc: doc.update(epsilon_floor=True)),
+    ("normalization_stats.mean",
+     lambda doc: doc["normalization_stats"]["mean"].__setitem__(0, False)),
+    ("normalization_stats.sd",
+     lambda doc: doc["normalization_stats"]["sd"].__setitem__(1, True)),
+    ("split.fractions",
+     lambda doc: doc["split"].update(fractions=[True, 0, 0, 0])),
+])
+def test_a_model_file_refuses_true_or_false_for_a_number(trained_linear,
+                                                          field, edit):
+    # Python counts a bool as an int: each of these loaded, as k = 1, as
+    # format_version 1, and as 1.0 or 0.0 entries
+    doc = json.loads(trained_linear[1].read_text())
+    edit(doc)
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(doc, "m.json")
+    assert str(exc.value) in (
+        f"model file m.json: field '{field}' holds a bool",
+        f"model file m.json: field '{field}' cannot be read: it holds an "
+        "entry that is true or false")
+
+
 def field_names(doc, prefix=""):
     """Every field of a model document, dotted below the top level."""
     for key, value in doc.items():

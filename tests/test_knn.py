@@ -77,40 +77,37 @@ def test_predict_within_label_range():
 def test_fit_constant_labels_picks_smallest_k():
     rng = np.random.default_rng(6)
     ds = make_ds(rng.normal(size=(30, 1)), np.full(30, 3.0))
-    m = knn.fit(ds, k_grid=(1, 3, 5), folds=5, seed=0)
-    assert m.k == 1
+    assert knn.fit(ds, seed=0).k == 1
 
 
-def test_fit_singleton_grid():
-    rng = np.random.default_rng(7)
-    ds = make_ds(rng.normal(size=(10, 1)), rng.normal(size=10))
-    assert knn.fit(ds, k_grid=(4,), folds=2, seed=0).k == 4
-
-
-def test_fit_rejects_bad_grid():
+def test_fit_refuses_fewer_rows_than_folds():
     rng = np.random.default_rng(8)
-    ds = make_ds(rng.normal(size=(10, 1)), rng.normal(size=10))
-    with pytest.raises(ValueError, match="empty"):
-        knn.fit(ds, k_grid=(), folds=2, seed=0)
-    with pytest.raises(ValueError, match="exceeds"):
-        knn.fit(ds, k_grid=(9,), folds=2, seed=0)
+    ds = make_ds(rng.normal(size=(4, 1)), rng.normal(size=4))
+    with pytest.raises(ValueError, match="^need at least FOLDS = 5 rows, "
+                       "one per fold, got 4$"):
+        knn.fit(ds, seed=0)
 
 
-def cv_oracle(ds, k_grid, folds, seed):
-    """Independent cross-validation oracle built on the brute predictor."""
+def cv_oracle(ds, seed):
+    """Independent 5-fold cross-validation oracle built on the brute
+    predictor, over the default grid's k that every fold's training rows
+    hold."""
+    folds = 5
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.n)
     fold_ids = np.arange(ds.n) % folds
-    errors = {k: [] for k in k_grid}
+    grid = [k for k in knn.DEFAULT_K_GRID
+            if k <= min(np.count_nonzero(fold_ids != f) for f in range(folds))]
+    errors = {k: [] for k in grid}
     for f in range(folds):
         val = perm[fold_ids == f]
         tr = perm[fold_ids != f]
-        for k in k_grid:
+        for k in grid:
             for i in val:
                 pred = brute_predict(ds.x[tr], ds.y[tr], ds.x[i], k)
                 errors[k].append((pred - ds.y[i]) ** 2)
-    mse = {k: float(np.mean(errors[k])) for k in k_grid}
-    return min(k_grid, key=lambda k: (mse[k], k))
+    mse = {k: float(np.mean(errors[k])) for k in grid}
+    return min(grid, key=lambda k: (mse[k], k))
 
 
 def test_fit_linear_grid_selects_small_k():
@@ -118,9 +115,8 @@ def test_fit_linear_grid_selects_small_k():
     # small k; oracle run recorded k = 2 for this seed
     x = np.linspace(0.0, 1.0, 80)
     ds = make_ds(x, x)
-    grid = (1, 2, 3, 5, 8, 13)
-    m = knn.fit(ds, k_grid=grid, folds=5, seed=3)
-    assert m.k == cv_oracle(ds, grid, folds=5, seed=3)
+    m = knn.fit(ds, seed=3)
+    assert m.k == cv_oracle(ds, seed=3)
     assert m.k <= 5
     assert m.k == 2  # frozen from the oracle run
 
@@ -130,9 +126,8 @@ def test_fit_matches_oracle_on_noisy_data():
     x = rng.uniform(-1, 1, size=60)
     y = np.sin(3 * x) + 0.3 * rng.normal(size=60)
     ds = make_ds(x, y)
-    grid = (1, 2, 3, 5, 8)
-    m = knn.fit(ds, grid, folds=4, seed=1)
-    assert m.k == cv_oracle(ds, grid, folds=4, seed=1)
+    m = knn.fit(ds, seed=1)
+    assert m.k == cv_oracle(ds, seed=1)
 
 
 def test_predict_permutation_invariant():
@@ -151,11 +146,11 @@ def test_chunked_scan_matches_one_chunk(monkeypatch):
     rng = np.random.default_rng(11)
     ds = make_ds(rng.normal(size=(300, 3)), rng.normal(size=300))
     queries = rng.normal(size=(97, 3))
-    whole = knn.fit(ds, folds=5, seed=0)
+    whole = knn.fit(ds, seed=0)
     whole_pred = whole.predict_batch(queries)
     # two validation rows per fit chunk, one query per predict chunk
     monkeypatch.setattr(knn, "_CHUNK_CELLS", 2 * 240 * 3 + 1)
-    chunked = knn.fit(ds, folds=5, seed=0)
+    chunked = knn.fit(ds, seed=0)
     assert chunked.k == whole.k
     assert np.array_equal(chunked.predict_batch(queries), whole_pred)
 
@@ -220,7 +215,7 @@ def test_fit_memory_below_one_full_distance_tensor():
     # cells let this fit peak at 16.7 MB
     rng = np.random.default_rng(12)
     ds = make_ds(rng.normal(size=(4000, 3)), rng.normal(size=4000))
-    assert traced_peak(lambda: knn.fit(ds, folds=5, seed=0)) <= 5 * 2**20
+    assert traced_peak(lambda: knn.fit(ds, seed=0)) <= 5 * 2**20
 
 
 @settings(max_examples=300, deadline=None)
@@ -363,12 +358,10 @@ def test_scan_work_per_query_is_flat_in_n(monkeypatch):
         assert per_query[10**5, share] < 0.01 * int(0.4 * 10**5) * 3
 
 
-def test_grid_for_fits_every_size():
-    # no k above the smallest CV training part, n - ceil(n / folds): before
+def test_fit_fits_every_size():
+    # no k above the smallest CV training part, n - ceil(n / 5): before
     # that bound, 40 or 52 proper rows kept k = 34 and fit refused it
     rng = np.random.default_rng(0)
     for n in range(5, 401):
         ds = make_ds(rng.normal(size=(n, 2)), rng.normal(size=n))
-        grid = knn.grid_for(n, 5)
-        assert max(grid) <= n - int(np.ceil(n / 5))
-        assert knn.fit(ds, grid, folds=5).k in grid
+        assert knn.fit(ds).k <= n - int(np.ceil(n / 5))

@@ -81,7 +81,7 @@ def test_backward_zero_upstream():
 def test_backward_stale_tape():
     net = LocalizerNet.init(2, seed=1)
     _, tape = net.forward_batch(np.array([[0.5, 0.5]]))
-    state = AdamState.init(net)
+    state = AdamState(net.shapes, 1e-3)
     _, tape2 = net.forward_batch(np.array([[0.5, 0.5]]))
     grads = net.backward_batch(tape2, [1.0])
     adam_step(net, grads, state)
@@ -91,7 +91,7 @@ def test_backward_stale_tape():
 
 def test_snapshot_restore_and_layer_views_share_theta():
     net = LocalizerNet.init(2, seed=4, hidden=(8, 8))
-    state = AdamState.init(net)
+    state = AdamState(net.shapes, 1e-3)
     xs = np.random.default_rng(3).normal(size=(4, 2))
     snap = net.snapshot()
     kept = snap.copy()
@@ -260,7 +260,7 @@ def scalar_adam_oracle(grad_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def test_adam_single_step_matches_scalar_oracle():
     net = LocalizerNet([np.array([[0.0]])], [np.array([0.0])])
-    state = AdamState.init(net, learning_rate=1e-3)
+    state = AdamState(net.shapes, 1e-3)
     adam_step(net, np.array([1.0, 0.0]), state)
     expected = scalar_adam_oracle([1.0])[0]
     assert net.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
@@ -270,7 +270,7 @@ def test_adam_single_step_matches_scalar_oracle():
 
 def test_adam_sequence_matches_scalar_oracle():
     net = LocalizerNet([np.array([[0.0]])], [np.array([0.0])])
-    state = AdamState.init(net, learning_rate=1e-3)
+    state = AdamState(net.shapes, 1e-3)
     seq = [1.0, 0.5, -0.2, 0.9]
     path = scalar_adam_oracle(seq)
     for g, expected in zip(seq, path):
@@ -281,14 +281,14 @@ def test_adam_sequence_matches_scalar_oracle():
 def test_adam_zero_gradient_keeps_parameters():
     net = LocalizerNet.init(2, seed=4)
     before = net.snapshot()
-    state = AdamState.init(net)
+    state = AdamState(net.shapes, 1e-3)
     adam_step(net, np.zeros(net.n_params), state)
     assert np.array_equal(net.theta, before)
 
 
 def test_adam_constant_positive_gradient_decreases_parameter():
     net = LocalizerNet([np.array([[1.0]])], [np.array([0.0])])
-    state = AdamState.init(net)
+    state = AdamState(net.shapes, 1e-3)
     values = [net.weights[0][0, 0]]
     for _ in range(3):
         adam_step(net, np.array([1.0, 0.0]), state)
@@ -311,7 +311,7 @@ def assert_same_snapshot(a, b):
 def stepped_net_and_state():
     """A net and Adam state after two updates, so the moments are nonzero."""
     net = LocalizerNet.init(2, seed=4)
-    state = AdamState.init(net)
+    state = AdamState(net.shapes, 1e-3)
     rng = np.random.default_rng(0)
     for _ in range(2):
         adam_step(net, rng.normal(size=net.n_params), state)
@@ -431,7 +431,7 @@ def test_adam_efficient_order_tracks_textbook_algorithm(lr):
     # that summing 2000 updates may round by (both rates read 4.4e-16)
     net = LocalizerNet.init(2, seed=8, hidden=(8, 8))
     net.theta[:] = 0.0
-    state = AdamState.init(net, learning_rate=lr)
+    state = AdamState(net.shapes, lr)
     theta, m, v = np.zeros((3, net.n_params))
     path = np.zeros(net.n_params)
     rng = np.random.default_rng(9)
@@ -463,9 +463,9 @@ def test_adam_moment_flush_changes_no_weight():
     # many flush boundaries and the step (~350) where c1 rounds to 1.0.
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
     ref = LocalizerNet(net.weights, net.biases)
-    state = AdamState.init(net)
+    state = AdamState(net.shapes, 1e-3)
     assert state.flush_every == 83
-    ref_state = AdamState.init(ref)
+    ref_state = AdamState(ref.shapes, 1e-3)
     rng = np.random.default_rng(6)
     live = rng.random(net.n_params) < 0.7
     unflushed_tiny = 0  # steps that kept some 0 < |m| < 1e-300
@@ -492,10 +492,10 @@ def test_adam_flush_period_follows_learning_rate():
     # lr = 1e-9, lr * 1e-300 is already below it, so every step flushes
     net = LocalizerNet.init(2, seed=5, hidden=(8, 8))
     ref = LocalizerNet(net.weights, net.biases)
-    state = AdamState.init(net, learning_rate=1.0)
-    ref_state = AdamState.init(ref, learning_rate=1.0)
+    state = AdamState(net.shapes, 1.0)
+    ref_state = AdamState(ref.shapes, 1.0)
     assert state.flush_every == 149
-    assert AdamState.init(net, learning_rate=1e-9).flush_every == 1
+    assert AdamState(net.shapes, 1e-9).flush_every == 1
     rng = np.random.default_rng(7)
     ref_subnormal_steps = 0
     for step in range(1400):

@@ -26,7 +26,7 @@ def synth_splits(kind="linear", n=400, seed=0):
 
 
 def fitted_knn(proper, seed=0):
-    return knn.fit(proper, k_grid=(3, 8, 21), folds=4, seed=seed)
+    return knn.fit(proper, seed=seed)
 
 
 def score(predict, *parts):
@@ -199,7 +199,7 @@ def test_erc_fit_deterministic():
 def test_run_protocol_shape_and_zero_sd():
     ds = generate(SynthSpec("linear", n=300, seed=1)).dataset
     result = run_protocol(ds, ["fixed", "linear"], [0.1, 0.32], runs=1,
-                          seed0=0, epochs=3, patience=2)
+                          seed0=0, config=quick_config(epochs=3, patience=2))
     aggregates = aggregate(result.rows, ["fixed", "linear"], [0.1, 0.32])
     assert len(result.rows) == 2 * 2
     assert len(aggregates) == 2 * 2
@@ -211,7 +211,7 @@ def test_run_protocol_shape_and_zero_sd():
 
 def test_run_protocol_multi_run_row_count_and_determinism():
     ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
-    kwargs = dict(runs=2, seed0=3, epochs=2, patience=2)
+    kwargs = dict(runs=2, seed0=3, config=quick_config(epochs=2, patience=2))
     r1 = run_protocol(ds, ["fixed", "erc-fit"], [0.1], **kwargs)
     r2 = run_protocol(ds, ["fixed", "erc-fit"], [0.1], **kwargs)
     assert len(r1.rows) == 2 * 2
@@ -223,16 +223,17 @@ def test_run_protocol_multi_run_row_count_and_determinism():
 def test_run_protocol_rejects_unknown_family():
     ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
     with pytest.raises(ValueError, match="unknown families"):
-        run_protocol(ds, ["bogus"], [0.1], runs=1)
+        run_protocol(ds, ["bogus"], [0.1], runs=1, seed0=0)
 
 
 def test_run_protocol_refuses_empty_or_repeated_families(monkeypatch):
     procs = spy_popen(monkeypatch)
     ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
     with pytest.raises(ValueError, match="^no families given$"):
-        run_protocol(ds, [], [0.1], runs=1)
+        run_protocol(ds, [], [0.1], runs=1, seed0=0)
     with pytest.raises(ValueError, match="^family 'linear' given twice$"):
-        run_protocol(ds, ["linear", "fixed", "linear"], [0.1], runs=1)
+        run_protocol(ds, ["linear", "fixed", "linear"], [0.1], runs=1,
+                     seed0=0)
     assert procs == []
 
 
@@ -241,7 +242,8 @@ def test_run_protocol_rows_in_run_family_alpha_order():
     # exp, comes before fixed's, yet the rows follow the families given
     ds = generate(SynthSpec("cos", n=300, seed=2)).dataset
     result = run_protocol(ds, ["exp", "fixed", "linear"], [0.32, 0.1],
-                          runs=2, seed0=7, epochs=2, patience=2)
+                          runs=2, seed0=7,
+                          config=quick_config(epochs=2, patience=2))
     assert [(r.run_seed, r.family, r.alpha) for r in result.rows] == [
         (seed, family, alpha) for seed in (7, 8)
         for family in ("exp", "fixed", "linear") for alpha in (0.32, 0.1)]
@@ -267,7 +269,7 @@ def test_run_protocol_run_rows_independent_of_runs_and_cores(monkeypatch):
     # do not depend on the other runs, nor on how many workers there are
     ds = generate(SynthSpec("cos", n=300, seed=6)).dataset
     args = (ds, ["fixed", "erc-fit", "linear"], [0.1, 0.32])
-    kwargs = dict(epochs=3, patience=3)
+    kwargs = dict(config=quick_config(epochs=3, patience=3))
     alone = run_protocol(*args, runs=1, seed0=5, **kwargs)
     three = run_protocol(*args, runs=3, seed0=4, **kwargs)
     assert [row for row in three.rows if row.run_seed == 5] == alone.rows
@@ -300,7 +302,8 @@ def test_run_protocol_leaves_no_worker_running(monkeypatch):
 def test_run_protocol_shares_one_localizer_across_log_families():
     ds = generate(SynthSpec("cos", n=300, seed=5)).dataset
     result = run_protocol(ds, ["linear", "exp", "sigma"], [0.1, 0.32],
-                          runs=2, seed0=1, epochs=3, patience=3)
+                          runs=2, seed0=1,
+                          config=quick_config(epochs=3, patience=3))
     cells = {}
     for row in result.rows:
         cells.setdefault((row.alpha, row.run_seed), set()).add(
