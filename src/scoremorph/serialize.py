@@ -5,6 +5,14 @@ split seed/fractions and the selected K, from which
 ``training.point_model(dataset, bundle.split, bundle.knn_k)`` rebuilds the
 point predictor and the calibration split deterministically.
 
+The localizer is stored as ``{"layer_dims": [d, h1, ..., 1], "theta":
+"<base64>"}``: ``theta`` is ``LocalizerNet.theta``, the one flat parameter
+vector in the layout ``network._layer_views`` defines (w0, b0, w1, b1, ...;
+each weight row-major, (out, in)), as little-endian float64 bytes in
+standard padded base64. The round trip is exact, and no float is written as
+text. Files of format 1, which held text floats, are refused by their
+version.
+
 This module alone writes and reads the file, by one rule: every value
 reaches its check or constructor inside the ``field`` read that names it,
 so a refused value raises one ValueError naming the file and that field.
@@ -12,6 +20,7 @@ so a refused value raises one ValueError naming the file and that field.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -19,12 +28,12 @@ import numpy as np
 
 from .data import NormalizationStats, SplitSpec
 from .ioutil import write_text_atomic
-from .network import LocalizerNet
+from .network import LocalizerNet, _layer_views
 from .training import family_kind
 from .transforms import (TransformFamily, checked_floor, checked_gamma,
                          make_family)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class _FieldError(ValueError):
@@ -33,7 +42,9 @@ class _FieldError(ValueError):
 
 def _version(value):
     if value != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {value}")
+        raise ValueError(f"unsupported model format_version {value}: this "
+                         f"version reads format {MODEL_FORMAT_VERSION}, which "
+                         "`scoremorph train` writes")
 
 
 def _floats(value):
@@ -48,6 +59,32 @@ def _flags(value):
     if not all(isinstance(f, bool) for f in value):
         raise ValueError("it holds an entry that is not true or false")
     return np.asarray(value, dtype=bool)
+
+
+def _layer_dims(value, d):
+    if len(value) < 2:
+        raise ValueError("it needs an input and an output width")
+    if not all(type(n) is int and n >= 1 for n in value):
+        raise ValueError("it holds an entry that is not an integer >= 1")
+    if value[-1] != 1:
+        raise ValueError(f"it ends in {value[-1]}, not in one scalar output")
+    if value[0] != d:
+        raise ValueError(f"it takes {value[0]} attributes, but the "
+                         f"normalization stats describe {d}")
+    return value
+
+
+def _theta(text, dims):
+    # the count, in Python ints, is checked before any array is made
+    n = sum(n_out * (n_in + 1) for n_in, n_out in zip(dims, dims[1:]))
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * n:
+        raise ValueError(f"it holds {len(raw)} bytes, but layer_dims "
+                         f"{dims} take {n} float64 parameters, {8 * n} bytes")
+    theta = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(theta).all():
+        raise ValueError("it holds a non-finite parameter")
+    return theta
 
 
 def _knn_k(value):
@@ -77,8 +114,8 @@ def model_to_dict(label: str, family: TransformFamily,
         "epsilon_floor": family.epsilon_floor,
         "localizer": None if net is None else {
             "layer_dims": [net.d] + [rows for rows, _ in net.shapes],
-            "weights": [w.tolist() for w in net.weights],
-            "biases": [b.tolist() for b in net.biases]},
+            "theta": base64.b64encode(
+                net.theta.astype("<f8", copy=False)).decode("ascii")},
         "normalization_stats": {
             "mean": stats.mean.tolist(), "sd": stats.sd.tolist(),
             "zero_variance": stats.zero_variance.tolist()},
@@ -126,11 +163,11 @@ def model_from_dict(doc: dict, path) -> ModelBundle:
     def localizer(value):  # fixed takes none, the other kinds need one
         net, d = None, len(stats.mean) - 1
         if value is not None:
-            net = LocalizerNet(field("localizer.weights", list),
-                               field("localizer.biases", list))
-            if net.d != d:
-                raise ValueError(f"it takes {net.d} attributes, but the "
-                                 f"normalization stats describe {d}")
+            dims = field("localizer.layer_dims", list,
+                         lambda v: _layer_dims(v, d))
+            theta = field("localizer.theta", str, lambda t: _theta(t, dims))
+            shapes = list(zip(dims[1:], dims))
+            net = LocalizerNet(*zip(*_layer_views(theta, shapes)))
         return make_family(kind, net, gamma, epsilon_floor)
 
     family = field("localizer", (dict, type(None)), localizer)

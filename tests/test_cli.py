@@ -1,3 +1,4 @@
+import base64
 import csv
 import hashlib
 import json
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from scoremorph import cli, knn, training
 from scoremorph.cli import main, read_raw_axis
-from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError, SplitSpec,
-                             load_csv, normalize, split_indices)
+from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError,
+                             NormalizationStats, SplitSpec, load_csv,
+                             normalize, split_indices)
 from scoremorph.ioutil import write_text_atomic
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
@@ -34,6 +36,11 @@ def read_rows(path):
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def encode(values):
+    """The model file's text of a localizer parameter vector."""
+    return base64.b64encode(np.asarray(values, dtype="<f8")).decode("ascii")
 
 
 def run(*argv):
@@ -175,6 +182,18 @@ def test_train_writes_model_trace_manifest(tmp_path):
     assert (tmp_path / "m_linear.json.manifest.json").exists()
 
 
+def test_train_writes_the_localizer_as_bytes_not_text_floats(tmp_path):
+    # base64 float64 is 8 * 4/3 bytes a parameter; the format 1 file, one
+    # text float per line, was about 2.5 times this bound
+    data = synth(tmp_path, n=200)
+    model = tmp_path / "m.json"
+    assert run("train", "--data", data, "--family", "linear", "--epochs", 1,
+               "--model-out", model) == 0
+    n_params = load_model(model).family.localizer.n_params
+    assert n_params == 40901
+    assert model.stat().st_size <= 8 * 4 / 3 * n_params + 4096
+
+
 def test_train_small_file_fits_its_knn_grid(tmp_path):
     # 100 rows: k = 34 fits the 40-row proper split but not its smallest
     # CV training part (32 rows), so the grid must leave it out
@@ -213,6 +232,30 @@ def test_model_save_load_roundtrip(tmp_path):
     assert np.array_equal(again.family.loc_batch(xs), locs)
     assert np.array_equal(again.family.forward_batch(a, locs), b)
     assert again.split == bundle.split
+
+
+# theta entries the round trip must keep bit for bit, sign of zero included
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                                  1.7e308, -1.7e308])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), hidden=st.lists(st.integers(1, 4), max_size=2),
+       data=st.data())
+def test_model_file_keeps_theta_bit_for_bit(tmp_path_factory, d, hidden,
+                                            data):
+    net = LocalizerNet.init(d, seed=0, hidden=hidden)
+    values = data.draw(st.lists(
+        SPECIAL_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=net.n_params, max_size=net.n_params))
+    np.copyto(net.theta, values)
+    stats = NormalizationStats(np.zeros(d + 1), np.ones(d + 1),
+                               np.zeros(d + 1, dtype=bool))
+    path = tmp_path_factory.mktemp("roundtrip") / "m.json"
+    save_model(path, "linear", make_family("linear", net), stats, 3,
+               SplitSpec(0))
+    theta = load_model(path).family.localizer.theta
+    assert np.array_equal(theta.view(np.uint64), net.theta.view(np.uint64))
 
 
 # ---- eval ----
@@ -666,22 +709,19 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
 
 @pytest.mark.parametrize("field, edit", [
     ("split.seed", lambda doc: doc.update(split={})),
-    ("localizer.weights", lambda doc: doc.update(localizer={"weights": 3})),
+    ("localizer.theta", lambda doc: doc["localizer"].update(theta=3)),
     ("normalization_stats.mean",
      lambda doc: doc["normalization_stats"].update(mean="x")),
     ("split.fractions", lambda doc: doc["split"].update(fractions="ab")),
     pytest.param("split.fractions", lambda doc: doc["split"].update(
         fractions=[[0.4], [0.4], [0.1], [0.1]]), id="nested-fractions"),
     ("gamma", lambda doc: doc.update(family="erc", gamma=None)),
-    pytest.param("localizer", lambda doc: doc.update(
-        localizer={"weights": [], "biases": []}), id="no-layers"),
-    # 2 outputs feed a layer taking 5 inputs
-    pytest.param("localizer", lambda doc: doc.update(localizer={
-        "weights": [[[0.0] * 3] * 2, [[0.0] * 5]],
-        "biases": [[0.0] * 2, [0.0]]}), id="unchained-layers"),
+    pytest.param("localizer.layer_dims", lambda doc: doc.update(
+        localizer={"layer_dims": [3], "theta": ""}), id="no-layers"),
     # a localizer of 2 attributes on the file's 3
-    pytest.param("localizer", lambda doc: doc.update(localizer={
-        "weights": [[[0.0] * 2]], "biases": [[0.0]]}), id="input-width"),
+    pytest.param("localizer.layer_dims", lambda doc: doc.update(localizer={
+        "layer_dims": [2, 1], "theta": encode([0.0] * 3)}),
+        id="input-width"),
     # each value below is refused inside the read that names its field
     pytest.param("normalization_stats", lambda doc: doc[
         "normalization_stats"].update(sd=[-1.0] * 4), id="negative-sd"),
@@ -699,8 +739,8 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
         family="erc", gamma=float("nan")), id="nan-gamma"),
     pytest.param("family", lambda doc: doc.update(family="foo"),
                  id="unknown-family"),
-    pytest.param("format_version", lambda doc: doc.update(format_version=2),
-                 id="format-version-2"),
+    pytest.param("format_version", lambda doc: doc.update(format_version=1),
+                 id="format-version-1"),
     pytest.param("split.seed", lambda doc: doc["split"].update(seed=-1),
                  id="negative-seed"),
     pytest.param("split.fractions", lambda doc: doc["split"].update(
@@ -747,6 +787,91 @@ def test_a_model_file_refuses_true_or_false_for_a_number(trained_linear,
         f"model file m.json: field '{field}' holds a bool",
         f"model file m.json: field '{field}' cannot be read: it holds an "
         "entry that is true or false")
+
+
+@pytest.mark.parametrize("field, edit", [
+    pytest.param("localizer.theta", lambda loc: loc.update(
+        theta="not base64!"), id="theta-not-base64"),
+    pytest.param("localizer.theta", lambda loc: loc.update(
+        theta=loc["theta"][:-4]), id="theta-cut-by-4"),
+    pytest.param("localizer.theta", lambda loc: loc.update(theta=encode(
+        np.append(np.frombuffer(base64.b64decode(loc["theta"]), "<f8"),
+                  0.0))), id="theta-one-parameter-too-long"),
+    pytest.param("localizer.theta", lambda loc: loc.update(
+        theta=[0.0] * 40901), id="theta-list"),
+    pytest.param("localizer.theta", lambda loc: loc.update(theta=True),
+                 id="theta-true"),
+    pytest.param("localizer.layer_dims", lambda loc: loc.update(
+        layer_dims=[3]), id="dims-one-entry"),
+    pytest.param("localizer.layer_dims", lambda loc: loc.update(
+        layer_dims=[3, 0, 1]), id="dims-zero"),
+    # True == 1, so only the bool check refuses this last entry
+    pytest.param("localizer.layer_dims", lambda loc: loc.update(
+        layer_dims=[3, 100, 100, 100, 100, 100, True]), id="dims-bool"),
+    pytest.param("localizer.layer_dims", lambda loc: loc.update(
+        layer_dims=[3, 100, 100, 100, 100, 100, 2]), id="dims-last-2"),
+])
+def test_a_model_file_refuses_a_bad_localizer_by_name(trained_linear, field,
+                                                      edit):
+    doc = json.loads(trained_linear[1].read_text())
+    edit(doc["localizer"])
+    with pytest.raises(ValueError, match=(
+            rf"^model file m\.json: field '{re.escape(field)}' ")):
+        model_from_dict(doc, "m.json")
+
+
+def test_a_huge_layer_dims_is_refused_before_any_array_is_made(
+        trained_linear):
+    # 1e9 hidden units would take 32 GB; the byte count is compared first
+    doc = json.loads(trained_linear[1].read_text())
+    doc["localizer"]["layer_dims"] = [3, 10 ** 9, 1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                r"^model file m\.json: field 'localizer\.theta' cannot be "
+                r"read: it holds 327208 bytes, but layer_dims ")):
+            model_from_dict(doc, "m.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_localizer_parameter_is_refused_by_name(
+        trained_linear, tmp_path, capsys, bad):
+    # a NaN bias loaded: frozen eval wrote non-finite rows and exited 0,
+    # and plot's error named neither the file nor the field
+    data, model = trained_linear
+    doc = json.loads(model.read_text())
+    theta = np.frombuffer(base64.b64decode(doc["localizer"]["theta"]),
+                          "<f8").copy()
+    theta[-1] = bad
+    doc["localizer"]["theta"] = encode(theta)
+    message = ("field 'localizer.theta' cannot be read: it holds a "
+               "non-finite parameter")
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(doc, "m.json")
+    assert str(exc.value) == f"model file m.json: {message}"
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    out = tmp_path / "band.svg"
+    assert run("plot", "--data", data, "--model", bad_file,
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: model file {bad_file}: {message}\n")
+    assert not out.exists()
+
+
+def test_a_format_1_model_file_is_refused_with_what_to_do(trained_linear):
+    doc = json.loads(trained_linear[1].read_text())
+    doc["format_version"] = 1
+    with pytest.raises(ValueError) as exc:
+        model_from_dict(doc, "m.json")
+    assert str(exc.value) == (
+        "model file m.json: field 'format_version' cannot be read: "
+        "unsupported model format_version 1: this version reads format 2, "
+        "which `scoremorph train` writes")
 
 
 def field_names(doc, prefix=""):
@@ -1086,7 +1211,7 @@ def test_outputs_carry_format_version(tmp_path):
     assert "format_version=1" in data.read_text().splitlines()[0]
     assert "format_version=1" in report.read_text().splitlines()[0]
     assert "format_version=1" in out.read_text().splitlines()[1]
-    assert json.loads(model.read_text())["format_version"] == 1
+    assert json.loads(model.read_text())["format_version"] == 2
     manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
     assert manifest["format_version"] == 1
 
