@@ -12,7 +12,7 @@ import numpy as np
 from scoremorph import knn
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
                                   scored)
-from scoremorph.data import SplitSpec, normalize, split
+from scoremorph.data import normalize, split
 from scoremorph.figures import band_csv, compute_band, render_svg
 from scoremorph.synthetic import SynthSpec, generate
 from scoremorph.training import TrainConfig, train
@@ -22,7 +22,7 @@ ALPHA = 0.05
 
 synth = generate(SynthSpec("cos", n=1000, seed=7))
 ds = normalize(synth.dataset)
-proper, cp_train, validation, test = split(ds, SplitSpec(seed=7))
+proper, cp_train, validation, test = split(ds, seed=7)
 
 # the point predictor is fixed before any conformal machinery runs
 model = knn.fit(proper, seed=7)

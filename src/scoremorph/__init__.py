@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .conformal import (EvalReport, calibrate, calibration_scores, evaluate,
                         half_widths, quantile_index, scored)
-from .data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
-                   NormalizationStats, Split, SplitSpec, apply_normalization,
-                   compute_stats, load_csv, normalize, split, split_indices)
+from .data import (FRACTIONS, Dataset, IngestionError, NormalizationStats,
+                   Split, apply_normalization, compute_stats, load_csv,
+                   normalize, split, split_indices)
 from .knn import DEFAULT_K_GRID, KnnModel
 from .knn import fit as fit_knn
 from .network import AdamState, LocalizerNet, StaleTapeError, Tape, adam_step

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .conformal import calibrate, evaluate, scored
-from .data import (IngestionError, SplitSpec, apply_normalization, load_csv,
-                   normalize, split, split_indices)
+from .data import (FRACTIONS, IngestionError, apply_normalization,
+                   checked_seed, load_csv, normalize, split, split_indices)
 from .figures import band_csv, compute_band, render_svg
 from .ioutil import sha256_file, write_text_atomic
 # perfbench/tracer.py patches cli.split and cli.knn_fit, so both stay here
@@ -147,17 +147,16 @@ def cmd_train(args) -> int:
     seconds, the Adam steps and the training's milliseconds per step (null
     when no step ran), and its config the resolved ``stop_reason``."""
     config = _train_config(args, args.seed)
-    spec = SplitSpec(args.seed)
     start = time.perf_counter()
     ds = normalize(load_csv(args.data, args.has_header))
     loaded = time.perf_counter()
-    model, parts = point_model(ds, spec)
+    model, parts = point_model(ds, args.seed)
     cp, val = score(model, parts.cp_train, parts.validation)
     scored_at = time.perf_counter()
     fam, trace = train(args.family, cp, val, config)
     trained = time.perf_counter()
 
-    save_model(args.model_out, args.family, fam, ds.stats, model.k, spec)
+    save_model(args.model_out, args.family, fam, ds.stats, model.k, args.seed)
     trace_path = os.path.splitext(os.fspath(args.model_out))[0] + ".trace.csv"
     rows = ["# scoremorph train-trace format_version=1",
             "epoch,train_loss,val_loss"]
@@ -172,7 +171,7 @@ def cmd_train(args) -> int:
                                else None)}
     write_manifest(args.model_out, args, [args.data],
                    [args.model_out, trace_path], timings,
-                   fractions=list(spec.fractions), knn_k=model.k,
+                   fractions=list(FRACTIONS), knn_k=model.k,
                    best_epoch=trace.best_epoch,
                    stop_reason=trace.stop_reason)
     return 0
@@ -217,23 +216,20 @@ def _eval_frozen(args, paths, alphas):
         if labels.count(label) > 1:
             raise ValueError(f"two model files have the label '{label}'")
     ds_raw = load_csv(args.data, args.has_header)
-    base_seed = args.seed if args.seed is not None else bundles[0].split.seed
+    base_seed = args.seed if args.seed is not None else bundles[0].seed
     if "fixed" not in labels:
         first = bundles[0]
         bundles.append(ModelBundle("fixed", make_family("fixed"), first.stats,
-                                   first.knn_k, first.split))
+                                   first.knn_k, first.seed))
     for r in range(args.runs):
         run_seed = base_seed + r
         splits = {}  # point-model recipe -> scored calibration and test split
         for b in bundles:
             def evaluate_all():
-                key = (b.stats.mean.tobytes(), b.stats.sd.tobytes(),
-                       b.stats.zero_variance.tobytes(), b.knn_k,
-                       b.split.fractions)
+                key = (b.stats.mean.tobytes(), b.stats.sd.tobytes(), b.knn_k)
                 if key not in splits:
                     model, parts = point_model(
-                        apply_normalization(ds_raw, b.stats),
-                        SplitSpec(run_seed, b.split.fractions), b.knn_k)
+                        apply_normalization(ds_raw, b.stats), run_seed, b.knn_k)
                     splits[key] = score(model, parts.cp_train, parts.test)
                 return evaluate(b.family, *splits[key], alphas)
 
@@ -241,13 +237,12 @@ def _eval_frozen(args, paths, alphas):
     return rows, [b.label for b in bundles], {b.label: b.knn_k for b in bundles}
 
 
-def _eval_protocol(args, alphas):
+def _eval_protocol(args, alphas, config):
     families = _names(args.families)
     ds = normalize(load_csv(args.data, args.has_header))
-    base_seed = args.seed if args.seed is not None else 0
     start = time.perf_counter()
-    result = run_protocol(ds, families, alphas, args.runs, base_seed,
-                          _train_config(args, base_seed))
+    result = run_protocol(ds, families, alphas, args.runs, config.seed,
+                          config)
     timings = {"protocol_s": time.perf_counter() - start,
                "jobs": [{"run_seed": seed, "trained": label, "seconds": sec}
                         for seed, label, sec in result.job_seconds]}
@@ -260,8 +255,9 @@ def cmd_eval(args) -> int:
         raise ValueError("pass exactly one of --model or --families")
     if args.runs < 1:
         raise ValueError("runs must be >= 1")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    # checked in both modes, so a bad option fails before any output
+    config = _train_config(args, 0 if args.seed is None
+                           else checked_seed(args.seed))
     alphas = _parse_alphas(args.alphas)
     ds_name = os.path.splitext(os.path.basename(os.fspath(args.data)))[0]
     timings = None  # the protocol's wall time and per-job seconds
@@ -269,7 +265,7 @@ def cmd_eval(args) -> int:
     if args.model is not None:
         rows, families, knn_ks = _eval_frozen(args, models, alphas)
     else:
-        rows, families, knn_ks, timings = _eval_protocol(args, alphas)
+        rows, families, knn_ks, timings = _eval_protocol(args, alphas, config)
 
     lines = ["# scoremorph eval-report format_version=1",
              "dataset,family,alpha,run_seed,mean_size,validity,error"]
@@ -299,10 +295,10 @@ def cmd_plot(args) -> int:
     bundle = load_model(args.model)
     ds = apply_normalization(load_csv(args.data, args.has_header),
                              bundle.stats)
-    model, parts = point_model(ds, bundle.split, bundle.knn_k)
+    model, parts = point_model(ds, bundle.seed, bundle.knn_k)
     center = model.predict_batch(ds.x)
     locs = bundle.family.loc_batch(ds.x)
-    cal = split_indices(ds.n, bundle.split).cp_train
+    cal = split_indices(ds.n, bundle.seed).cp_train
     q_hat = calibrate(bundle.family.forward_batch(
         scored(parts.cp_train, center[cal]).a, locs[cal]), args.alpha)
     axis = read_raw_axis(args.data)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_FRACTIONS = (0.4, 0.4, 0.1, 0.1)  # one per field of Split, in order
+FRACTIONS = (0.4, 0.4, 0.1, 0.1)  # one per field of Split, in order
 Split = namedtuple("Split", "proper cp_train validation test")
 
 # below this (relative) spread a column is treated as constant
@@ -23,30 +23,34 @@ class IngestionError(ValueError):
 class NormalizationStats:
     """Per-column mean and population sd; last entry is the label column.
 
-    Columns flagged in ``zero_variance`` were centered only (their raw sd is
-    kept as recorded but treated as 1 when scaling). Every mean and sd is
-    finite and every sd >= 0, positive where the column is not flagged, so
-    scaling never flips a column or divides by zero.
+    At least two columns (an attribute and the label), every mean and sd
+    finite and every sd >= 0. A column whose sd is at most ``_ZERO_VAR_TOL``
+    of max(1, |mean|) is flagged in the derived ``zero_variance`` and
+    centered only (its sd is treated as 1 when scaling), so scaling never
+    flips a column or divides by zero.
     """
 
     mean: np.ndarray
     sd: np.ndarray
-    zero_variance: np.ndarray
+    zero_variance: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name, dtype in (("mean", float), ("sd", float),
-                            ("zero_variance", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+        mean = np.asarray(self.mean, dtype=float)
+        sd = np.asarray(self.sd, dtype=float)
+        if mean.ndim != 1 or mean.shape != sd.shape:
+            raise ValueError("normalization stats column counts disagree")
+        if mean.shape[0] < 2:
+            raise ValueError(f"normalization stats have {mean.shape[0]} "
+                             "columns, need an attribute and the label")
+        if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+            raise ValueError("normalization stats hold a non-finite value")
+        if (sd < 0).any():
+            raise ValueError("normalization stats hold a negative sd")
+        zero_variance = sd <= _ZERO_VAR_TOL * np.maximum(1.0, np.abs(mean))
+        for name, arr in (("mean", mean), ("sd", sd),
+                          ("zero_variance", zero_variance)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.mean.shape == self.sd.shape == self.zero_variance.shape):
-            raise ValueError("normalization stats column counts disagree")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.sd).all()):
-            raise ValueError("normalization stats hold a non-finite value")
-        if (self.sd < 0).any():
-            raise ValueError("normalization stats hold a negative sd")
-        if (~self.zero_variance & (self.sd == 0)).any():
-            raise ValueError("a column of sd 0 is not flagged zero_variance")
 
     def effective_sd(self) -> np.ndarray:
         return np.where(self.zero_variance, 1.0, self.sd)
@@ -92,27 +96,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.x[idx], self.y[idx], self.stats)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic four-way partition: seed plus fractions summing to 1."""
-
-    seed: int
-    fractions: tuple = DEFAULT_FRACTIONS
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        fr = tuple(float(f) for f in self.fractions)
-        if len(fr) != 4:
-            raise ValueError("need exactly four fractions "
-                             "(proper_train, cp_train, validation, test)")
-        if not all(0.0 <= f <= 1.0 for f in fr):  # NaN fails too
-            raise ValueError(f"fractions must lie in [0, 1], got {fr}")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got sum {sum(fr)}")
-        object.__setattr__(self, "fractions", fr)
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -187,8 +170,7 @@ def compute_stats(ds: Dataset) -> NormalizationStats:
         unit = cols[:, huge] / scale
         mean[huge] = unit.mean(axis=0) * scale
         sd[huge] = unit.std(axis=0) * scale
-    zero_var = sd <= _ZERO_VAR_TOL * np.maximum(1.0, np.abs(mean))
-    return NormalizationStats(mean=mean, sd=sd, zero_variance=zero_var)
+    return NormalizationStats(mean, sd)
 
 
 def apply_normalization(ds: Dataset, stats: NormalizationStats) -> Dataset:
@@ -224,26 +206,28 @@ def normalize(ds: Dataset) -> Dataset:
     return apply_normalization(ds, compute_stats(ds))
 
 
-def split_indices(n: int, spec: SplitSpec) -> Split:
-    """Shuffled ``Split`` of the row indices, deterministic in the seed."""
-    rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(n)
-    cum = np.cumsum(spec.fractions)
-    bounds = [int(np.floor(c * n + 1e-9)) for c in cum]
-    bounds[-1] = n
-    parts = []
-    start = 0
-    for b in bounds:
-        parts.append(perm[start:b])
-        start = b
-    for i, p in enumerate(parts):
+def checked_seed(seed) -> int:
+    """seed, refused unless >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def split_indices(n: int, seed: int) -> Split:
+    """Shuffled ``Split`` of the row indices in ``FRACTIONS``,
+    deterministic in the seed."""
+    perm = np.random.default_rng(checked_seed(seed)).permutation(n)
+    # the last part ends at n, whatever the rounding of the others
+    parts = np.split(perm, [int(np.floor(c * n + 1e-9))
+                            for c in np.cumsum(FRACTIONS)[:-1]])
+    for fraction, p in zip(FRACTIONS, parts):
         if p.size == 0:
             raise ValueError(
-                f"fraction {spec.fractions[i]} yields an empty part for n={n}")
+                f"fraction {fraction} yields an empty part for n={n}")
     return Split(*parts)
 
 
-def split(ds: Dataset, spec: SplitSpec) -> Split:
+def split(ds: Dataset, seed: int) -> Split:
     """Partition into a ``Split`` of Datasets: ``proper`` (the point
     model's rows), ``cp_train``, ``validation`` and ``test``."""
-    return Split(*(ds.subset(p) for p in split_indices(ds.n, spec)))
+    return Split(*(ds.subset(p) for p in split_indices(ds.n, seed)))

@@ -1,8 +1,10 @@
-"""Model-file serialization: family, localizer, normalization, split recipe.
+"""Model-file serialization: family, localizer, normalization, split seed.
 
-A model file is self-contained given the original data file: it stores the
-split seed/fractions and the selected K, from which
-``training.point_model(dataset, bundle.split, bundle.knn_k)`` rebuilds the
+A model file (format 3) holds ``format_version``, ``family``, ``gamma``,
+``localizer``, ``normalization_stats`` (``mean`` and ``sd``), ``knn_k`` and
+``split_seed``: only what varies from one training to the next. It is
+self-contained given the original data file, from which
+``training.point_model(dataset, bundle.seed, bundle.knn_k)`` rebuilds the
 point predictor and the calibration split deterministically.
 
 The localizer is stored as ``{"layer_dims": [d, h1, ..., 1], "theta":
@@ -10,8 +12,9 @@ The localizer is stored as ``{"layer_dims": [d, h1, ..., 1], "theta":
 vector in the layout ``network._layer_views`` defines (w0, b0, w1, b1, ...;
 each weight row-major, (out, in)), as little-endian float64 bytes in
 standard padded base64. The round trip is exact, and no float is written as
-text. Files of format 1, which held text floats, are refused by their
-version.
+text. Files of format 1, which held text floats, and of format 2, which
+also held the split fractions, the score floor and the zero-variance flags,
+are refused by their version.
 
 This module alone writes and reads the file, by one rule: every value
 reaches its check or constructor inside the ``field`` read that names it,
@@ -26,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormalizationStats, SplitSpec
+from .data import NormalizationStats, checked_seed
 from .ioutil import write_text_atomic
 from .network import LocalizerNet, _layer_views
 from .training import family_kind
-from .transforms import (TransformFamily, checked_floor, checked_gamma,
-                         make_family)
+from .transforms import TransformFamily, checked_gamma, make_family
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class _FieldError(ValueError):
@@ -53,12 +55,6 @@ def _floats(value):
     if any(isinstance(v, bool) for v in value):
         raise ValueError("it holds an entry that is true or false")
     return np.asarray(value, dtype=float)
-
-
-def _flags(value):
-    if not all(isinstance(f, bool) for f in value):
-        raise ValueError("it holds an entry that is not true or false")
-    return np.asarray(value, dtype=bool)
 
 
 def _layer_dims(value, d):
@@ -99,35 +95,33 @@ class ModelBundle:
     family: TransformFamily
     stats: NormalizationStats
     knn_k: int
-    split: SplitSpec
+    seed: int
 
 
 def model_to_dict(label: str, family: TransformFamily,
-                  stats: NormalizationStats, knn_k: int,
-                  split: SplitSpec) -> dict:
+                  stats: NormalizationStats, knn_k: int, seed: int) -> dict:
     family_kind(label)  # rejects unknown labels
     net = family.localizer
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "family": label,
         "gamma": family.gamma,
-        "epsilon_floor": family.epsilon_floor,
         "localizer": None if net is None else {
             "layer_dims": [net.d] + [rows for rows, _ in net.shapes],
             "theta": base64.b64encode(
                 net.theta.astype("<f8", copy=False)).decode("ascii")},
         "normalization_stats": {
-            "mean": stats.mean.tolist(), "sd": stats.sd.tolist(),
-            "zero_variance": stats.zero_variance.tolist()},
+            "mean": stats.mean.tolist(), "sd": stats.sd.tolist()},
         "knn_k": int(knn_k),
-        "split": {"seed": int(split.seed), "fractions": list(split.fractions)},
+        "split_seed": int(seed),
     }
 
 
 def model_from_dict(doc: dict, path) -> ModelBundle:
     """The bundle of the JSON object doc read from the model file at path.
     A field that is missing, of the wrong JSON type or refused raises one
-    ValueError naming the file and the field, dotted as in ``split.seed``."""
+    ValueError naming the file and the field, dotted as in
+    ``normalization_stats.mean``."""
     def field(name, types, read=None):
         # read after its parents' type checks: each step is into a dict
         value = doc
@@ -153,12 +147,10 @@ def model_from_dict(doc: dict, path) -> ModelBundle:
     kind, label = field("family", str, lambda v: (family_kind(v), v))
     stats = field("normalization_stats", dict, lambda v: NormalizationStats(
         field("normalization_stats.mean", list, _floats),
-        field("normalization_stats.sd", list, _floats),
-        field("normalization_stats.zero_variance", list, _flags)))
+        field("normalization_stats.sd", list, _floats)))
     erc = kind == "erc"
     gamma = field("gamma", (int, float) if erc else (int, float, type(None)),
                   checked_gamma if erc else None)
-    epsilon_floor = field("epsilon_floor", (int, float), checked_floor)
 
     def localizer(value):  # fixed takes none, the other kinds need one
         net, d = None, len(stats.mean) - 1
@@ -168,19 +160,16 @@ def model_from_dict(doc: dict, path) -> ModelBundle:
             theta = field("localizer.theta", str, lambda t: _theta(t, dims))
             shapes = list(zip(dims[1:], dims))
             net = LocalizerNet(*zip(*_layer_views(theta, shapes)))
-        return make_family(kind, net, gamma, epsilon_floor)
+        return make_family(kind, net, gamma)
 
     family = field("localizer", (dict, type(None)), localizer)
     knn_k = field("knn_k", int, _knn_k)
-    field("split", dict)  # then its entries, through SplitSpec's checks
-    seed = field("split.seed", int, lambda s: SplitSpec(s).seed)
-    split = field("split.fractions", list,
-                  lambda f: SplitSpec(seed, tuple(_floats(f))))
-    return ModelBundle(label, family, stats, knn_k, split)
+    seed = field("split_seed", int, checked_seed)
+    return ModelBundle(label, family, stats, knn_k, seed)
 
 
-def save_model(path, label, family, stats, knn_k, split) -> None:
-    doc = model_to_dict(label, family, stats, knn_k, split)
+def save_model(path, label, family, stats, knn_k, seed) -> None:
+    doc = model_to_dict(label, family, stats, knn_k, seed)
     text = json.dumps(doc, indent=1, sort_keys=True)
     write_text_atomic(path, text + "\n")
 

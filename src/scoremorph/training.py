@@ -11,7 +11,7 @@ import numpy as np
 
 from . import knn
 from .conformal import evaluate, scored
-from .data import Dataset, SplitSpec, split
+from .data import FRACTIONS, Dataset, split
 from .network import AdamState, LocalizerNet, adam_step
 from .objective import LossBatch, erc_error_fit_loss, loss_batch, pairwise_size_loss
 from .transforms import DEFAULT_GAMMA, checked_gamma, make_family
@@ -129,18 +129,18 @@ def family_kind(label: str) -> str:
     return FAMILY_LABELS[label][0]
 
 
-def point_model(dataset: Dataset, spec: SplitSpec, k=None):
-    """Every command's ``(model, parts)``: ``parts = split(dataset, spec)``
+def point_model(dataset: Dataset, seed: int, k=None):
+    """Every command's ``(model, parts)``: ``parts = split(dataset, seed)``
     and KNN on ``parts.proper``, with ``k`` neighbours or a CV-chosen k."""
-    parts = split(dataset, spec)
+    parts = split(dataset, seed)
     if k is None:
         if parts.proper.n < knn.FOLDS:
             raise ValueError(
                 f"the data has {dataset.n} rows; cross-validating the point "
                 f"model's k takes at least "
-                f"{math.ceil(knn.FOLDS / spec.fractions[0])}, for a proper "
+                f"{math.ceil(knn.FOLDS / FRACTIONS[0])}, for a proper "
                 f"training part of {knn.FOLDS} rows, one per fold")
-        return knn.fit(parts.proper, seed=spec.seed), parts
+        return knn.fit(parts.proper, seed=seed), parts
     return knn.KnnModel(parts.proper.x, parts.proper.y, k), parts
 
 
@@ -243,7 +243,7 @@ def protocol_job(dataset: Dataset, families, alphas, job, config: TrainConfig):
     """
     start = time.perf_counter()
     run_seed, trained = job
-    model, parts = point_model(dataset, SplitSpec(run_seed))
+    model, parts = point_model(dataset, run_seed)
     cp, val, te = score(model, parts.cp_train, parts.validation, parts.test)
 
     def evaluate_trained():
@@ -260,7 +260,7 @@ def run_protocol(dataset: Dataset, families, alphas, runs: int, seed0: int,
                  config: TrainConfig = TrainConfig()) -> ProtocolResult:
     """Repeat split / point-model fit / family training / evaluation.
 
-    Run r uses seed0 + r for the split (``SplitSpec``'s default fractions),
+    Run r uses seed0 + r for the split (in ``data.FRACTIONS``),
     the point model's cross-validation (``knn.fit``) and the family
     training, which otherwise follows ``config``; its ``seed`` is unread.
     Labels that share a localizer in ``FAMILY_LABELS`` share one training

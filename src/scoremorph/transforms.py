@@ -26,7 +26,6 @@ from .network import LocalizerNet
 TRAINABLE_KINDS = ("erc", "linear")
 
 DEFAULT_GAMMA = 1e-2
-DEFAULT_EPSILON_FLOOR = 1e-12
 
 
 class TransformFamily:
@@ -36,12 +35,13 @@ class TransformFamily:
     one-row batch.
     """
 
+    epsilon_floor = 1e-12  # eps: keeps log A finite at A = 0
+
     def __init__(self, kind: str, localizer: LocalizerNet | None,
-                 gamma: float | None, epsilon_floor: float):
+                 gamma: float | None):
         self.kind = kind
         self.localizer = localizer
         self.gamma = gamma
-        self.epsilon_floor = epsilon_floor
 
     def loc_batch(self, xs) -> np.ndarray:
         """g at the rows of xs; 0 at every row of a family with no
@@ -82,8 +82,7 @@ def _finite(locs):
 
 
 def make_family(kind: str, localizer: LocalizerNet | None = None,
-                gamma: float = DEFAULT_GAMMA,
-                epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> TransformFamily:
+                gamma: float = DEFAULT_GAMMA) -> TransformFamily:
     """The family of kind "fixed", which takes no localizer, or "erc" or
     "linear", which need one; ``gamma`` is read for erc alone."""
     if kind != "fixed" and kind not in TRAINABLE_KINDS:
@@ -92,18 +91,8 @@ def make_family(kind: str, localizer: LocalizerNet | None = None,
         raise ValueError("family 'fixed' takes no localizer network")
     if kind != "fixed" and localizer is None:
         raise ValueError(f"family '{kind}' needs a localizer network")
-    epsilon_floor = checked_floor(epsilon_floor)
     gamma = checked_gamma(gamma) if kind == "erc" else None
-    return TransformFamily(kind, localizer, gamma, epsilon_floor)
-
-
-def checked_floor(epsilon_floor) -> float:
-    """epsilon_floor as a float, refused unless finite and positive."""
-    epsilon_floor = float(epsilon_floor)
-    if not 0 < epsilon_floor < math.inf:  # NaN fails too
-        raise ValueError("epsilon_floor must be finite and positive, "
-                         f"got {epsilon_floor}")
-    return epsilon_floor
+    return TransformFamily(kind, localizer, gamma)
 
 
 def checked_gamma(gamma) -> float:

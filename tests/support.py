@@ -21,7 +21,9 @@ import subprocess
 import numpy as np
 
 from scoremorph.objective import LossValue
-from scoremorph.transforms import DEFAULT_EPSILON_FLOOR
+from scoremorph.transforms import TransformFamily
+
+DEFAULT_EPSILON_FLOOR = TransformFamily.epsilon_floor
 
 
 def bisect_inverse(s, b, eps=DEFAULT_EPSILON_FLOOR, tol=1e-12):

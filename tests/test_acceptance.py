@@ -11,7 +11,7 @@ import numpy as np
 
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
                                   half_widths, quantile_index, scored)
-from scoremorph.data import Dataset, SplitSpec, normalize
+from scoremorph.data import Dataset, normalize
 from scoremorph.network import LocalizerNet
 from scoremorph.objective import LossBatch, loss_batch, pairwise_size_loss
 from scoremorph.synthetic import KINDS, SynthSpec, amplitude, generate
@@ -236,7 +236,7 @@ def test_criterion_7_local_adaptivity_efficiency():
         min_validity = 1.0
         for seed in range(5):
             ds = normalize(generate(SynthSpec(kind, n=1000, seed=seed)).dataset)
-            model, (_, cp, val, test) = point_model(ds, SplitSpec(seed))
+            model, (_, cp, val, test) = point_model(ds, seed)
             cp, val, test = (scored(d, model.predict_batch(d.x))
                              for d in (cp, val, test))
             fixed = evaluate(make_family("fixed"), cp, test, [alpha])[0]
@@ -264,7 +264,7 @@ def test_criterion_8_erc_fit_stability_observation():
     sizes = []
     for seed in range(3):
         ds = normalize(generate(SynthSpec("cos", n=1000, seed=seed)).dataset)
-        model, (_, cp, val, test) = point_model(ds, SplitSpec(seed))
+        model, (_, cp, val, test) = point_model(ds, seed)
         cp, val, test = (scored(d, model.predict_batch(d.x))
                          for d in (cp, val, test))
         fam, trace = train("erc-fit", cp, val, TrainConfig(seed=seed))

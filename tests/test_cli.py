@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from scoremorph import cli, knn, training
 from scoremorph.cli import main, read_raw_axis
-from scoremorph.data import (DEFAULT_FRACTIONS, IngestionError,
-                             NormalizationStats, SplitSpec, load_csv,
-                             normalize, split_indices)
+from scoremorph.data import (FRACTIONS, IngestionError, NormalizationStats,
+                             load_csv, normalize, split_indices)
 from scoremorph.ioutil import write_text_atomic
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
@@ -227,11 +226,13 @@ def test_model_save_load_roundtrip(tmp_path):
     locs = bundle.family.loc_batch(xs)
     b = bundle.family.forward_batch(a, locs)
     save_model(tmp_path / "again.json", bundle.label, bundle.family,
-               bundle.stats, bundle.knn_k, bundle.split)
+               bundle.stats, bundle.knn_k, bundle.seed)
     again = load_model(tmp_path / "again.json")
     assert np.array_equal(again.family.loc_batch(xs), locs)
     assert np.array_equal(again.family.forward_batch(a, locs), b)
-    assert again.split == bundle.split
+    assert again.seed == bundle.seed == 1
+    # synth data holds a constant column; its flag is derived, not stored
+    assert again.stats.zero_variance.tolist() == [True, False, False, False]
 
 
 # theta entries the round trip must keep bit for bit, sign of zero included
@@ -249,11 +250,9 @@ def test_model_file_keeps_theta_bit_for_bit(tmp_path_factory, d, hidden,
         SPECIAL_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
         min_size=net.n_params, max_size=net.n_params))
     np.copyto(net.theta, values)
-    stats = NormalizationStats(np.zeros(d + 1), np.ones(d + 1),
-                               np.zeros(d + 1, dtype=bool))
+    stats = NormalizationStats(np.zeros(d + 1), np.ones(d + 1))
     path = tmp_path_factory.mktemp("roundtrip") / "m.json"
-    save_model(path, "linear", make_family("linear", net), stats, 3,
-               SplitSpec(0))
+    save_model(path, "linear", make_family("linear", net), stats, 3, 0)
     theta = load_model(path).family.localizer.theta
     assert np.array_equal(theta.view(np.uint64), net.theta.view(np.uint64))
 
@@ -354,8 +353,8 @@ def test_eval_frozen_unbuildable_point_model_gives_error_rows(tmp_path):
     data, model = train_model(tmp_path, data=synth(tmp_path, n=60))
     b = load_model(model)
     k5, k34 = tmp_path / "k5.json", tmp_path / "k34.json"
-    save_model(k5, "fixed", make_family("fixed"), b.stats, 5, b.split)
-    save_model(k34, "linear", b.family, b.stats, 34, b.split)
+    save_model(k5, "fixed", make_family("fixed"), b.stats, 5, b.seed)
+    save_model(k34, "linear", b.family, b.stats, 34, b.seed)
     rows = {}
     for models in (f"{k5},{k34}", str(k5)):
         report = tmp_path / f"r{len(models)}.csv"
@@ -374,7 +373,7 @@ def test_eval_frozen_duplicate_labels_fail(tmp_path, capsys):
     data, model = train_model(tmp_path)
     b = load_model(model)
     other = tmp_path / "other.json"
-    save_model(other, "linear", b.family, b.stats, b.knn_k, b.split)
+    save_model(other, "linear", b.family, b.stats, b.knn_k, b.seed)
     report = tmp_path / "dup.csv"
     assert run("eval", "--data", data, "--model", f"{model},{other}",
                "--report", report) == 1
@@ -390,7 +389,7 @@ def test_eval_parses_the_model_list_as_it_parses_families(tmp_path,
     data, model = train_model(tmp_path)
     b = load_model(model)
     fixed = tmp_path / "m_fixed.json"
-    save_model(fixed, "fixed", make_family("fixed"), b.stats, b.knn_k, b.split)
+    save_model(fixed, "fixed", make_family("fixed"), b.stats, b.knn_k, b.seed)
     report = tmp_path / "r.csv"
     assert run("eval", "--data", data, "--model",
                template.format(model, fixed), "--report", report) == 0
@@ -416,9 +415,9 @@ def test_every_command_splits_and_fits_through_point_model(tmp_path,
     calls = []
     point_model = training.point_model
 
-    def spy(dataset, spec, k=None):
+    def spy(dataset, seed, k=None):
         calls.append(k)
-        return point_model(dataset, spec, k)
+        return point_model(dataset, seed, k)
 
     monkeypatch.setattr(cli, "point_model", spy)
     monkeypatch.setattr(training, "point_model", spy)
@@ -672,8 +671,8 @@ def trained_linear(tmp_path_factory):
     return train_model(tmp_path_factory.mktemp("model"))
 
 
-MODEL_FIELDS = ("format_version", "family", "gamma", "epsilon_floor",
-                "localizer", "normalization_stats", "knn_k", "split")
+MODEL_FIELDS = ("format_version", "family", "gamma", "localizer",
+                "normalization_stats", "knn_k", "split_seed")
 
 
 @pytest.mark.parametrize("damage", [*(f"no-{field}" for field in MODEL_FIELDS),
@@ -708,13 +707,10 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
 
 
 @pytest.mark.parametrize("field, edit", [
-    ("split.seed", lambda doc: doc.update(split={})),
+    ("split_seed", lambda doc: doc.update(split_seed=1.0)),
     ("localizer.theta", lambda doc: doc["localizer"].update(theta=3)),
     ("normalization_stats.mean",
      lambda doc: doc["normalization_stats"].update(mean="x")),
-    ("split.fractions", lambda doc: doc["split"].update(fractions="ab")),
-    pytest.param("split.fractions", lambda doc: doc["split"].update(
-        fractions=[[0.4], [0.4], [0.1], [0.1]]), id="nested-fractions"),
     ("gamma", lambda doc: doc.update(family="erc", gamma=None)),
     pytest.param("localizer.layer_dims", lambda doc: doc.update(
         localizer={"layer_dims": [3], "theta": ""}), id="no-layers"),
@@ -726,25 +722,18 @@ def test_a_broken_model_file_is_refused_by_path_and_field(
     pytest.param("normalization_stats", lambda doc: doc[
         "normalization_stats"].update(sd=[-1.0] * 4), id="negative-sd"),
     pytest.param("normalization_stats", lambda doc: doc[
-        "normalization_stats"].update(sd=[0.0] * 4), id="zero-sd"),
-    pytest.param("normalization_stats", lambda doc: doc[
         "normalization_stats"].update(sd=[1.0] * 3), id="short-sd"),
-    pytest.param("normalization_stats.zero_variance", lambda doc: doc[
-        "normalization_stats"].update(zero_variance=[7, 0, 0, 0]),
-        id="integer-flags"),
-    pytest.param("normalization_stats.zero_variance", lambda doc: doc[
-        "normalization_stats"].update(zero_variance=[[False]] * 4),
-        id="nested-flags"),
+    # no attribute: fixed loaded, and eval wrote error rows
+    pytest.param("normalization_stats", lambda doc: doc[
+        "normalization_stats"].update(mean=[], sd=[]), id="no-columns"),
     pytest.param("gamma", lambda doc: doc.update(
         family="erc", gamma=float("nan")), id="nan-gamma"),
     pytest.param("family", lambda doc: doc.update(family="foo"),
                  id="unknown-family"),
     pytest.param("format_version", lambda doc: doc.update(format_version=1),
                  id="format-version-1"),
-    pytest.param("split.seed", lambda doc: doc["split"].update(seed=-1),
+    pytest.param("split_seed", lambda doc: doc.update(split_seed=-1),
                  id="negative-seed"),
-    pytest.param("split.fractions", lambda doc: doc["split"].update(
-        fractions=[0.8, 0.8, 0.2, 0.2]), id="fractions-sum-2"),
     pytest.param("knn_k", lambda doc: doc.update(knn_k=0), id="zero-k"),
 ])
 def test_a_model_file_error_names_the_nested_field(
@@ -765,15 +754,12 @@ def test_a_model_file_error_names_the_nested_field(
 @pytest.mark.parametrize("field, edit", [
     ("knn_k", lambda doc: doc.update(knn_k=True)),
     ("format_version", lambda doc: doc.update(format_version=True)),
-    ("split.seed", lambda doc: doc["split"].update(seed=True)),
+    ("split_seed", lambda doc: doc.update(split_seed=True)),
     ("gamma", lambda doc: doc.update(family="erc", gamma=True)),
-    ("epsilon_floor", lambda doc: doc.update(epsilon_floor=True)),
     ("normalization_stats.mean",
      lambda doc: doc["normalization_stats"]["mean"].__setitem__(0, False)),
     ("normalization_stats.sd",
      lambda doc: doc["normalization_stats"]["sd"].__setitem__(1, True)),
-    ("split.fractions",
-     lambda doc: doc["split"].update(fractions=[True, 0, 0, 0])),
 ])
 def test_a_model_file_refuses_true_or_false_for_a_number(trained_linear,
                                                           field, edit):
@@ -865,13 +851,14 @@ def test_a_non_finite_localizer_parameter_is_refused_by_name(
 
 def test_a_format_1_model_file_is_refused_with_what_to_do(trained_linear):
     doc = json.loads(trained_linear[1].read_text())
-    doc["format_version"] = 1
-    with pytest.raises(ValueError) as exc:
-        model_from_dict(doc, "m.json")
-    assert str(exc.value) == (
-        "model file m.json: field 'format_version' cannot be read: "
-        "unsupported model format_version 1: this version reads format 2, "
-        "which `scoremorph train` writes")
+    for version in (1, 2):
+        doc["format_version"] = version
+        with pytest.raises(ValueError) as exc:
+            model_from_dict(doc, "m.json")
+        assert str(exc.value) == (
+            "model file m.json: field 'format_version' cannot be read: "
+            f"unsupported model format_version {version}: this version reads "
+            "format 3, which `scoremorph train` writes")
 
 
 def field_names(doc, prefix=""):
@@ -945,9 +932,9 @@ def test_a_damaged_model_field_is_refused_by_name_or_loads(model_docs, data):
         assert isinstance(bundle, ModelBundle)
 
 
-@pytest.mark.parametrize("field", ["epsilon_floor", "gamma"])
+@pytest.mark.parametrize("field", ["gamma"])
 def test_eval_frozen_rejects_a_nan_model_value(tmp_path, capsys, field):
-    # the file is refused: a NaN floor or erc gamma gives nan,0.0 in every row
+    # the file is refused: a NaN erc gamma gives nan,0.0 in every row
     data, model = train_model(tmp_path, family="erc")
     doc = json.loads(model.read_text())
     doc[field] = float("nan")
@@ -957,43 +944,50 @@ def test_eval_frozen_rejects_a_nan_model_value(tmp_path, capsys, field):
                "--report", report) == 1
     assert capsys.readouterr().err == (
         f"error: model file {model}: field '{field}' cannot be read: "
-        f"{field} must be {'finite and ' * (field == 'epsilon_floor')}"
-        "positive, got nan\n")
+        f"{field} must be positive, got nan\n")
     assert not report.exists()
 
 
 @pytest.mark.parametrize("rate", ["0", "-0.001", "nan", "inf"])
 def test_train_and_protocol_eval_reject_a_bad_rate(tmp_path, capsys,
-                                                   monkeypatch, rate):
-    # the protocol checks it before any worker starts
+                                                   monkeypatch, trained_linear,
+                                                   rate):
+    # the protocol checks it before any worker starts, and frozen eval
+    # before it loads a model; a NaN rate would reach the manifest
     monkeypatch.setattr(training, "map_in_workers", None)
+    monkeypatch.setattr(cli, "load_model", None)
     data = synth(tmp_path, n=300)
     model, report = tmp_path / "m.json", tmp_path / "r.csv"
     assert run("train", "--data", data, "--family", "linear", "--lr", rate,
                "--model-out", model) == 1
-    assert run("eval", "--data", data, "--families", "fixed", "--lr", rate,
-               "--report", report) == 1
+    for mode in (["--families", "fixed"], ["--model", trained_linear[1]]):
+        assert run("eval", "--data", data, *mode, "--lr", rate,
+                   "--report", report) == 1
     message = (f"error: learning_rate must be finite and positive, "
                f"got {float(rate)}\n")
-    assert capsys.readouterr().err == 2 * message
+    assert capsys.readouterr().err == 3 * message
     assert not model.exists() and not report.exists()
 
 
 @pytest.mark.parametrize("gamma", ["0", "-0.001", "nan", "inf"])
 def test_train_and_protocol_eval_reject_a_bad_gamma(tmp_path, capsys,
-                                                    monkeypatch, gamma):
-    # refused for every label before the point model is fit or any worker
-    # starts; a NaN gamma would reach the manifest, which is then not JSON
+                                                    monkeypatch,
+                                                    trained_linear, gamma):
+    # refused for every label before the point model is fit, any worker
+    # starts or a model loads; a NaN gamma would reach the manifest, which
+    # is then not JSON
     monkeypatch.setattr(knn, "fit", None)
     monkeypatch.setattr(training, "map_in_workers", None)
+    monkeypatch.setattr(cli, "load_model", None)
     data = synth(tmp_path, n=300)
     model, report = tmp_path / "m.json", tmp_path / "r.csv"
     assert run("train", "--data", data, "--family", "linear",
                "--gamma", gamma, "--model-out", model) == 1
-    assert run("eval", "--data", data, "--families", "fixed,erc",
-               "--gamma", gamma, "--report", report) == 1
+    for mode in (["--families", "fixed,erc"], ["--model", trained_linear[1]]):
+        assert run("eval", "--data", data, *mode, "--gamma", gamma,
+                   "--report", report) == 1
     message = f"error: gamma must be positive, got {float(gamma)}\n"
-    assert capsys.readouterr().err == 2 * message
+    assert capsys.readouterr().err == 3 * message
     assert not model.exists() and not report.exists()
 
 
@@ -1137,7 +1131,7 @@ def test_eval_and_plot_run_the_localizer_once_per_split(tmp_path,
                "0.05,0.1,0.32", "--runs", 2, "--report",
                tmp_path / "r.csv") == 0
     n = load_csv(data).n
-    parts = split_indices(n, SplitSpec(1, DEFAULT_FRACTIONS))
+    parts = split_indices(n, 1)
     # the trained bundle only: the auto-added fixed one has no localizer
     assert rows == [len(parts[1]), len(parts[3])] * 2
     rows.clear()
@@ -1211,7 +1205,7 @@ def test_outputs_carry_format_version(tmp_path):
     assert "format_version=1" in data.read_text().splitlines()[0]
     assert "format_version=1" in report.read_text().splitlines()[0]
     assert "format_version=1" in out.read_text().splitlines()[1]
-    assert json.loads(model.read_text())["format_version"] == 2
+    assert json.loads(model.read_text())["format_version"] == 3
     manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
     assert manifest["format_version"] == 1
 
@@ -1262,7 +1256,7 @@ def test_manifest_config_is_the_parsed_options(tmp_path, command, resolved):
         k: v for k, v in parsed.items() if k not in resolved}
     if command == "train":
         b = load_model(out)
-        assert config["fractions"] == list(DEFAULT_FRACTIONS)
+        assert config["fractions"] == list(FRACTIONS)
         assert config["knn_k"] == b.knn_k
         trace = read_rows(tmp_path / "out.trace.csv")
         best = min(trace, key=lambda r: float(r["val_loss"]))

@@ -3,7 +3,7 @@ import pytest
 
 from scoremorph.conformal import (calibrate, calibration_scores, evaluate,
                                   half_widths, quantile_index, scored)
-from scoremorph.data import Dataset, SplitSpec, split
+from scoremorph.data import Dataset, split
 from scoremorph.knn import KnnModel
 from scoremorph.network import LocalizerNet
 from scoremorph.training import family_kind
@@ -172,7 +172,7 @@ def test_fixed_validity_on_tied_scores_is_the_label_space_count():
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 5, size=1000)
         y = x + rng.integers(-3, 4, size=1000)
-        proper, cp, _, te = split(Dataset(x[:, None], y), SplitSpec(seed))
+        proper, cp, _, te = split(Dataset(x[:, None], y), seed)
         cal, test = score(KnnModel(proper.x, proper.y, 50).predict_batch,
                           cp, te)
         alphas = np.linspace(1.0 / (cal.m + 1), 1.0, 30)

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scoremorph.data import (DEFAULT_FRACTIONS, Dataset, IngestionError,
-                             SplitSpec, apply_normalization, load_csv,
-                             normalize, split, split_indices)
+from scoremorph.data import (Dataset, IngestionError, apply_normalization,
+                             load_csv, normalize, split, split_indices)
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -179,39 +178,33 @@ def test_apply_normalization_reproduces_bit_exactly():
 def test_split_sizes_and_partition():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(100, 2)), rng.normal(size=100))
-    parts = split(ds, SplitSpec(7))
+    parts = split(ds, 7)
     assert [p.n for p in parts] == [40, 40, 10, 10]
-    idx = split_indices(100, SplitSpec(7))
+    idx = split_indices(100, 7)
     merged = np.sort(np.concatenate(idx))
     assert np.array_equal(merged, np.arange(100))
 
 
 def test_split_deterministic_and_seed_sensitive():
-    a = split_indices(100, SplitSpec(7))
-    b = split_indices(100, SplitSpec(7))
+    a = split_indices(100, 7)
+    b = split_indices(100, 7)
     for p, q in zip(a, b):
         assert np.array_equal(p, q)
     different = sum(
-        not np.array_equal(split_indices(100, SplitSpec(s))[0], a[0])
+        not np.array_equal(split_indices(100, s)[0], a[0])
         for s in range(1, 11))
     assert different >= 9
 
 
 def test_split_empty_part_errors():
     with pytest.raises(ValueError, match="empty part"):
-        split_indices(3, SplitSpec(0, DEFAULT_FRACTIONS))
+        split_indices(3, 0)
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        SplitSpec(0, (0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        SplitSpec(0, (0.4, 0.4, 0.2))
-    with pytest.raises(ValueError):
-        SplitSpec(0, (-0.1, 0.5, 0.3, 0.3))
-    # NaN passes a range check written as `f < 0 or f > 1`, and the sum check
-    with pytest.raises(ValueError, match=r"^fractions must lie in \[0, 1\]"):
-        SplitSpec(0, (float("nan"), 0.4, 0.1, 0.1))
+    # numpy's own message would not say which value is wrong
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        split_indices(100, -1)
 
 
 def test_dataset_arrays_read_only():

@@ -296,7 +296,8 @@ def core_case(kind, m, spread, seed):
     g = np.sqrt(np.exp(-s) - 1e-2) if kind == "erc" else s
     net = LocalizerNet([g[None, :]], [np.zeros(1)])
     # a floor below every pair inverse, so bisection always has a root
-    fam = make_family(kind, localizer=net, gamma=1e-2, epsilon_floor=1e-300)
+    fam = make_family(kind, localizer=net, gamma=1e-2)
+    fam.epsilon_floor = 1e-300
     return fam, LossBatch(np.eye(m), np.exp(log_a))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from scoremorph import knn, objective, training
 from scoremorph.conformal import evaluate, scored
-from scoremorph.data import Dataset, SplitSpec, split
+from scoremorph.data import Dataset, split
 from scoremorph.network import LocalizerNet, adam_step
 from scoremorph.objective import LossBatch, pairwise_size_loss
 from scoremorph.synthetic import SynthSpec, generate
@@ -22,7 +22,7 @@ A_GRID = np.logspace(-6, 3, 25)
 
 def synth_splits(kind="linear", n=400, seed=0):
     ds = generate(SynthSpec(kind, n=n, seed=seed)).dataset
-    return split(ds, SplitSpec(seed))
+    return split(ds, seed)
 
 
 def fitted_knn(proper, seed=0):
@@ -159,7 +159,7 @@ def test_homoskedastic_training_cannot_beat_fixed():
         rng = np.random.default_rng(100 + seed)
         x = rng.normal(size=(1000, 3))
         y = exact_predict(x) + 0.3 * rng.normal(size=1000)
-        proper, cp, val, _ = split(Dataset(x, y), SplitSpec(seed))
+        proper, cp, val, _ = split(Dataset(x, y), seed)
         cp, val = score(exact_predict, cp, val)
         fixed = fixed_loss(val.a)
         fam, _ = train("linear", cp, val, quick_config(seed=seed, epochs=20))
@@ -173,7 +173,7 @@ def test_erc_fit_constant_residuals_close_to_fixed():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(500, 3))
     y = x[:, 0] + 0.5 * rng.normal(size=500)
-    proper, cp, val, test = split(Dataset(x, y), SplitSpec(4))
+    proper, cp, val, test = split(Dataset(x, y), 4)
     cp, val, test = score(fitted_knn(proper, 4).predict_batch, cp, val, test)
     fam, trace = train("erc-fit", cp, val, quick_config(seed=4, epochs=20))
     erc_rep = evaluate(fam, cp, test, [0.1])[0]
@@ -256,7 +256,7 @@ def test_divergence_aborts_with_trace():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(200, 2))
     y = x[:, 0] + 0.1 * rng.normal(size=200)
-    proper, cp, val, _ = split(Dataset(x, y), SplitSpec(0))
+    proper, cp, val, _ = split(Dataset(x, y), 0)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged,
                            match="^training diverged at epoch 1: "):
